@@ -53,7 +53,7 @@ int run_obs_export(const std::string& prefix) {
   opts.compute_jitter = 0.1;
   opts.checkpoint_overhead = 0.5;
   opts.checkpoint_latency = 1.0;
-  opts.failures = {{1, 18.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 18.0)};
   opts.delay.drop = 0.05;     // lossy wire → reliable-transport shim on
   opts.delay.reorder = 0.05;
 

@@ -70,8 +70,9 @@ int main() {
   // Two node crashes mid-run.
   {
     sim::SimOptions faulty = grid;
-    faulty.failures = {{1, 0.35 * clean.trace.end_time},
-                       {4, 0.75 * clean.trace.end_time}};
+    faulty.fault_plan.faults = {
+        sim::FaultPlan::at_time(1, 0.35 * clean.trace.end_time),
+        sim::FaultPlan::at_time(4, 0.75 * clean.trace.end_time)};
     sim::Engine engine(app, faulty);
     const auto rec = engine.run();
     const bool ok = rec.trace.completed &&

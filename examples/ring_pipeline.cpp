@@ -59,8 +59,9 @@ int main() {
   for (const double frac : {0.25, 0.55, 0.85}) {
     sim::SimOptions faulty = clean;
     faulty.recovery_overhead = 3.32;  // the paper's R
-    faulty.failures = {{0, frac * base.trace.end_time},
-                       {3, 0.95 * base.trace.end_time}};
+    faulty.fault_plan.faults = {
+        sim::FaultPlan::at_time(0, frac * base.trace.end_time),
+        sim::FaultPlan::at_time(3, 0.95 * base.trace.end_time)};
     sim::Engine engine(program, faulty);
     const auto result = engine.run();
     const bool digest_ok =

@@ -130,6 +130,13 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
     ACFC_CHECK_MSG(f.ckpt_ordinal >= 1,
                    "storage fault ordinals are 1-based");
   }
+  for (const FaultSpec& f : opts_.fault_plan.faults) {
+    ACFC_CHECK_MSG(f.proc >= 0 && f.proc < opts_.nprocs,
+                   "fault plan targets a process outside the world");
+    if (f.trigger == FaultSpec::Trigger::kAtTime)
+      ACFC_CHECK_MSG(std::isfinite(f.time) && f.time >= 0.0,
+                     "timed fault must fire at a finite time >= 0");
+  }
   for (const auto& w : opts_.fault_plan.partitions) {
     ACFC_CHECK_MSG(!w.group.empty(), "partition group must be non-empty");
     ACFC_CHECK_MSG(w.heal >= w.start, "partition heals before it starts");
@@ -159,23 +166,13 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
   // without reallocating. Growth beyond the hint stays geometric.
   trace_.reserve(/*events=*/256 * n, /*messages=*/96 * n,
                  /*checkpoints=*/32 * n);
-  use_legacy_queue_ = opts_.legacy_scheduler;
   if (opts_.schedule_hook != nullptr) {
-    ACFC_CHECK_MSG(!use_legacy_queue_,
-                   "schedule hooks require the calendar-queue scheduler "
-                   "(state hashing iterates the live queue)");
     ACFC_CHECK_MSG(!opts_.delay.lossy(),
                    "schedule hooks require the reliable fast path");
     ACFC_CHECK_MSG(opts_.perturb.tie_cap >= 1 &&
                        opts_.perturb.tie_cap <= PerturbOptions::kMaxTieBreak,
                    "tie_cap out of range");
     ACFC_CHECK_MSG(opts_.perturb.delay_steps >= 1, "delay_steps must be >= 1");
-  }
-  if (use_legacy_queue_) {
-    std::vector<Ev> backing;
-    backing.reserve(16 * n + 64);
-    queue_ = std::priority_queue<Ev, std::vector<Ev>, EvCmp>(
-        EvCmp{}, std::move(backing));
   }
 
   // Static index of each checkpoint statement (when placement is balanced).
@@ -208,19 +205,10 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
 Engine::~Engine() = default;
 
 void Engine::push_event(double time, EvKind kind, int proc, long a, long b) {
-  const Ev ev{time, event_seq_++, kind, proc, a, b, epoch_};
-  if (use_legacy_queue_)
-    queue_.push(ev);
-  else
-    calqueue_.push(ev);
+  calqueue_.push(Ev{time, event_seq_++, kind, proc, a, b, epoch_});
 }
 
 Ev Engine::next_event() {
-  if (use_legacy_queue_) {
-    const Ev ev = queue_.top();
-    queue_.pop();
-    return ev;
-  }
   Ev ev = calqueue_.pop();
   ScheduleHook* hook = opts_.schedule_hook;
   const int cap = std::min(opts_.perturb.tie_cap,
@@ -280,7 +268,7 @@ void Engine::offer_failure_point(BoundaryKind boundary, int proc) {
   // vectors align position-for-position across replays.
   if (opts_.perturb.failure_points) {
     const ChoicePoint cp{ChoiceKind::kFailurePoint, 2, proc, boundary, this};
-    if (hook->choose(cp) == 1) arm_failure(proc, now_);
+    if (hook->choose(cp) == 1) push_event(now_, EvKind::kFailure, proc);
   }
   if (opts_.perturb.partition_points) {
     const ChoicePoint cp{ChoiceKind::kPartitionPoint, 2, proc, boundary,
@@ -300,23 +288,13 @@ void Engine::offer_failure_point(BoundaryKind boundary, int proc) {
 
 void Engine::bootstrap() {
   for (int p = 0; p < opts_.nprocs; ++p) push_event(0.0, EvKind::kWake, p);
-  for (const FailureEvent& failure : opts_.failures)
-    arm_failure(failure.proc, failure.time);
   for (const FaultSpec& spec : opts_.fault_plan.faults) {
-    ACFC_CHECK_MSG(spec.proc >= 0 && spec.proc < opts_.nprocs,
-                   "fault plan targets a process outside the world");
     if (spec.trigger == FaultSpec::Trigger::kAtTime)
-      arm_failure(spec.proc, spec.time);
+      push_event(spec.time, EvKind::kFailure, spec.proc);
     else
       pending_faults_.push_back(PendingFault{spec, false});
   }
   if (driver_ != nullptr) driver_->on_start(*this);
-}
-
-void Engine::arm_failure(int proc, double time) {
-  armed_failures_.push_back(FailureEvent{proc, time});
-  push_event(time, EvKind::kFailure, proc,
-             static_cast<long>(armed_failures_.size()) - 1);
 }
 
 void Engine::check_checkpoint_faults(int proc) {
@@ -328,7 +306,7 @@ void Engine::check_checkpoint_faults(int proc) {
         ckpt_counts_[static_cast<size_t>(proc)] < pending.spec.count)
       continue;
     pending.fired = true;  // once only: rollback rewinds the tally
-    arm_failure(pending.spec.proc, now_);
+    push_event(now_, EvKind::kFailure, pending.spec.proc);
   }
 }
 
@@ -339,7 +317,7 @@ void Engine::check_event_faults() {
       continue;
     if (stats_.events_processed < pending.spec.count) continue;
     pending.fired = true;
-    arm_failure(pending.spec.proc, now_);
+    push_event(now_, EvKind::kFailure, pending.spec.proc);
   }
 }
 
@@ -350,7 +328,7 @@ void Engine::check_event_faults() {
 SimResult Engine::run() {
   bootstrap();
   while (stats_.events_processed < opts_.max_events) {
-    if (use_legacy_queue_ ? queue_.empty() : calqueue_.empty()) break;
+    if (calqueue_.empty()) break;
     const Ev ev = next_event();
     ++stats_.events_processed;
     ACFC_CHECK_MSG(ev.time + 1e-12 >= now_, "time went backwards");
@@ -447,7 +425,7 @@ void Engine::dispatch(const Ev& ev) {
       return;
     }
     case EvKind::kFailure: {
-      handle_failure(armed_failures_.at(static_cast<size_t>(ev.a)));
+      handle_failure(ev.proc);
       return;
     }
     case EvKind::kNetArrive: {
@@ -1090,16 +1068,16 @@ bool Engine::checkpoint_usable(int ckpt_index) const {
   return true;
 }
 
-void Engine::handle_failure(const FailureEvent& failure) {
+void Engine::handle_failure(int proc) {
   if (all_done()) return;
   if (opts_.supervised) {
     // Supervised mode: the crash only marks the process dead. Recovery
     // waits for an in-model verdict (supervised_restart / quarantine) —
     // detection is a protocol event, not engine omniscience.
-    supervised_crash(failure.proc);
+    supervised_crash(proc);
     return;
   }
-  perform_rollback(failure.proc);
+  perform_rollback(proc);
 }
 
 void Engine::supervised_crash(int p) {
@@ -1725,8 +1703,6 @@ std::uint64_t quantize_rel(double t, double now) {
 }  // namespace
 
 std::uint64_t Engine::schedule_state_hash() const {
-  ACFC_CHECK_MSG(!use_legacy_queue_,
-                 "schedule_state_hash requires the calendar queue");
   StateMix mix;
   const auto n = static_cast<size_t>(opts_.nprocs);
   mix.mix(n);
@@ -1848,12 +1824,9 @@ std::uint64_t Engine::schedule_state_hash() const {
       case EvKind::kTimer:
         em.mix(static_cast<std::uint64_t>(ev.a));
         break;
-      case EvKind::kFailure: {
-        const FailureEvent& f =
-            armed_failures_.at(static_cast<size_t>(ev.a));
-        em.mix(static_cast<std::uint64_t>(f.proc + 1));
+      case EvKind::kFailure:
+        em.mix(static_cast<std::uint64_t>(ev.proc + 1));
         break;
-      }
       default:
         break;
     }

@@ -16,7 +16,6 @@
 
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "mp/stmt.h"
@@ -49,8 +48,7 @@ namespace acfc::sim {
 /// suppression), which restores exactly-once FIFO delivery to the layers
 /// above — application receives AND protocol control traffic, so
 /// Chandy–Lamport markers and CIC piggybacks survive loss. With all three
-/// at 0 the engine runs the original perfectly-reliable fast path,
-/// bit-identical to previous releases.
+/// at 0 the engine runs the perfectly-reliable fast path.
 struct DelayModel {
   double setup = 1e-3;
   double per_byte = 1e-6;
@@ -75,11 +73,6 @@ struct TransportOptions {
                          ///< end incomplete — exactly like a real channel
                          ///< declaring its peer unreachable
   int ack_bytes = 8;     ///< wire size of a cumulative ack
-};
-
-struct FailureEvent {
-  int proc = 0;
-  double time = 0.0;
 };
 
 struct SimOptions {
@@ -110,11 +103,9 @@ struct SimOptions {
   /// Per-process relative compute speed (duration /= speed); empty means
   /// homogeneous 1.0. Models heterogeneous grid nodes.
   std::vector<double> compute_speed;
-  /// Legacy time-triggered failure schedule (kept for existing callers);
-  /// `fault_plan` is the richer superset.
-  std::vector<FailureEvent> failures;
-  /// Declarative failure-injection schedule (time / after-checkpoint /
-  /// after-events triggers); merged with `failures` at bootstrap.
+  /// Declarative failure-injection schedule: crashes (time /
+  /// after-checkpoint / after-events triggers) plus gray-failure windows.
+  /// Validated in the Engine constructor.
   FaultPlan fault_plan;
   /// Declarative storage corruption: each entry lands on one process's
   /// n-th checkpoint take (1-based, counting re-takes after rollback).
@@ -153,18 +144,10 @@ struct SimOptions {
       checkpoint_capture_shared_fn;
   /// Retain VM snapshots for checkpoints (needed for failures/restart).
   bool keep_snapshots = true;
-  /// Schedule events on the original std::priority_queue core instead of
-  /// the calendar queue. (time, seq) is a unique total order, so the two
-  /// schedulers pop identical sequences and produce bit-identical digests
-  /// — tests/test_scheduler.cpp holds them to that; this switch exists for
-  /// that differential suite and as an escape hatch, mirroring the
-  /// analysis engine's legacy_pairwise.
-  bool legacy_scheduler = false;
   /// Schedule-perturbation hook (sim/schedule_hook.h): when set, the
   /// engine offers tie-break / delivery-delay / failure-point choices at
   /// deterministic points and follows the hook's answers. Requires the
-  /// calendar-queue scheduler and the reliable fast path; nullptr costs
-  /// nothing on the hot paths.
+  /// reliable fast path; nullptr costs nothing on the hot paths.
   ScheduleHook* schedule_hook = nullptr;
   /// How much nondeterminism the hook is offered (ignored when the hook
   /// is null).
@@ -340,8 +323,6 @@ class Engine {
   /// to now. Two engines with equal hashes are (modulo the 64-bit digest)
   /// in the same logical state and will unfold identical schedule
   /// subtrees, which is what the explorer's memoization prunes on.
-  /// Requires the calendar-queue scheduler (the legacy heap cannot be
-  /// iterated).
   std::uint64_t schedule_state_hash() const;
 
  private:
@@ -357,7 +338,7 @@ class Engine {
   /// Returns the blocking overhead charged to the process.
   double take_checkpoint(int proc, int ckpt_id, bool forced);
   void start_collective(int proc, const Action& action);
-  void handle_failure(const FailureEvent& failure);
+  void handle_failure(int proc);
   /// Supervised mode: mark `proc` crashed without rolling anything back —
   /// recovery waits for a detector verdict (supervised_restart/quarantine).
   void supervised_crash(int proc);
@@ -378,8 +359,6 @@ class Engine {
   double p2p_delay(int src, int dst, int bytes, double at);
   /// Earliest time ≥ t at which `proc` is not stalled.
   double stall_clear_time(int proc, double t) const;
-  /// Arms `fault` (appends to the resolved schedule + queues the event).
-  void arm_failure(int proc, double time);
   /// Fires any pending after-checkpoint fault of `proc` that its tally
   /// just satisfied.
   void check_checkpoint_faults(int proc);
@@ -455,15 +434,12 @@ class Engine {
   SimStats stats_;
   trace::Trace trace_;
   std::vector<RecoveryRec> recoveries_;
-  /// Resolved failure schedule: legacy opts_.failures plus every fault of
-  /// opts_.fault_plan that has fired (kFailure events index into this).
-  std::vector<FailureEvent> armed_failures_;
   struct PendingFault {
     FaultSpec spec;
     bool fired = false;
   };
   std::vector<PendingFault> pending_faults_;
-  // Supervised-mode liveness (all-false ⇒ legacy behavior, bit-identical):
+  // Supervised-mode liveness (all-false unless opts_.supervised):
   std::vector<char> crashed_;
   std::vector<char> quarantined_;
   std::vector<double> crash_time_;
@@ -517,12 +493,8 @@ class Engine {
   };
   std::vector<XportChan> xport_;
 
-  /// The event core: the calendar queue by default, the original binary
-  /// heap behind opts_.legacy_scheduler (use_legacy_queue_ caches the
-  /// flag for the hot path). Both pop the identical (time, seq) order.
+  /// The event core: pops events in their unique (time, seq) order.
   CalendarQueue calqueue_;
-  std::priority_queue<Ev, std::vector<Ev>, EvCmp> queue_;
-  bool use_legacy_queue_ = false;
   util::Rng net_rng_{0x5eedULL};
 };
 

@@ -1,7 +1,7 @@
 // The scheduler's unit of work: one timestamped event, totally ordered by
 // (time, seq). `seq` is the engine's global push counter, so among
-// simultaneous events FIFO push order wins — the tie-break every scheduler
-// implementation must preserve for bit-identical replays.
+// simultaneous events FIFO push order wins — the tie-break the scheduler
+// must preserve for bit-identical replays.
 #pragma once
 
 namespace acfc::sim {
@@ -21,16 +21,16 @@ struct Ev {
   long seq = 0;  ///< tie-break: FIFO among simultaneous events
   EvKind kind = EvKind::kWake;
   int proc = -1;
-  long a = -1;    ///< msg index / timer id / failure index / channel
+  long a = -1;    ///< msg index / timer id / channel
   long b = -1;    ///< transport: ack upto / RTO sequence number
   int epoch = 0;  ///< wake/deliver events from pre-rollback epochs drop
 };
 
-/// std::priority_queue comparator (max-heap inverted): the queue pops the
-/// event with the smallest (time, seq). (time, seq) is a UNIQUE total
-/// order — seq never repeats — so any correct priority queue pops the
-/// exact same sequence; scheduler implementations are interchangeable
-/// without affecting digests.
+/// Heap comparator (max-heap inverted): a std heap over it pops the event
+/// with the smallest (time, seq). (time, seq) is a UNIQUE total order —
+/// seq never repeats — so any correct priority queue pops the exact same
+/// sequence; tests/test_scheduler.cpp holds the calendar queue to the
+/// std::priority_queue order under this comparator.
 struct EvCmp {
   bool operator()(const Ev& x, const Ev& y) const {
     if (x.time != y.time) return x.time > y.time;

@@ -194,7 +194,6 @@ OracleReport check_recovery(const mp::Program& program,
   OracleReport report;
 
   SimOptions ref_opts = base;
-  ref_opts.failures.clear();
   ref_opts.fault_plan = FaultPlan{};
   std::unique_ptr<ProtocolDriver> ref_driver;
   if (driver_factory) ref_driver = driver_factory();

@@ -28,9 +28,8 @@
 // is consulted at deterministic points in a deterministic order; given the
 // same sequence of answers the engine replays the same schedule, which is
 // what makes recorded choice vectors replayable artifacts (explore/
-// artifact.h). Hooks require the calendar-queue scheduler (the state hash
-// must iterate queued events; std::priority_queue cannot) and the reliable
-// fast path (the lossy shim explores timing through its own seeds).
+// artifact.h). Hooks require the reliable fast path (the lossy shim
+// explores timing through its own seeds).
 #pragma once
 
 #include <cstdint>

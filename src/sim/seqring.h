@@ -107,7 +107,9 @@ class SeqRing {
 
   void grow() {
     // Capacity must exceed the live window span so keys are unique modulo
-    // capacity: [min live, top) fits. base_ tightens to the min live key.
+    // capacity: [min live, top) fits. base_ stays put — a hole below the
+    // smallest live key (a lost message awaiting its retransmit) must still
+    // accept an insert; only erase_below advances the sweep origin.
     long min_live = top_;
     for (long seq = base_; seq < top_; ++seq) {
       const Slot& slot = slots_[index_of(seq)];
@@ -116,7 +118,6 @@ class SeqRing {
         break;
       }
     }
-    base_ = min_live;
     std::size_t needed = slots_.size() << 1;
     while (needed < static_cast<std::size_t>(top_ - min_live + 1))
       needed <<= 1;

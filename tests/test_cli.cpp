@@ -94,6 +94,26 @@ TEST(Cli, RunWithFailureAndDiagram) {
   EXPECT_NE(r.output.find("P0"), std::string::npos);  // diagram rows
 }
 
+TEST(Cli, RunRejectsMalformedFailSpecs) {
+  // Each is a usage error (exit 2) with a message, never a crash: a
+  // process outside [0, n), a negative time, trailing garbage.
+  for (const std::string spec : {"-1@3", "9@3", "1@-5", "1@3x", "1@inf"}) {
+    SCOPED_TRACE(spec);
+    const auto r = run_cli("run " + program_path("jacobi_aligned.mp") +
+                           " -n 4 --fail " + spec);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("invalid --fail"), std::string::npos) << r.output;
+  }
+}
+
+TEST(Cli, RunChecksFailProcessAgainstALaterWorldSize) {
+  const std::string prog = program_path("jacobi_aligned.mp");
+  EXPECT_EQ(run_cli("run " + prog + " --fail 5@20 -n 4").exit_code, 2);
+  const auto r = run_cli("run " + prog + " --fail 5@20 -n 6");
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("restarts: 1"), std::string::npos);
+}
+
 TEST(Cli, InsertAddsCheckpoints) {
   // pipeline.mp already has checkpoints; use a temp checkpoint-free file.
   const std::string src = ::testing::TempDir() + "acfc_cli_plain.mp";

@@ -33,6 +33,7 @@
 #include "sim/recovery.h"
 #include "store/store.h"
 #include "trace/analysis.h"
+#include "workloads/workloads.h"
 
 namespace {
 
@@ -354,6 +355,52 @@ TEST(LossyTransport, CrashRecoveryComposesWithLoss) {
   EXPECT_TRUE(oracle.ok) << oracle.failure;
   EXPECT_GE(oracle.restarts, 1);
   EXPECT_GT(oracle.metrics.transport_sends, 0);
+}
+
+TEST(LossyTransport, RetransmitFillsAHoleBehindAReplayBurst) {
+  // Process 1's first five checkpoint images are torn, so the crash of
+  // process 3 at t=60 sends process 1 back to its initial state, and 0's
+  // in-transit sends to 1 are replayed in one burst — more than the
+  // receiver's 16 initial reorder slots. With this seed the wire drops an
+  // early message of the burst: the later ones fill and grow 1's reorder
+  // buffer before the hole's retransmit arrives, which must still be
+  // accepted.
+  mp::WorkloadParams params;
+  params.iterations = 12;
+  const mp::Program program = mp::pipeline(params);
+  sim::SimOptions opts;
+  opts.nprocs = 8;
+  opts.seed = 1;
+  opts.checkpoint_overhead = 0.5;
+  opts.recovery_overhead = 1.0;
+  opts.delay.drop = 0.02;
+  for (long ordinal = 1; ordinal <= 5; ++ordinal)
+    opts.storage_faults.faults.push_back(
+        store::StorageFaultPlan::torn_write(1, ordinal));
+  sim::FaultPlan plan;
+  plan.faults = {sim::FaultPlan::at_time(3, 60.0)};
+  // The oracle requires completion, a consistent restored cut and a replay
+  // that reaches the failure-free digests.
+  const sim::OracleReport oracle = sim::check_recovery(program, opts, plan);
+  EXPECT_TRUE(oracle.ok) << oracle.failure;
+  EXPECT_EQ(oracle.restarts, 1);
+
+  // Every straight cut of the failure-free run over the same lossy wire is
+  // consistent. (The faulty trace keeps process 0's checkpoints while the
+  // others re-take theirs, so its instance numbering no longer lines up.)
+  const sim::SimResult clean = sim::Engine(program, opts).run();
+  ASSERT_TRUE(clean.trace.completed);
+  const auto cuts = trace::all_straight_cuts(clean.trace);
+  EXPECT_EQ(cuts.size(), 12u);
+  for (const auto& cut : cuts)
+    EXPECT_TRUE(trace::analyze_cut(clean.trace, cut).consistent);
+
+  // The scenario really drives the reorder buffer past its initial slots.
+  opts.fault_plan = plan;
+  const sim::SimResult faulty = sim::Engine(program, opts).run();
+  ASSERT_EQ(faulty.recoveries.size(), 1u);
+  EXPECT_GT(faulty.recoveries[0].replayed_messages, 16);
+  EXPECT_GT(faulty.stats.transport_reorder_high_water, 16);
 }
 
 class ProtocolsUnderLoss : public ::testing::TestWithParam<proto::Protocol> {

@@ -234,7 +234,7 @@ TEST(Edge, FailureAtTimeZero) {
       "program t { compute 2.0; checkpoint; compute 1.0; }");
   sim::SimOptions opts;
   opts.nprocs = 2;
-  opts.failures = {{0, 0.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(0, 0.0)};
   const auto r = sim::Engine(p, opts).run();
   EXPECT_TRUE(r.trace.completed);
   EXPECT_EQ(r.stats.restarts, 1);
@@ -247,7 +247,8 @@ TEST(Edge, SimultaneousFailures) {
       recv from (rank - 1 + nprocs) % nprocs tag 1; } })");
   sim::SimOptions opts;
   opts.nprocs = 3;
-  opts.failures = {{0, 5.0}, {1, 5.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(0, 5.0),
+                            sim::FaultPlan::at_time(1, 5.0)};
   const auto r = sim::Engine(p, opts).run();
   EXPECT_TRUE(r.trace.completed);
   EXPECT_EQ(r.stats.restarts, 2);

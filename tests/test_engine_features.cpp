@@ -39,14 +39,15 @@ TEST(CheckpointLatency, UncommittedCheckpointNotUsedForRecovery) {
   sim::SimOptions opts;
   opts.nprocs = 2;
   opts.checkpoint_latency = 3.0;  // durable at t=8
-  opts.failures = {{0, 6.0}};     // after t_end (5.0), before t_commit
+  // After t_end (5.0), before t_commit.
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(0, 6.0)};
   const auto r = sim::Engine(p, opts).run();
   EXPECT_TRUE(r.trace.completed);
   EXPECT_GT(r.trace.end_time, 15.0);  // restarted from scratch
 
   // Same failure after the commit: only the tail reruns.
   sim::SimOptions late = opts;
-  late.failures = {{0, 9.0}};
+  late.fault_plan.faults = {sim::FaultPlan::at_time(0, 9.0)};
   const auto r2 = sim::Engine(p, late).run();
   EXPECT_TRUE(r2.trace.completed);
   EXPECT_LT(r2.trace.end_time, 15.0);

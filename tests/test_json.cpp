@@ -28,7 +28,7 @@ trace::Trace make_trace(bool with_failure) {
     })");
   sim::SimOptions opts;
   opts.nprocs = 3;
-  if (with_failure) opts.failures = {{1, 2.0}};
+  if (with_failure) opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 2.0)};
   return sim::Engine(p, opts).run().trace;
 }
 

@@ -180,8 +180,9 @@ TEST(FailureInjection, ReplaysDeterministicallyUnderPool) {
     opts.nprocs = 4;
     opts.seed = run_seed(7, i);
     opts.recovery_overhead = 1.5;
-    opts.failures = {{i % 4, 6.0 + 2.0 * i}};
-    if (i % 2 == 1) opts.failures.push_back({(i + 1) % 4, 25.0});
+    opts.fault_plan.faults = {FaultPlan::at_time(i % 4, 6.0 + 2.0 * i)};
+    if (i % 2 == 1)
+      opts.fault_plan.faults.push_back(FaultPlan::at_time((i + 1) % 4, 25.0));
     configs.push_back(opts);
   }
 
@@ -206,7 +207,7 @@ TEST(FailureInjection, ReplaysDeterministicallyUnderPool) {
   // match a clean run with the same seed.
   for (size_t i = 0; i < configs.size(); ++i) {
     SimOptions clean = configs[i];
-    clean.failures.clear();
+    clean.fault_plan.faults.clear();
     Engine engine(program, clean);
     const auto clean_run = engine.run();
     EXPECT_EQ(ref[i].trace.final_digest, clean_run.trace.final_digest)

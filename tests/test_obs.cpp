@@ -398,7 +398,7 @@ TEST(ObsEngine, InstrumentedRunExportsEngineAndCalqueueLayers) {
   sim::SimOptions opts;
   opts.nprocs = 4;
   opts.obs = &registry;
-  opts.failures = {{1, 25.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 25.0)};
   sim::Engine engine(program, opts);
   const sim::SimResult result = engine.run();
 

@@ -15,6 +15,7 @@
 //  * StoreBackedRecovery: restore costs derived from a StableStore's
 //    incremental chains shift the per-process restart times.
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -28,6 +29,7 @@
 #include "sim/recovery.h"
 #include "store/store.h"
 #include "trace/analysis.h"
+#include "util/error.h"
 
 namespace {
 
@@ -209,18 +211,36 @@ TEST(FaultPlanTriggers, OverlappingFaultsAllRecover) {
   EXPECT_GE(oracle.restarts, 2);
 }
 
-TEST(FaultPlanTriggers, LegacyFailuresStillWork) {
+TEST(FaultPlanValidation, ProcessOutsideTheWorldRejectedAtConstruction) {
   const mp::Program program = mp::parse(kRing);
+  for (const sim::FaultSpec& fault :
+       {sim::FaultPlan::at_time(-1, 3.0), sim::FaultPlan::at_time(4, 3.0),
+        sim::FaultPlan::after_checkpoint(4, 1),
+        sim::FaultPlan::after_events(-1, 10)}) {
+    SCOPED_TRACE("proc=" + std::to_string(fault.proc));
+    sim::SimOptions opts;
+    opts.nprocs = 4;
+    opts.fault_plan.faults = {fault};
+    EXPECT_THROW(sim::Engine(program, opts), util::InternalError);
+  }
+}
+
+TEST(FaultPlanValidation, TimedFaultMustFireAtAFiniteNonNegativeTime) {
+  const mp::Program program = mp::parse(kRing);
+  for (const double time : {-5.0, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    SCOPED_TRACE("time=" + std::to_string(time));
+    sim::SimOptions opts;
+    opts.nprocs = 4;
+    opts.fault_plan.faults = {sim::FaultPlan::at_time(1, time)};
+    EXPECT_THROW(sim::Engine(program, opts), util::InternalError);
+  }
+  // Time 0 is the earliest legal crash.
   sim::SimOptions opts;
   opts.nprocs = 4;
-  opts.recovery_overhead = 0.5;
-  opts.failures = {{1, 12.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 0.0)};
   sim::Engine engine(program, opts);
-  const auto result = engine.run();
-  ASSERT_TRUE(result.trace.completed);
-  EXPECT_EQ(result.stats.restarts, 1);
-  ASSERT_EQ(result.recoveries.size(), 1u);
-  EXPECT_EQ(result.recoveries[0].failed_proc, 1);
+  EXPECT_EQ(engine.run().stats.restarts, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -80,7 +80,7 @@ TEST(Render, FailureRunShowsFailureAndRestart) {
       recv from (rank - 1 + nprocs) % nprocs tag 1; } })");
   sim::SimOptions opts;
   opts.nprocs = 2;
-  opts.failures = {{0, 3.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(0, 3.0)};
   const auto result = sim::Engine(p, opts).run();
   const std::string art = trace::render_spacetime(result.trace);
   EXPECT_NE(art.find('X'), std::string::npos);

@@ -321,10 +321,11 @@ TEST_P(RecoveryE2E, FailureInjectionReplaysToSameDigest) {
   sim::SimOptions faulty;
   faulty.nprocs = 4;
   faulty.recovery_overhead = 0.5;
-  faulty.failures = {{static_cast<int>(GetParam() % 4),
-                      0.4 * base.trace.end_time},
-                     {static_cast<int>((GetParam() + 1) % 4),
-                      0.9 * base.trace.end_time}};
+  faulty.fault_plan.faults = {
+      sim::FaultPlan::at_time(static_cast<int>(GetParam() % 4),
+                              0.4 * base.trace.end_time),
+      sim::FaultPlan::at_time(static_cast<int>((GetParam() + 1) % 4),
+                              0.9 * base.trace.end_time)};
   sim::Engine engine(program, faulty);
   const auto rec = engine.run();
   EXPECT_TRUE(rec.trace.completed) << mp::print(program);

@@ -1,14 +1,18 @@
-// Differential coverage for the calendar-queue event core: the new
-// scheduler must pop the exact (time, seq) sequence the legacy
-// std::priority_queue core pops, so every observable of a run —
-// final digest, event counts, end time, per-channel counters, recovery
-// history — is bit-identical with `SimOptions::legacy_scheduler` on and
-// off. A fast grid runs in tier 1; the 200-program generated corpus
-// (with fault plans, serial and parallel) runs in the slow tier.
+// Coverage for the calendar-queue event core. The engine-level tests pin
+// (final digest, end time, events processed) for fixed inputs; the values
+// were recorded when the calendar queue and a std::priority_queue core
+// still ran side by side in the engine and agreed bit for bit. The
+// data-structure property tests keep std::priority_queue<Ev, EvCmp> as
+// the oracle for the exact (time, seq) pop order. A fast grid runs in
+// tier 1; the 200-program generated corpus (with fault plans) and the
+// parallel-vs-serial batch run in the slow tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <queue>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "sim/engine.h"
 #include "sim/fault.h"
 #include "sim/montecarlo.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 #include "workloads/workloads.h"
 
@@ -24,14 +29,31 @@ namespace {
 
 using namespace acfc;
 
-sim::SimResult run_with(const mp::Program& program, sim::SimOptions opts,
-                        bool legacy) {
-  opts.legacy_scheduler = legacy;
-  sim::Engine engine(program, opts);
-  return engine.run();
+/// The pinned observables of one run.
+struct Observed {
+  std::uint64_t digest = 0;  ///< XXH64 over the per-process final digests
+  double end_time = 0.0;
+  long events = 0;
+};
+
+Observed observe(const sim::SimResult& r) {
+  const auto& d = r.trace.final_digest;
+  return {util::checksum64(d.data(), d.size() * sizeof(std::uint64_t)),
+          r.trace.end_time, r.stats.events_processed};
 }
 
-/// Every observable the two schedulers must agree on, bitwise.
+Observed observe(const mp::Program& program, const sim::SimOptions& opts) {
+  sim::Engine engine(program, opts);
+  return observe(engine.run());
+}
+
+void expect_pinned(const Observed& got, const Observed& want) {
+  EXPECT_EQ(got.digest, want.digest);
+  EXPECT_EQ(got.end_time, want.end_time);
+  EXPECT_EQ(got.events, want.events);
+}
+
+/// Every observable two runs of the same configuration must agree on.
 void expect_identical(const sim::SimResult& a, const sim::SimResult& b) {
   EXPECT_EQ(a.trace.final_digest, b.trace.final_digest);
   EXPECT_EQ(a.trace.end_time, b.trace.end_time);
@@ -55,27 +77,39 @@ void expect_identical(const sim::SimResult& a, const sim::SimResult& b) {
 // Fast grid (tier 1): workloads × world sizes × jitter × faults
 // ---------------------------------------------------------------------------
 
-TEST(Scheduler, MatchesLegacyOnRingGrid) {
+TEST(Scheduler, PinnedOnRingGrid) {
   benchws::RingParams params;
   params.iterations = 8;
   params.compute_cost = 2.0;
   params.checkpoint = true;
   const mp::Program program = benchws::ring_exchange(params);
-  for (const int n : {2, 5, 8, 16}) {
-    for (const double jitter : {0.0, 0.3}) {
-      sim::SimOptions opts;
-      opts.nprocs = n;
-      opts.compute_jitter = jitter;
-      opts.seed = 11 + static_cast<std::uint64_t>(n);
-      SCOPED_TRACE("n=" + std::to_string(n) +
-                   " jitter=" + std::to_string(jitter));
-      expect_identical(run_with(program, opts, false),
-                       run_with(program, opts, true));
-    }
+  struct Case {
+    int n;
+    double jitter;
+    Observed want;
+  };
+  const Case cases[] = {
+      {2, 0.0, {0x05d0e906afdccc93ULL, 0x1.0020c49ba5e35p+4, 34}},
+      {2, 0.3, {0x05d0e906afdccc93ULL, 0x1.3cfe004b52da9p+4, 34}},
+      {5, 0.0, {0xecf2206f22290d77ULL, 0x1.0020c49ba5e35p+4, 85}},
+      {5, 0.3, {0xecf2206f22290d77ULL, 0x1.32ac31773693dp+4, 85}},
+      {8, 0.0, {0x00fa843ff76341c5ULL, 0x1.0020c49ba5e35p+4, 136}},
+      {8, 0.3, {0x00fa843ff76341c5ULL, 0x1.388a6b3c3da0dp+4, 136}},
+      {16, 0.0, {0x7d1020eb0e1ba277ULL, 0x1.0020c49ba5e35p+4, 272}},
+      {16, 0.3, {0x7d1020eb0e1ba277ULL, 0x1.3e098761cc63p+4, 272}},
+  };
+  for (const Case& c : cases) {
+    sim::SimOptions opts;
+    opts.nprocs = c.n;
+    opts.compute_jitter = c.jitter;
+    opts.seed = 11 + static_cast<std::uint64_t>(c.n);
+    SCOPED_TRACE("n=" + std::to_string(c.n) +
+                 " jitter=" + std::to_string(c.jitter));
+    expect_pinned(observe(program, opts), c.want);
   }
 }
 
-TEST(Scheduler, MatchesLegacyOnDominoWithFaults) {
+TEST(Scheduler, PinnedOnDominoWithFaults) {
   const mp::Program program = benchws::domino_exchange(10, 3.0);
   sim::SimOptions opts;
   opts.nprocs = 6;
@@ -84,14 +118,15 @@ TEST(Scheduler, MatchesLegacyOnDominoWithFaults) {
   opts.recovery_overhead = 2.0;
   opts.fault_plan.faults.push_back(sim::FaultPlan::after_checkpoint(2, 2));
   opts.fault_plan.faults.push_back(sim::FaultPlan::after_events(4, 150));
-  const auto a = run_with(program, opts, false);
-  const auto b = run_with(program, opts, true);
+  sim::Engine engine(program, opts);
+  const sim::SimResult result = engine.run();
   // The plan must actually fire for this test to mean anything.
-  ASSERT_FALSE(a.recoveries.empty());
-  expect_identical(a, b);
+  ASSERT_FALSE(result.recoveries.empty());
+  expect_pinned(observe(result),
+                {0x22a8ad217bf0e9bcULL, 0x1.0bb403d055249p+6, 343});
 }
 
-TEST(Scheduler, MatchesLegacyUnderTimedFaultAndSparseTimes) {
+TEST(Scheduler, PinnedUnderTimedFaultAndSparseTimes) {
   // at_time faults plus a long-tailed delay model exercise bucket
   // rotation over mostly-empty calendar days.
   benchws::RingParams params;
@@ -105,8 +140,8 @@ TEST(Scheduler, MatchesLegacyUnderTimedFaultAndSparseTimes) {
   opts.checkpoint_overhead = 1.0;
   opts.recovery_overhead = 5.0;
   opts.fault_plan.faults.push_back(sim::FaultPlan::at_time(1, 120.0));
-  expect_identical(run_with(program, opts, false),
-                   run_with(program, opts, true));
+  expect_pinned(observe(program, opts),
+                {0x397a652bd05945c4ULL, 0x1.dd4b7e74a2468p+8, 111});
 }
 
 // ---------------------------------------------------------------------------
@@ -147,20 +182,27 @@ sim::SimOptions corpus_options(int index) {
   return opts;
 }
 
-TEST(SchedulerCorpusSlow, MatchesLegacyOn200Programs) {
-  int programs = 0;
+TEST(SchedulerCorpusSlow, PinnedOn200Programs) {
+  // One 64-bit fold over every program's (digest, end time bits, events);
+  // on a mismatch the per-program values are dumped for bisecting.
+  std::vector<std::uint64_t> fold;
+  std::ostringstream dump;
+  dump << "index misalign digest end_time events\n" << std::hexfloat;
   for (int index = 0; index < 100; ++index) {
     for (const bool misalign : {false, true}) {
-      const mp::Program program = corpus_program(index, misalign);
-      const sim::SimOptions opts = corpus_options(index);
-      SCOPED_TRACE("index=" + std::to_string(index) +
-                   " misalign=" + std::to_string(misalign));
-      expect_identical(run_with(program, opts, false),
-                       run_with(program, opts, true));
-      ++programs;
+      const Observed o =
+          observe(corpus_program(index, misalign), corpus_options(index));
+      fold.push_back(o.digest);
+      fold.push_back(std::bit_cast<std::uint64_t>(o.end_time));
+      fold.push_back(static_cast<std::uint64_t>(o.events));
+      dump << index << ' ' << misalign << " 0x" << std::hex << o.digest
+           << std::dec << ' ' << o.end_time << ' ' << o.events << '\n';
     }
   }
-  EXPECT_GE(programs, 200);
+  ASSERT_EQ(fold.size(), 3u * 200u);
+  EXPECT_EQ(util::checksum64(fold.data(), fold.size() * sizeof(std::uint64_t)),
+            0x6beb9c3f94d70732ULL)
+      << dump.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -255,26 +297,18 @@ TEST(SchedulerQueueProperty, BurstThenSparseDrainMatches) {
   EXPECT_GT(cal.stats().direct_jumps, 0);
 }
 
-TEST(SchedulerCorpusSlow, ParallelBatchMatchesLegacySerialBatch) {
-  // The full cross product: calendar-parallel vs legacy-serial. Any
-  // scheduler divergence OR any pool nondeterminism breaks the digests.
+TEST(SchedulerCorpusSlow, ParallelBatchMatchesSerialBatch) {
+  // Any pool nondeterminism breaks the digests.
   const mp::Program program = benchws::domino_exchange(8, 4.0);
-  std::vector<sim::SimOptions> calendar, legacy;
-  for (int index = 0; index < 24; ++index) {
-    sim::SimOptions opts = corpus_options(index);
-    opts.legacy_scheduler = false;
-    calendar.push_back(opts);
-    opts.legacy_scheduler = true;
-    legacy.push_back(opts);
-  }
-  const auto fast =
-      sim::run_batch(program, calendar, sim::McOptions{4});
-  const auto slow =
-      sim::run_batch(program, legacy, sim::McOptions{1});
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
+  std::vector<sim::SimOptions> configs;
+  for (int index = 0; index < 24; ++index)
+    configs.push_back(corpus_options(index));
+  const auto parallel = sim::run_batch(program, configs, sim::McOptions{4});
+  const auto serial = sim::run_batch(program, configs, sim::McOptions{1});
+  ASSERT_EQ(parallel.size(), serial.size());
+  for (std::size_t i = 0; i < parallel.size(); ++i) {
     SCOPED_TRACE("run " + std::to_string(i));
-    expect_identical(fast[i], slow[i]);
+    expect_identical(parallel[i], serial[i]);
   }
 }
 

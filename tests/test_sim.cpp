@@ -293,7 +293,7 @@ TEST(SimFailure, RecoversAndCompletes) {
   SimOptions opts;
   opts.nprocs = 3;
   opts.recovery_overhead = 1.0;
-  opts.failures = {{1, 5.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 5.0)};
   Engine engine(p, opts);
   const auto r = engine.run();
   EXPECT_EQ(r.stats.restarts, 1);
@@ -309,7 +309,8 @@ TEST(SimFailure, DigestMatchesFailureFreeRun) {
   SimOptions faulty;
   faulty.nprocs = 3;
   faulty.recovery_overhead = 2.0;
-  faulty.failures = {{0, 3.0}, {2, 11.0}};
+  faulty.fault_plan.faults = {sim::FaultPlan::at_time(0, 3.0),
+                              sim::FaultPlan::at_time(2, 11.0)};
   const auto rec = Engine(p, faulty).run();
   EXPECT_TRUE(rec.trace.completed);
   EXPECT_EQ(rec.stats.restarts, 2);
@@ -329,7 +330,8 @@ TEST(SimFailure, FailureBeforeAnyCheckpointRestartsFromScratch) {
 
   SimOptions faulty;
   faulty.nprocs = 2;
-  faulty.failures = {{0, 2.0}};  // before the first checkpoint completes
+  // Before the first checkpoint completes.
+  faulty.fault_plan.faults = {sim::FaultPlan::at_time(0, 2.0)};
   const auto rec = Engine(p, faulty).run();
   EXPECT_TRUE(rec.trace.completed);
   EXPECT_EQ(rec.trace.final_digest, base.trace.final_digest);
@@ -355,7 +357,7 @@ TEST(SimFailure, InTransitMessagesReplayedFromLog) {
     })");
   SimOptions opts;
   opts.nprocs = 2;
-  opts.failures = {{1, 6.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 6.0)};
   const auto r = Engine(p, opts).run();
   EXPECT_TRUE(r.trace.completed);
   bool replayed = false;
@@ -367,7 +369,9 @@ TEST(SimFailure, MultipleFailuresStillComplete) {
   const mp::Program p = mp::parse(kRecoverable);
   SimOptions opts;
   opts.nprocs = 4;
-  opts.failures = {{0, 2.5}, {1, 6.0}, {2, 9.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(0, 2.5),
+                            sim::FaultPlan::at_time(1, 6.0),
+                            sim::FaultPlan::at_time(2, 9.0)};
   const auto r = Engine(p, opts).run();
   EXPECT_TRUE(r.trace.completed);
   EXPECT_EQ(r.stats.restarts, 3);
@@ -377,7 +381,7 @@ TEST(SimFailure, FailureAfterCompletionIsIgnored) {
   const mp::Program p = mp::parse("program quick { compute 1.0; }");
   SimOptions opts;
   opts.nprocs = 2;
-  opts.failures = {{0, 100.0}};
+  opts.fault_plan.faults = {sim::FaultPlan::at_time(0, 100.0)};
   const auto r = Engine(p, opts).run();
   EXPECT_TRUE(r.trace.completed);
   EXPECT_EQ(r.stats.restarts, 0);

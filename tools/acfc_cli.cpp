@@ -16,6 +16,7 @@
 //
 // Exit code 0 on success; 1 on safety violations (analyze), failures, or
 // explorer violations / repro mismatches; 2 on usage errors.
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -67,7 +68,7 @@ struct Args {
   double wm = 2e-3;
   bool strict = false;
   bool diagram = false;
-  std::vector<sim::FailureEvent> failures;
+  std::vector<sim::FaultSpec> faults;  ///< --fail P@T, timed crashes
   // explore
   std::optional<std::string> repro;
   std::string driver = "app-driven";
@@ -93,6 +94,25 @@ struct Args {
   bool no_memo = false;
   bool no_shrink = false;
 };
+
+/// `--fail P@T`: an integer process and a finite time >= 0, nothing
+/// trailing. The range of P is checked once -n is known.
+std::optional<sim::FaultSpec> parse_fail(const std::string& value) {
+  const auto at = value.find('@');
+  if (at == std::string::npos) return std::nullopt;
+  const std::string proc_text = value.substr(0, at);
+  const std::string time_text = value.substr(at + 1);
+  try {
+    std::size_t proc_end = 0, time_end = 0;
+    const int proc = std::stoi(proc_text, &proc_end);
+    const double time = std::stod(time_text, &time_end);
+    if (proc_end == proc_text.size() && time_end == time_text.size() &&
+        std::isfinite(time) && time >= 0.0)
+      return sim::FaultPlan::at_time(proc, time);
+  } catch (const std::exception&) {  // not a number, or out of range
+  }
+  return std::nullopt;
+}
 
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
@@ -215,15 +235,25 @@ std::optional<Args> parse_args(int argc, char** argv) {
     } else if (arg == "--fail") {
       auto v = next();
       if (!v) return std::nullopt;
-      const auto at = v->find('@');
-      if (at == std::string::npos) return std::nullopt;
-      args.failures.push_back(
-          {std::stoi(v->substr(0, at)), std::stod(v->substr(at + 1))});
+      const auto fault = parse_fail(*v);
+      if (!fault) {
+        std::cerr << "invalid --fail " << *v
+                  << " (want P@T: integer P, finite time T >= 0)\n";
+        return std::nullopt;
+      }
+      args.faults.push_back(*fault);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << '\n';
       return std::nullopt;
     } else {
       args.positional.push_back(arg);
+    }
+  }
+  for (const sim::FaultSpec& fault : args.faults) {
+    if (fault.proc < 0 || fault.proc >= args.nprocs) {
+      std::cerr << "invalid --fail " << fault.proc << "@" << fault.time
+                << " (process must be in [0, " << args.nprocs << "))\n";
+      return std::nullopt;
     }
   }
   return args;
@@ -315,7 +345,7 @@ int cmd_run(const Args& args) {
   sim::SimOptions opts;
   opts.nprocs = args.nprocs;
   opts.seed = args.seed;
-  opts.failures = args.failures;
+  opts.fault_plan.faults = args.faults;
   obs::Registry registry;
   if (args.trace_out) opts.obs = &registry;
   sim::Engine engine(program, opts);
