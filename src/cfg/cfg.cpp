@@ -94,6 +94,7 @@ void Cfg::ensure_adjacency() const {
   }
   succ_off_[0] = 0;
   pred_off_[0] = 0;
+  succ_back_.clear();  // stale until the next analyze()
   adj_dirty_ = false;
 }
 
@@ -172,15 +173,6 @@ std::string Cfg::node_label(NodeId id) const {
   }
   return node_kind_name(n.kind);
 }
-
-namespace {
-
-std::uint64_t pack_edge(NodeId from, NodeId to) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from)) << 32) |
-         static_cast<std::uint32_t>(to);
-}
-
-}  // namespace
 
 void Cfg::analyze() {
   ACFC_CHECK_MSG(entry_ != kNoNode && exit_ != kNoNode,
@@ -287,20 +279,30 @@ bool Cfg::dominates(NodeId a, NodeId b) const {
 
 void Cfg::compute_back_edges() {
   back_edges_.clear();
-  back_edge_set_.clear();
+  succ_back_.assign(succ_dat_.size(), 0);
   analyzed_ = true;  // dominates() is usable now that idom_ is computed
   for (NodeId from = 0; from < node_count(); ++from) {
-    for (const NodeId to : succs(from)) {
+    const auto f = static_cast<size_t>(from);
+    for (auto k = static_cast<size_t>(succ_off_[f]);
+         k < static_cast<size_t>(succ_off_[f + 1]); ++k) {
+      const NodeId to = succ_dat_[k];
       if (dominates(to, from)) {
         back_edges_.push_back({from, to});
-        back_edge_set_.insert(pack_edge(from, to));
+        succ_back_[k] = 1;
       }
     }
   }
 }
 
 bool Cfg::is_back_edge(NodeId from, NodeId to) const {
-  return back_edge_set_.count(pack_edge(from, to)) > 0;
+  if (from < 0 || from >= node_count()) return false;
+  ensure_adjacency();
+  if (succ_back_.size() != succ_dat_.size()) return false;  // not analyzed
+  const auto f = static_cast<size_t>(from);
+  for (auto k = static_cast<size_t>(succ_off_[f]);
+       k < static_cast<size_t>(succ_off_[f + 1]); ++k)
+    if (succ_dat_[k] == to && succ_back_[k]) return true;
+  return false;
 }
 
 std::vector<NodeId> Cfg::natural_loop(const Edge& back_edge) const {
@@ -339,12 +341,12 @@ namespace {
 /// one pass and back edges only add the handful of extra passes their
 /// loop nesting requires — versus O(diameter) passes for arbitrary order,
 /// which made this the analyzer's single hottest loop.
-template <typename SkipEdge>
+template <typename SkipSlot>
 std::vector<std::uint64_t> closure(int n, size_t words,
                                    const std::vector<int>& succ_off,
                                    const std::vector<NodeId>& succ_dat,
                                    const std::vector<NodeId>& order,
-                                   const SkipEdge& skip_edge) {
+                                   const SkipSlot& skip_slot) {
   std::vector<std::uint64_t> reach(static_cast<size_t>(n) * words, 0);
   for (size_t i = 0; i < static_cast<size_t>(n); ++i)
     reach[i * words + i / 64] |= 1ULL << (i % 64);
@@ -358,8 +360,8 @@ std::vector<std::uint64_t> closure(int n, size_t words,
       const auto hi =
           static_cast<size_t>(succ_off[static_cast<size_t>(a) + 1]);
       for (size_t ei = lo; ei < hi; ++ei) {
+        if (skip_slot(ei)) continue;
         const NodeId b = succ_dat[ei];
-        if (skip_edge(a, b)) continue;
         const std::uint64_t* other =
             reach.data() + static_cast<size_t>(b) * words;
         for (size_t w = 0; w < words; ++w) {
@@ -390,10 +392,10 @@ void Cfg::compute_reachability() {
   reach_words_ = (static_cast<size_t>(node_count()) + 63) / 64;
   ensure_adjacency();
   reach_full_ = closure(node_count(), reach_words_, succ_off_, succ_dat_,
-                        order, [](NodeId, NodeId) { return false; });
+                        order, [](size_t) { return false; });
   reach_acyclic_ =
       closure(node_count(), reach_words_, succ_off_, succ_dat_, order,
-              [this](NodeId a, NodeId b) { return is_back_edge(a, b); });
+              [this](size_t slot) { return succ_back_[slot] != 0; });
 }
 
 bool Cfg::reaches(NodeId from, NodeId to) const {

@@ -26,7 +26,6 @@
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "mp/stmt.h"
@@ -118,6 +117,7 @@ class Cfg {
   NodeId idom(NodeId id) const { return idom_.at(static_cast<size_t>(id)); }
   /// a dominates b (reflexive).
   bool dominates(NodeId a, NodeId b) const;
+  /// O(out-degree): one back-edge bit per CSR successor slot.
   bool is_back_edge(NodeId from, NodeId to) const;
   const std::vector<Edge>& back_edges() const { return back_edges_; }
   /// Nodes of the natural loop of back edge (latch→header), including both.
@@ -166,6 +166,10 @@ class Cfg {
   mutable bool adj_dirty_ = true;
   mutable std::vector<int> succ_off_, pred_off_;
   mutable std::vector<NodeId> succ_dat_, pred_dat_;
+  /// succ_back_[k] = 1 iff the edge to succ_dat_[k] is a back edge; filled
+  /// by compute_back_edges (empty until then, and after any mutation). The
+  /// back-edge test sits in every inner loop of the analyzer.
+  mutable std::vector<char> succ_back_;
   NodeId entry_ = kNoNode;
   NodeId exit_ = kNoNode;
 
@@ -176,9 +180,6 @@ class Cfg {
   /// Depth of each node in the dominator tree (entry = 0).
   std::vector<int> dom_depth_;
   std::vector<Edge> back_edges_;
-  /// Packed (from << 32 | to) back edges for O(1) membership tests; the
-  /// is_back_edge query sits in every BFS inner loop of the analyzer.
-  std::unordered_set<std::uint64_t> back_edge_set_;
   /// stmt_uid → node, filled by add_node (uids ≥ 0 only).
   std::unordered_map<int, NodeId> stmt_node_;
   // Bitset reachability matrices: one flat buffer per variant, row-major,

@@ -229,8 +229,8 @@ namespace {
 struct Endpoint {
   cfg::NodeId node = cfg::kNoNode;
   const mp::Stmt* stmt = nullptr;
-  /// Borrowed from the MatchMemo (stable map nodes) or the build's local
-  /// arena — endpoints never own or copy attributes.
+  /// Borrowed from the build's attribute table — endpoints never own or
+  /// copy attributes.
   const attr::PathAttribute* attribute = nullptr;
   int tag = 0;
 };
@@ -240,42 +240,15 @@ bool endpoint_irregular(const mp::Expr& param) { return param.has_irregular(); }
 }  // namespace
 
 ExtendedCfg build_extended_cfg(const mp::Program& program,
-                               const MatchOptions& opts, MatchMemo* memo) {
+                               const MatchOptions& opts) {
   cfg::Cfg graph = cfg::build_cfg(program);
 
-  // One witness query, served from the cross-rebuild memo when available.
-  // `make_query` is only invoked on a memo miss, so warm rebuilds never
-  // deep-copy path attributes into MatchQuery objects.
-  const auto query_witness = [&](const mp::Stmt* send_key,
-                                 const mp::Stmt* recv_key,
-                                 const auto& make_query) {
-    if (memo != nullptr) {
-      if (const auto* cached = memo->lookup(send_key, recv_key))
-        return *cached;
-    }
-    auto witness = attr::find_match_cached(make_query(), opts.sat);
-    if (memo != nullptr) memo->store(send_key, recv_key, witness);
-    return witness;
-  };
-
-  // Endpoint path attributes, likewise memo-served across repair rebuilds.
-  // On the first miss ALL endpoint attributes are gathered in one program
-  // walk (attribute_of restarts per statement — quadratic); they live in
-  // the memo or, without one, in this build's arena, so callers always get
-  // stable pointers and warm rebuilds never copy an attribute.
+  // Endpoint path attributes, gathered in one program walk on first use
+  // (attribute_of restarts per statement — quadratic).
   std::optional<std::unordered_map<int, attr::PathAttribute>> all_attrs;
-  const auto query_attribute =
-      [&](const mp::Stmt* stmt, int uid) -> const attr::PathAttribute* {
-    if (memo != nullptr) {
-      if (const auto* cached = memo->lookup_attr(stmt)) return cached;
-    }
+  const auto query_attribute = [&](int uid) -> const attr::PathAttribute* {
     if (!all_attrs) all_attrs = attr::endpoint_attributes(program);
-    auto& attribute = all_attrs->at(uid);
-    if (memo != nullptr) {
-      memo->store_attr(stmt, std::move(attribute));
-      return memo->lookup_attr(stmt);
-    }
-    return &attribute;
+    return &all_attrs->at(uid);
   };
 
   // Collect send and recv endpoints in RPO (the DFS scan of Algorithm 3.1).
@@ -288,7 +261,7 @@ ExtendedCfg build_extended_cfg(const mp::Program& program,
         Endpoint e;
         e.node = id;
         e.stmt = n.stmt;
-        e.attribute = query_attribute(n.stmt, n.stmt_uid);
+        e.attribute = query_attribute(n.stmt_uid);
         e.tag = static_cast<const mp::SendStmt*>(n.stmt)->tag;
         sends.push_back(std::move(e));
         break;
@@ -297,7 +270,7 @@ ExtendedCfg build_extended_cfg(const mp::Program& program,
         Endpoint e;
         e.node = id;
         e.stmt = n.stmt;
-        e.attribute = query_attribute(n.stmt, n.stmt_uid);
+        e.attribute = query_attribute(n.stmt_uid);
         e.tag = static_cast<const mp::RecvStmt*>(n.stmt)->tag;
         recvs.push_back(std::move(e));
         break;
@@ -331,15 +304,13 @@ ExtendedCfg build_extended_cfg(const mp::Program& program,
         continue;
       }
 
-      const auto witness = query_witness(s.stmt, r.stmt, [&] {
-        attr::MatchQuery query;
-        query.sender_attr = *s.attribute;
-        query.dest = send_stmt->dest;
-        query.recv_attr = *r.attribute;
-        query.src = recv_stmt->src;
-        query.src_any = recv_stmt->any_source;
-        return query;
-      });
+      attr::MatchQuery query;
+      query.sender_attr = *s.attribute;
+      query.dest = send_stmt->dest;
+      query.recv_attr = *r.attribute;
+      query.src = recv_stmt->src;
+      query.src_any = recv_stmt->any_source;
+      const auto witness = attr::find_match_cached(query, opts.sat);
       if (!witness) continue;
 
       edges.push_back({s.node, r.node, *witness});
@@ -363,14 +334,12 @@ ExtendedCfg build_extended_cfg(const mp::Program& program,
       const cfg::Node& a = graph.node(collectives[i]);
       const cfg::Node& b = graph.node(collectives[j]);
       if (a.stmt->kind() != b.stmt->kind()) continue;
-      const auto witness = query_witness(a.stmt, b.stmt, [&] {
-        attr::MatchQuery query;
-        query.sender_attr = *query_attribute(a.stmt, a.stmt_uid);
-        query.recv_attr = *query_attribute(b.stmt, b.stmt_uid);
-        query.dest = mp::Expr::irregular(-1);  // wildcard: co-satisfiability
-        query.src_any = true;
-        return query;
-      });
+      attr::MatchQuery query;
+      query.sender_attr = *query_attribute(a.stmt_uid);
+      query.recv_attr = *query_attribute(b.stmt_uid);
+      query.dest = mp::Expr::irregular(-1);  // wildcard: co-satisfiability
+      query.src_any = true;
+      const auto witness = attr::find_match_cached(query, opts.sat);
       if (!witness) continue;
       edges.push_back({collectives[i], collectives[j], *witness});
       edges.push_back({collectives[j], collectives[i],

@@ -24,12 +24,8 @@
 // statements); the Program must outlive it and must not be mutated.
 #pragma once
 
-#include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "attr/attr.h"
@@ -134,60 +130,10 @@ class ExtendedCfg {
   std::vector<int> in_offset_;
 };
 
-/// Cross-rebuild memo of Algorithm 3.1 witness queries, keyed by statement
-/// identity. Sound only while the keyed statements' attributes are stable:
-/// Algorithm 3.2 moves CHECKPOINT statements exclusively, which never
-/// changes the enclosing-guard structure of any send/recv/collective, so
-/// repair_placement can rebuild the extended CFG after each move with pure
-/// memo lookups instead of re-running bounded enumeration.
-class MatchMemo {
- public:
-  using Key = std::pair<const mp::Stmt*, const mp::Stmt*>;
-
-  const std::optional<attr::MatchWitness>* lookup(const mp::Stmt* send,
-                                                  const mp::Stmt* recv) const {
-    const auto it = map_.find(Key{send, recv});
-    return it == map_.end() ? nullptr : &it->second;
-  }
-  void store(const mp::Stmt* send, const mp::Stmt* recv,
-             std::optional<attr::MatchWitness> witness) {
-    map_.emplace(Key{send, recv}, std::move(witness));
-  }
-  std::size_t size() const { return map_.size(); }
-
-  /// Path attributes of endpoint statements, also invariant across repair
-  /// (moving a checkpoint changes no other statement's enclosing guards or
-  /// loops, and checkpoints themselves are never endpoints).
-  const attr::PathAttribute* lookup_attr(const mp::Stmt* stmt) const {
-    const auto it = attrs_.find(stmt);
-    return it == attrs_.end() ? nullptr : &it->second;
-  }
-  void store_attr(const mp::Stmt* stmt, attr::PathAttribute attribute) {
-    attrs_.emplace(stmt, std::move(attribute));
-  }
-
- private:
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      const auto a = reinterpret_cast<std::uintptr_t>(k.first);
-      const auto b = reinterpret_cast<std::uintptr_t>(k.second);
-      // Splittable 64-bit mix of the two pointers.
-      std::uint64_t x = (a ^ (b << 1)) + 0x9e3779b97f4a7c15ULL;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-  };
-  std::unordered_map<Key, std::optional<attr::MatchWitness>, KeyHash> map_;
-  std::unordered_map<const mp::Stmt*, attr::PathAttribute> attrs_;
-};
-
 /// Runs Algorithm 3.1 on the program's CFG. The program must be renumbered
 /// (builders/parser do this). Collectives may be present (self edges) or
-/// pre-lowered. When `memo` is non-null, witness queries are served from /
-/// recorded into it (see MatchMemo for the soundness contract).
+/// pre-lowered.
 ExtendedCfg build_extended_cfg(const mp::Program& program,
-                               const MatchOptions& opts = {},
-                               MatchMemo* memo = nullptr);
+                               const MatchOptions& opts = {});
 
 }  // namespace acfc::match

@@ -4,11 +4,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <map>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <tuple>
+#include <unordered_map>
+#include <utility>
 
 #include "mp/subst.h"
 #include "util/error.h"
@@ -254,7 +256,6 @@ int equalize_checkpoints(mp::Program& program) {
   program.assign_checkpoint_ids();
   return added;
 }
-
 // ===========================================================================
 // Phase III
 // ===========================================================================
@@ -328,10 +329,57 @@ class HopClosure {
   /// index: out[slot(t)] (same semantics as ExtendedCfg::classify_all_from
   /// restricted to checkpoint targets).
   void classify_from(cfg::NodeId a, std::vector<match::PathClass>& out) {
+    last_hops(a);
+    for (int variant = 0; variant < 2; ++variant) {
+      reach_[variant].assign(ckpt_words_, 0);
+      for_each_bit(last_[variant], [&](size_t e) {
+        or_row_into(reach_[variant], target_[variant], e, ckpt_words_);
+      });
+    }
+    out.assign(ckpts_.size(), match::PathClass{});
+    for (size_t c = 0; c < ckpts_.size(); ++c) {
+      out[c].has_message_path = test_bit(reach_[0], 0, ckpt_words_, c);
+      out[c].message_path_without_back_edge =
+          test_bit(reach_[1], 0, ckpt_words_, c);
+    }
+  }
+
+  /// The same question for EVERY node as target, as Cfg-shaped rows of
+  /// reach_words() words: bit y of `full` is set iff some Ĝ-path a ⇒ y
+  /// uses ≥1 message edge, bit y of `acyclic` iff such a path also avoids
+  /// every back edge. The repair skeleton asks this of the nodes its
+  /// checkpoints sit between, since its checkpoints move.
+  void reach_nodes_from(cfg::NodeId a, std::uint64_t* full,
+                        std::uint64_t* acyclic) {
+    last_hops(a);
     const auto& edges = ext_.message_edges();
     const cfg::Cfg& graph = ext_.graph();
-    reach_[0].assign(ckpt_words_, 0);
-    reach_[1].assign(ckpt_words_, 0);
+    const size_t words = graph.reach_words();
+    std::fill_n(full, words, 0);
+    std::fill_n(acyclic, words, 0);
+    for_each_bit(last_[0], [&](size_t e) {
+      const auto row = graph.reach_row(edges[e].recv);
+      for (size_t w = 0; w < words; ++w) full[w] |= row[w];
+    });
+    for_each_bit(last_[1], [&](size_t e) {
+      const auto row = graph.reach_acyclic_row(edges[e].recv);
+      for (size_t w = 0; w < words; ++w) acyclic[w] |= row[w];
+    });
+  }
+
+  int slot(cfg::NodeId node) const {
+    return slot_of_[static_cast<size_t>(node)];
+  }
+
+ private:
+  using Bits = std::vector<std::uint64_t>;
+
+  /// last_[v] = the edges whose hop can end a Ĝ-path from `a` (v = 1:
+  /// back-edge-free paths only): the closure rows of every edge whose
+  /// send `a` reaches.
+  void last_hops(cfg::NodeId a) {
+    const auto& edges = ext_.message_edges();
+    const cfg::Cfg& graph = ext_.graph();
     last_[0].assign(edge_words_, 0);
     last_[1].assign(edge_words_, 0);
     const auto full = graph.reach_row(a);
@@ -342,31 +390,18 @@ class HopClosure {
       if (row_bit(acyclic, edges[e].send))
         or_row_into(last_[1], closure_[1], e, edge_words_);
     }
-    for (int variant = 0; variant < 2; ++variant) {
-      for (size_t w = 0; w < edge_words_; ++w) {
-        std::uint64_t bits = last_[variant][w];
-        while (bits != 0) {
-          const size_t e = w * 64 + static_cast<size_t>(std::countr_zero(bits));
-          bits &= bits - 1;
-          or_row_into(reach_[variant], target_[variant], e, ckpt_words_);
-        }
+  }
+
+  template <typename Fn>
+  static void for_each_bit(const Bits& bits, const Fn& fn) {
+    for (size_t w = 0; w < bits.size(); ++w) {
+      std::uint64_t word = bits[w];
+      while (word != 0) {
+        fn(w * 64 + static_cast<size_t>(std::countr_zero(word)));
+        word &= word - 1;
       }
     }
-    out.assign(ckpts_.size(), match::PathClass{});
-    for (size_t c = 0; c < ckpts_.size(); ++c) {
-      out[c].has_message_path = test_bit(reach_[0], 0, ckpt_words_, c);
-      out[c].message_path_without_back_edge =
-          test_bit(reach_[1], 0, ckpt_words_, c);
-    }
   }
-
-  int slot(cfg::NodeId node) const {
-    return slot_of_[static_cast<size_t>(node)];
-  }
-
- private:
-  using Bits = std::vector<std::uint64_t>;
-
   static void set_bit(Bits& m, size_t row, size_t words, size_t bit) {
     m[row * words + bit / 64] |= 1ULL << (bit % 64);
   }
@@ -437,69 +472,59 @@ void check_collection(const match::ExtendedCfg& ext,
   }
 }
 
+/// check_condition1 with the caller's hop closure (nullptr: per-pair BFS).
+CheckResult check_with(const match::ExtendedCfg& ext, const CheckOptions& opts,
+                       HopClosure* closure) {
+  const cfg::CheckpointIndexing indexing = ext.graph().index_checkpoints();
+  CheckResult out;
+  for (int i = 1; i <= indexing.max_index(); ++i)
+    check_collection(ext, indexing.collections[static_cast<size_t>(i - 1)], i,
+                     opts, out, closure);
+  return out;
+}
+
 }  // namespace
 
 CheckResult check_condition1(const match::ExtendedCfg& ext,
                              const CheckOptions& opts) {
-  const cfg::CheckpointIndexing indexing = ext.graph().index_checkpoints();
-  CheckResult out;
   std::optional<HopClosure> closure;
   if (!opts.legacy_pairwise) closure.emplace(ext);
-  for (int i = 1; i <= indexing.max_index(); ++i)
-    check_collection(ext, indexing.collections[static_cast<size_t>(i - 1)], i,
-                     opts, out, closure ? &*closure : nullptr);
-  return out;
+  return check_with(ext, opts, closure ? &*closure : nullptr);
 }
 
 namespace {
-
-/// Finds the uid of a checkpoint statement with ckpt_id inside a block
-/// subtree, or -1.
-int find_checkpoint_uid(const mp::Block& block, int ckpt_id) {
-  int found = -1;
-  mp::for_each_stmt(block, [&](const mp::Stmt& s) {
-    if (const auto* c = dynamic_cast<const mp::CheckpointStmt*>(&s))
-      if (c->ckpt_id == ckpt_id) found = s.uid();
-  });
-  return found;
-}
-
-/// Collects (ckpt_id, uid) of all checkpoints in a subtree.
-std::vector<std::pair<int, int>> checkpoints_in(const mp::Block& block) {
-  std::vector<std::pair<int, int>> out;
-  mp::for_each_stmt(block, [&out](const mp::Stmt& s) {
-    if (const auto* c = dynamic_cast<const mp::CheckpointStmt*>(&s))
-      out.emplace_back(c->ckpt_id, s.uid());
-  });
-  return out;
-}
 
 struct MoveOutcome {
   bool moved = false;
   bool merged = false;
   bool hoisted = false;
-  /// True for region-rewriting events (if-arm merge/hoist) after which the
-  /// incremental checker must fall back to a full recheck.
-  bool structural = false;
   std::string description;
+  /// The statement the checkpoint now sits immediately before.
+  const mp::Stmt* before = nullptr;
+  /// The sibling-arm checkpoint a merge deleted, kept alive until the
+  /// caller has retired it.
+  std::unique_ptr<mp::Stmt> removed;
 };
 
-/// Applies one backward structural move to the checkpoint with `ckpt_uid`.
-/// `ext` is the extended CFG of the CURRENT program (used to look up
-/// same-index counterparts for arm merges).
-MoveOutcome move_back_one(mp::Program& program, int ckpt_uid,
-                          const match::ExtendedCfg& ext, int target_index) {
+/// Applies one backward structural move to the checkpoint `target`, whose
+/// index is `target_index`. `index_of` gives the current index of any
+/// checkpoint statement (-1 if unknown); arm merges use it to find the
+/// same-index counterpart in the sibling arm.
+MoveOutcome move_back_one(
+    mp::Program& program, const mp::Stmt& target, int target_index,
+    const std::function<int(const mp::Stmt&)>& index_of) {
   MoveOutcome out;
+  const int ckpt_uid = target.uid();
   auto loc = mp::locate(program, ckpt_uid);
   ACFC_CHECK_MSG(loc.has_value(), "checkpoint to move has vanished");
 
   if (loc->index > 0) {
     // Swap with the previous sibling.
-    const mp::Stmt& prev = *loc->block->stmts[loc->index - 1];
-    const int prev_uid = prev.uid();
-    auto stmt = mp::remove_stmt(program, ckpt_uid);
-    mp::insert_before(program, prev_uid, std::move(stmt));
+    auto& stmts = loc->block->stmts;
+    const mp::Stmt& prev = *stmts[loc->index - 1];
+    std::swap(stmts[loc->index - 1], stmts[loc->index]);
     out.moved = true;
+    out.before = &prev;
     out.description = "moved checkpoint back across '" +
                       std::string(mp::stmt_kind_name(prev.kind())) + "'";
     return out;
@@ -518,6 +543,7 @@ MoveOutcome move_back_one(mp::Program& program, int ckpt_uid,
     program.renumber();
     mp::insert_before(program, loop->uid(), std::move(stmt));
     out.hoisted = true;
+    out.before = loop;
     out.description = "hoisted checkpoint out of loop over '" + loop->var + "'";
     return out;
   }
@@ -534,20 +560,12 @@ MoveOutcome move_back_one(mp::Program& program, int ckpt_uid,
     if (s.uid() == ckpt_uid) in_then = true;
   });
   const mp::Block& other_arm = in_then ? iff->else_body : iff->then_body;
-
-  // Identify the same-index counterpart in the other arm by its stable
-  // ckpt_id, using the CFG checkpoint indexing of the CURRENT program.
-  const cfg::CheckpointIndexing indexing = ext.graph().index_checkpoints();
-  int counterpart_ckpt_id = -1;
-  for (const auto& [cid, uid] : checkpoints_in(other_arm)) {
-    const auto node = ext.graph().node_for_stmt(uid);
-    if (!node) continue;
-    const auto it = indexing.index_of.find(*node);
-    if (it != indexing.index_of.end() && it->second == target_index) {
-      counterpart_ckpt_id = cid;
-      break;
-    }
-  }
+  const mp::Stmt* counterpart = nullptr;
+  mp::for_each_stmt(other_arm, [&](const mp::Stmt& s) {
+    if (counterpart == nullptr && s.kind() == mp::StmtKind::kCheckpoint &&
+        index_of(s) == target_index)
+      counterpart = &s;
+  });
 
   auto stmt = mp::remove_stmt(program, ckpt_uid);
   program.renumber();
@@ -555,177 +573,414 @@ MoveOutcome move_back_one(mp::Program& program, int ckpt_uid,
   // refreshed by the renumber above.
   mp::insert_before(program, iff->uid(), std::move(stmt));
   program.renumber();
+  out.before = iff;
 
-  if (counterpart_ckpt_id >= 0) {
-    const int counterpart_uid =
-        find_checkpoint_uid(program.body, counterpart_ckpt_id);
-    ACFC_CHECK_MSG(counterpart_uid >= 0, "merge counterpart vanished");
-    mp::remove_stmt(program, counterpart_uid);
+  if (counterpart != nullptr) {
+    out.removed = mp::remove_stmt(program, counterpart->uid());
     program.renumber();
     out.merged = true;
-    out.structural = true;
     out.description =
         "merged same-index arm checkpoints into one before the branch";
   } else {
     out.moved = true;
-    out.structural = true;
     out.description = "hoisted checkpoint out of if-arm";
   }
   return out;
 }
 
-/// Sorted ckpt_ids of every collection — the incremental checker's
-/// dirtiness fingerprint (ckpt_ids are stable across CFG rebuilds; node
-/// ids are not).
-std::vector<std::vector<int>> collection_memberships(
-    const cfg::Cfg& graph, const cfg::CheckpointIndexing& indexing) {
-  std::vector<std::vector<int>> out(indexing.collections.size());
-  for (size_t i = 0; i < indexing.collections.size(); ++i) {
-    out[i].reserve(indexing.collections[i].size());
-    for (const cfg::NodeId id : indexing.collections[i])
-      out[i].push_back(
-          static_cast<const mp::CheckpointStmt*>(graph.node(id).stmt)
-              ->ckpt_id);
-    std::sort(out[i].begin(), out[i].end());
+/// The violation to repair next: the first hard one, else (kStrict only)
+/// the first of any class; nullptr when the policy is satisfied.
+const Violation* pick(const CheckResult& check, RepairPolicy policy) {
+  const Violation* chosen = nullptr;
+  for (const auto& v : check.violations) {
+    if (v.hard) return &v;
+    if (policy == RepairPolicy::kStrict && chosen == nullptr) chosen = &v;
   }
-  return out;
+  return chosen;
 }
 
-/// Incremental Condition-1 recheck after a non-structural move. Only dirty
-/// collections — the moved checkpoint's previous index plus any collection
-/// whose ckpt_id membership changed — are re-traversed; the rest carry
-/// their previous violations forward. Sound because checkpoint nodes are
-/// pass-through (one pred, one succ): relocating one cannot create or
-/// destroy Ĝ-paths between OTHER nodes, and it changes no send/recv
-/// attribute, so every classification not involving the moved checkpoint
-/// is invariant. Carried violations are remapped to the rebuilt graph's
-/// node ids and re-sorted so the output order matches a fresh full check
-/// exactly (the fixpoint picks the same violation either way).
-CheckResult recheck_incremental(
-    const match::ExtendedCfg& ext, const cfg::CheckpointIndexing& indexing,
-    const std::vector<std::vector<int>>& membership,
-    const std::vector<std::vector<int>>& prev_membership, int dirty_index,
-    const CheckResult& prev, const CheckOptions& opts) {
-  std::map<int, cfg::NodeId> node_of_ckpt;
-  for (const auto& collection : indexing.collections)
-    for (const cfg::NodeId id : collection)
-      node_of_ckpt[static_cast<const mp::CheckpointStmt*>(
-                       ext.graph().node(id).stmt)
-                       ->ckpt_id] = id;
+/// Books one move in `report`; false (logged as stuck) if the checkpoint
+/// could not move.
+bool record_move(RepairReport& report, const Violation& chosen,
+                 const MoveOutcome& outcome, bool verbose_log) {
+  if (!outcome.moved && !outcome.merged && !outcome.hoisted) {
+    report.log.push_back("stuck: " + outcome.description);
+    return false;
+  }
+  report.moves += outcome.moved ? 1 : 0;
+  report.merges += outcome.merged ? 1 : 0;
+  report.hoists += outcome.hoisted ? 1 : 0;
+  if (verbose_log) {
+    std::string line = "S_" + std::to_string(chosen.index) + ": ckpt#" +
+                       std::to_string(chosen.from_ckpt_id) + " ⇝ ckpt#" +
+                       std::to_string(chosen.to_ckpt_id) +
+                       (chosen.hard ? " [hard]" : " [loop-carried]") + " — " +
+                       outcome.description;
+    line.shrink_to_fit();  // reports are kept; appends left slack
+    report.log.push_back(std::move(line));
+  }
+  return true;
+}
 
-  CheckResult out;
-  std::optional<HopClosure> closure;  // built on first dirty collection
-  for (int i = 1; i <= indexing.max_index(); ++i) {
-    const auto slot = static_cast<size_t>(i - 1);
-    const bool dirty = i == dirty_index ||
-                       membership[slot] != prev_membership[slot];
-    if (dirty) {
-      if (!closure && !opts.legacy_pairwise) closure.emplace(ext);
-      check_collection(ext, indexing.collections[slot], i, opts, out,
-                       closure ? &*closure : nullptr);
-      continue;
+/// The part of Ĝ that Algorithm 3.2 cannot change, plus where each
+/// checkpoint sits on it. Checkpoint nodes are pass-through (one
+/// predecessor, one successor) and no back edge touches one, since back
+/// edges run latch→header. Repair only moves, merges and hoists
+/// checkpoints; no send or receive statement ever moves. So the
+/// non-checkpoint nodes, their full and acyclic reachability, the message
+/// edges and their hop closure stay what the first Ĝ says for the whole
+/// repair.
+/// What changes is only where the checkpoints are: each sits in a *slot*,
+/// an edge u→v of the checkpoint-free CFG (u and v non-checkpoint nodes)
+/// shared with the run of consecutive checkpoints it belongs to. A move
+/// relinks one slot.
+///
+/// Condition 1 follows from slots alone. A Ĝ-path with a message edge
+/// runs from checkpoint a (on u_a→v_a) to checkpoint b (on u_b→v_b) iff
+/// one runs from v_a to u_b, and it avoids back edges iff such a v_a ⇒ u_b
+/// path does. The index of b is 1 + the checkpoints on any acyclic
+/// entry→u_b path + its rank in its run. Fresh builds number checkpoint
+/// nodes in statement pre-order, so uid order is node order: it ranks
+/// each run, and it orders violations exactly as check_condition1 does.
+class Skeleton {
+ public:
+  /// `first` and `hops` (its hop closure) must outlive the skeleton; the
+  /// program must be the one `first` was built from, unchanged.
+  Skeleton(const match::ExtendedCfg& first, HopClosure& hops)
+      : graph_(first.graph()), hops_(hops) {
+    const auto n = static_cast<size_t>(graph_.node_count());
+    in_.assign(n, 0);
+    row_of_.assign(n, -1);
+    for (const cfg::NodeId u : graph_.rpo()) {
+      if (graph_.node(u).kind == cfg::NodeKind::kCheckpoint) continue;
+      for (const cfg::NodeId s : graph_.succs(u)) {
+        Edge edge;
+        edge.from = u;
+        edge.back = graph_.is_back_edge(u, s);
+        cfg::NodeId v = s;
+        while (graph_.node(v).kind == cfg::NodeKind::kCheckpoint) {
+          slot_of_.emplace(graph_.node(v).stmt, edges_.size());
+          ++edge.run;
+          v = graph_.succs(v)[0];
+        }
+        edge.to = v;
+        const cfg::Node& head = graph_.node(v);
+        if (!edge.back && head.stmt != nullptr &&
+            head.kind != cfg::NodeKind::kLoopLatch)
+          entry_of_.emplace(head.stmt, edges_.size());
+        edges_.push_back(edge);
+      }
     }
-    std::vector<Violation> carried;
-    for (const Violation& v : prev.violations) {
-      if (v.index != i) continue;
-      Violation nv = v;
-      nv.from = node_of_ckpt.at(v.from_ckpt_id);
-      nv.to = node_of_ckpt.at(v.to_ckpt_id);
-      carried.push_back(nv);
+    ACFC_CHECK(index_members());  // the first Ĝ passed index_checkpoints
+  }
+
+  /// Condition 1 on the current slots, violations ordered as by
+  /// check_condition1 on a fresh Ĝ. Violation::from/to name members
+  /// (see member()), not CFG nodes. Throws a fresh build's diagnostic if
+  /// the placement became unbalanced.
+  CheckResult check(const mp::Program& program, const RepairOptions& opts) {
+    if (!index_members()) {
+      cfg::build_cfg(program).index_checkpoints();  // throws, with labels
+      ACFC_CHECK_MSG(false, "repair skeleton and a fresh CFG disagree on "
+                            "checkpoint balance");
     }
-    std::sort(carried.begin(), carried.end(),
-              [](const Violation& a, const Violation& b) {
-                return std::tie(a.from, a.to) < std::tie(b.from, b.to);
+    int max_index = 0;
+    for (const Member& m : members_) max_index = std::max(max_index, m.index);
+    collections_.resize(static_cast<size_t>(max_index));
+    for (auto& collection : collections_) collection.clear();
+    for (size_t m = 0; m < members_.size(); ++m)
+      collections_[static_cast<size_t>(members_[m].index - 1)].push_back(
+          static_cast<int>(m));
+
+    CheckResult out;
+    for (int i = 1; i <= max_index; ++i) {
+      const auto& collection = collections_[static_cast<size_t>(i - 1)];
+      for (const int a : collection) {
+        const auto [full, acyclic] = rows(edge_of(a).to);
+        for (const int b : collection) {
+          const auto u = static_cast<size_t>(edge_of(b).from);
+          if (((full[u / 64] >> (u % 64)) & 1ULL) == 0) continue;
+          Violation v;
+          v.index = i;
+          v.from = a;
+          v.to = b;
+          v.from_ckpt_id = ckpt_id(a);
+          v.to_ckpt_id = ckpt_id(b);
+          v.hard = ((acyclic[u / 64] >> (u % 64)) & 1ULL) != 0;
+          out.violations.push_back(v);
+        }
+      }
+    }
+    if (opts.check.attribute_refinement && !out.violations.empty())
+      refine(program, opts, out);
+    return out;
+  }
+
+  /// The checkpoint statement a violation of the last check() names.
+  const mp::Stmt* member(cfg::NodeId id) const {
+    return members_[static_cast<size_t>(id)].stmt;
+  }
+
+  /// The index of a checkpoint statement as of the last check() (or
+  /// construction); -1 if unknown.
+  int index_of(const mp::Stmt& ckpt) const {
+    for (const Member& m : members_)
+      if (m.stmt == &ckpt) return m.index;
+    return -1;
+  }
+
+  /// Relinks the slots after move_back_one moved `target`: it now shares
+  /// the slot of the statement it sits before — that checkpoint's run, or
+  /// the forward edge into that statement's first node.
+  void apply(const mp::Stmt& target, const MoveOutcome& move) {
+    --edges_[slot_of_.at(&target)].run;
+    if (move.removed) {
+      --edges_[slot_of_.at(move.removed.get())].run;
+      slot_of_.erase(move.removed.get());
+    }
+    const size_t e = move.before->kind() == mp::StmtKind::kCheckpoint
+                         ? slot_of_.at(move.before)
+                         : entry_of_.at(move.before);
+    slot_of_[&target] = e;
+    ++edges_[e].run;
+  }
+
+ private:
+  /// An edge u→v of the checkpoint-free CFG and the length of the run of
+  /// checkpoints on it.
+  struct Edge {
+    cfg::NodeId from = cfg::kNoNode;
+    cfg::NodeId to = cfg::kNoNode;
+    bool back = false;
+    int run = 0;
+  };
+  struct Member {
+    const mp::Stmt* stmt = nullptr;
+    size_t edge = 0;
+    int index = 0;
+  };
+
+  /// Recomputes members_ in uid order with their indexes; false if two
+  /// acyclic entry paths to some node carry different checkpoint counts —
+  /// the balance precondition of index_checkpoints. in_ gets each node's
+  /// count; edges_ is grouped by source in reverse postorder, a
+  /// topological order of the forward edges.
+  bool index_members() {
+    constexpr int kUnset = -1;
+    std::fill(in_.begin(), in_.end(), kUnset);
+    in_[static_cast<size_t>(graph_.entry())] = 0;
+    for (const Edge& edge : edges_) {
+      if (edge.back) continue;
+      const int out = in_[static_cast<size_t>(edge.from)] + edge.run;
+      int& slot = in_[static_cast<size_t>(edge.to)];
+      if (slot == kUnset) {
+        slot = out;
+      } else if (slot != out) {
+        return false;
+      }
+    }
+    members_.clear();
+    for (const auto& [stmt, e] : slot_of_) members_.push_back({stmt, e, 0});
+    std::sort(members_.begin(), members_.end(),
+              [](const Member& a, const Member& b) {
+                return a.stmt->uid() < b.stmt->uid();
               });
-    out.violations.insert(out.violations.end(), carried.begin(),
-                          carried.end());
+    ranked_.assign(edges_.size(), 0);
+    for (Member& m : members_)
+      m.index = in_[static_cast<size_t>(edges_[m.edge].from)] +
+                ++ranked_[m.edge];
+    return true;
   }
-  return out;
+
+  /// Message reachability rows (full, acyclic) of node x, built once.
+  std::pair<const std::uint64_t*, const std::uint64_t*> rows(cfg::NodeId x) {
+    const size_t words = graph_.reach_words();
+    int& row = row_of_[static_cast<size_t>(x)];
+    if (row < 0) {
+      row = static_cast<int>(rows_.size() / (2 * words));
+      rows_.resize(rows_.size() + 2 * words);
+      std::uint64_t* base =
+          rows_.data() + static_cast<size_t>(row) * 2 * words;
+      hops_.reach_nodes_from(x, base, base + words);
+    }
+    const std::uint64_t* base =
+        rows_.data() + static_cast<size_t>(row) * 2 * words;
+    return {base, base + words};
+  }
+
+  /// Attribute refinement needs the checkpoint nodes themselves (their
+  /// attributes and reachability), so it builds this round's Ĝ.
+  void refine(const mp::Program& program, const RepairOptions& opts,
+              CheckResult& out) const {
+    const match::ExtendedCfg ext =
+        match::build_extended_cfg(program, opts.match);
+    const auto node = [&](cfg::NodeId m) {
+      return *ext.graph().node_for_stmt(member(m)->uid());
+    };
+    std::vector<Violation> kept;
+    for (Violation v : out.violations) {
+      const match::PathClass pc = ext.refine_classification(
+          node(v.from), node(v.to), match::PathClass{true, v.hard},
+          opts.check.refine);
+      if (!pc.has_message_path) continue;
+      v.hard = pc.message_path_without_back_edge;
+      kept.push_back(v);
+    }
+    out.violations = std::move(kept);
+  }
+
+  const Edge& edge_of(int m) const {
+    return edges_[members_[static_cast<size_t>(m)].edge];
+  }
+  int ckpt_id(int m) const {
+    return static_cast<const mp::CheckpointStmt*>(
+               members_[static_cast<size_t>(m)].stmt)
+        ->ckpt_id;
+  }
+
+  const cfg::Cfg& graph_;
+  HopClosure& hops_;
+  std::vector<Edge> edges_;
+  /// Checkpoint statement → the edge it sits on.
+  std::unordered_map<const mp::Stmt*, size_t> slot_of_;
+  /// Non-checkpoint statement → the forward edge into its first node.
+  std::unordered_map<const mp::Stmt*, size_t> entry_of_;
+  std::vector<int> in_;
+  // The last index_members(): members in uid order, and per-edge counts.
+  std::vector<Member> members_;
+  std::vector<int> ranked_;
+  // check()'s S_i as member ids.
+  std::vector<std::vector<int>> collections_;
+  // Memoized rows(): node → row number in rows_, -1 until asked.
+  std::vector<int> row_of_;
+  std::vector<std::uint64_t> rows_;
+};
+
+/// Condition 1 on a fresh Ĝ of the repaired program, which must agree
+/// violation for violation with the skeleton's verdict on it.
+CheckResult fresh_check(const mp::Program& program, const RepairOptions& opts,
+                        const CheckResult& skeleton_view) {
+  CheckResult fresh = check_condition1(
+      match::build_extended_cfg(program, opts.match), opts.check);
+  const auto key = [](const Violation& v) {
+    return std::tuple(v.index, v.from_ckpt_id, v.to_ckpt_id, v.hard);
+  };
+  ACFC_CHECK_MSG(std::equal(fresh.violations.begin(), fresh.violations.end(),
+                            skeleton_view.violations.begin(),
+                            skeleton_view.violations.end(),
+                            [&](const Violation& a, const Violation& b) {
+                              return key(a) == key(b);
+                            }),
+                 "repair skeleton diverged from a fresh extended CFG");
+  return fresh;
 }
 
-}  // namespace
-
-RepairReport repair_placement(mp::Program& program, const RepairOptions& opts) {
+/// The original fixpoint: rebuild Ĝ and recheck everything after every
+/// move. The differential oracle of the skeleton path, and the baseline
+/// of bench A3.
+RepairReport repair_rebuilding(mp::Program& program,
+                               const RepairOptions& opts) {
   RepairReport report;
-  program.renumber();
-  program.assign_checkpoint_ids();
-
-  // Witness memo shared across rebuilds (sound: repair only moves
-  // checkpoints — see MatchMemo).
-  match::MatchMemo memo;
-  match::MatchMemo* const memo_ptr = opts.incremental ? &memo : nullptr;
-
-  CheckResult check;
-  std::vector<std::vector<int>> prev_membership;
-  bool can_increment = false;  // previous iteration's result is reusable
-  int dirty_index = 0;         // moved checkpoint's index, 1-based
-
   for (int iter = 0; iter < opts.max_iterations; ++iter) {
     const match::ExtendedCfg ext =
-        match::build_extended_cfg(program, opts.match, memo_ptr);
-    const cfg::CheckpointIndexing indexing = ext.graph().index_checkpoints();
-    auto membership = collection_memberships(ext.graph(), indexing);
-    if (opts.incremental && can_increment &&
-        membership.size() == prev_membership.size()) {
-      CheckResult next = recheck_incremental(ext, indexing, membership,
-                                             prev_membership, dirty_index,
-                                             check, opts.check);
-      check = std::move(next);
-    } else {
-      check = check_condition1(ext, opts.check);
-    }
-    prev_membership = std::move(membership);
-    can_increment = true;
+        match::build_extended_cfg(program, opts.match);
+    CheckResult check = check_condition1(ext, opts.check);
     if (iter == 0) {
       report.initial_hard = check.hard_count();
       report.initial_total = static_cast<int>(check.violations.size());
     }
-
-    // Pick the first violation in the policy's class, hard ones first.
-    const Violation* chosen = nullptr;
-    for (const auto& v : check.violations) {
-      if (v.hard) {
-        chosen = &v;
-        break;
-      }
-      if (opts.policy == RepairPolicy::kStrict && chosen == nullptr)
-        chosen = &v;
-    }
+    const Violation* chosen = pick(check, opts.policy);
     if (chosen == nullptr) {
       report.success = true;
       report.final_check = std::move(check);
       return report;
     }
-
-    const int target_uid = ext.graph().node(chosen->to).stmt_uid;
-    MoveOutcome outcome =
-        move_back_one(program, target_uid, ext, chosen->index);
-    if (!outcome.moved && !outcome.merged && !outcome.hoisted) {
-      report.log.push_back("stuck: " + outcome.description);
+    const cfg::Cfg& graph = ext.graph();
+    std::optional<cfg::CheckpointIndexing> indexing;  // merges only
+    const auto index_of = [&](const mp::Stmt& ckpt) {
+      const auto node = graph.node_for_stmt(ckpt.uid());
+      if (!node) return -1;
+      if (!indexing) indexing = graph.index_checkpoints();
+      const auto it = indexing->index_of.find(*node);
+      return it == indexing->index_of.end() ? -1 : it->second;
+    };
+    const MoveOutcome outcome = move_back_one(
+        program, *graph.node(chosen->to).stmt, chosen->index, index_of);
+    if (!record_move(report, *chosen, outcome, opts.verbose_log)) {
       report.final_check = std::move(check);
       return report;
-    }
-    report.moves += outcome.moved ? 1 : 0;
-    report.merges += outcome.merged ? 1 : 0;
-    report.hoists += outcome.hoisted ? 1 : 0;
-    dirty_index = chosen->index;
-    if (outcome.structural) can_increment = false;  // full recheck next
-    if (opts.verbose_log) {
-      std::ostringstream os;
-      os << "S_" << chosen->index << ": ckpt#" << chosen->from_ckpt_id
-         << " ⇝ ckpt#" << chosen->to_ckpt_id
-         << (chosen->hard ? " [hard]" : " [loop-carried]") << " — "
-         << outcome.description;
-      report.log.push_back(os.str());
     }
     program.renumber();
     program.assign_checkpoint_ids();
   }
-
   report.log.push_back("max_iterations exceeded");
-  const match::ExtendedCfg ext =
-      match::build_extended_cfg(program, opts.match, memo_ptr);
-  report.final_check = check_condition1(ext, opts.check);
+  report.final_check = check_condition1(
+      match::build_extended_cfg(program, opts.match), opts.check);
+  return report;
+}
+
+/// The default fixpoint: one Ĝ per repair, every later round answered by
+/// the skeleton. Returns the skeleton's verdict on the final program, for
+/// the caller to confirm on a fresh Ĝ — or nullopt when no move was made
+/// and report.final_check, taken on the first Ĝ, is already final.
+std::optional<CheckResult> repair_on_skeleton(mp::Program& program,
+                                              const RepairOptions& opts,
+                                              RepairReport& report) {
+  const match::ExtendedCfg first =
+      match::build_extended_cfg(program, opts.match);
+  HopClosure hops(first);
+  CheckResult check = check_with(first, opts.check, &hops);
+  report.initial_hard = check.hard_count();
+  report.initial_total = static_cast<int>(check.violations.size());
+  const Violation* chosen = pick(check, opts.policy);
+  if (chosen == nullptr) {
+    report.success = true;
+    report.final_check = std::move(check);
+    return std::nullopt;
+  }
+
+  Skeleton skeleton(first, hops);
+  const mp::Stmt* target = first.graph().node(chosen->to).stmt;
+  const auto index_of = [&skeleton](const mp::Stmt& ckpt) {
+    return skeleton.index_of(ckpt);
+  };
+  for (int iter = 0;;) {
+    const MoveOutcome outcome =
+        move_back_one(program, *target, chosen->index, index_of);
+    if (!record_move(report, *chosen, outcome, opts.verbose_log)) {
+      if (iter > 0) return check;
+      report.final_check = std::move(check);
+      return std::nullopt;
+    }
+    skeleton.apply(*target, outcome);
+    program.renumber();  // moves create no checkpoint, so ids stand
+    if (++iter == opts.max_iterations) break;
+
+    check = skeleton.check(program, opts);
+    chosen = pick(check, opts.policy);
+    if (chosen == nullptr) {
+      report.success = true;
+      return check;
+    }
+    target = skeleton.member(chosen->to);
+  }
+  report.log.push_back("max_iterations exceeded");
+  return skeleton.check(program, opts);
+}
+
+}  // namespace
+
+RepairReport repair_placement(mp::Program& program, const RepairOptions& opts) {
+  program.renumber();
+  program.assign_checkpoint_ids();
+  if (!opts.incremental || opts.check.legacy_pairwise ||
+      opts.max_iterations <= 0)
+    return repair_rebuilding(program, opts);
+  RepairReport report;
+  // The confirming Ĝ is built after the skeleton and the first Ĝ it
+  // borrows are gone, so the two never coexist.
+  if (const auto last = repair_on_skeleton(program, opts, report))
+    report.final_check = fresh_check(program, opts, *last);
   return report;
 }
 

@@ -35,9 +35,10 @@
 // (swap with the previous sibling; at an if-arm boundary, the same-index
 // checkpoints of both arms merge into one checkpoint hoisted before the
 // branch, preserving path balance; at a loop-body boundary the checkpoint
-// hoists before the loop). The CFG is rebuilt and rechecked after each
-// move. The entry position is always violation-free, so the fixpoint
-// terminates.
+// hoists before the loop). Condition 1 is rechecked after each move, on a
+// skeleton of the first Ĝ that no move can change (see
+// RepairOptions::incremental). The entry position is always
+// violation-free, so the fixpoint terminates.
 #pragma once
 
 #include <string>
@@ -159,17 +160,18 @@ struct RepairOptions {
   int max_iterations = 10'000;
   /// Record a human-readable log of every move.
   bool verbose_log = true;
-  /// Incremental rechecking (the fast path): after a move, message-edge
-  /// witnesses are replayed from a statement-keyed memo (checkpoint moves
-  /// never change send/recv attributes) and Condition 1 is re-evaluated
-  /// only on the dirty collections — the moved checkpoint's index plus any
-  /// collection whose ckpt_id membership changed; violations of clean
-  /// collections carry over (checkpoint nodes are pass-through, so moving
-  /// one cannot alter reachability between other nodes). Structural events
-  /// that rewrite the region (if-arm merges/hoists) fall back to a full
-  /// recheck. Off reproduces the original rebuild-everything fixpoint;
-  /// both paths pick violations in the same order, so the repair sequence
-  /// and final program are identical.
+  /// Build Ĝ once per repair (the fast path). Checkpoint nodes are
+  /// pass-through and no back edge touches one, and repair moves only
+  /// checkpoints, so the non-checkpoint nodes, their full and acyclic
+  /// reachability, the message edges and their hop closure are fixed for
+  /// the whole repair. Later rounds track each checkpoint as a slot on that
+  /// skeleton (the checkpoint-free CFG edge it sits on) and derive
+  /// indexing, balance and Condition 1 from slots and statement order
+  /// alone; final_check comes from one fresh Ĝ, which must agree with the
+  /// skeleton's last verdict. Off (or CheckOptions::legacy_pairwise)
+  /// rebuilds Ĝ and rechecks everything after every move. Both pick
+  /// violations in the same order, so the report and the repaired program
+  /// are identical.
   bool incremental = true;
 };
 

@@ -6,6 +6,7 @@
 #include <array>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -112,6 +113,53 @@ TEST(Cli, RunChecksFailProcessAgainstALaterWorldSize) {
   const auto r = run_cli("run " + prog + " --fail 5@20 -n 6");
   EXPECT_EQ(r.exit_code, 0) << r.output;
   EXPECT_NE(r.output.find("restarts: 1"), std::string::npos);
+}
+
+TEST(Cli, NumericFlagsRejectTrailingGarbage) {
+  // Every integer and double flag is parsed as a whole string; "4x" is a
+  // usage error (exit 2) naming the flag, not 4.
+  const std::string prog = program_path("jacobi_aligned.mp");
+  for (const std::string& args : std::vector<std::string>{
+           "run " + prog + " -n 4x", "analyze " + prog + " -n 4x",
+           "run " + prog + " --seed 3s", "insert " + prog + " -T 5.0.1",
+           "model --wm 2e-3ms", "explore -w ring -n 3 --depth 4x",
+           "explore -w ring -n 3 --stall-window 0.5s"}) {
+    SCOPED_TRACE(args);
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("invalid -"), std::string::npos) << r.output;
+  }
+}
+
+TEST(Cli, NegativeSeedIsRejectedNotWrapped) {
+  const auto r = run_cli("run " + program_path("jacobi_aligned.mp") +
+                         " -n 4 --seed -1");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("invalid --seed -1"), std::string::npos)
+      << r.output;
+}
+
+TEST(Cli, NegativeCountsAndNonFiniteDoublesAreRejected) {
+  for (const char* args :
+       {"explore -w ring -n 3 --depth -1", "explore -w ring -n 3 --threads 0",
+        "model --wm inf", "model --wm nan"}) {
+    SCOPED_TRACE(args);
+    EXPECT_EQ(run_cli(args).exit_code, 2);
+  }
+}
+
+TEST(Cli, RunAndExploreNeedTwoProcesses) {
+  // -n 0 used to die on an internal check with exit 1.
+  const std::string prog = program_path("jacobi_aligned.mp");
+  for (const std::string& args : std::vector<std::string>{
+           "run " + prog + " -n 0", "run " + prog + " -n 1",
+           "explore -w ring -n 1", "explore -w ring -n 0"}) {
+    SCOPED_TRACE(args);
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("invalid -n"), std::string::npos) << r.output;
+  }
+  EXPECT_EQ(run_cli("run " + prog + " -n 2").exit_code, 0);
 }
 
 TEST(Cli, InsertAddsCheckpoints) {

@@ -16,14 +16,17 @@
 //
 // Exit code 0 on success; 1 on safety violations (analyze), failures, or
 // explorer violations / repro mismatches; 2 on usage errors.
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "acfc/acfc.h"
@@ -95,23 +98,32 @@ struct Args {
   bool no_shrink = false;
 };
 
+/// A whole-string number >= lo: no leading blanks or '+', no trailing
+/// garbage, no wrap-around, finite (std::stoi and friends accept "4x" as
+/// 4, and std::stoull accepts "-1" as 2^64-1).
+template <typename T>
+std::optional<T> parse_number(const std::string& text, T lo) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return std::nullopt;
+  }
+  if (value < lo) return std::nullopt;
+  return value;
+}
+
 /// `--fail P@T`: an integer process and a finite time >= 0, nothing
 /// trailing. The range of P is checked once -n is known.
 std::optional<sim::FaultSpec> parse_fail(const std::string& value) {
   const auto at = value.find('@');
   if (at == std::string::npos) return std::nullopt;
-  const std::string proc_text = value.substr(0, at);
-  const std::string time_text = value.substr(at + 1);
-  try {
-    std::size_t proc_end = 0, time_end = 0;
-    const int proc = std::stoi(proc_text, &proc_end);
-    const double time = std::stod(time_text, &time_end);
-    if (proc_end == proc_text.size() && time_end == time_text.size() &&
-        std::isfinite(time) && time >= 0.0)
-      return sim::FaultPlan::at_time(proc, time);
-  } catch (const std::exception&) {  // not a number, or out of range
-  }
-  return std::nullopt;
+  const auto proc =
+      parse_number(value.substr(0, at), std::numeric_limits<int>::min());
+  const auto time = parse_number(value.substr(at + 1), 0.0);
+  if (!proc || !time) return std::nullopt;
+  return sim::FaultPlan::at_time(*proc, *time);
 }
 
 std::optional<Args> parse_args(int argc, char** argv) {
@@ -121,6 +133,20 @@ std::optional<Args> parse_args(int argc, char** argv) {
     auto next = [&]() -> std::optional<std::string> {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
+    };
+    // Parses the flag's value into `out`; false (after saying why) if it
+    // is missing or not a number >= lo.
+    auto number = [&](auto& out, auto lo) {
+      const auto v = next();
+      if (!v) return false;
+      using T = std::decay_t<decltype(out)>;
+      const auto value = parse_number<T>(*v, T(lo));
+      if (!value) {
+        std::cerr << "invalid " << arg << " " << *v << '\n';
+        return false;
+      }
+      out = *value;
+      return true;
     };
     if (arg == "-o") {
       auto v = next();
@@ -135,21 +161,14 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (!v) return std::nullopt;
       args.workload = *v;
     } else if (arg == "-n") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.nprocs = std::stoi(*v);
+      if (!number(args.nprocs, 1)) return std::nullopt;
     } else if (arg == "--seed") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.seed = std::stoull(*v);
+      if (!number(args.seed, 0)) return std::nullopt;
     } else if (arg == "-T" || arg == "--interval") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.interval = std::stod(*v);
+      if (!number(args.interval, std::numeric_limits<double>::min()))
+        return std::nullopt;
     } else if (arg == "--wm") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.wm = std::stod(*v);
+      if (!number(args.wm, 0.0)) return std::nullopt;
     } else if (arg == "--repro") {
       auto v = next();
       if (!v) return std::nullopt;
@@ -159,67 +178,39 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (!v) return std::nullopt;
       args.driver = *v;
     } else if (arg == "--depth") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.depth = std::stoi(*v);
+      if (!number(args.depth, 0)) return std::nullopt;
     } else if (arg == "--budget") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.budget = std::stol(*v);
+      if (!number(args.budget, 0)) return std::nullopt;
     } else if (arg == "--max-failures") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.max_failures = std::stoi(*v);
+      if (!number(args.max_failures, 0)) return std::nullopt;
     } else if (arg == "--tie-cap") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.tie_cap = std::stoi(*v);
+      if (!number(args.tie_cap, 0)) return std::nullopt;
     } else if (arg == "--delay-steps") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.delay_steps = std::stoi(*v);
+      if (!number(args.delay_steps, 0)) return std::nullopt;
     } else if (arg == "--delay-quantum") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.delay_quantum = std::stod(*v);
+      if (!number(args.delay_quantum, 0.0)) return std::nullopt;
     } else if (arg == "--iterations") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.iterations = std::stoi(*v);
+      if (!number(args.iterations, 0)) return std::nullopt;
     } else if (arg == "--threads") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.threads = std::stoi(*v);
+      if (!number(args.threads, 1)) return std::nullopt;
     } else if (arg == "--walks") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.walks = std::stol(*v);
+      if (!number(args.walks, 0)) return std::nullopt;
     } else if (arg == "--cic-stagger") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.cic_stagger = std::stod(*v);
+      if (!number(args.cic_stagger, 0.0)) return std::nullopt;
     } else if (arg == "--failure-points") {
       args.failure_points = true;
     } else if (arg == "--partition-points") {
       args.partition_points = true;
     } else if (arg == "--partition-window") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.partition_window = std::stod(*v);
+      if (!number(args.partition_window, 0.0)) return std::nullopt;
     } else if (arg == "--stall-points") {
       args.stall_points = true;
     } else if (arg == "--stall-window") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.stall_window = std::stod(*v);
+      if (!number(args.stall_window, 0.0)) return std::nullopt;
     } else if (arg == "--max-partitions") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.max_partitions = std::stoi(*v);
+      if (!number(args.max_partitions, 0)) return std::nullopt;
     } else if (arg == "--max-stalls") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.max_stalls = std::stoi(*v);
+      if (!number(args.max_stalls, 0)) return std::nullopt;
     } else if (arg == "--check-cic-index") {
       args.check_cic_index = true;
     } else if (arg == "--no-digest") {
@@ -531,13 +522,14 @@ int cmd_explore(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  std::optional<Args> args;
-  try {
-    args = parse_args(argc, argv);
-  } catch (const std::exception&) {  // stoi/stod on malformed numbers
+  const std::optional<Args> args = parse_args(argc, argv);
+  if (!args) return usage();
+  // Every engine run needs a peer to message.
+  if ((command == "run" || command == "faceoff" || command == "explore") &&
+      args->nprocs < 2) {
+    std::cerr << "invalid -n " << args->nprocs << " (need at least 2)\n";
     return usage();
   }
-  if (!args) return usage();
 
   try {
     if (command == "analyze" && has_program(*args))

@@ -18,7 +18,10 @@ Two suites:
     }
 
   "speedups" pairs every fast-path phase with its *Legacy twin at the same
-  argument (legacy ns-per-op / fast ns-per-op).
+  argument (legacy ns-per-op / fast ns-per-op). With --baseline (an
+  earlier BENCH_analysis.json, e.g. from the parent commit on the same
+  host) it adds "ns_per_op_before" and "speedup_vs_before" (before / now)
+  for every phase both runs have, plus the baseline's "note".
 
   --suite sim drives bench/ablate_sim_throughput plus bench/ablate_recovery,
   bench/ablate_degraded_recovery, and bench/ablate_partition, and writes
@@ -148,7 +151,7 @@ def strip_real_time(name):
     return name[:-len("/real_time")] if name.endswith("/real_time") else name
 
 
-def condense_analysis(raw):
+def condense_analysis(raw, baseline):
     phases = extract_phases(raw)
 
     # Fast path vs its Legacy twin: BM_Foo/N vs BM_FooLegacy/N.
@@ -161,12 +164,24 @@ def condense_analysis(raw):
         label = name[3:] if name.startswith("BM_") else name
         speedups[label] = round(legacy["ns_per_op"] / stats["ns_per_op"], 2)
 
-    return {
+    doc = {
         "benchmark": "ablate_analysis_scaling",
         "context": raw.get("context", {}),
         "phases": phases,
         "speedups": speedups,
     }
+    if baseline:
+        before = {name: stats["ns_per_op"]
+                  for name, stats in baseline.get("phases", {}).items()
+                  if name in phases and stats["ns_per_op"] > 0}
+        doc["ns_per_op_before"] = before
+        doc["speedup_vs_before"] = {
+            name: round(prior / phases[name]["ns_per_op"], 2)
+            for name, prior in before.items()
+            if phases[name]["ns_per_op"] > 0}
+        doc["baseline_note"] = baseline.get(
+            "baseline_note", baseline.get("note", ""))
+    return doc
 
 
 RECOVERY_COUNTERS = (
@@ -287,8 +302,9 @@ def main():
     parser.add_argument("--min-time", type=float, default=None,
                         help="per-benchmark min time in seconds")
     parser.add_argument("--baseline", default=None,
-                        help="sim suite: JSON with an events_per_s map from "
-                             "an earlier build; adds before/after counters")
+                        help="JSON from an earlier build (sim suite: an "
+                             "events_per_s map; analysis suite: a phases "
+                             "map); adds before/after fields")
     args = parser.parse_args()
 
     suite = SUITES[args.suite]
@@ -298,9 +314,15 @@ def main():
         sys.exit("benchmark binary not found: %s (build it first)" % bench)
 
     raw = run_benchmark(bench, args.min_time)
+    baseline = None
+    if args.baseline:
+        with open(args.baseline) as f:
+            baseline = json.load(f)
     if args.suite == "analysis":
-        doc = condense_analysis(raw)
-        ratios = doc["speedups"]
+        doc = condense_analysis(raw, baseline)
+        ratios = dict(doc["speedups"])
+        ratios.update({"vs before " + name: speedup for name, speedup
+                       in doc.get("speedup_vs_before", {}).items()})
     else:
         extra_raw = {"recovery": None, "degraded": None, "partition": None}
         for key, slot in (("recovery_bench", "recovery"),
@@ -313,10 +335,6 @@ def main():
                 sys.exit("benchmark binary not found: %s (build it first)"
                          % path)
             extra_raw[slot] = run_benchmark(path, args.min_time)
-        baseline = None
-        if args.baseline:
-            with open(args.baseline) as f:
-                baseline = json.load(f)
         doc = condense_sim(raw, extra_raw["recovery"], extra_raw["degraded"],
                            extra_raw["partition"], baseline)
         ratios = dict(doc["parallel_speedup"])
@@ -327,7 +345,7 @@ def main():
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     for label, speedup in sorted(ratios.items()):
-        print("%-36s %5.2fx" % (label, speedup))
+        print("%-44s %5.2fx" % (label, speedup))
     print("wrote %s (%d phases)" % (out, len(doc["phases"])))
 
 
