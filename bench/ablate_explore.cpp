@@ -6,8 +6,12 @@
 // The explorer's cost model is simple: every schedule is a full engine
 // run, so throughput is engine-run rate times (1 - pruned fraction). The
 // memo column pair makes the trade explicit — hashing every frontier
-// state costs a few percent per run and removes whole subtrees.
+// state costs a few percent per run and removes whole subtrees. The
+// µs/schedule column is the same rate inverted: the per-schedule cost
+// (one engine over the search's shared sim::Model) that docs/testing.md
+// breaks down.
 #include <chrono>
+#include <cmath>
 #include <iostream>
 
 #include "explore/explore.h"
@@ -26,7 +30,7 @@ int main() {
                "tie-break x delivery-delay perturbation)\n\n";
 
   util::Table table({"depth", "memo", "schedules", "pruned", "complete",
-                     "wall (ms)", "schedules/s"});
+                     "wall (ms)", "schedules/s", "us/schedule"});
   for (const int depth : {4, 6, 8}) {
     for (const bool memo : {false, true}) {
       explore::ExploreOptions opts;
@@ -39,14 +43,14 @@ int main() {
       const double ms =
           std::chrono::duration<double, std::milli>(clock::now() - start)
               .count();
-      table.add_row(
-          {std::to_string(depth), memo ? "on" : "off",
-           std::to_string(result.schedules_run),
-           std::to_string(result.states_pruned),
-           result.complete ? "yes" : "no", util::format_double(ms, 2),
-           util::format_double(
-               static_cast<double>(result.schedules_run) / (ms / 1e3),
-               0)});
+      const auto schedules = static_cast<double>(result.schedules_run);
+      table.add_row({std::to_string(depth), memo ? "on" : "off",
+                     std::to_string(result.schedules_run),
+                     std::to_string(result.states_pruned),
+                     result.complete ? "yes" : "no",
+                     util::format_double(ms, 2),
+                     std::to_string(std::lround(schedules / (ms / 1e3))),
+                     util::format_double(ms * 1e3 / schedules, 3)});
     }
   }
   table.print(std::cout);

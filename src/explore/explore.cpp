@@ -3,20 +3,28 @@
 #include <algorithm>
 #include <utility>
 
+#include "sim/model.h"
 #include "sim/montecarlo.h"
 #include "trace/analysis.h"
 #include "util/error.h"
 
 namespace acfc::explore {
 
-namespace {
+namespace detail {
 
-/// Shared per-search context. The program is built once; engines reference
-/// it read-only (the run_batch aliasing rule).
+/// Shared per-scenario context, built once per search or Replayer: the
+/// program, its sim::Model, the driver factory and the baseline run.
+/// Engines reference it read-only (the run_batch aliasing rule), from
+/// every shard. Not copyable: the model points into `program`.
 struct Ctx {
-  const Scenario* scenario = nullptr;
-  const ExploreOptions* opts = nullptr;
-  const mp::Program* program = nullptr;
+  Ctx(const Scenario& scenario, const ExploreOptions& opts);
+  Ctx(const Ctx&) = delete;
+  Ctx& operator=(const Ctx&) = delete;
+
+  const Scenario& scenario;
+  const ExploreOptions& opts;
+  const mp::Program program;
+  const sim::Model model;
   sim::DriverFactory factory;
   /// All-defaults failure-free run: the digest reference for both the
   /// schedule-independence check (failure-free schedules must reach the
@@ -27,6 +35,12 @@ struct Ctx {
   std::vector<long> baseline_recvs;
   bool baseline_completed = false;
 };
+
+}  // namespace detail
+
+namespace {
+
+using detail::Ctx;
 
 struct RunOut {
   sim::SimResult result;
@@ -42,32 +56,32 @@ RunOut run_plan(const Ctx& ctx, const std::vector<int>& plan,
                 bool suppress_failures, Memo* memo, util::Rng* random) {
   PlanHook::Config cfg;
   cfg.plan = &plan;
-  cfg.max_choice_points = ctx.opts->max_choice_points;
-  cfg.max_failures = suppress_failures ? 0 : ctx.opts->max_failures;
-  cfg.max_partitions = suppress_failures ? 0 : ctx.opts->max_partitions;
-  cfg.max_stalls = suppress_failures ? 0 : ctx.opts->max_stalls;
+  cfg.max_choice_points = ctx.opts.max_choice_points;
+  cfg.max_failures = suppress_failures ? 0 : ctx.opts.max_failures;
+  cfg.max_partitions = suppress_failures ? 0 : ctx.opts.max_partitions;
+  cfg.max_stalls = suppress_failures ? 0 : ctx.opts.max_stalls;
   cfg.suppress_failures = suppress_failures;
   cfg.memo = memo;
   cfg.random = random;
   PlanHook hook(cfg);
 
   sim::SimOptions so;
-  so.nprocs = ctx.scenario->nprocs;
-  so.seed = ctx.scenario->seed;
-  so.delay = ctx.scenario->delay;
-  so.checkpoint_overhead = ctx.scenario->checkpoint_overhead;
-  so.checkpoint_latency = ctx.scenario->checkpoint_latency;
+  so.nprocs = ctx.scenario.nprocs;
+  so.seed = ctx.scenario.seed;
+  so.delay = ctx.scenario.delay;
+  so.checkpoint_overhead = ctx.scenario.checkpoint_overhead;
+  so.checkpoint_latency = ctx.scenario.checkpoint_latency;
   so.keep_snapshots = true;
   so.schedule_hook = &hook;
-  so.perturb = ctx.opts->perturb;
+  so.perturb = ctx.opts.perturb;
 
   std::unique_ptr<sim::ProtocolDriver> driver;
   if (ctx.factory) driver = ctx.factory();
-  sim::Engine engine(*ctx.program, std::move(so), driver.get());
+  sim::Engine engine(ctx.model, std::move(so), driver.get());
 
   RunOut out;
   out.result = engine.run();
-  out.log = hook.log();
+  out.log = hook.take_log();
   out.total_choice_points = hook.total_choice_points();
   out.failures_injected = hook.failures_injected();
   out.pruned = hook.pruned();
@@ -93,12 +107,12 @@ std::optional<std::string> orphan_violation(const sim::SimResult& run,
 }
 
 std::optional<Violation> evaluate(const Ctx& ctx, const RunOut& run) {
-  Violation v;
-  v.plan = trim_plan(taken_of(run.log));
-  v.digest = fold_digest(run.result.trace.final_digest);
-  const auto violated = [&v](const char* property, std::string detail) {
+  const auto violated = [&run](const char* property, std::string detail) {
+    Violation v;
     v.property = property;
     v.detail = std::move(detail);
+    v.plan = trim_plan(taken_of(run.log));
+    v.digest = fold_digest(run.result.trace.final_digest);
     return v;
   };
 
@@ -118,10 +132,10 @@ std::optional<Violation> evaluate(const Ctx& ctx, const RunOut& run) {
               std::to_string(cut.orphan_msgs.size()) + " orphan msgs");
   }
 
-  if (auto orphan = orphan_violation(run.result, ctx.scenario->nprocs))
+  if (auto orphan = orphan_violation(run.result, ctx.scenario.nprocs))
     return violated("orphans", std::move(*orphan));
 
-  if (ctx.opts->check_cic_index) {
+  if (ctx.opts.check_cic_index) {
     if (auto cic = proto::check_cic_index_invariant(run.result))
       return violated("cic-index", std::move(*cic));
   }
@@ -130,7 +144,7 @@ std::optional<Violation> evaluate(const Ctx& ctx, const RunOut& run) {
   // per-process digests are schedule-independent, so every explored
   // schedule — perturbed, failed-and-recovered, or both — must land on
   // the all-defaults baseline state.
-  if (ctx.opts->check_digest && ctx.baseline_completed) {
+  if (ctx.opts.check_digest && ctx.baseline_completed) {
     if (run.result.trace.final_digest != ctx.baseline_digest)
       return violated("digest",
                       run.failures_injected > 0
@@ -162,7 +176,7 @@ void note_violation(const Ctx& ctx, ShardOut& out,
   if (!v) return;
   ++out.violations_found;
   if (static_cast<int>(out.violations.size()) <
-      ctx.opts->max_recorded_violations)
+      ctx.opts.max_recorded_violations)
     out.violations.push_back(std::move(*v));
 }
 
@@ -174,7 +188,7 @@ void push_children(const Ctx& ctx, const std::vector<int>& plan,
                    long& max_plan_length) {
   const std::size_t limit = std::min(
       run.log.size(),
-      static_cast<std::size_t>(ctx.opts->max_choice_points));
+      static_cast<std::size_t>(ctx.opts.max_choice_points));
   for (std::size_t i = limit; i-- > plan.size();) {
     const ChoiceRec& rec = run.log[i];
     if (rec.arity <= 1) continue;
@@ -204,7 +218,7 @@ ShardOut dfs(const Ctx& ctx, std::vector<std::vector<int>> stack,
     const std::vector<int> plan = std::move(stack.back());
     stack.pop_back();
     const RunOut run = run_plan(ctx, plan, /*suppress_failures=*/false,
-                                ctx.opts->memoize ? &memo : nullptr,
+                                ctx.opts.memoize ? &memo : nullptr,
                                 /*random=*/nullptr);
     ++out.schedules;
     out.choice_points += run.total_choice_points;
@@ -227,29 +241,27 @@ void merge(ExploreResult& res, const Ctx& ctx, const ShardOut& shard,
   res.violations_found += shard.violations_found;
   for (const Violation& v : shard.violations)
     if (static_cast<int>(res.violations.size()) <
-        ctx.opts->max_recorded_violations)
+        ctx.opts.max_recorded_violations)
       res.violations.push_back(v);
   exhausted = exhausted || shard.budget_exhausted;
 }
 
-Ctx make_ctx(const Scenario& scenario, const ExploreOptions& opts,
-             const mp::Program& program) {
-  Ctx ctx;
-  ctx.scenario = &scenario;
-  ctx.opts = &opts;
-  ctx.program = &program;
-  ctx.factory = scenario.driver_factory();
+}  // namespace
+
+detail::Ctx::Ctx(const Scenario& scenario_in, const ExploreOptions& opts_in)
+    : scenario(scenario_in),
+      opts(opts_in),
+      program(scenario_in.program()),
+      model(program),
+      factory(scenario_in.driver_factory()) {
   const std::vector<int> empty;
   const RunOut baseline =
-      run_plan(ctx, empty, /*suppress_failures=*/true, nullptr, nullptr);
-  ctx.baseline_completed = baseline.result.trace.completed;
-  ctx.baseline_digest = baseline.result.trace.final_digest;
-  ctx.baseline_sends = baseline.result.final_sends;
-  ctx.baseline_recvs = baseline.result.final_recvs;
-  return ctx;
+      run_plan(*this, empty, /*suppress_failures=*/true, nullptr, nullptr);
+  baseline_completed = baseline.result.trace.completed;
+  baseline_digest = baseline.result.trace.final_digest;
+  baseline_sends = baseline.result.final_sends;
+  baseline_recvs = baseline.result.final_recvs;
 }
-
-}  // namespace
 
 std::uint64_t fold_digest(const std::vector<std::uint64_t>& parts) {
   std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
@@ -264,8 +276,7 @@ std::uint64_t fold_digest(const std::vector<std::uint64_t>& parts) {
 ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts) {
   ACFC_CHECK_MSG(opts.max_choice_points >= 1 && opts.max_schedules >= 1,
                  "explore needs a positive horizon and budget");
-  const mp::Program program = scenario.program();
-  const Ctx ctx = make_ctx(scenario, opts, program);
+  const Ctx ctx(scenario, opts);
 
   ExploreResult res;
   bool exhausted = false;
@@ -322,33 +333,43 @@ ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts) {
   for (size_t i = 0; i < children.size(); ++i)
     shards[i % static_cast<size_t>(nshards)].push_back(
         std::move(children[i]));
-  const long per_budget =
-      (opts.max_schedules - 1 + nshards - 1) / nshards;
+  // The root spent one schedule; split the rest exactly (floor plus
+  // remainder). A shard left with budget 0 but children to run reports
+  // the search incomplete.
+  const long remaining = opts.max_schedules - 1;
   sim::McOptions mc;
   mc.threads = opts.threads;
   const std::vector<ShardOut> outs = sim::parallel_map(
       nshards, mc, [&](long s) {
-        return dfs(ctx, shards[static_cast<size_t>(s)],
-                   std::max<long>(1, per_budget));
+        const long budget =
+            remaining / nshards + (s < remaining % nshards ? 1 : 0);
+        return dfs(ctx, shards[static_cast<size_t>(s)], budget);
       });
   for (const ShardOut& shard : outs) merge(res, ctx, shard, exhausted);
   res.complete = !exhausted;
   return res;
 }
 
-ReplayReport replay_plan(const Scenario& scenario,
-                         const ExploreOptions& opts,
-                         const std::vector<int>& plan) {
-  const mp::Program program = scenario.program();
-  const Ctx ctx = make_ctx(scenario, opts, program);
+Replayer::Replayer(const Scenario& scenario, const ExploreOptions& opts)
+    : ctx_(std::make_unique<const Ctx>(scenario, opts)) {}
+
+Replayer::~Replayer() = default;
+
+ReplayReport Replayer::replay(const std::vector<int>& plan) const {
   const RunOut run =
-      run_plan(ctx, plan, /*suppress_failures=*/false, nullptr, nullptr);
+      run_plan(*ctx_, plan, /*suppress_failures=*/false, nullptr, nullptr);
   ReplayReport rep;
   rep.completed = run.result.trace.completed;
   rep.digest = fold_digest(run.result.trace.final_digest);
   rep.stats = run.result.stats;
-  rep.violation = evaluate(ctx, run);
+  rep.violation = evaluate(*ctx_, run);
   return rep;
+}
+
+ReplayReport replay_plan(const Scenario& scenario,
+                         const ExploreOptions& opts,
+                         const std::vector<int>& plan) {
+  return Replayer(scenario, opts).replay(plan);
 }
 
 }  // namespace acfc::explore

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -116,7 +117,28 @@ struct ReplayReport {
 };
 
 /// Explores `scenario`'s schedule tree and oracle-checks every schedule.
+/// The program, its sim::Model and the baseline run are built once per
+/// search and shared read-only by every schedule and shard.
 ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts);
+
+namespace detail {
+struct Ctx;
+}  // namespace detail
+
+/// A scenario prepared for many replays: the program, its sim::Model and
+/// the all-defaults baseline run are built once, not once per plan.
+/// `scenario` and `opts` must outlive the replayer.
+class Replayer {
+ public:
+  Replayer(const Scenario& scenario, const ExploreOptions& opts);
+  ~Replayer();
+
+  /// Same report as replay_plan(scenario, opts, plan).
+  ReplayReport replay(const std::vector<int>& plan) const;
+
+ private:
+  std::unique_ptr<const detail::Ctx> ctx_;
+};
 
 /// Replays one plan under the same semantics the search used and returns
 /// its oracle verdict. Bit-deterministic: same scenario/options/plan →

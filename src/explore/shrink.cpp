@@ -29,6 +29,7 @@ ShrinkResult shrink(const Scenario& scenario, const ExploreOptions& opts,
   out.minimal = violation;
   out.minimal.plan = trim_plan(out.minimal.plan);
   out.initial_choices = nondefault_count(out.minimal.plan);
+  const Replayer replayer(scenario, opts);
 
   // Accept a trial iff it reproduces the same property. The accepted
   // plan is the REPLAY's trimmed taken log (not the trial verbatim), so
@@ -38,7 +39,7 @@ ShrinkResult shrink(const Scenario& scenario, const ExploreOptions& opts,
     if (trial == out.minimal.plan) return false;
     if (out.runs >= shrink_opts.max_runs) return false;
     ++out.runs;
-    const ReplayReport rep = replay_plan(scenario, opts, trial);
+    const ReplayReport rep = replayer.replay(trial);
     if (!rep.violation || rep.violation->property != violation.property)
       return false;
     out.minimal = *rep.violation;

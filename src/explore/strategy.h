@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "sim/schedule_hook.h"
@@ -65,8 +66,9 @@ class PlanHook final : public sim::ScheduleHook {
 
   int choose(const sim::ChoicePoint& cp) override;
 
-  /// Per-position log, capped at max_choice_points.
-  const std::vector<ChoiceRec>& log() const { return log_; }
+  /// Moves out the per-position log (capped at max_choice_points); call
+  /// once, after the run.
+  std::vector<ChoiceRec> take_log() { return std::move(log_); }
   /// Every consulted point, including those past the horizon.
   long total_choice_points() const { return total_; }
   int failures_injected() const { return failures_; }

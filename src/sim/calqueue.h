@@ -4,7 +4,8 @@
 // Events hash into a power-of-two ring of "day" buckets by
 // day(t) = floor(t / width) mod nbuckets; one full ring is a "year".
 // pop() scans forward from the current day and extracts the (time, seq)-
-// minimum among the current day's events in that bucket; when a whole year
+// minimum among the current day's events in that bucket (top() runs the
+// same scan and leaves the minimum in place); when a whole year
 // turns up empty the queue jumps straight to the globally minimal event
 // (direct search), so sparse regions cost one O(size) skip instead of
 // unbounded day-walks.
@@ -77,39 +78,24 @@ class CalendarQueue {
     }
   }
 
+  /// The (time, seq)-minimum, left in place. Precondition: !empty().
+  /// Moves the scan to the minimum's day exactly as pop() would, so the
+  /// pop that follows a top() finds it without scanning again. The
+  /// reference is valid until the next push() or pop().
+  const Ev& top() { return buckets_[seek()].front(); }
+
   /// Extracts the (time, seq)-minimum. Precondition: !empty().
   Ev pop() {
-    std::size_t scanned = 0;
-    while (true) {
-      std::vector<Ev>& day = buckets_[cur_];
-      // front() is the bucket's (time, seq)-minimum and therefore also its
-      // minimal day; if even that is a future year, nothing here is due.
-      if (!day.empty() && day_of(day.front().time) <= cur_day_) {
-        std::pop_heap(day.begin(), day.end(), EvCmp{});
-        const Ev ev = day.back();
-        day.pop_back();
-        --size_;
-        direct_streak_ = 0;
-        if (size_ < (buckets_.size() >> 1) && buckets_.size() > kMinBuckets) {
-          ++stats_.shrinks;
-          resize(buckets_.size() >> 1);
-        }
-        return ev;
-      }
-      ++cur_day_;
-      cur_ = cur_day_ & (buckets_.size() - 1);
-      if (++scanned >= buckets_.size()) {
-        // A whole empty year: jump to the global minimum's day.
-        ++stats_.direct_jumps;
-        jump_to_min();
-        scanned = 0;
-        if (++direct_streak_ >= kRecalcStreak) {
-          ++stats_.reestimates;
-          resize(buckets_.size());  // same size, fresh width estimate
-          direct_streak_ = 0;
-        }
-      }
+    std::vector<Ev>& day = buckets_[seek()];
+    std::pop_heap(day.begin(), day.end(), EvCmp{});
+    const Ev ev = day.back();
+    day.pop_back();
+    --size_;
+    if (size_ < (buckets_.size() >> 1) && buckets_.size() > kMinBuckets) {
+      ++stats_.shrinks;
+      resize(buckets_.size() >> 1);
     }
+    return ev;
   }
 
   double width() const { return width_; }
@@ -145,6 +131,34 @@ class CalendarQueue {
  private:
   static constexpr std::size_t kMinBuckets = 16;
   static constexpr int kRecalcStreak = 8;
+
+  /// Scans forward from the current day to the bucket holding the (time,
+  /// seq)-minimum and returns its ring index. Precondition: !empty().
+  std::size_t seek() {
+    std::size_t scanned = 0;
+    while (true) {
+      const std::vector<Ev>& day = buckets_[cur_];
+      // front() is the bucket's (time, seq)-minimum and therefore also its
+      // minimal day; if even that is a future year, nothing here is due.
+      if (!day.empty() && day_of(day.front().time) <= cur_day_) {
+        direct_streak_ = 0;
+        return cur_;
+      }
+      ++cur_day_;
+      cur_ = cur_day_ & (buckets_.size() - 1);
+      if (++scanned >= buckets_.size()) {
+        // A whole empty year: jump to the global minimum's day.
+        ++stats_.direct_jumps;
+        jump_to_min();
+        scanned = 0;
+        if (++direct_streak_ >= kRecalcStreak) {
+          ++stats_.reestimates;
+          resize(buckets_.size());  // same size, fresh width estimate
+          direct_streak_ = 0;
+        }
+      }
+    }
+  }
 
   std::uint64_t day_of(double time) const {
     return static_cast<std::uint64_t>(time * inv_width_);

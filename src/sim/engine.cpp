@@ -7,7 +7,6 @@
 #include <malloc.h>
 #endif
 
-#include "cfg/cfg.h"
 #include "obs/metrics.h"
 #include "util/error.h"
 
@@ -97,9 +96,16 @@ void tune_allocator_for_run_batches() {
 // Construction / bootstrap
 // ===========================================================================
 
+Engine::Engine(const Model& model, SimOptions opts, ProtocolDriver* driver)
+    : Engine(&model, nullptr, std::move(opts), driver) {}
+
 Engine::Engine(const mp::Program& program, SimOptions opts,
                ProtocolDriver* driver)
-    : program_(program), opts_(std::move(opts)), driver_(driver) {
+    : Engine(nullptr, &program, std::move(opts), driver) {}
+
+Engine::Engine(const Model* model, const mp::Program* program,
+               SimOptions opts, ProtocolDriver* driver)
+    : model_(model), opts_(std::move(opts)), driver_(driver) {
   tune_allocator_for_run_batches();
   ACFC_CHECK_MSG(opts_.nprocs >= 2, "simulation needs at least 2 processes");
   resolver_ = opts_.irregular ? opts_.irregular : default_resolver();
@@ -175,29 +181,15 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
     ACFC_CHECK_MSG(opts_.perturb.delay_steps >= 1, "delay_steps must be >= 1");
   }
 
-  // Static index of each checkpoint statement (when placement is balanced).
-  try {
-    const cfg::Cfg graph = cfg::build_cfg(program_);
-    const auto indexing = graph.index_checkpoints();
-    for (const auto& [node, index] : indexing.index_of) {
-      const auto* stmt = static_cast<const mp::CheckpointStmt*>(
-          graph.node(node).stmt);
-      if (stmt->ckpt_id >= 0) {
-        if (static_cast<size_t>(stmt->ckpt_id) >= ckpt_static_index_.size())
-          ckpt_static_index_.resize(
-              static_cast<size_t>(stmt->ckpt_id) + 1, -1);
-        ckpt_static_index_[static_cast<size_t>(stmt->ckpt_id)] = index;
-      }
-    }
-  } catch (const util::ProgramError&) {
-    // Unbalanced placement: static indices stay unknown (-1); straight-cut
-    // analyses are not meaningful, but simulation still runs.
+  if (model_ == nullptr) {  // a one-off engine: build a private model
+    owned_model_ = std::make_unique<const Model>(*program);
+    model_ = owned_model_.get();
   }
 
   for (int p = 0; p < opts_.nprocs; ++p) {
     auto proc = std::make_unique<Process>();
-    proc->vm = std::make_unique<Vm>(&program_, p, opts_.nprocs, opts_.seed,
-                                    &resolver_);
+    proc->vm = std::make_unique<Vm>(&model_->program(), p, opts_.nprocs,
+                                    opts_.seed, &resolver_);
     procs_.push_back(std::move(proc));
   }
 }
@@ -219,17 +211,15 @@ Ev Engine::next_event() {
   // popped in (time, seq) order, so cands[0] is the unperturbed default;
   // pushing the rejects back preserves their original seq and therefore
   // the queue's order semantics. The first dead or later-timed event ends
-  // the gather — dead events flow through dispatch unperturbed.
+  // the gather without leaving the queue (top() peeks) — dead events flow
+  // through dispatch unperturbed.
   Ev cands[PerturbOptions::kMaxTieBreak];
   int k = 1;
   cands[0] = ev;
   while (k < cap && !calqueue_.empty()) {
-    const Ev e = calqueue_.pop();
-    if (e.time != ev.time || !event_live(e)) {
-      calqueue_.push(e);
-      break;
-    }
-    cands[k++] = e;
+    const Ev& next = calqueue_.top();
+    if (next.time != ev.time || !event_live(next)) break;
+    cands[k++] = calqueue_.pop();
   }
   if (k == 1) return ev;
   const ChoicePoint cp{ChoiceKind::kTieBreak, k, -1, BoundaryKind::kNone,
@@ -766,10 +756,7 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   Process& proc = *procs_[static_cast<size_t>(p)];
   proc.vm->tick();
 
-  int static_index = -1;
-  if (ckpt_id >= 0 &&
-      static_cast<size_t>(ckpt_id) < ckpt_static_index_.size())
-    static_index = ckpt_static_index_[static_cast<size_t>(ckpt_id)];
+  const int static_index = model_->static_index(ckpt_id);
 
   const long instance = proc.vm->note_checkpoint_instance(static_index);
 
@@ -1165,8 +1152,8 @@ void Engine::perform_rollback(int failed_proc) {
     if (quarantined_[static_cast<size_t>(p)]) continue;
     const int member = line.cut.member[static_cast<size_t>(p)];
     if (member < 0) {
-      proc.vm = std::make_unique<Vm>(&program_, p, opts_.nprocs, opts_.seed,
-                                     &resolver_);
+      proc.vm = std::make_unique<Vm>(&model_->program(), p, opts_.nprocs,
+                                     opts_.seed, &resolver_);
       proc.pending_recv.reset();
     } else {
       const auto& ckpt = trace_.checkpoints[static_cast<size_t>(member)];

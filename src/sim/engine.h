@@ -23,6 +23,7 @@
 #include "sim/driver.h"
 #include "sim/event.h"
 #include "sim/fault.h"
+#include "sim/model.h"
 #include "sim/schedule_hook.h"
 #include "sim/seqring.h"
 #include "sim/vm.h"
@@ -259,8 +260,13 @@ struct SimResult {
 
 class Engine {
  public:
-  /// `program` must outlive the engine and stay unmutated; `driver` may be
-  /// nullptr (the coordination-free app-driven runtime).
+  /// `model` (and its program) must outlive the engine; many engines may
+  /// share one model, also across threads. `driver` may be nullptr (the
+  /// coordination-free app-driven runtime).
+  Engine(const Model& model, SimOptions opts,
+         ProtocolDriver* driver = nullptr);
+  /// Builds a private Model of `program`, which must outlive the engine
+  /// and stay unmutated.
   Engine(const mp::Program& program, SimOptions opts,
          ProtocolDriver* driver = nullptr);
   ~Engine();
@@ -327,6 +333,11 @@ class Engine {
 
  private:
   struct Process;
+
+  /// Exactly one of `model` / `program` is non-null; a program gets a
+  /// private Model.
+  Engine(const Model* model, const mp::Program* program, SimOptions opts,
+         ProtocolDriver* driver);
 
   void bootstrap();
   void dispatch(const Ev& ev);
@@ -413,7 +424,8 @@ class Engine {
   /// epoch bump.
   void reset_transport_for_rollback();
 
-  const mp::Program& program_;
+  const Model* model_;  ///< set by the end of construction
+  std::unique_ptr<const Model> owned_model_;  ///< null when shared
   SimOptions opts_;
   ProtocolDriver* driver_;
   mp::IrregularResolver resolver_;
@@ -462,11 +474,6 @@ class Engine {
   std::vector<char> ckpt_corrupt_;       ///< permanently unusable image
   std::vector<char> ckpt_stale_;         ///< manifest publish failed; heals
                                          ///< when a later take publishes
-  /// ckpt_id → static index (S_i), when the placement is balanced. Flat:
-  /// the parser assigns dense checkpoint ids, so the vector is indexed by
-  /// ckpt_id directly (-1 = unknown; forced checkpoints carry id -1 and
-  /// skip the lookup).
-  std::vector<int> ckpt_static_index_;
 
   // Channels: (src, dst) → FIFO bookkeeping.
   std::vector<double> channel_last_deliver_;   // app channels

@@ -77,9 +77,10 @@ void run_indexed(long count, int threads,
 std::vector<SimResult> run_batch(const mp::Program& program,
                                  const std::vector<SimOptions>& configs,
                                  const McOptions& opts) {
+  const Model model(program);
   return parallel_map(static_cast<long>(configs.size()), opts,
                       [&](long i) {
-                        Engine engine(program,
+                        Engine engine(model,
                                       configs[static_cast<std::size_t>(i)]);
                         return engine.run();
                       });
@@ -89,6 +90,7 @@ ObservedBatch run_batch_observed(const mp::Program& program,
                                  const std::vector<SimOptions>& configs,
                                  const McOptions& opts) {
   const auto count = static_cast<std::size_t>(configs.size());
+  const Model model(program);
   ObservedBatch batch;
   batch.results.resize(count);
   batch.snapshots.resize(count);
@@ -101,7 +103,7 @@ ObservedBatch run_batch_observed(const mp::Program& program,
         obs::Registry registry;
         SimOptions config = configs[slot];
         config.obs = &registry;
-        Engine engine(program, std::move(config));
+        Engine engine(model, std::move(config));
         batch.results[slot] = engine.run();
         batch.snapshots[slot] = registry.snapshot();
       });

@@ -62,7 +62,8 @@ auto parallel_map(long count, const McOptions& opts, Fn&& fn)
 }
 
 /// One Engine per configuration; results in configuration order. The
-/// program must stay alive and unmutated for the duration of the batch.
+/// program must stay alive and unmutated for the duration of the batch;
+/// its sim::Model is built once and shared read-only by every run.
 ///
 /// Per-run-resources rule: anything a config's hooks close over — a
 /// store::StableStore, a store::AsyncPersister, capture/cost functions —

@@ -1,8 +1,10 @@
 // Schedule-space explorer tests: bounded-exhaustive model checking of the
-// protocol drivers, determinism of the search, counterexample shrinking,
-// ACFX artifact round-trips, and the seeded-bug negative control — the
-// broken CIC variant must be caught, shrunk to a short plan, and replayed
-// bit-identically through the real `acfc explore --repro` CLI.
+// protocol drivers, determinism of the search, the parallel budget,
+// search and shrink results pinned from an earlier build, counterexample
+// shrinking, ACFX artifact round-trips, and the seeded-bug negative
+// control — the broken CIC variant must be caught, shrunk to a short
+// plan, and replayed bit-identically through the real `acfc explore
+// --repro` CLI.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -139,6 +141,30 @@ TEST(Explore, BudgetExhaustionReportsIncomplete) {
   const auto result = explore::explore(small_ring(), opts);
   EXPECT_FALSE(result.complete);
   EXPECT_EQ(result.schedules_run, 5);
+}
+
+TEST(Explore, NoThreadCountOverrunsTheBudget) {
+  // The root run takes one schedule and the shards split the rest exactly
+  // (floor plus remainder), so no thread count may run more than
+  // max_schedules; a shard left with children but no budget makes the
+  // search incomplete.
+  explore::ExploreOptions opts;
+  opts.max_choice_points = 8;
+  opts.perturb.delay_steps = 2;
+  const long tree = explore::explore(small_ring(), opts).schedules_run;
+  ASSERT_GT(tree, 41);
+  for (const int threads : {1, 2, 4}) {
+    for (const long budget : {1L, 2L, 10L, 41L}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " budget=" + std::to_string(budget));
+      opts.threads = threads;
+      opts.max_schedules = budget;
+      const auto result = explore::explore(small_ring(), opts);
+      EXPECT_LE(result.schedules_run, budget);
+      EXPECT_GE(result.schedules_run, 1);
+      EXPECT_FALSE(result.complete);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -280,6 +306,167 @@ TEST(Explore, ReplayPlanIsBitDeterministic) {
   const auto b = explore::replay_plan(small_ring(), opts, plan);
   EXPECT_TRUE(a.completed);
   EXPECT_EQ(a.digest, b.digest);
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin: search results recorded from an earlier build. The
+// determinism tests compare two runs of one build, so they cannot see a
+// change in the search itself; these can. Twelve genuine-driver scenarios
+// cycle ring/jacobi_aligned/pipeline × app-driven/cic/chandy-lamport/
+// supervised through the delay, fail, partition and stall families (the
+// first one runs out of budget); the thirteenth is the cic-broken control.
+
+struct GoldenCase {
+  explore::Scenario scenario;
+  explore::ExploreOptions options;
+};
+
+std::vector<GoldenCase> golden_cases() {
+  struct Spec {
+    const char* workload;
+    const char* driver;
+    const char* family;
+    long budget;
+  };
+  const Spec specs[] = {
+      {"ring", "app-driven", "delay", 150},
+      {"ring", "cic", "fail", 400},
+      {"ring", "chandy-lamport", "partition", 400},
+      {"ring", "supervised", "stall", 400},
+      {"jacobi_aligned", "app-driven", "fail", 400},
+      {"jacobi_aligned", "cic", "partition", 400},
+      {"jacobi_aligned", "chandy-lamport", "stall", 400},
+      {"jacobi_aligned", "supervised", "delay", 400},
+      {"pipeline", "app-driven", "partition", 400},
+      {"pipeline", "cic", "stall", 400},
+      {"pipeline", "chandy-lamport", "delay", 400},
+      {"pipeline", "supervised", "fail", 400},
+  };
+  std::vector<GoldenCase> cases;
+  std::uint64_t seed = 11;
+  for (const Spec& spec : specs) {
+    GoldenCase c;
+    c.scenario.workload = spec.workload;
+    c.scenario.params.iterations = 3;
+    c.scenario.driver = spec.driver;
+    c.scenario.nprocs = 3;
+    c.scenario.seed = seed++;
+    c.scenario.proto.interval = 20.0;
+    c.options.max_choice_points = 10;
+    c.options.max_schedules = spec.budget;
+    const std::string family = spec.family;
+    if (family == "delay") {
+      c.options.perturb.delay_steps = 2;
+    } else if (family == "fail") {
+      c.options.perturb.failure_points = true;
+    } else if (family == "partition") {
+      c.options.perturb.tie_cap = 1;
+      c.options.perturb.partition_points = true;
+      c.options.perturb.partition_window = 2.0;
+    } else {
+      c.options.perturb.tie_cap = 1;
+      c.options.perturb.stall_points = true;
+      c.options.perturb.stall_window = 2.0;
+    }
+    cases.push_back(std::move(c));
+  }
+  // The seeded-bug control: broken CIC under delivery-delay perturbation.
+  cases.push_back({cic_scenario("cic-broken"), cic_options()});
+  return cases;
+}
+
+struct PinnedViolation {
+  const char* property;
+  std::vector<int> plan;
+  std::uint64_t digest;
+};
+
+struct Pinned {
+  long schedules_run;
+  long choice_points;
+  long states_recorded;
+  long states_pruned;
+  bool complete;
+  long violations_found;
+  std::vector<PinnedViolation> violations;
+};
+
+/// One row per golden_cases() entry, in order.
+const std::vector<Pinned>& golden_pins() {
+  static const std::vector<Pinned> pins = {
+      {150, 2991, 149, 55, false, 0, {}},  // ring app-driven
+      {59, 3072, 71, 17, true, 0, {}},  // ring cic
+      {11, 330, 48, 6, true, 0, {}},  // ring chandy-lamport
+      {11, 297, 36, 4, true, 0, {}},  // ring supervised
+      {201, 6849, 205, 129, true, 0, {}},  // jacobi_aligned app-driven
+      {11, 264, 32, 4, true, 0, {}},  // jacobi_aligned cic
+      {11, 264, 32, 4, true, 0, {}},  // jacobi_aligned chandy-lamport
+      {84, 7104, 82, 60, true, 0, {}},  // jacobi_aligned supervised
+      {11, 627, 21, 7, true, 0, {}},  // pipeline app-driven
+      {11, 671, 21, 7, true, 0, {}},  // pipeline cic
+      {56, 2972, 54, 30, true, 0, {}},  // pipeline chandy-lamport
+      {20, 2302, 26, 12, true, 0, {}},  // pipeline supervised
+      // ring cic-broken
+      {383, 6883, 251, 5, true, 132,
+       {
+           {"cic-index", {0, 0, 1, 1, 1, 1, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 1, 1, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 1, 1, 2}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 1, 2}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 1, 2, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 2, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 2, 1, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 2, 2}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 2, 2, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 2, 0, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 1, 2, 0, 2}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 0, 1, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 0, 1, 1, 1}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 0, 1, 1, 2}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 0, 1, 2}, 0x0c335972dafe92d9ULL},
+           {"cic-index", {0, 0, 1, 1, 0, 1, 2, 1}, 0x0c335972dafe92d9ULL},
+       }},
+  };
+  return pins;
+}
+
+TEST(ExploreGolden, SearchResultsMatchThePinnedValues) {
+  const std::vector<GoldenCase> cases = golden_cases();
+  ASSERT_EQ(cases.size(), golden_pins().size());
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const GoldenCase& c = cases[i];
+    const Pinned& want = golden_pins()[i];
+    SCOPED_TRACE(c.scenario.workload + " " + c.scenario.driver);
+    const auto got = explore::explore(c.scenario, c.options);
+    EXPECT_EQ(got.schedules_run, want.schedules_run);
+    EXPECT_EQ(got.choice_points, want.choice_points);
+    EXPECT_EQ(got.states_recorded, want.states_recorded);
+    EXPECT_EQ(got.states_pruned, want.states_pruned);
+    EXPECT_EQ(got.complete, want.complete);
+    EXPECT_EQ(got.violations_found, want.violations_found);
+    ASSERT_EQ(got.violations.size(), want.violations.size());
+    for (std::size_t v = 0; v < want.violations.size(); ++v) {
+      EXPECT_EQ(got.violations[v].property, want.violations[v].property);
+      EXPECT_EQ(got.violations[v].plan, want.violations[v].plan);
+      EXPECT_EQ(got.violations[v].digest, want.violations[v].digest);
+    }
+  }
+}
+
+TEST(ExploreGolden, ShrinkResultMatchesThePinnedValues) {
+  // Shrinking the control's first violation: the minimal plan, its
+  // digest, and the replay count are all pinned.
+  const GoldenCase broken = golden_cases().back();
+  const auto found = explore::explore(broken.scenario, broken.options);
+  ASSERT_FALSE(found.violations.empty());
+  const auto shrunk =
+      explore::shrink(broken.scenario, broken.options, found.violations[0]);
+  EXPECT_EQ(shrunk.runs, 17);
+  EXPECT_EQ(shrunk.initial_choices, 5);
+  EXPECT_EQ(shrunk.final_choices, 3);
+  EXPECT_EQ(shrunk.minimal.property, "cic-index");
+  EXPECT_EQ(shrunk.minimal.plan, (std::vector<int>{0, 0, 0, 1, 0, 1, 1}));
+  EXPECT_EQ(shrunk.minimal.digest, 0x0c335972dafe92d9ULL);
 }
 
 // ---------------------------------------------------------------------------

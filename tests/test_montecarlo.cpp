@@ -1,16 +1,23 @@
 // The Monte-Carlo harness's determinism contract (src/sim/montecarlo.h):
 // parallel batches are bit-identical to serial ones, aggregates are
 // invariant under thread count and completion order, and failure-injection
-// runs replay deterministically under the pool.
+// runs replay deterministically under the pool. Engines sharing one
+// sim::Model give byte-identical results to engines built from the
+// program.
 #include <algorithm>
+#include <bit>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "mp/generate.h"
 #include "mp/parser.h"
+#include "sim/model.h"
 #include "sim/montecarlo.h"
+#include "workloads/workloads.h"
 
 namespace acfc::sim {
 namespace {
@@ -264,6 +271,194 @@ TEST(FaultPlanBatch, BitIdenticalUnderPool) {
       EXPECT_TRUE(ref[i].trace.completed);
       expect_same_run(got[i], ref[i]);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Model sharing: an engine built from a shared sim::Model must give the
+// byte-identical SimResult of one built from the program (which builds a
+// private Model).
+
+/// Every recorded field of a run, doubles as exact bit patterns.
+std::string run_bytes(const SimResult& r) {
+  std::ostringstream out;
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const auto clock = [](const trace::VClock& vc) {
+    std::string text;
+    for (int i = 0; i < vc.size(); ++i)
+      text += std::to_string(vc[i]) + ",";
+    return text;
+  };
+  const trace::Trace& t = r.trace;
+  out << "trace " << t.nprocs << ' ' << t.completed << ' ' << bits(t.end_time)
+      << '\n';
+  for (const std::uint64_t d : t.final_digest) out << "digest " << d << '\n';
+  for (const trace::EventRec& e : t.events)
+    out << "ev " << static_cast<int>(e.kind) << ' ' << e.proc << ' '
+        << bits(e.time) << ' ' << clock(e.vc) << ' ' << e.stmt_uid << ' '
+        << e.msg_id << ' ' << e.peer << ' ' << e.tag << ' ' << e.ckpt_id
+        << ' ' << e.ckpt_instance << ' ' << e.forced << '\n';
+  for (const trace::MsgRec& m : t.messages)
+    out << "msg " << m.id << ' ' << m.src << ' ' << m.dst << ' ' << m.tag
+        << ' ' << m.bytes << ' ' << m.seq << ' ' << bits(m.send_time) << ' '
+        << bits(m.deliver_time) << ' ' << bits(m.recv_time) << ' '
+        << m.send_stmt_uid << ' ' << m.recv_stmt_uid << ' '
+        << clock(m.send_vc) << ' ' << clock(m.recv_vc) << ' ' << m.consumed
+        << ' ' << m.control << ' ' << m.piggyback << ' ' << m.replayed << ' '
+        << m.xport_seq << '\n';
+  for (const trace::CkptRec& c : t.checkpoints)
+    out << "ckpt " << c.proc << ' ' << c.ckpt_id << ' ' << c.static_index
+        << ' ' << c.instance << ' ' << bits(c.t_begin) << ' ' << bits(c.t_end)
+        << ' ' << bits(c.t_commit) << ' ' << clock(c.vc) << ' ' << c.forced
+        << ' ' << c.snapshot << '\n';
+  const SimStats& s = r.stats;
+  out << "stats " << s.app_messages << ' ' << s.app_bytes << ' '
+      << s.control_messages << ' ' << s.control_bytes << ' '
+      << s.statement_checkpoints << ' ' << s.forced_checkpoints << ' '
+      << s.events_processed << ' ' << s.restarts << ' ' << bits(s.paused_time)
+      << ' ' << s.channel_logged_messages << '\n';
+  for (const RecoveryRec& rec : r.recoveries) {
+    out << "rec " << rec.failed_proc << ' ' << bits(rec.fail_time) << ' '
+        << bits(rec.resume_time) << ' ' << bits(rec.lost_work) << ' '
+        << rec.replayed_messages << ' ' << rec.fallback_depth << " cut";
+    for (const int m : rec.cut.member) out << ' ' << m;
+    out << " rollbacks";
+    for (const int b : rec.rollbacks) out << ' ' << b;
+    out << '\n';
+  }
+  out << "sends";
+  for (const long v : r.final_sends) out << ' ' << v;
+  out << "\nrecvs";
+  for (const long v : r.final_recvs) out << ' ' << v;
+  out << "\ncorrupt";
+  for (const int c : r.corrupt_checkpoints) out << ' ' << c;
+  out << '\n';
+  return out.str();
+}
+
+/// A failure-free config and one with a crash after the first checkpoint.
+std::vector<SimOptions> model_configs(int nprocs) {
+  SimOptions plain;
+  plain.nprocs = nprocs;
+  plain.seed = 17;
+  plain.compute_jitter = 0.2;
+  SimOptions crash = plain;
+  crash.seed = 18;
+  crash.recovery_overhead = 1.0;
+  crash.fault_plan.faults = {FaultPlan::after_checkpoint(nprocs - 1, 1)};
+  return {plain, crash};
+}
+
+/// What the shared-model runs exercised, so a test can insist on coverage.
+struct Coverage {
+  long restarts = 0;
+  long indexed_checkpoints = 0;  ///< checkpoints with a known S_i
+};
+
+/// One shared Model for every config, against Engine(program) per config.
+Coverage expect_model_matches_program(const mp::Program& program) {
+  const Model model(program);
+  Coverage seen;
+  for (const SimOptions& opts : model_configs(4)) {
+    Engine from_model(model, opts);
+    Engine from_program(program, opts);
+    const SimResult a = from_model.run();
+    const SimResult b = from_program.run();
+    EXPECT_EQ(run_bytes(a), run_bytes(b));
+    seen.restarts += a.stats.restarts;
+    for (const trace::CkptRec& c : a.trace.checkpoints)
+      if (c.static_index >= 0) ++seen.indexed_checkpoints;
+  }
+  return seen;
+}
+
+TEST(ModelSharing, CanonicalWorkloadsMatchEngineFromProgram) {
+  mp::WorkloadParams params;
+  params.iterations = 3;
+  Coverage total;
+  for (const std::string& name : mp::workload_names()) {
+    SCOPED_TRACE(name);
+    const Coverage seen =
+        expect_model_matches_program(mp::workload_by_name(name, params));
+    total.restarts += seen.restarts;
+    total.indexed_checkpoints += seen.indexed_checkpoints;
+  }
+  EXPECT_GT(total.restarts, 0);
+  EXPECT_GT(total.indexed_checkpoints, 0);
+}
+
+TEST(ModelSharing, GeneratedProgramsMatchEngineFromProgram) {
+  Coverage total;
+  for (int index = 0; index < 12; ++index) {
+    SCOPED_TRACE("program " + std::to_string(index));
+    mp::GenerateOptions gen;
+    gen.seed = 0xfeedULL + static_cast<std::uint64_t>(index);
+    gen.segments = 4 + index % 4 * 3;
+    gen.misalign_checkpoints = index % 2 == 1;
+    const Coverage seen =
+        expect_model_matches_program(mp::generate_program(gen));
+    total.restarts += seen.restarts;
+    total.indexed_checkpoints += seen.indexed_checkpoints;
+  }
+  EXPECT_GT(total.restarts, 0);
+  EXPECT_GT(total.indexed_checkpoints, 0);
+}
+
+TEST(ModelSharing, UnbalancedProgramKeepsIndicesUnknown) {
+  // A checkpoint in one if-arm only: index_checkpoints() rejects the
+  // placement, so every static index stays -1, and the run still matches.
+  const mp::Program program = mp::parse(R"(
+    program unbalanced {
+      loop 3 {
+        compute 2.0;
+        if (rank == 0) { checkpoint; }
+        send to (rank + 1) % nprocs tag 1;
+        recv from (rank - 1 + nprocs) % nprocs tag 1;
+      }
+    })");
+  const Model model(program);
+  EXPECT_EQ(model.static_index(0), -1);
+  EXPECT_EQ(model.static_index(-1), -1);
+  Engine engine(model, model_configs(4).front());
+  const SimResult run = engine.run();
+  ASSERT_FALSE(run.trace.checkpoints.empty());
+  for (const trace::CkptRec& c : run.trace.checkpoints)
+    EXPECT_EQ(c.static_index, -1);
+  expect_model_matches_program(program);
+}
+
+TEST(ModelSharing, BalancedProgramIndexesEveryCheckpoint) {
+  const mp::Program program = mp::parse(kRing);
+  const Model model(program);
+  EXPECT_EQ(model.static_index(0), 1);
+  EXPECT_EQ(model.static_index(1), -1);  // no such checkpoint
+  Engine engine(model, model_configs(3).front());
+  for (const trace::CkptRec& c : engine.run().trace.checkpoints)
+    EXPECT_EQ(c.static_index, 1);
+}
+
+TEST(ModelSharing, RunBatchSharesOneModelAcrossThreads) {
+  // run_batch builds one Model and hands it to every worker; under TSan
+  // this proves the sharing is read-only.
+  const mp::Program program = mp::workload_by_name("jacobi_aligned", {});
+  std::vector<SimOptions> configs;
+  for (int rep = 0; rep < 3; ++rep)
+    for (SimOptions opts : model_configs(4)) {
+      opts.seed = run_seed(opts.seed, rep);
+      configs.push_back(opts);
+    }
+  McOptions pooled;
+  pooled.threads = 4;
+  const auto batch = run_batch(program, configs, pooled);
+  const auto observed = run_batch_observed(program, configs, pooled);
+  ASSERT_EQ(batch.size(), configs.size());
+  ASSERT_EQ(observed.results.size(), configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    SCOPED_TRACE("run=" + std::to_string(i));
+    Engine engine(program, configs[i]);
+    const std::string want = run_bytes(engine.run());
+    EXPECT_EQ(run_bytes(batch[i]), want);
+    EXPECT_EQ(run_bytes(observed.results[i]), want);
   }
 }
 

@@ -297,6 +297,160 @@ TEST(SchedulerQueueProperty, BurstThenSparseDrainMatches) {
   EXPECT_GT(cal.stats().direct_jumps, 0);
 }
 
+// ---------------------------------------------------------------------------
+// top() and the tie-break gather. top() must always name the event the
+// next pop() extracts, whatever the ring did in between (grows, shrinks,
+// empty-year jumps, same-time bursts). Engine::next_event gathers
+// same-time candidates by peeking; the pop-and-re-push gather it replaced
+// is kept below as the reference, and both must pop the same sequence.
+
+/// A push with a regime-dependent gap: same-time bursts, quantized gaps
+/// (exact ties across pushes), far-future outliers, and behind-the-scan
+/// times. Fills in fields a and seq.
+sim::Ev random_event(util::Rng& rng, double now, long& seq) {
+  const auto regime = rng.uniform_int(0, 9);
+  double dt = 0.0;  // regimes 0-3: same-time burst
+  if (regime >= 4 && regime <= 7)
+    dt = 1e-3 * static_cast<double>(rng.uniform_int(0, 20));
+  else if (regime == 8)
+    dt = static_cast<double>(rng.uniform_int(1, 100));  // outlier
+  sim::Ev ev;
+  ev.time = regime == 9 ? std::max(0.0, now - 1e-12) : now + dt;
+  ev.seq = seq++;
+  ev.a = static_cast<long>(rng.uniform_int(0, 1 << 20));
+  return ev;
+}
+
+TEST(SchedulerQueueProperty, TopAlwaysEqualsTheNextPop) {
+  sim::CalendarQueue::Stats seen;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::Rng rng(seed * 7919);
+    sim::CalendarQueue cal;
+    std::priority_queue<sim::Ev, std::vector<sim::Ev>, sim::EvCmp> ref;
+    long seq = 0;
+    double now = 0.0;
+    for (int op = 0; op < 6000; ++op) {
+      // Alternate fill and drain phases so the ring both grows and shrinks.
+      const int push_pct = (op / 500) % 2 == 0 ? 75 : 25;
+      if (ref.empty() || rng.uniform_int(0, 99) < push_pct) {
+        const sim::Ev ev = random_event(rng, now, seq);
+        cal.push(ev);
+        ref.push(ev);
+      } else {
+        const sim::Ev peeked = cal.top();
+        // top() is idempotent: a second peek names the same event.
+        ASSERT_EQ(cal.top().seq, peeked.seq);
+        const sim::Ev popped = cal.pop();
+        ASSERT_EQ(popped.seq, peeked.seq);
+        ASSERT_EQ(popped.seq, ref.top().seq);
+        ASSERT_EQ(popped.time, ref.top().time);
+        ref.pop();
+        now = popped.time;
+      }
+      if (!ref.empty()) {
+        ASSERT_EQ(cal.top().seq, ref.top().seq);
+      }
+    }
+    while (!ref.empty()) {
+      ASSERT_EQ(cal.top().seq, ref.top().seq);
+      expect_pop_matches(cal, ref, now);
+    }
+    EXPECT_TRUE(cal.empty());
+    seen.grows += cal.stats().grows;
+    seen.shrinks += cal.stats().shrinks;
+    seen.direct_jumps += cal.stats().direct_jumps;
+  }
+  EXPECT_GT(seen.grows, 0);
+  EXPECT_GT(seen.shrinks, 0);
+  EXPECT_GT(seen.direct_jumps, 0);
+}
+
+/// Events whose payload is a multiple of 4 stand in for the engine's dead
+/// (stale-epoch) events: they end a gather and are never candidates.
+bool gather_live(const sim::Ev& ev) { return ev.a % 4 != 0; }
+
+/// Engine::next_event's tie-break gather over a bare queue. `peek` selects
+/// the engine's top()-driven gather; otherwise the reference pops the
+/// event that ends the gather and pushes it back. The hook's answer is
+/// `step` mod the candidate count, written to `arity`.
+sim::Ev gather(sim::CalendarQueue& q, int cap, int step, bool peek,
+               int& arity) {
+  const sim::Ev ev = q.pop();
+  arity = 1;
+  if (cap < 2 || q.empty() || !gather_live(ev)) return ev;
+  sim::Ev cands[sim::PerturbOptions::kMaxTieBreak];
+  int k = 1;
+  cands[0] = ev;
+  while (k < cap && !q.empty()) {
+    if (peek) {
+      const sim::Ev& next = q.top();
+      if (next.time != ev.time || !gather_live(next)) break;
+      cands[k++] = q.pop();
+    } else {
+      const sim::Ev e = q.pop();
+      if (e.time != ev.time || !gather_live(e)) {
+        q.push(e);
+        break;
+      }
+      cands[k++] = e;
+    }
+  }
+  arity = k;
+  const int pick = step % k;
+  for (int i = 0; i < k; ++i)
+    if (i != pick) q.push(cands[i]);
+  return cands[pick];
+}
+
+TEST(SchedulerQueueProperty, PeekGatherPopsTheSameSequenceAsPopAndRepush) {
+  long tie_breaks = 0;
+  sim::CalendarQueue::Stats seen;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    util::Rng rng(seed);
+    sim::CalendarQueue peek_q;
+    sim::CalendarQueue ref_q;
+    long seq = 0;
+    double now = 0.0;
+    int step = 0;
+    const auto dispatch = [&] {
+      const int cap = static_cast<int>(
+          rng.uniform_int(1, sim::PerturbOptions::kMaxTieBreak));
+      int peek_arity = 0;
+      int ref_arity = 0;
+      const sim::Ev got = gather(peek_q, cap, step, true, peek_arity);
+      const sim::Ev want = gather(ref_q, cap, step, false, ref_arity);
+      ++step;
+      ASSERT_EQ(got.seq, want.seq);
+      ASSERT_EQ(got.time, want.time);
+      ASSERT_EQ(peek_arity, ref_arity);
+      ASSERT_EQ(peek_q.size(), ref_q.size());
+      if (peek_arity > 1) ++tie_breaks;
+      now = std::max(now, got.time);
+    };
+    for (int op = 0; op < 6000; ++op) {
+      const int push_pct = (op / 500) % 2 == 0 ? 75 : 25;
+      if (peek_q.empty() || rng.uniform_int(0, 99) < push_pct) {
+        const sim::Ev ev = random_event(rng, now, seq);
+        peek_q.push(ev);
+        ref_q.push(ev);
+      } else {
+        dispatch();
+      }
+    }
+    while (!peek_q.empty()) dispatch();
+    EXPECT_TRUE(ref_q.empty());
+    seen.grows += peek_q.stats().grows;
+    seen.shrinks += peek_q.stats().shrinks;
+    seen.direct_jumps += peek_q.stats().direct_jumps;
+  }
+  EXPECT_GT(tie_breaks, 0);
+  EXPECT_GT(seen.grows, 0);
+  EXPECT_GT(seen.shrinks, 0);
+  EXPECT_GT(seen.direct_jumps, 0);
+}
+
 TEST(SchedulerCorpusSlow, ParallelBatchMatchesSerialBatch) {
   // Any pool nondeterminism breaks the digests.
   const mp::Program program = benchws::domino_exchange(8, 4.0);
