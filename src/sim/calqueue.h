@@ -37,10 +37,8 @@
 // below nbuckets/2; each resize re-estimates the bucket width from the
 // median adjacent gap of a sample of event times (median, not mean, so one
 // far-future outlier — an armed failure, a deep RTO — cannot smear every
-// near-term event into a single day). Repeated direct searches trigger a
-// same-size re-estimate, catching workloads whose event spacing drifts
-// without the queue growing. Buckets keep their capacity across pops, so
-// the steady state allocates nothing.
+// near-term event into a single day). Buckets keep their capacity across
+// pops, so the steady state allocates nothing.
 #pragma once
 
 #include <algorithm>
@@ -118,7 +116,6 @@ class CalendarQueue {
   struct Stats {
     long grows = 0;          ///< ring doublings
     long shrinks = 0;        ///< ring halvings
-    long reestimates = 0;    ///< same-size width re-estimates
     long direct_jumps = 0;   ///< whole-empty-year jumps to the global min
     long size_high_water = 0;///< max events resident at once
     /// Events-per-nonempty-bucket distribution sampled at every resize
@@ -130,7 +127,6 @@ class CalendarQueue {
 
  private:
   static constexpr std::size_t kMinBuckets = 16;
-  static constexpr int kRecalcStreak = 8;
 
   /// Scans forward from the current day to the bucket holding the (time,
   /// seq)-minimum and returns its ring index. Precondition: !empty().
@@ -140,10 +136,8 @@ class CalendarQueue {
       const std::vector<Ev>& day = buckets_[cur_];
       // front() is the bucket's (time, seq)-minimum and therefore also its
       // minimal day; if even that is a future year, nothing here is due.
-      if (!day.empty() && day_of(day.front().time) <= cur_day_) {
-        direct_streak_ = 0;
+      if (!day.empty() && day_of(day.front().time) <= cur_day_)
         return cur_;
-      }
       ++cur_day_;
       cur_ = cur_day_ & (buckets_.size() - 1);
       if (++scanned >= buckets_.size()) {
@@ -151,11 +145,6 @@ class CalendarQueue {
         ++stats_.direct_jumps;
         jump_to_min();
         scanned = 0;
-        if (++direct_streak_ >= kRecalcStreak) {
-          ++stats_.reestimates;
-          resize(buckets_.size());  // same size, fresh width estimate
-          direct_streak_ = 0;
-        }
       }
     }
   }
@@ -224,12 +213,8 @@ class CalendarQueue {
     spill_.clear();
     for (std::vector<Ev>& day : buckets_)
       for (const Ev& ev : day) spill_.push_back(ev);
-    if (nbuckets != buckets_.size()) {
-      buckets_.clear();
-      buckets_.resize(nbuckets);
-    } else {
-      for (std::vector<Ev>& day : buckets_) day.clear();
-    }
+    buckets_.clear();
+    buckets_.resize(nbuckets);
     const Ev* min = nullptr;
     for (const Ev& ev : spill_) {
       bucket_of(ev.time).push_back(ev);
@@ -248,7 +233,6 @@ class CalendarQueue {
   std::uint64_t cur_day_ = 0;     ///< absolute day number the scan is on
   double width_ = 1e-3;           ///< day length (seconds)
   double inv_width_ = 1e3;
-  int direct_streak_ = 0;         ///< consecutive pops that needed a jump
   Stats stats_;
   std::vector<double> sample_;    ///< resize scratch (kept for capacity)
   std::vector<double> gaps_;

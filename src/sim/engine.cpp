@@ -49,6 +49,14 @@ struct Engine::CollRound {
   std::vector<int> stmt_uid;     ///< per-proc issuing statement
   int joined_count = 0;
   bool released = false;
+
+  /// When the last member joined — the release base of an all-joined
+  /// round (the collective's own latency comes on top).
+  double last_join() const {
+    double t = 0.0;
+    for (const double join : join_time) t = std::max(t, join);
+    return t;
+  }
 };
 
 namespace {
@@ -155,6 +163,10 @@ Engine::Engine(const Model* model, const mp::Program* program,
                    "stall targets a process outside the world");
     ACFC_CHECK_MSG(w.duration >= 0.0, "stall duration must be non-negative");
   }
+  // The engine owns the window lists from here on (explorer injections
+  // append to them); swapping leaves the plan's own lists empty.
+  partitions_.swap(opts_.fault_plan.partitions);
+  stalls_.swap(opts_.fault_plan.stalls);
   for (const auto& w : opts_.fault_plan.slow_links) {
     ACFC_CHECK_MSG(w.factor > 0.0, "slow-link factor must be positive");
     ACFC_CHECK_MSG(w.src >= -1 && w.src < opts_.nprocs &&
@@ -198,6 +210,22 @@ Engine::~Engine() = default;
 
 void Engine::push_event(double time, EvKind kind, int proc, long a, long b) {
   calqueue_.push(Ev{time, event_seq_++, kind, proc, a, b, epoch_});
+}
+
+void Engine::wake_at(int p, double time, int compute_uid) {
+  Process& proc = *procs_[static_cast<size_t>(p)];
+  proc.status = Process::Status::kComputing;
+  proc.pending_compute_uid = compute_uid;
+  push_event(time, EvKind::kWake, p);
+}
+
+trace::EventRec& Engine::note(trace::EventKind kind, int proc, double time) {
+  trace::EventRec& rec = trace_.events.emplace_back();
+  rec.kind = kind;
+  rec.proc = proc;
+  rec.time = time;
+  rec.vc = procs_[static_cast<size_t>(proc)]->vm->clock();
+  return rec;
 }
 
 Ev Engine::next_event() {
@@ -264,14 +292,14 @@ void Engine::offer_failure_point(BoundaryKind boundary, int proc) {
     const ChoicePoint cp{ChoiceKind::kPartitionPoint, 2, proc, boundary,
                          this};
     if (hook->choose(cp) == 1)
-      runtime_partitions_.push_back(FaultPlan::partition(
+      partitions_.push_back(FaultPlan::partition(
           {proc}, now_, now_ + opts_.perturb.partition_window,
           /*symmetric=*/true));
   }
   if (opts_.perturb.stall_points) {
     const ChoicePoint cp{ChoiceKind::kStallPoint, 2, proc, boundary, this};
     if (hook->choose(cp) == 1)
-      runtime_stalls_.push_back(
+      stalls_.push_back(
           FaultPlan::stall(proc, now_, opts_.perturb.stall_window));
   }
 }
@@ -357,11 +385,14 @@ SimResult Engine::run() {
 }
 
 void Engine::dispatch(const Ev& ev) {
+  // Pre-rollback residue (everything but crashes carries the epoch it was
+  // scheduled in) dies here, before any gating.
+  if (!event_live(ev)) return;
   // Supervised-mode liveness and gray-failure gating, before the event
   // reaches its handler. Crash events are exempt from both: a crashed or
   // stalled process can still (re-)die. Global control-plane events
   // (proc = -1, e.g. supervisor timers) are never gated.
-  if (ev.proc >= 0 && ev.kind != EvKind::kFailure && event_live(ev)) {
+  if (ev.proc >= 0 && ev.kind != EvKind::kFailure) {
     if (crashed_[static_cast<size_t>(ev.proc)]) {
       // Dead target: in-flight deliveries, timers, wakes, and transport
       // traffic vanish at the process boundary. Application payloads are
@@ -369,33 +400,27 @@ void Engine::dispatch(const Ev& ev) {
       ++stats_.crash_dropped_events;
       return;
     }
-    if (!opts_.fault_plan.stalls.empty() || !runtime_stalls_.empty()) {
-      const double clear = stall_clear_time(ev.proc, now_);
-      if (clear > now_) {
-        // Alive but not executing: defer the event to the window end.
-        // Deferred events are re-pushed in pop order with fresh sequence
-        // numbers, so their relative (and per-channel FIFO) order holds.
-        if (ev.kind == EvKind::kDeliver)
-          trace_.messages[static_cast<size_t>(ev.a)].deliver_time = clear;
-        push_event(clear, ev.kind, ev.proc, ev.a, ev.b);
-        ++stats_.stall_deferred_events;
-        return;
-      }
+    const double clear =
+        stalls_.empty() ? now_ : stall_clear_time(ev.proc, now_);
+    if (clear > now_) {
+      // Alive but not executing: defer the event to the window end.
+      // Deferred events are re-pushed in pop order with fresh sequence
+      // numbers, so their relative (and per-channel FIFO) order holds.
+      if (ev.kind == EvKind::kDeliver)
+        trace_.messages[static_cast<size_t>(ev.a)].deliver_time = clear;
+      push_event(clear, ev.kind, ev.proc, ev.a, ev.b);
+      ++stats_.stall_deferred_events;
+      return;
     }
   }
   switch (ev.kind) {
     case EvKind::kWake: {
-      if (ev.epoch != epoch_) return;  // pre-rollback residue
       Process& proc = *procs_[static_cast<size_t>(ev.proc)];
       if (proc.status == Process::Status::kComputing) {
         if (proc.pending_compute_uid >= 0) {
           proc.vm->tick();
-          trace::EventRec& rec = trace_.events.emplace_back();
-          rec.kind = trace::EventKind::kCompute;
-          rec.proc = ev.proc;
-          rec.time = now_;
-          rec.vc = proc.vm->clock();
-          rec.stmt_uid = proc.pending_compute_uid;
+          note(trace::EventKind::kCompute, ev.proc, now_).stmt_uid =
+              proc.pending_compute_uid;
           proc.pending_compute_uid = -1;
         }
         proc.status = Process::Status::kReady;
@@ -403,36 +428,25 @@ void Engine::dispatch(const Ev& ev) {
       if (proc.status == Process::Status::kReady) advance(ev.proc);
       return;
     }
-    case EvKind::kDeliver: {
-      if (ev.epoch != epoch_) return;
+    case EvKind::kDeliver:
       deliver(ev.a);
       return;
-    }
-    case EvKind::kTimer: {
-      if (ev.epoch != epoch_) return;
+    case EvKind::kTimer:
       if (driver_ != nullptr)
         driver_->on_timer(*this, ev.proc, static_cast<int>(ev.a));
       return;
-    }
-    case EvKind::kFailure: {
+    case EvKind::kFailure:
       handle_failure(ev.proc);
       return;
-    }
-    case EvKind::kNetArrive: {
-      if (ev.epoch != epoch_) return;  // in-flight attempt from before rollback
+    case EvKind::kNetArrive:
       handle_net_arrive(ev.a);
       return;
-    }
-    case EvKind::kAck: {
-      if (ev.epoch != epoch_) return;
+    case EvKind::kAck:
       handle_ack(static_cast<std::size_t>(ev.a), ev.b);
       return;
-    }
-    case EvKind::kRto: {
-      if (ev.epoch != epoch_) return;
+    case EvKind::kRto:
       handle_rto(static_cast<std::size_t>(ev.a), ev.b);
       return;
-    }
   }
 }
 
@@ -441,6 +455,41 @@ double Engine::message_delay(int bytes) {
   if (opts_.delay.jitter > 0.0)
     d += net_rng_.uniform(0.0, opts_.delay.jitter);
   return d;
+}
+
+// ===========================================================================
+// Message departure
+// ===========================================================================
+
+long Engine::post(trace::MsgRec msg, double at) {
+  const long id = static_cast<long>(trace_.messages.size());
+  msg.id = id;
+  if (opts_.delay.lossy()) {
+    // Control traffic rides the same reliable shim as app messages, in the
+    // same per-channel sequence space — markers keep their FIFO ordering
+    // relative to the app messages they chase (the C-L invariant).
+    msg.deliver_time = -1.0;  // set when the shim accepts it in order
+    trace_.messages.push_back(std::move(msg));
+    xport_send(id, at);
+    return id;
+  }
+  // A partitioned link holds the departure at the sender until the heal
+  // (the in-order backlog then drains through the FIFO floor).
+  const double depart =
+      partitions_.empty() ? at : link_clear_time(msg.src, msg.dst, at);
+  if (depart > at) ++stats_.partition_deferred_sends;
+  double deliver_at = perturb_delivery(
+      depart + p2p_delay(msg.src, msg.dst, msg.bytes, depart));
+  std::vector<double>& floors =
+      msg.control ? control_last_deliver_ : channel_last_deliver_;
+  double& floor = floors[chan_of(msg.src, msg.dst)];
+  deliver_at = std::max(deliver_at, floor);
+  floor = deliver_at;
+  msg.deliver_time = deliver_at;
+  const int dst = msg.dst;
+  trace_.messages.push_back(std::move(msg));
+  push_event(deliver_at, EvKind::kDeliver, dst, id);
+  return id;
 }
 
 // ===========================================================================
@@ -468,24 +517,18 @@ bool partition_blocks(const PartitionSpec& w, int src, int dst, double t) {
 }  // namespace
 
 bool Engine::link_blocked(int src, int dst, double t) const {
-  for (const auto& w : opts_.fault_plan.partitions)
-    if (partition_blocks(w, src, dst, t)) return true;
-  for (const auto& w : runtime_partitions_)
+  for (const auto& w : partitions_)
     if (partition_blocks(w, src, dst, t)) return true;
   return false;
 }
 
 double Engine::link_clear_time(int src, int dst, double t) const {
-  if (opts_.fault_plan.partitions.empty() && runtime_partitions_.empty())
-    return t;
   // Fixed point over possibly-overlapping windows: each pass jumps past
   // every window blocking at the candidate time; windows are finite and
   // each pass strictly advances, so this terminates.
   while (true) {
     double next = t;
-    for (const auto& w : opts_.fault_plan.partitions)
-      if (partition_blocks(w, src, dst, t)) next = std::max(next, w.heal);
-    for (const auto& w : runtime_partitions_)
+    for (const auto& w : partitions_)
       if (partition_blocks(w, src, dst, t)) next = std::max(next, w.heal);
     if (next == t) return t;
     t = next;
@@ -512,10 +555,7 @@ double Engine::p2p_delay(int src, int dst, int bytes, double at) {
 double Engine::stall_clear_time(int proc, double t) const {
   while (true) {
     double next = t;
-    for (const auto& w : opts_.fault_plan.stalls)
-      if (w.proc == proc && t >= w.start && t < w.start + w.duration)
-        next = std::max(next, w.start + w.duration);
-    for (const auto& w : runtime_stalls_)
+    for (const auto& w : stalls_)
       if (w.proc == proc && t >= w.start && t < w.start + w.duration)
         next = std::max(next, w.start + w.duration);
     if (next == t) return t;
@@ -542,12 +582,7 @@ void Engine::advance(int p) {
 
     if (std::holds_alternative<ActionDone>(action)) {
       proc.status = Process::Status::kDone;
-      trace::EventRec rec;
-      rec.kind = trace::EventKind::kFinish;
-      rec.proc = p;
-      rec.time = now_;
-      rec.vc = proc.vm->clock();
-      trace_.events.push_back(std::move(rec));
+      note(trace::EventKind::kFinish, p, now_);
       return;
     }
 
@@ -560,9 +595,7 @@ void Engine::advance(int p) {
       }
       if (opts_.compute_jitter > 0.0)
         duration *= 1.0 + net_rng_.uniform(0.0, opts_.compute_jitter);
-      proc.status = Process::Status::kComputing;
-      proc.pending_compute_uid = compute->stmt_uid;
-      push_event(now_ + duration, EvKind::kWake, p);
+      wake_at(p, now_ + duration, compute->stmt_uid);
       return;
     }
 
@@ -570,7 +603,6 @@ void Engine::advance(int p) {
       proc.vm->tick();
       const long seq = proc.vm->note_send(send->dest);
       trace::MsgRec msg;
-      msg.id = static_cast<long>(trace_.messages.size());
       msg.src = p;
       msg.dst = send->dest;
       msg.tag = send->tag;
@@ -580,40 +612,13 @@ void Engine::advance(int p) {
       msg.send_stmt_uid = send->stmt_uid;
       msg.send_vc = proc.vm->clock();
       if (driver_ != nullptr) msg.piggyback = driver_->piggyback(*this, p);
-      const size_t chan = static_cast<size_t>(p) *
-                              static_cast<size_t>(opts_.nprocs) +
-                          static_cast<size_t>(send->dest);
-      if (!opts_.delay.lossy()) {
-        // A partitioned link holds the departure at the sender until the
-        // heal (the in-order backlog then drains through the FIFO floor).
-        double depart = now_;
-        if (!opts_.fault_plan.partitions.empty() ||
-            !runtime_partitions_.empty()) {
-          depart = link_clear_time(p, send->dest, now_);
-          if (depart > now_) ++stats_.partition_deferred_sends;
-        }
-        double deliver_at = perturb_delivery(
-            depart + p2p_delay(p, send->dest, send->bytes, depart));
-        deliver_at = std::max(deliver_at, channel_last_deliver_[chan]);
-        channel_last_deliver_[chan] = deliver_at;
-        msg.deliver_time = deliver_at;
-        trace_.messages.push_back(msg);
-        push_event(deliver_at, EvKind::kDeliver, send->dest, msg.id);
-      } else {
-        msg.deliver_time = -1.0;  // set when the shim accepts it in order
-        trace_.messages.push_back(msg);
-        xport_send(msg.id, now_);
-      }
+      const long id = post(std::move(msg), now_);
 
       ++stats_.app_messages;
       stats_.app_bytes += send->bytes;
-      trace::EventRec& rec = trace_.events.emplace_back();
-      rec.kind = trace::EventKind::kSend;
-      rec.proc = p;
-      rec.time = now_;
-      rec.vc = proc.vm->clock();
+      trace::EventRec& rec = note(trace::EventKind::kSend, p, now_);
       rec.stmt_uid = send->stmt_uid;
-      rec.msg_id = msg.id;
+      rec.msg_id = id;
       rec.peer = send->dest;
       rec.tag = send->tag;
       offer_failure_point(BoundaryKind::kSend, p);
@@ -636,9 +641,7 @@ void Engine::advance(int p) {
       const double overhead =
           take_checkpoint(p, ckpt->ckpt_id, /*forced=*/false);
       if (overhead > 0.0) {
-        proc.status = Process::Status::kComputing;
-        proc.pending_compute_uid = -1;
-        push_event(now_ + overhead, EvKind::kWake, p);
+        wake_at(p, now_ + overhead);
         return;
       }
       continue;
@@ -651,10 +654,8 @@ void Engine::advance(int p) {
 }
 
 std::optional<long> Engine::find_matching(int p, const ActionRecv& want) {
-  const auto n = static_cast<size_t>(opts_.nprocs);
   auto scan_channel = [&](int src) -> std::optional<long> {
-    const size_t chan = static_cast<size_t>(src) * n + static_cast<size_t>(p);
-    for (const long idx : inbox_[chan]) {
+    for (const long idx : inbox_[chan_of(src, p)]) {
       const auto& m = trace_.messages[static_cast<size_t>(idx)];
       if (m.tag == want.tag) return idx;
     }
@@ -677,10 +678,7 @@ std::optional<long> Engine::find_matching(int p, const ActionRecv& want) {
 void Engine::complete_recv(int p, long msg_index) {
   Process& proc = *procs_[static_cast<size_t>(p)];
   auto& msg = trace_.messages[static_cast<size_t>(msg_index)];
-  const size_t chan = static_cast<size_t>(msg.src) *
-                          static_cast<size_t>(opts_.nprocs) +
-                      static_cast<size_t>(p);
-  auto& box = inbox_[chan];
+  auto& box = inbox_[chan_of(msg.src, p)];
   box.erase(std::find(box.begin(), box.end(), msg_index));
 
   proc.vm->tick();
@@ -696,11 +694,7 @@ void Engine::complete_recv(int p, long msg_index) {
   msg.recv_vc = proc.vm->clock();
   msg.recv_stmt_uid = proc.pending_recv ? proc.pending_recv->stmt_uid : -1;
 
-  trace::EventRec& rec = trace_.events.emplace_back();
-  rec.kind = trace::EventKind::kRecv;
-  rec.proc = p;
-  rec.time = now_;
-  rec.vc = proc.vm->clock();
+  trace::EventRec& rec = note(trace::EventKind::kRecv, p, now_);
   rec.stmt_uid = msg.recv_stmt_uid;
   rec.msg_id = msg.id;
   rec.peer = msg.src;
@@ -713,15 +707,11 @@ void Engine::deliver(long msg_index) {
   auto& msg = trace_.messages[static_cast<size_t>(msg_index)];
 
   if (msg.control) {
-    trace::EventRec rec;
-    rec.kind = trace::EventKind::kControlRecv;
-    rec.proc = msg.dst;
-    rec.time = now_;
-    rec.vc = procs_[static_cast<size_t>(msg.dst)]->vm->clock();
+    trace::EventRec& rec =
+        note(trace::EventKind::kControlRecv, msg.dst, now_);
     rec.msg_id = msg.id;
     rec.peer = msg.src;
     rec.tag = msg.tag;
-    trace_.events.push_back(std::move(rec));
     msg.consumed = true;
     msg.recv_time = now_;
     if (driver_ != nullptr)
@@ -732,10 +722,7 @@ void Engine::deliver(long msg_index) {
   if (driver_ != nullptr)
     driver_->before_delivery(*this, msg.dst, msg.src, msg.piggyback);
 
-  const size_t chan = static_cast<size_t>(msg.src) *
-                          static_cast<size_t>(opts_.nprocs) +
-                      static_cast<size_t>(msg.dst);
-  inbox_[chan].push_back(msg_index);
+  inbox_[chan_of(msg.src, msg.dst)].push_back(msg_index);
 
   Process& proc = *procs_[static_cast<size_t>(msg.dst)];
   if (proc.status == Process::Status::kBlockedRecv) {
@@ -768,17 +755,8 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
     latency = l;
   }
   // Real payload capture: hand the full VM state to the storage layer.
-  // The synchronous hook serializes + delta-encodes inline; the shared
-  // hook hands an immutable image to an asynchronous persister instead,
-  // and the same image doubles as the engine's retained snapshot below —
-  // async capture plus keep_snapshots costs exactly one state copy.
   if (opts_.checkpoint_capture_fn)
     opts_.checkpoint_capture_fn(p, proc.vm->state());
-  std::shared_ptr<const VmSnapshot> shared_state;
-  if (opts_.checkpoint_capture_shared_fn || opts_.keep_snapshots)
-    shared_state = std::make_shared<const VmSnapshot>(proc.vm->state());
-  if (opts_.checkpoint_capture_shared_fn)
-    opts_.checkpoint_capture_shared_fn(p, shared_state);
 
   trace::CkptRec rec;
   rec.proc = p;
@@ -793,7 +771,8 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   if (opts_.keep_snapshots) {
     rec.snapshot = static_cast<int>(snapshots_.size());
     snapshots_.push_back(
-        EngineSnapshot{std::move(shared_state), proc.pending_recv});
+        EngineSnapshot{std::make_shared<const VmSnapshot>(proc.vm->state()),
+                       proc.pending_recv});
   }
   trace_.checkpoints.push_back(rec);
 
@@ -813,15 +792,10 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   ckpt_corrupt_.push_back(corrupt ? 1 : 0);
   ckpt_stale_.push_back(stale ? 1 : 0);
 
-  trace::EventRec ev;
-  ev.kind = trace::EventKind::kCheckpoint;
-  ev.proc = p;
-  ev.time = rec.t_end;
-  ev.vc = rec.vc;
+  trace::EventRec& ev = note(trace::EventKind::kCheckpoint, p, rec.t_end);
   ev.ckpt_id = ckpt_id;
   ev.ckpt_instance = instance;
   ev.forced = forced;
-  trace_.events.push_back(std::move(ev));
 
   (forced ? stats_.forced_checkpoints : stats_.statement_checkpoints)++;
   ++ckpt_counts_[static_cast<size_t>(p)];
@@ -838,6 +812,7 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
 void Engine::start_collective(int p, const Action& action) {
   Process& proc = *procs_[static_cast<size_t>(p)];
   const long round_index = proc.vm->state().collectives_done;
+  const auto round_tag = static_cast<std::uint64_t>(round_index);
   proc.vm->note_collective();
   while (rounds_.size() <= static_cast<size_t>(round_index))
     rounds_.push_back(std::make_unique<CollRound>());
@@ -851,162 +826,127 @@ void Engine::start_collective(int p, const Action& action) {
   }
 
   proc.vm->tick();
+  // The first member to join fixes the round's kind, root and size; every
+  // later member must agree (sequence matching, as in MPI).
+  CollRound::Kind kind = CollRound::Kind::kBarrier;
+  int root = -1;
+  int bytes = 0;
   int stmt_uid = -1;
+  const char* mismatch = "barrier joined a non-barrier round";
   if (const auto* barrier = std::get_if<ActionBarrier>(&action)) {
     stmt_uid = barrier->stmt_uid;
-    if (round.kind == CollRound::Kind::kNone)
-      round.kind = CollRound::Kind::kBarrier;
-    if (round.kind != CollRound::Kind::kBarrier)
-      throw util::ProgramError(
-          "collective mismatch: barrier joined a non-barrier round");
   } else if (const auto* allreduce = std::get_if<ActionAllreduce>(&action)) {
+    kind = CollRound::Kind::kAllreduce;
+    bytes = allreduce->bytes;
     stmt_uid = allreduce->stmt_uid;
-    if (round.kind == CollRound::Kind::kNone) {
-      round.kind = CollRound::Kind::kAllreduce;
-      round.bytes = allreduce->bytes;
-    }
-    if (round.kind != CollRound::Kind::kAllreduce)
-      throw util::ProgramError(
-          "collective mismatch: allreduce joined a different round");
+    mismatch = "allreduce joined a different round";
   } else if (const auto* reduce = std::get_if<ActionReduce>(&action)) {
+    kind = CollRound::Kind::kReduce;
+    root = reduce->root;
+    bytes = reduce->bytes;
     stmt_uid = reduce->stmt_uid;
-    if (round.kind == CollRound::Kind::kNone) {
-      round.kind = CollRound::Kind::kReduce;
-      round.root = reduce->root;
-      round.bytes = reduce->bytes;
-    }
-    if (round.kind != CollRound::Kind::kReduce ||
-        round.root != reduce->root)
-      throw util::ProgramError(
-          "collective mismatch: inconsistent reduce round");
+    mismatch = "inconsistent reduce round";
   } else {
     const auto& bcast = std::get<ActionBcast>(action);
+    kind = CollRound::Kind::kBcast;
+    root = bcast.root;
+    bytes = bcast.bytes;
     stmt_uid = bcast.stmt_uid;
-    if (round.kind == CollRound::Kind::kNone) {
-      round.kind = CollRound::Kind::kBcast;
-      round.root = bcast.root;
-      round.bytes = bcast.bytes;
-    }
-    if (round.kind != CollRound::Kind::kBcast || round.root != bcast.root)
-      throw util::ProgramError(
-          "collective mismatch: inconsistent bcast round");
+    mismatch = "inconsistent bcast round";
   }
+  if (round.kind == CollRound::Kind::kNone) {
+    round.kind = kind;
+    round.root = root;
+    round.bytes = bytes;
+  }
+  if (round.kind != kind || round.root != root)
+    throw util::ProgramError(std::string("collective mismatch: ") + mismatch);
 
   round.joined[static_cast<size_t>(p)] = 1;
   round.join_time[static_cast<size_t>(p)] = now_;
   round.join_vc[static_cast<size_t>(p)] = proc.vm->clock();
   round.stmt_uid[static_cast<size_t>(p)] = stmt_uid;
   ++round.joined_count;
+  const bool all_joined = round.joined_count == opts_.nprocs;
 
-  auto record_collective = [this](int proc_id, double time, int uid,
-                                  const trace::VClock& vc) {
-    trace::EventRec rec;
-    rec.kind = trace::EventKind::kCollective;
-    rec.proc = proc_id;
-    rec.time = time;
-    rec.vc = vc;
-    rec.stmt_uid = uid;
-    trace_.events.push_back(std::move(rec));
-  };
-
-  if (round.kind == CollRound::Kind::kReduce) {
+  if (kind == CollRound::Kind::kReduce) {
     // Contributors proceed immediately; the root blocks for everyone.
-    auto record_root = [&](double release) {
-      Process& root_proc = *procs_[static_cast<size_t>(round.root)];
-      trace::VClock merged(opts_.nprocs);
-      for (int q = 0; q < opts_.nprocs; ++q)
-        if (round.joined[static_cast<size_t>(q)])
-          merged.merge(round.join_vc[static_cast<size_t>(q)]);
-      root_proc.vm->merge_clock(merged);
-      root_proc.vm->fold_digest(0x5edce000ULL +
-                                static_cast<std::uint64_t>(round_index));
-      record_collective(round.root, release,
-                        round.stmt_uid[static_cast<size_t>(round.root)],
-                        root_proc.vm->clock());
-      root_proc.status = Process::Status::kComputing;
-      root_proc.pending_compute_uid = -1;
-      push_event(release, EvKind::kWake, round.root);
-      round.released = true;
-    };
-    if (p != round.root) {
-      proc.vm->fold_digest(0x5edce001ULL +
-                           static_cast<std::uint64_t>(round_index));
-      record_collective(p, now_, stmt_uid, proc.vm->clock());
-      // Contribution sent asynchronously; this process keeps running.
-      if (round.joined_count == opts_.nprocs &&
-          procs_[static_cast<size_t>(round.root)]->status ==
-              Process::Status::kBlockedColl) {
-        double release = 0.0;
-        for (const double t : round.join_time)
-          release = std::max(release, t);
-        record_root(release + message_delay(round.bytes));
-      }
-      return;  // stays kReady; advance() loop continues
-    }
-    if (round.joined_count == opts_.nprocs) {
-      double release = 0.0;
-      for (const double t : round.join_time) release = std::max(release, t);
-      record_root(release + message_delay(round.bytes));
+    if (p != root) {
+      proc.vm->fold_digest(0x5edce001ULL + round_tag);
+      note(trace::EventKind::kCollective, p, now_).stmt_uid = stmt_uid;
+      // Contribution sent asynchronously; this process stays kReady and
+      // advance() continues — unless it completes a round the root waits
+      // on.
+      if (!all_joined || procs_[static_cast<size_t>(root)]->status !=
+                             Process::Status::kBlockedColl)
+        return;
+    } else if (!all_joined) {
+      proc.status = Process::Status::kBlockedColl;
       return;
     }
-    proc.status = Process::Status::kBlockedColl;
+    const double release = round.last_join() + message_delay(round.bytes);
+    Process& root_proc = *procs_[static_cast<size_t>(root)];
+    trace::VClock merged(opts_.nprocs);
+    for (int q = 0; q < opts_.nprocs; ++q)
+      if (round.joined[static_cast<size_t>(q)])
+        merged.merge(round.join_vc[static_cast<size_t>(q)]);
+    root_proc.vm->merge_clock(merged);
+    root_proc.vm->fold_digest(0x5edce000ULL + round_tag);
+    note(trace::EventKind::kCollective, root, release).stmt_uid =
+        round.stmt_uid[static_cast<size_t>(root)];
+    wake_at(root, release);
+    round.released = true;
     return;
   }
 
-  if (round.kind == CollRound::Kind::kBarrier ||
-      round.kind == CollRound::Kind::kAllreduce) {
+  if (kind == CollRound::Kind::kBarrier ||
+      kind == CollRound::Kind::kAllreduce) {
     proc.status = Process::Status::kBlockedColl;
-    if (round.joined_count == opts_.nprocs) {
-      double release = 0.0;
-      for (const double t : round.join_time) release = std::max(release, t);
-      release += message_delay(round.bytes);
-      trace::VClock merged(opts_.nprocs);
-      for (const auto& vc : round.join_vc) merged.merge(vc);
-      for (int q = 0; q < opts_.nprocs; ++q) {
-        // A member that crashed after joining stays dead: its recorded
-        // join still releases the others, but its own state is frozen
-        // until a detector verdict rolls everyone back.
-        if (crashed_[static_cast<size_t>(q)]) continue;
-        Process& member = *procs_[static_cast<size_t>(q)];
-        member.vm->tick();
-        member.vm->merge_clock(merged);
-        member.vm->fold_digest(0xbaff1e00ULL + static_cast<std::uint64_t>(
-                                                   round_index));
-        record_collective(q, release, round.stmt_uid[static_cast<size_t>(q)],
-                          member.vm->clock());
-        // Resume at the release time (the wake flips kComputing → kReady).
-        member.status = Process::Status::kComputing;
-        member.pending_compute_uid = -1;
-        push_event(release, EvKind::kWake, q);
-      }
-      round.released = true;
+    if (!all_joined) return;
+    const double release = round.last_join() + message_delay(round.bytes);
+    trace::VClock merged(opts_.nprocs);
+    for (const auto& vc : round.join_vc) merged.merge(vc);
+    for (int q = 0; q < opts_.nprocs; ++q) {
+      // A member that crashed after joining stays dead: its recorded
+      // join still releases the others, but its own state is frozen
+      // until a detector verdict rolls everyone back.
+      if (crashed_[static_cast<size_t>(q)]) continue;
+      Process& member = *procs_[static_cast<size_t>(q)];
+      member.vm->tick();
+      member.vm->merge_clock(merged);
+      member.vm->fold_digest(0xbaff1e00ULL + round_tag);
+      note(trace::EventKind::kCollective, q, release).stmt_uid =
+          round.stmt_uid[static_cast<size_t>(q)];
+      wake_at(q, release);
     }
+    round.released = true;
     return;
   }
 
   // Bcast: the root proceeds immediately; receivers wait for the root.
-  if (p == round.root) {
+  const auto receive_bcast = [&](int q, double release) {
+    Process& member = *procs_[static_cast<size_t>(q)];
+    member.vm->merge_clock(round.root_vc);
+    member.vm->fold_digest(0xbca57001ULL + round_tag);
+    note(trace::EventKind::kCollective, q, release).stmt_uid =
+        round.stmt_uid[static_cast<size_t>(q)];
+  };
+  if (p == root) {
     round.root_joined = true;
     round.root_ready = now_ + message_delay(round.bytes);
     round.root_vc = proc.vm->clock();
-    proc.vm->fold_digest(0xbca57000ULL +
-                         static_cast<std::uint64_t>(round_index));
-    record_collective(p, now_, stmt_uid, proc.vm->clock());
+    proc.vm->fold_digest(0xbca57000ULL + round_tag);
+    note(trace::EventKind::kCollective, p, now_).stmt_uid = stmt_uid;
     // Release receivers that were already waiting.
     for (int q = 0; q < opts_.nprocs; ++q) {
-      if (q == p || !round.joined[static_cast<size_t>(q)]) continue;
-      Process& member = *procs_[static_cast<size_t>(q)];
-      if (member.status != Process::Status::kBlockedColl) continue;
+      if (q == p || !round.joined[static_cast<size_t>(q)] ||
+          procs_[static_cast<size_t>(q)]->status !=
+              Process::Status::kBlockedColl)
+        continue;
       const double release =
           std::max(round.join_time[static_cast<size_t>(q)], round.root_ready);
-      member.vm->merge_clock(round.root_vc);
-      member.vm->fold_digest(0xbca57001ULL +
-                             static_cast<std::uint64_t>(round_index));
-      record_collective(q, release, round.stmt_uid[static_cast<size_t>(q)],
-                        member.vm->clock());
-      member.status = Process::Status::kComputing;
-      member.pending_compute_uid = -1;
-      push_event(release, EvKind::kWake, q);
+      receive_bcast(q, release);
+      wake_at(q, release);
     }
     // The root continues synchronously (advance() keeps looping).
     proc.status = Process::Status::kReady;
@@ -1015,15 +955,8 @@ void Engine::start_collective(int p, const Action& action) {
 
   if (round.root_joined) {
     const double release = std::max(now_, round.root_ready);
-    proc.vm->merge_clock(round.root_vc);
-    proc.vm->fold_digest(0xbca57001ULL +
-                         static_cast<std::uint64_t>(round_index));
-    record_collective(p, release, stmt_uid, proc.vm->clock());
-    if (release > now_) {
-      proc.status = Process::Status::kComputing;
-      proc.pending_compute_uid = -1;
-      push_event(release, EvKind::kWake, p);
-    }
+    receive_bcast(p, release);
+    if (release > now_) wake_at(p, release);
     return;  // if release == now_, stays kReady and advance() continues
   }
 
@@ -1083,12 +1016,7 @@ void Engine::supervised_crash(int p) {
 
 void Engine::perform_rollback(int failed_proc) {
   ++stats_.restarts;
-  trace::EventRec fail_rec;
-  fail_rec.kind = trace::EventKind::kFailure;
-  fail_rec.proc = failed_proc;
-  fail_rec.time = now_;
-  fail_rec.vc = procs_[static_cast<size_t>(failed_proc)]->vm->clock();
-  trace_.events.push_back(std::move(fail_rec));
+  note(trace::EventKind::kFailure, failed_proc, now_);
 
   // Select the maximal recovery line over everything on stable storage.
   // Under degraded selection, unverifiable records are excluded from the
@@ -1137,9 +1065,7 @@ void Engine::perform_rollback(int failed_proc) {
   // FIFO floors: nothing may be delivered to a process before it restarts.
   for (int src = 0; src < opts_.nprocs; ++src)
     for (int dst = 0; dst < opts_.nprocs; ++dst) {
-      const size_t chan = static_cast<size_t>(src) *
-                              static_cast<size_t>(opts_.nprocs) +
-                          static_cast<size_t>(dst);
+      const size_t chan = chan_of(src, dst);
       channel_last_deliver_[chan] = resume_of[static_cast<size_t>(dst)];
       control_last_deliver_[chan] = resume_of[static_cast<size_t>(dst)];
     }
@@ -1177,12 +1103,7 @@ void Engine::perform_rollback(int failed_proc) {
     proc.status = proc.pending_recv ? Process::Status::kBlockedRecv
                                     : Process::Status::kReady;
     const double resume_at = resume_of[static_cast<size_t>(p)];
-    trace::EventRec rec;
-    rec.kind = trace::EventKind::kRestart;
-    rec.proc = p;
-    rec.time = resume_at;
-    rec.vc = proc.vm->clock();
-    trace_.events.push_back(std::move(rec));
+    note(trace::EventKind::kRestart, p, resume_at);
     if (proc.status == Process::Status::kReady)
       push_event(resume_at, EvKind::kWake, p);
   }
@@ -1192,7 +1113,9 @@ void Engine::perform_rollback(int failed_proc) {
   // Sender-based message log replay: re-inject messages that were sent
   // before the sender's cut point but not consumed before the receiver's
   // (in-transit across the recovery line). Channel sequence numbers from
-  // the snapshots identify them exactly.
+  // the snapshots identify them exactly. Replays depart at the source's
+  // restart time through the same path as any send; on the lossy wire
+  // the shim's cleared sequence space re-delivers them exactly once.
   for (int src = 0; src < opts_.nprocs; ++src) {
     for (int dst = 0; dst < opts_.nprocs; ++dst) {
       if (src == dst) continue;
@@ -1211,40 +1134,11 @@ void Engine::perform_rollback(int failed_proc) {
             logged = &m;
         ACFC_CHECK_MSG(logged != nullptr, "message log miss during replay");
         trace::MsgRec copy = *logged;
-        copy.id = static_cast<long>(trace_.messages.size());
         copy.consumed = false;
         copy.recv_time = -1.0;
         copy.recv_stmt_uid = -1;
         copy.replayed = true;
-        const size_t chan = static_cast<size_t>(src) *
-                                static_cast<size_t>(opts_.nprocs) +
-                            static_cast<size_t>(dst);
-        if (!opts_.delay.lossy()) {
-          double depart = resume_of[static_cast<size_t>(src)];
-          if (!opts_.fault_plan.partitions.empty() ||
-              !runtime_partitions_.empty()) {
-            const double clear = link_clear_time(src, dst, depart);
-            if (clear > depart) ++stats_.partition_deferred_sends;
-            depart = clear;
-          }
-          double deliver_at = perturb_delivery(
-              depart + p2p_delay(src, dst, copy.bytes, depart));
-          deliver_at = std::max(deliver_at, channel_last_deliver_[chan]);
-          channel_last_deliver_[chan] = deliver_at;
-          copy.deliver_time = deliver_at;
-          trace_.messages.push_back(copy);
-          push_event(deliver_at, EvKind::kDeliver, dst,
-                     static_cast<long>(trace_.messages.size()) - 1);
-        } else {
-          // Replays are fresh transport sends from the source's restart
-          // time: the shim's cleared sequence space re-delivers them
-          // exactly once even if the wire drops or duplicates attempts.
-          copy.deliver_time = -1.0;
-          copy.xport_seq = -1;
-          trace_.messages.push_back(copy);
-          xport_send(static_cast<long>(trace_.messages.size()) - 1,
-                     resume_of[static_cast<size_t>(src)]);
-        }
+        post(std::move(copy), resume_of[static_cast<size_t>(src)]);
         ++record.replayed_messages;
       }
     }
@@ -1389,9 +1283,7 @@ void Engine::reset_collectives_for_rollback() {
 
 void Engine::xport_send(long msg_index, double at) {
   auto& msg = trace_.messages[static_cast<size_t>(msg_index)];
-  const size_t chan = static_cast<size_t>(msg.src) *
-                          static_cast<size_t>(opts_.nprocs) +
-                      static_cast<size_t>(msg.dst);
+  const size_t chan = chan_of(msg.src, msg.dst);
   XportChan& ch = xport_[chan];
   msg.xport_seq = ch.next_seq++;
   ch.unacked.insert(msg.xport_seq,
@@ -1422,22 +1314,23 @@ void Engine::xport_transmit(std::size_t chan, long seq, double at) {
   } else if (opts_.delay.dup > 0.0 && net_rng_.bernoulli(opts_.delay.dup)) {
     copies = 2;
   }
-  for (int c = 0; c < copies; ++c) {
-    double d = p2p_delay(msg.src, msg.dst, msg.bytes, at);
-    if (opts_.delay.reorder > 0.0 && net_rng_.bernoulli(opts_.delay.reorder))
-      d += net_rng_.uniform(0.0, opts_.delay.reorder_extra);
-    // channel_last_deliver_ is the receiver-restart floor here (set by
-    // handle_failure), not a FIFO chain — ordering comes from seq numbers.
-    const double arrive = std::max(at + d, channel_last_deliver_[chan]);
-    push_event(arrive, EvKind::kNetArrive, msg.dst, msg.id);
-  }
+  for (int c = 0; c < copies; ++c)
+    push_event(wire_arrival(msg.src, msg.dst, msg.bytes, at),
+               EvKind::kNetArrive, msg.dst, msg.id);
+}
+
+double Engine::wire_arrival(int src, int dst, int bytes, double at) {
+  double d = p2p_delay(src, dst, bytes, at);
+  if (opts_.delay.reorder > 0.0 && net_rng_.bernoulli(opts_.delay.reorder))
+    d += net_rng_.uniform(0.0, opts_.delay.reorder_extra);
+  // channel_last_deliver_ is the receiver-restart floor here (set by
+  // perform_rollback), not a FIFO chain — ordering comes from seq numbers.
+  return std::max(at + d, channel_last_deliver_[chan_of(src, dst)]);
 }
 
 void Engine::handle_net_arrive(long msg_index) {
   const auto& arrived = trace_.messages[static_cast<size_t>(msg_index)];
-  const size_t chan = static_cast<size_t>(arrived.src) *
-                          static_cast<size_t>(opts_.nprocs) +
-                      static_cast<size_t>(arrived.dst);
+  const size_t chan = chan_of(arrived.src, arrived.dst);
   XportChan& ch = xport_[chan];
   const long seq = arrived.xport_seq;
   if (seq < ch.next_expected || ch.reorder_buf.contains(seq)) {
@@ -1476,14 +1369,9 @@ void Engine::send_xport_ack(std::size_t chan) {
     ++stats_.transport_dropped;  // acks ride the same lossy wire
     return;
   }
-  double d = p2p_delay(data_dst, data_src, opts_.transport.ack_bytes, now_);
-  if (opts_.delay.reorder > 0.0 && net_rng_.bernoulli(opts_.delay.reorder))
-    d += net_rng_.uniform(0.0, opts_.delay.reorder_extra);
-  const size_t reverse = static_cast<size_t>(data_dst) * n +
-                         static_cast<size_t>(data_src);
-  const double arrive = std::max(now_ + d, channel_last_deliver_[reverse]);
-  push_event(arrive, EvKind::kAck, data_src, static_cast<long>(chan),
-             ch.next_expected);
+  push_event(
+      wire_arrival(data_dst, data_src, opts_.transport.ack_bytes, now_),
+      EvKind::kAck, data_src, static_cast<long>(chan), ch.next_expected);
 }
 
 void Engine::handle_ack(std::size_t chan, long upto) {
@@ -1544,7 +1432,6 @@ void Engine::send_control(int src, int dst, int bytes, int kind,
     return;
   }
   trace::MsgRec msg;
-  msg.id = static_cast<long>(trace_.messages.size());
   msg.src = src;
   msg.dst = dst;
   msg.tag = kind;
@@ -1553,43 +1440,14 @@ void Engine::send_control(int src, int dst, int bytes, int kind,
   msg.piggyback = payload;
   msg.send_time = now_;
   msg.send_vc = procs_[static_cast<size_t>(src)]->vm->clock();
-  const size_t chan = static_cast<size_t>(src) *
-                          static_cast<size_t>(opts_.nprocs) +
-                      static_cast<size_t>(dst);
-  if (!opts_.delay.lossy()) {
-    double depart = now_;
-    if (!opts_.fault_plan.partitions.empty() ||
-        !runtime_partitions_.empty()) {
-      depart = link_clear_time(src, dst, now_);
-      if (depart > now_) ++stats_.partition_deferred_sends;
-    }
-    double deliver_at =
-        perturb_delivery(depart + p2p_delay(src, dst, bytes, depart));
-    deliver_at = std::max(deliver_at, control_last_deliver_[chan]);
-    control_last_deliver_[chan] = deliver_at;
-    msg.deliver_time = deliver_at;
-    trace_.messages.push_back(msg);
-    push_event(deliver_at, EvKind::kDeliver, dst, msg.id);
-  } else {
-    // Control traffic rides the same reliable shim as app messages, in the
-    // same per-channel sequence space — markers keep their FIFO ordering
-    // relative to the app messages they chase (the C-L invariant).
-    msg.deliver_time = -1.0;
-    trace_.messages.push_back(msg);
-    xport_send(msg.id, now_);
-  }
+  const long id = post(std::move(msg), now_);
 
   ++stats_.control_messages;
   stats_.control_bytes += bytes;
-  trace::EventRec rec;
-  rec.kind = trace::EventKind::kControlSend;
-  rec.proc = src;
-  rec.time = now_;
-  rec.vc = msg.send_vc;
-  rec.msg_id = msg.id;
+  trace::EventRec& rec = note(trace::EventKind::kControlSend, src, now_);
+  rec.msg_id = id;
   rec.peer = dst;
   rec.tag = kind;
-  trace_.events.push_back(std::move(rec));
 }
 
 void Engine::force_checkpoint(int proc) {
@@ -1758,8 +1616,7 @@ std::uint64_t Engine::schedule_state_hash() const {
     mix.mix(w.symmetric ? 59 : 61);
     for (const int g : w.group) mix.mix(static_cast<std::uint64_t>(g + 1));
   };
-  for (const auto& w : opts_.fault_plan.partitions) mix_partition(w);
-  for (const auto& w : runtime_partitions_) mix_partition(w);
+  for (const auto& w : partitions_) mix_partition(w);
   const auto mix_stall = [&](const StallSpec& w) {
     if (w.start + w.duration <= now_) return;
     mix.mix(0x57a1ULL);
@@ -1767,8 +1624,7 @@ std::uint64_t Engine::schedule_state_hash() const {
     mix.mix(quantize_rel(std::max(w.start, now_), now_));
     mix.mix(quantize_rel(w.start + w.duration, now_));
   };
-  for (const auto& w : opts_.fault_plan.stalls) mix_stall(w);
-  for (const auto& w : runtime_stalls_) mix_stall(w);
+  for (const auto& w : stalls_) mix_stall(w);
   for (const auto& w : opts_.fault_plan.slow_links) {
     if (w.end <= now_) continue;
     mix.mix(0x510eULL);
@@ -1906,7 +1762,6 @@ void Engine::flush_obs() {
   const CalendarQueue::Stats& cq = calqueue_.stats();
   set("calqueue.grows", cq.grows, "resizes", "calqueue");
   set("calqueue.shrinks", cq.shrinks, "resizes", "calqueue");
-  set("calqueue.reestimates", cq.reestimates, "resizes", "calqueue");
   set("calqueue.direct_jumps", cq.direct_jumps, "jumps", "calqueue");
   reg->gauge("calqueue.size_high_water", {"events", "calqueue"})
       .set(cq.size_high_water);

@@ -127,22 +127,13 @@ struct SimOptions {
   /// recovery oracle must catch (negative control).
   bool verify_stored_checkpoints = true;
   /// Capture hook fired on every checkpoint take with the process's full
-  /// VM state — the bridge to real stored payloads (serialize the snapshot
-  /// and hand it to a StableStore's payload API; see
-  /// store::checkpoint_capture_fn). Independent of keep_snapshots. Must be
+  /// VM state — the bridge to real stored payloads. sim::store_capture_fn
+  /// serializes it into a StableStore inline; sim::async_store_capture_fn
+  /// hands a pooled copy to a store::AsyncPersister, whose writer threads
+  /// serialize and store it off the simulation critical path (see
+  /// sim/snapshot_codec.h). Independent of keep_snapshots. Must be
   /// deterministic for replay.
   std::function<void(int proc, const VmSnapshot& state)> checkpoint_capture_fn;
-  /// Shared-image capture hook for ASYNCHRONOUS persistence: fired on
-  /// every take with an immutable shared snapshot of the process state.
-  /// The engine aliases this image with its own retained snapshot when
-  /// keep_snapshots is on, so enabling both costs a single copy; the
-  /// receiver may serialize and store it on another thread (see
-  /// sim::async_store_capture_fn + store::AsyncPersister — the handoff is
-  /// O(1), taking capture off the simulation critical path). Synchronous
-  /// capture via checkpoint_capture_fn stays the default; when both are
-  /// set, the synchronous hook fires first.
-  std::function<void(int proc, std::shared_ptr<const VmSnapshot> state)>
-      checkpoint_capture_shared_fn;
   /// Retain VM snapshots for checkpoints (needed for failures/restart).
   bool keep_snapshots = true;
   /// Schedule-perturbation hook (sim/schedule_hook.h): when set, the
@@ -357,9 +348,25 @@ class Engine {
   /// restore, message replay). handle_failure delegates here directly in
   /// engine-omniscient mode; supervised_restart reuses it for verdicts.
   void perform_rollback(int failed_proc);
+  // -- Message departure -----------------------------------------------------
+  /// Flattened index of the ordered channel src→dst (src·n + dst).
+  std::size_t chan_of(int src, int dst) const {
+    return static_cast<std::size_t>(src) *
+               static_cast<std::size_t>(opts_.nprocs) +
+           static_cast<std::size_t>(dst);
+  }
+  /// The one departure path of every message — application send, protocol
+  /// control send, or sender-log replay — leaving msg.src at time `at`.
+  /// Assigns msg.id and appends the record to the trace. On the lossy wire
+  /// the message goes to the reliable shim (xport_send); otherwise its
+  /// departure is deferred past any partition on the link, it takes
+  /// p2p_delay and the hook's delivery perturbation, and the per-channel
+  /// FIFO floor (app or control, by msg.control) orders its kDeliver.
+  /// Returns the id.
+  long post(trace::MsgRec msg, double at);
+
   // -- Partition / stall / slow-link window evaluation ---------------------
-  /// True if src→dst traffic is cut at time `t` (static plan + runtime
-  /// explorer-injected windows).
+  /// True if src→dst traffic is cut at time `t`.
   bool link_blocked(int src, int dst, double t) const;
   /// Earliest time ≥ t at which src→dst is unblocked (fixed point over
   /// overlapping windows; t itself when clear).
@@ -381,13 +388,22 @@ class Engine {
   double message_delay(int bytes);
   void push_event(double time, EvKind kind, int proc, long a = -1,
                   long b = -1);
+  /// Parks `proc` in kComputing until a wake at `time` makes it kReady
+  /// again: the end of a compute (`compute_uid` = its statement; the wake
+  /// records the kCompute event), a checkpoint overhead, or a collective
+  /// release (-1: nothing to record).
+  void wake_at(int proc, double time, int compute_uid = -1);
+  /// Appends a trace event of `kind` about `proc` at `time`, stamped with
+  /// proc's current vector clock; the caller fills the kind-specific
+  /// fields. Valid until the next event is appended.
+  trace::EventRec& note(trace::EventKind kind, int proc, double time);
   // -- Schedule-perturbation hook plumbing (sim/schedule_hook.h) -----------
   /// Pops the next event; with a hook attached, gathers same-time
   /// candidates and lets the hook permute the tie-break.
   Ev next_event();
   /// Offers the hook a bounded delivery-delay choice for a send scheduled
   /// at `deliver_at`; returns the (possibly postponed) delivery time.
-  /// Callers apply the per-channel FIFO floor AFTER this, so perturbed
+  /// post() applies the per-channel FIFO floor AFTER this, so perturbed
   /// channels stay FIFO.
   double perturb_delivery(double deliver_at);
   /// Offers the hook a crash of `proc` at an action boundary.
@@ -415,6 +431,10 @@ class Engine {
   void xport_send(long msg_index, double at);
   /// One wire attempt (initial or retransmission) of `seq` on `chan`.
   void xport_transmit(std::size_t chan, long seq, double at);
+  /// Arrival time of one wire attempt (data or ack) of `bytes` leaving
+  /// src at `at`: p2p_delay plus a possible reorder detour, no earlier
+  /// than dst's restart.
+  double wire_arrival(int src, int dst, int bytes, double at);
   void handle_net_arrive(long msg_index);
   void handle_ack(std::size_t chan, long upto);
   void handle_rto(std::size_t chan, long seq);
@@ -455,11 +475,11 @@ class Engine {
   std::vector<char> crashed_;
   std::vector<char> quarantined_;
   std::vector<double> crash_time_;
-  /// Explorer-injected gray-failure windows (kPartitionPoint/kStallPoint
-  /// choices), consulted alongside the static plan. Cleared by nothing —
-  /// windows expire by time, exactly like plan entries.
-  std::vector<PartitionSpec> runtime_partitions_;
-  std::vector<StallSpec> runtime_stalls_;
+  /// Gray-failure windows: the fault plan's, moved here after validation,
+  /// followed by explorer-injected ones (kPartitionPoint/kStallPoint
+  /// choices) in injection order. Never cleared — windows expire by time.
+  std::vector<PartitionSpec> partitions_;
+  std::vector<StallSpec> stalls_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::vector<EngineSnapshot> snapshots_;
   /// Per-process completed-checkpoint tally — checkpoint_count() is on the

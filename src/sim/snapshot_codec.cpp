@@ -134,15 +134,4 @@ std::function<void(int, const VmSnapshot&)> async_store_capture_fn(
   };
 }
 
-std::function<void(int, std::shared_ptr<const VmSnapshot>)>
-async_store_capture_shared_fn(store::AsyncPersister& persister) {
-  return [&persister](int proc, std::shared_ptr<const VmSnapshot> state) {
-    // The snapshot rides into the job closure; the writer thread owns the
-    // last reference once the engine's own copy (if any) is released.
-    persister.submit(proc, [state = std::move(state)](std::string& out) {
-      serialize_snapshot_into(*state, out);
-    });
-  };
-}
-
 }  // namespace acfc::sim

@@ -10,34 +10,27 @@
 // uid, never by address, so encodings are stable across runs and
 // processes.
 //
-// Three capture adapters package the serializer as engine hooks:
+// Two capture adapters package the serializer as engine hooks; both are
+// SimOptions::checkpoint_capture_fn values:
 //
-//  * store_capture_fn (SimOptions::checkpoint_capture_fn) serializes every
-//    take inline and writes it into a StableStore via write_payload — the
-//    synchronous path. A per-closure scratch buffer is reused across
-//    takes, so steady-state serialization allocates nothing.
-//  * async_store_capture_fn (SimOptions::checkpoint_capture_fn) copies the
-//    take into a recycled snapshot and submits it to a
-//    store::AsyncPersister; serialization, delta encoding, checksumming,
-//    and publication all happen on its writer threads, off the simulation
-//    critical path. Snapshots cycle through a freelist — writers return
+//  * store_capture_fn serializes every take inline and writes it into a
+//    StableStore via write_payload — the synchronous path. A per-closure
+//    scratch buffer is reused across takes, so steady-state serialization
+//    allocates nothing.
+//  * async_store_capture_fn copies the take into a recycled snapshot and
+//    submits it to a store::AsyncPersister; serialization, delta encoding,
+//    checksumming, and publication all happen on its writer threads, off
+//    the simulation critical path. Snapshots cycle through a freelist — writers return
 //    them after serializing — so steady-state capture performs zero heap
 //    allocations AND never frees producer-allocated memory on a writer
 //    thread (cross-thread malloc/free churn defeats the allocator's
 //    per-thread caches; recycling is most of this adapter's speedup).
-//  * async_store_capture_shared_fn (checkpoint_capture_shared_fn) submits
-//    the engine's shared immutable snapshot instead. Use it with
-//    keep_snapshots on: the engine aliases the persisted image with its
-//    own retained snapshot, so a recovery-capable run pays ONE copy per
-//    take total. (With keep_snapshots off, prefer async_store_capture_fn —
-//    same bytes, cheaper take path.)
 //
 // The store (and persister) must outlive the returned function and belong
 // to a single Engine run.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "sim/vm.h"
@@ -72,12 +65,5 @@ std::function<void(int, const VmSnapshot&)> store_capture_fn(
 /// store is byte-identical to what store_capture_fn would have produced.
 std::function<void(int, const VmSnapshot&)> async_store_capture_fn(
     store::AsyncPersister& persister);
-
-/// A SimOptions::checkpoint_capture_shared_fn variant for runs that retain
-/// snapshots (keep_snapshots on): the engine hands over its own shared
-/// immutable snapshot, so persistence and in-memory retention share one
-/// copy. Same drained store bytes as the other two adapters.
-std::function<void(int, std::shared_ptr<const VmSnapshot>)>
-async_store_capture_shared_fn(store::AsyncPersister& persister);
 
 }  // namespace acfc::sim

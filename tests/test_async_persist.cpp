@@ -104,18 +104,13 @@ CaptureRun run_sync(const mp::Program& program, sim::SimOptions opts,
 
 CaptureRun run_async(const mp::Program& program, sim::SimOptions opts,
                      CheckpointMode mode, AsyncPersistOptions popts = {},
-                     store::StorageFaultPlan faults = {},
-                     bool shared_adapter = false) {
+                     store::StorageFaultPlan faults = {}) {
   CaptureRun out;
   out.store = std::make_unique<StableStore>(tight_model(4), mode,
                                             opts.nprocs, std::move(faults));
   {
     AsyncPersister persister(*out.store, popts);
-    if (shared_adapter)
-      opts.checkpoint_capture_shared_fn =
-          sim::async_store_capture_shared_fn(persister);
-    else
-      opts.checkpoint_capture_fn = sim::async_store_capture_fn(persister);
+    opts.checkpoint_capture_fn = sim::async_store_capture_fn(persister);
     sim::Engine engine(program, opts);
     out.result = engine.run();
     persister.drain();
@@ -129,18 +124,18 @@ CaptureRun run_async(const mp::Program& program, sim::SimOptions opts,
 // ---------------------------------------------------------------------------
 
 TEST(AsyncPersist, RecordsMatchSyncAfterDrain) {
-  // Both async adapters — the pooled-copy hook and the shared-snapshot
-  // hook — must reproduce the synchronous store bytes.
+  // The pooled async adapter must reproduce the synchronous store bytes,
+  // with and without retained snapshots.
   const mp::Program program = ring_program(10);
-  for (const bool shared_adapter : {false, true}) {
+  for (const bool keep_snapshots : {true, false}) {
     for (const int n : {2, 4, 8}) {
       SCOPED_TRACE("n=" + std::to_string(n) +
-                   (shared_adapter ? " shared" : " pooled"));
+                   (keep_snapshots ? " keep" : " drop") + " snapshots");
       sim::SimOptions opts;
       opts.nprocs = n;
+      opts.keep_snapshots = keep_snapshots;
       auto sync = run_sync(program, opts, CheckpointMode::kIncremental);
-      auto async = run_async(program, opts, CheckpointMode::kIncremental,
-                             AsyncPersistOptions{}, {}, shared_adapter);
+      auto async = run_async(program, opts, CheckpointMode::kIncremental);
       ASSERT_TRUE(sync.result.trace.completed);
       ASSERT_TRUE(async.result.trace.completed);
       EXPECT_EQ(sync.result.trace.final_digest,
@@ -313,15 +308,13 @@ TEST(AsyncPersist, EngineRollbackDrainsBeforeVerify) {
   sim::Engine sync_engine(program, sopts);
   const auto sync_result = sync_engine.run();
 
-  // Async under test, via the shared-snapshot adapter: keep_snapshots is
-  // on (recovery needs retained images), so the engine aliases the
-  // persisted snapshot with its own — one copy per take.
+  // Async under test, via the pooled adapter, with keep_snapshots on
+  // (recovery needs retained images).
   StableStore async_store(tight_model(4), CheckpointMode::kIncremental,
                           base.nprocs, plan);
   AsyncPersister persister(async_store, AsyncPersistOptions{});
   sim::SimOptions aopts = base;
-  aopts.checkpoint_capture_shared_fn =
-      sim::async_store_capture_shared_fn(persister);
+  aopts.checkpoint_capture_fn = sim::async_store_capture_fn(persister);
   aopts.checkpoint_verify_fn = store::checkpoint_verify_fn(async_store);
   sim::Engine async_engine(program, aopts);
   const auto async_result = async_engine.run();
@@ -343,23 +336,23 @@ TEST(AsyncPersist, EngineRollbackDrainsBeforeVerify) {
 }
 
 TEST(AsyncPersist, ScratchSerializerMatchesFreshAllocations) {
-  // The reusable-scratch path (what both capture fns now use) must encode
+  // The reusable-scratch path (what both capture fns use) must encode
   // byte-for-byte what a fresh serialize_snapshot returns.
   const mp::Program program = ring_program(6);
-  std::vector<std::shared_ptr<const sim::VmSnapshot>> snapshots;
+  std::vector<sim::VmSnapshot> snapshots;
   sim::SimOptions opts;
   opts.nprocs = 4;
-  opts.checkpoint_capture_shared_fn =
-      [&snapshots](int, std::shared_ptr<const sim::VmSnapshot> state) {
-        snapshots.push_back(std::move(state));
-      };
+  opts.checkpoint_capture_fn = [&snapshots](int,
+                                            const sim::VmSnapshot& state) {
+    snapshots.push_back(state);
+  };
   sim::Engine engine(program, opts);
   engine.run();
   ASSERT_FALSE(snapshots.empty());
   std::string scratch = "stale contents from a previous take";
   for (const auto& snap : snapshots) {
-    sim::serialize_snapshot_into(*snap, scratch);
-    EXPECT_EQ(scratch, sim::serialize_snapshot(*snap));
+    sim::serialize_snapshot_into(snap, scratch);
+    EXPECT_EQ(scratch, sim::serialize_snapshot(snap));
   }
 }
 
@@ -437,14 +430,12 @@ TEST(AsyncPersistCorpusSlow, TwoHundredProgramDifferential) {
       AsyncPersistOptions popts;
       popts.queue_capacity = 1 << (index % 4 * 2);  // 1, 4, 16, 64
       popts.writer_threads = 1 + index % 2;
-      const bool shared_adapter = index % 5 == 0;
       SCOPED_TRACE("index=" + std::to_string(index) +
                    " misalign=" + std::to_string(misalign));
       auto sync = run_sync(program, opts, mode, /*manifest_batch=*/1,
                            corpus_faults(index, opts.nprocs));
       auto async = run_async(program, opts, mode, popts,
-                             corpus_faults(index, opts.nprocs),
-                             shared_adapter);
+                             corpus_faults(index, opts.nprocs));
       EXPECT_EQ(sync.result.trace.final_digest,
                 async.result.trace.final_digest);
       EXPECT_EQ(sync.store->digest(), async.store->digest());

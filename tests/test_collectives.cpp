@@ -1,8 +1,11 @@
 // Tests for the reduce/allreduce collectives across the full chain:
 // parser/printer, lowering shape, native simulator semantics (blocking,
 // clock merging), native-vs-lowered equivalence, CFG/matching treatment,
-// and safety of checkpointed reduction loops after repair.
+// safety of checkpointed reduction loops after repair, and the engine's
+// errors for collective rounds whose members disagree.
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "match/match.h"
 #include "mp/generate.h"
@@ -12,6 +15,7 @@
 #include "place/place.h"
 #include "sim/engine.h"
 #include "trace/analysis.h"
+#include "util/error.h"
 
 namespace {
 
@@ -191,6 +195,66 @@ TEST(Collectives, GeneratedProgramsWithAllCollectivesRunSafely) {
       EXPECT_TRUE(trace::analyze_cut(result.trace, cut).consistent)
           << mp::print(program);
   }
+}
+
+// Sequence-matched rounds must agree on kind and root. Rank 0 always
+// joins first (every wake is queued at t=0 in rank order), so it fixes the
+// round and the first disagreeing rank throws.
+
+/// Runs `text` on 3 processes and returns the ProgramError it must throw.
+std::string mismatch_error(const char* text) {
+  const mp::Program program = mp::parse(text);
+  try {
+    sim::simulate(program, 3);
+  } catch (const util::ProgramError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no ProgramError for " << text;
+  return "";
+}
+
+TEST(CollectiveMismatch, BcastJoiningABarrierRoundThrows) {
+  const std::string what = mismatch_error(R"(
+    program m { if (rank == 0) { barrier; } else { bcast root 0; } })");
+  EXPECT_EQ(what.rfind("collective mismatch", 0), 0u) << what;
+  EXPECT_NE(what.find("inconsistent bcast round"), std::string::npos) << what;
+}
+
+TEST(CollectiveMismatch, ReduceWithTwoRootsThrows) {
+  const std::string what = mismatch_error(R"(
+    program m {
+      if (rank == 0) { reduce root 0; } else { reduce root 1; }
+    })");
+  EXPECT_EQ(what.rfind("collective mismatch", 0), 0u) << what;
+  EXPECT_NE(what.find("inconsistent reduce round"), std::string::npos)
+      << what;
+}
+
+TEST(CollectiveMismatch, BcastWithTwoRootsThrows) {
+  const std::string what = mismatch_error(R"(
+    program m {
+      if (rank == 0) { bcast root 0; } else { bcast root 2; }
+    })");
+  EXPECT_EQ(what.rfind("collective mismatch", 0), 0u) << what;
+  EXPECT_NE(what.find("inconsistent bcast round"), std::string::npos) << what;
+}
+
+TEST(CollectiveMismatch, BarrierJoiningAnAllreduceRoundThrows) {
+  const std::string what = mismatch_error(R"(
+    program m { if (rank == 0) { allreduce; } else { barrier; } })");
+  EXPECT_EQ(what.rfind("collective mismatch", 0), 0u) << what;
+  EXPECT_NE(what.find("barrier joined a non-barrier round"),
+            std::string::npos)
+      << what;
+}
+
+TEST(CollectiveMismatch, AllreduceJoiningABarrierRoundThrows) {
+  const std::string what = mismatch_error(R"(
+    program m { if (rank == 0) { barrier; } else { allreduce; } })");
+  EXPECT_EQ(what.rfind("collective mismatch", 0), 0u) << what;
+  EXPECT_NE(what.find("allreduce joined a different round"),
+            std::string::npos)
+      << what;
 }
 
 }  // namespace

@@ -9,10 +9,17 @@
 //     the repo's own trace::parse_json), byte determinism;
 //   * sim::run_batch_observed — parallel vs serial merged snapshots are
 //     byte-identical (the tentpole determinism claim);
-//   * a multi-writer hammer that gives TSan the sharded registry.
+//   * a multi-writer hammer that gives TSan the sharded registry;
+//   * the metric-catalog drift gate: every metric a fully instrumented
+//     run registers has a docs/observability.md row with its kind and
+//     unit, and every row names a registered metric.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +28,10 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "sim/montecarlo.h"
+#include "sim/snapshot_codec.h"
+#include "sim/supervisor.h"
+#include "store/async_persist.h"
+#include "store/store.h"
 #include "trace/json.h"
 #include "workloads/workloads.h"
 
@@ -497,6 +508,166 @@ TEST(ObsRegistry, ConcurrentWritersAndSnapshotsRaceCleanly) {
   EXPECT_EQ(snap.find("war.hist")->count,
             static_cast<long long>(kThreads) * kOps);
   EXPECT_LE(snap.find("war.gauge")->high_water, 96);
+}
+
+// ---------------------------------------------------------------------------
+// Metric-catalog drift gate (docs/observability.md)
+// ---------------------------------------------------------------------------
+
+struct CatalogRow {
+  std::string kind;
+  std::string unit;
+};
+
+std::string trim(const std::string& text) {
+  const auto first = text.find_first_not_of(' ');
+  if (first == std::string::npos) return "";
+  return text.substr(first, text.find_last_not_of(' ') - first + 1);
+}
+
+std::vector<std::string> split(const std::string& text,
+                               const std::string& sep) {
+  std::vector<std::string> parts;
+  std::size_t from = 0;
+  while (true) {
+    const auto at = text.find(sep, from);
+    parts.push_back(trim(text.substr(from, at - from)));
+    if (at == std::string::npos) return parts;
+    from = at + sep.size();
+  }
+}
+
+/// The rows of every `| metric | kind | unit | meaning |` table. A row
+/// naming several metrics (`a` / `b`) lists either one unit for all of
+/// them or one unit per metric, in the same order.
+std::map<std::string, CatalogRow> catalog_rows(const std::string& markdown) {
+  std::map<std::string, CatalogRow> rows;
+  std::istringstream in(markdown);
+  std::string line;
+  bool in_table = false;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] != '|') {
+      in_table = false;
+      continue;
+    }
+    std::vector<std::string> cells = split(line, "|");
+    cells.erase(cells.begin());  // before the leading '|'
+    if (cells.size() < 3) continue;
+    if (cells[0] == "metric" && cells[1] == "kind" && cells[2] == "unit") {
+      in_table = true;
+      continue;
+    }
+    if (!in_table || cells[0].rfind("---", 0) == 0) continue;
+    const std::vector<std::string> names = split(cells[0], " / ");
+    const std::vector<std::string> units = split(cells[2], " / ");
+    EXPECT_TRUE(units.size() == 1 || units.size() == names.size())
+        << "unit count does not match the metric count: " << line;
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      std::string name = names[i];
+      EXPECT_TRUE(name.size() > 2 && name.front() == '`' &&
+                  name.back() == '`')
+          << "metric name not in backticks: " << line;
+      name = name.substr(1, name.size() - 2);
+      EXPECT_EQ(rows.count(name), 0u) << "duplicate row for " << name;
+      rows[name] = {cells[1], units.size() == 1 ? units[0] : units.at(i)};
+    }
+  }
+  return rows;
+}
+
+const char* kind_of(obs::MetricKind kind) {
+  switch (kind) {
+    case obs::MetricKind::kCounter:
+      return "counter";
+    case obs::MetricKind::kGauge:
+      return "gauge";
+    case obs::MetricKind::kHistogram:
+      return "histogram";
+  }
+  return "?";
+}
+
+/// Every metric the instrumented layers register: engines over a lossy
+/// wire with a partition, a stall, a crash and a corrupt checkpoint, and
+/// supervised engines (a false suspicion under a partition, then a
+/// detected crash), plus a StableStore fed through an AsyncPersister.
+obs::MetricsSnapshot fully_instrumented_snapshot() {
+  obs::Registry registry;
+  const mp::Program program = ring_program();
+
+  sim::SimOptions lossy;
+  lossy.nprocs = 4;
+  lossy.obs = &registry;
+  lossy.recovery_overhead = 0.5;
+  lossy.delay.drop = 0.05;
+  lossy.delay.dup = 0.05;
+  lossy.delay.reorder = 0.1;
+  lossy.fault_plan.faults = {sim::FaultPlan::after_checkpoint(1, 3)};
+  lossy.fault_plan.partitions = {sim::FaultPlan::partition({2}, 5.0, 9.0)};
+  lossy.fault_plan.stalls = {sim::FaultPlan::stall(3, 12.0, 4.0)};
+  lossy.storage_faults.faults = {store::StorageFaultPlan::bit_flip(1, 3)};
+  store::StableStore store(store::StorageModel{},
+                           store::CheckpointMode::kIncremental,
+                           lossy.nprocs);
+  store.set_obs(&registry);
+  {
+    store::AsyncPersistOptions popts;
+    popts.obs = &registry;
+    store::AsyncPersister persister(store, popts);
+    lossy.checkpoint_capture_fn = sim::async_store_capture_fn(persister);
+    sim::Engine engine(program, lossy);
+    engine.run();
+    persister.drain();
+  }
+  store.collect_garbage(1);
+
+  sim::SupervisorOptions so;
+  so.detector.hb_interval = 0.5;
+  so.detector.timeout = 2.0;
+  so.poll_interval = 1.0;
+  so.restart_budget = 10;
+  sim::SimOptions supervised;
+  supervised.nprocs = 4;
+  supervised.obs = &registry;
+  supervised.recovery_overhead = 0.5;
+  supervised.fault_plan.partitions = {
+      sim::FaultPlan::partition({1}, 20.0, 30.0)};
+  supervised.fault_plan.faults = {sim::FaultPlan::at_time(2, 45.0)};
+  sim::Supervisor supervisor(so);
+  sim::Engine engine(program, supervised, &supervisor);
+  engine.run();
+  return registry.snapshot();
+}
+
+TEST(ObsCatalog, EveryRegisteredMetricHasAMatchingDocsRow) {
+  ACFC_REQUIRE_OBS();
+  std::ifstream file(ACFC_DOCS_DIR "/observability.md");
+  ASSERT_TRUE(file.good()) << "cannot open " ACFC_DOCS_DIR "/observability.md";
+  std::stringstream text;
+  text << file.rdbuf();
+  const std::map<std::string, CatalogRow> rows = catalog_rows(text.str());
+  ASSERT_FALSE(rows.empty());
+
+  const obs::MetricsSnapshot snap = fully_instrumented_snapshot();
+  std::set<std::string> registered;
+  for (const auto& [name, metric] : snap.metrics) {
+    registered.insert(name);
+    const auto row = rows.find(name);
+    if (row == rows.end()) {
+      ADD_FAILURE() << "metric " << name << " (" << kind_of(metric.kind)
+                    << ", " << metric.unit
+                    << ") has no row in docs/observability.md";
+      continue;
+    }
+    EXPECT_EQ(row->second.kind, kind_of(metric.kind)) << "kind of " << name;
+    EXPECT_EQ(row->second.unit, metric.unit) << "unit of " << name;
+  }
+  // The scenario reaches every documented metric, so a row for a metric
+  // nothing registers any more is stale.
+  for (const auto& [name, row] : rows)
+    EXPECT_EQ(registered.count(name), 1u)
+        << "docs/observability.md documents " << name
+        << ", which no instrumented layer registers";
 }
 
 }  // namespace
