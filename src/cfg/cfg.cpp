@@ -175,13 +175,17 @@ std::string Cfg::node_label(NodeId id) const {
 }
 
 void Cfg::analyze() {
+  analyze_structure();
+  compute_reachability();
+}
+
+void Cfg::analyze_structure() {
   ACFC_CHECK_MSG(entry_ != kNoNode && exit_ != kNoNode,
                  "entry/exit must be set before analyze()");
   ensure_adjacency();
   compute_rpo();
   compute_dominators();
   compute_back_edges();
-  compute_reachability();
   analyzed_ = true;
 }
 
@@ -539,7 +543,6 @@ class Builder {
     const NodeId exit = cfg_.add_node(NodeKind::kExit, nullptr);
     cfg_.set_exit(exit);
     cfg_.add_edge(tail, exit);
-    cfg_.analyze();
     return std::move(cfg_);
   }
 
@@ -609,6 +612,25 @@ class Builder {
 
 }  // namespace
 
-Cfg build_cfg(const mp::Program& program) { return Builder().run(program); }
+Cfg build_cfg(const mp::Program& program) {
+  Cfg graph = Builder().run(program);
+  graph.analyze();
+  return graph;
+}
+
+std::vector<int> checkpoint_index_by_id(const mp::Program& program) {
+  Cfg graph = Builder().run(program);
+  graph.analyze_structure();
+  std::vector<int> index_of_id;
+  for (const auto& [node, index] : graph.index_checkpoints().index_of) {
+    const int id =
+        static_cast<const mp::CheckpointStmt*>(graph.node(node).stmt)->ckpt_id;
+    if (id < 0) continue;
+    if (static_cast<std::size_t>(id) >= index_of_id.size())
+      index_of_id.resize(static_cast<std::size_t>(id) + 1, -1);
+    index_of_id[static_cast<std::size_t>(id)] = index;
+  }
+  return index_of_id;
+}
 
 }  // namespace acfc::cfg

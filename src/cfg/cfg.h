@@ -148,6 +148,11 @@ class Cfg {
                      const std::vector<Edge>& extra_edges = {}) const;
 
  private:
+  friend std::vector<int> checkpoint_index_by_id(const mp::Program& program);
+
+  /// analyze() without the reachability matrices: RPO, dominators and
+  /// back edges — everything index_checkpoints() reads.
+  void analyze_structure();
   void compute_rpo();
   void compute_dominators();
   void compute_back_edges();
@@ -193,5 +198,13 @@ class Cfg {
 /// represented as single kCollective nodes; run mp::lower_collectives first
 /// if point-to-point granularity is wanted.
 Cfg build_cfg(const mp::Program& program);
+
+/// S_i of every checkpoint statement of `program` (renumbered), indexed by
+/// CheckpointStmt::ckpt_id; -1 for ids no statement carries. The same
+/// numbers as build_cfg(program).index_checkpoints(), from a CFG that skips
+/// the reachability matrices indexing never reads. Throws
+/// util::ProgramError on an unbalanced placement, as index_checkpoints()
+/// does.
+std::vector<int> checkpoint_index_by_id(const mp::Program& program);
 
 }  // namespace acfc::cfg

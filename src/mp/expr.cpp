@@ -150,8 +150,6 @@ bool Expr::loop_invariant() const {
   return (node_->flags & (kFlagLoopVar | kFlagIrregular)) == 0;
 }
 
-const void* Expr::node_id() const { return node_.get(); }
-
 std::vector<std::string> Expr::loop_vars() const {
   std::vector<std::string> out;
   switch (node_->kind) {
@@ -189,7 +187,6 @@ std::optional<std::int64_t> Expr::eval(const EvalCtx& ctx) const {
       req.irregular_id = node_->irregular_id;
       req.rank = ctx.rank;
       req.nprocs = ctx.nprocs;
-      req.instance = ctx.instance;
       return (*ctx.resolver)(req);
     }
     default: {

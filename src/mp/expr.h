@@ -56,9 +56,9 @@ struct EvalCtx {
   /// Innermost-last bindings of enclosing loop variables.
   std::vector<std::pair<std::string, std::int64_t>> env;
   /// Optional resolver for irregular values; nullptr during static analysis.
+  /// Requests carry instance 0; a resolver that needs invocation ordinals
+  /// numbers them itself.
   const IrregularResolver* resolver = nullptr;
-  /// Dynamic instance counter passed through to the resolver.
-  std::int64_t instance = 0;
 
   std::optional<std::int64_t> lookup(const std::string& var) const;
 };
@@ -103,9 +103,6 @@ class Expr {
   /// variables, no irregular values: the result never changes within a
   /// process, so evaluators may memoize it.
   bool loop_invariant() const;
-  /// Stable identity of the underlying immutable node — the key for such
-  /// memo tables. Valid as long as any Expr referencing the node lives.
-  const void* node_id() const;
   /// Collects the names of referenced loop variables (deduplicated).
   std::vector<std::string> loop_vars() const;
 

@@ -131,8 +131,6 @@ bool Pred::loop_invariant() const {
   return (node_->flags & (kFlagLoopVar | kFlagIrregular)) == 0;
 }
 
-const void* Pred::node_id() const { return node_.get(); }
-
 std::optional<bool> Pred::eval(const EvalCtx& ctx) const {
   switch (node_->kind) {
     case PredKind::kTrue:
@@ -143,7 +141,6 @@ std::optional<bool> Pred::eval(const EvalCtx& ctx) const {
       req.irregular_id = node_->irregular_id;
       req.rank = ctx.rank;
       req.nprocs = ctx.nprocs;
-      req.instance = ctx.instance;
       return (*ctx.resolver)(req) != 0;
     }
     case PredKind::kCmp: {

@@ -64,8 +64,6 @@ class Pred {
   bool has_loop_var() const;
   /// Pure function of (rank, nprocs): no loop variables, no irregulars.
   bool loop_invariant() const;
-  /// Stable identity of the underlying immutable node (memo-table key).
-  const void* node_id() const;
 
   /// Evaluates; nullopt when an operand is unresolvable.
   std::optional<bool> eval(const EvalCtx& ctx) const;

@@ -61,24 +61,6 @@ struct Engine::CollRound {
 
 namespace {
 
-/// Default resolver: a pure hash of (id, rank, instance) mapped into
-/// [0, nprocs) — deterministic across replays by construction.
-mp::IrregularResolver default_resolver() {
-  return [](const mp::IrregularRequest& req) -> std::int64_t {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-      h *= 0xbf58476d1ce4e5b9ULL;
-      h ^= h >> 29;
-    };
-    mix(static_cast<std::uint64_t>(req.irregular_id));
-    mix(static_cast<std::uint64_t>(req.rank));
-    mix(static_cast<std::uint64_t>(req.instance));
-    const int n = std::max(1, req.nprocs);
-    return static_cast<std::int64_t>(h % static_cast<std::uint64_t>(n));
-  };
-}
-
 /// A Monte-Carlo batch constructs and destroys one Engine per run, each
 /// churning a few MB of trace stores and clock vectors. glibc's adaptive
 /// trim/mmap thresholds settle right at that scale, so the steady state
@@ -116,7 +98,6 @@ Engine::Engine(const Model* model, const mp::Program* program,
     : model_(model), opts_(std::move(opts)), driver_(driver) {
   tune_allocator_for_run_batches();
   ACFC_CHECK_MSG(opts_.nprocs >= 2, "simulation needs at least 2 processes");
-  resolver_ = opts_.irregular ? opts_.irregular : default_resolver();
   net_rng_ = util::Rng(opts_.seed ^ 0xdead5eedULL);
 
   trace_.nprocs = opts_.nprocs;
@@ -198,15 +179,23 @@ Engine::Engine(const Model* model, const mp::Program* program,
     model_ = owned_model_.get();
   }
 
+  invariants_.assign(n * static_cast<size_t>(model_->slot_count()), {});
   for (int p = 0; p < opts_.nprocs; ++p) {
     auto proc = std::make_unique<Process>();
-    proc->vm = std::make_unique<Vm>(&model_->program(), p, opts_.nprocs,
-                                    opts_.seed, &resolver_);
+    proc->vm = make_vm(p);
     procs_.push_back(std::move(proc));
   }
 }
 
 Engine::~Engine() = default;
+
+std::unique_ptr<Vm> Engine::make_vm(int p) {
+  return std::make_unique<Vm>(
+      *model_, p, opts_.nprocs, opts_.seed,
+      invariants_.data() +
+          static_cast<size_t>(p) * static_cast<size_t>(model_->slot_count()),
+      opts_.irregular ? &opts_.irregular : nullptr);
+}
 
 void Engine::push_event(double time, EvKind kind, int proc, long a, long b) {
   calqueue_.push(Ev{time, event_seq_++, kind, proc, a, b, epoch_});
@@ -1078,8 +1067,7 @@ void Engine::perform_rollback(int failed_proc) {
     if (quarantined_[static_cast<size_t>(p)]) continue;
     const int member = line.cut.member[static_cast<size_t>(p)];
     if (member < 0) {
-      proc.vm = std::make_unique<Vm>(&model_->program(), p, opts_.nprocs,
-                                     opts_.seed, &resolver_);
+      proc.vm = make_vm(p);
       proc.pending_recv.reset();
     } else {
       const auto& ckpt = trace_.checkpoints[static_cast<size_t>(member)];

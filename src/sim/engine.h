@@ -152,8 +152,8 @@ struct SimOptions {
   bool supervised = false;
   /// Runaway guard.
   long max_events = 5'000'000;
-  /// Resolver for irregular expressions; when empty, a deterministic
-  /// hash-based resolver is installed (values in [0, nprocs)).
+  /// Resolver for irregular expressions; when empty, the VMs call the
+  /// deterministic hash sim::default_irregular() (values in [0, nprocs)).
   mp::IrregularResolver irregular;
   /// Observability sink (docs/observability.md). nullptr ⇒ fully inert:
   /// the engine keeps its plain SimStats/CalendarQueue counters and never
@@ -330,6 +330,8 @@ class Engine {
   Engine(const Model* model, const mp::Program* program, SimOptions opts,
          ProtocolDriver* driver);
 
+  /// A fresh VM for process `p` over the model and its invariant row.
+  std::unique_ptr<Vm> make_vm(int p);
   void bootstrap();
   void dispatch(const Ev& ev);
   /// Drives `proc` forward from the current time until it blocks.
@@ -448,7 +450,10 @@ class Engine {
   std::unique_ptr<const Model> owned_model_;  ///< null when shared
   SimOptions opts_;
   ProtocolDriver* driver_;
-  mp::IrregularResolver resolver_;
+  /// Values of the model's rank-pure roots, nprocs rows of
+  /// model_->slot_count() slots, filled on first use. One allocation per
+  /// engine; survives VM re-creation on rollback.
+  std::vector<InvariantSlot> invariants_;
 
   /// A restorable checkpoint image: VM state plus any outstanding blocking
   /// receive (a protocol may force a checkpoint while a process is blocked,

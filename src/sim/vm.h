@@ -1,5 +1,6 @@
-// The per-process virtual machine: an interpreter over the MiniMP AST with
-// fully copyable state.
+// The per-process virtual machine: walks the MiniMP AST's control flow
+// with fully copyable state, and evaluates every expression and condition
+// from the sim::Model's compiled code.
 //
 // The VM advances through control flow (if/for bookkeeping costs no
 // simulated time) and yields Actions — compute, send, recv, checkpoint,
@@ -12,74 +13,17 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <variant>
 #include <vector>
 
 #include "mp/stmt.h"
+#include "sim/model.h"
 #include "trace/vclock.h"
 #include "util/rng.h"
 
 namespace acfc::sim {
-
-/// Memo table for loop-invariant expression and predicate values, keyed
-/// by the shared AST node's address. A process evaluates the same static
-/// send/recv-parameter expressions millions of times, and for exprs with
-/// no loop variables and no irregular values the answer is a pure function
-/// of (rank, nprocs) — constant for the Vm's whole life. Open-addressed
-/// flat table: a handful of entries, all lookups O(1) pointer probes.
-///
-/// Deliberately NOT part of VmSnapshot: the cache is derived data, valid
-/// across rollback/restore (the keys are the program's immutable nodes and
-/// the values rank-pure), so checkpoints never pay to copy it.
-class InvariantCache {
- public:
-  const std::int64_t* find(const void* key) const {
-    if (slots_.empty()) return nullptr;
-    std::size_t i = hash(key) & (slots_.size() - 1);
-    while (slots_[i].key != nullptr) {
-      if (slots_[i].key == key) return &slots_[i].value;
-      i = (i + 1) & (slots_.size() - 1);
-    }
-    return nullptr;
-  }
-
-  void insert(const void* key, std::int64_t value) {
-    if ((count_ + 1) * 2 > slots_.size()) grow();
-    std::size_t i = hash(key) & (slots_.size() - 1);
-    while (slots_[i].key != nullptr) i = (i + 1) & (slots_.size() - 1);
-    slots_[i] = Slot{key, value};
-    ++count_;
-  }
-
- private:
-  struct Slot {
-    const void* key = nullptr;
-    std::int64_t value = 0;
-  };
-
-  static std::size_t hash(const void* p) {
-    auto x = reinterpret_cast<std::uintptr_t>(p);
-    x ^= x >> 33;
-    x *= 0xff51afd7ed558ccdULL;
-    x ^= x >> 33;
-    return static_cast<std::size_t>(x);
-  }
-
-  void grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(old.empty() ? 16 : old.size() * 2, Slot{});
-    for (const Slot& s : old) {
-      if (s.key == nullptr) continue;
-      std::size_t i = hash(s.key) & (slots_.size() - 1);
-      while (slots_[i].key != nullptr) i = (i + 1) & (slots_.size() - 1);
-      slots_[i] = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t count_ = 0;
-};
 
 /// Tiny flat key → counter map. A process touches a handful of irregular
 /// sites and checkpoint ids, so a contiguous array with linear lookup beats
@@ -100,6 +44,8 @@ struct CounterMap {
 
 /// One entry of the control stack: position inside a block; for loop-body
 /// frames, the loop statement and the current/bound values of its variable.
+/// A frame's stack index is the static nesting depth of its block, which
+/// is where compiled loop variables read their values.
 struct Frame {
   const mp::Block* block = nullptr;
   std::size_t index = 0;
@@ -174,17 +120,46 @@ using Action = std::variant<ActionCompute, ActionSend, ActionRecv,
                             ActionCheckpoint, ActionBarrier, ActionBcast,
                             ActionReduce, ActionAllreduce, ActionDone>;
 
+/// One entry of an engine's invariant table: the value of a rank-pure root
+/// (Root::slot) for one rank, filled on first use. Derived data, valid
+/// across rollback and VM re-creation, so never part of a VmSnapshot.
+struct InvariantSlot {
+  std::int64_t value = 0;
+  bool known = false;
+};
+
+/// What compiled code reads: the process identity, its control stack (loop
+/// variables by frame depth) and its irregular-instance counters, which
+/// each evaluated irregular leaf advances.
+struct EvalEnv {
+  int rank = 0;
+  int nprocs = 1;
+  const Frame* stack = nullptr;
+  CounterMap* irregular_counts = nullptr;
+  /// nullptr: default_irregular(); otherwise a pure user resolver.
+  const mp::IrregularResolver* resolver = nullptr;
+};
+
+/// The engine's default irregular values: a pure hash of (id, rank,
+/// instance) mapped into [0, nprocs), deterministic across replays.
+std::int64_t default_irregular(const mp::IrregularRequest& req);
+
+/// Evaluates code node `node` of `model` — a value, or 0/1 for a predicate
+/// node — with exactly the order, short-circuiting and failures of
+/// mp::Expr::eval / mp::Pred::eval under a resolver that numbers each
+/// irregular call from env.irregular_counts. nullopt where those return
+/// nullopt.
+std::optional<std::int64_t> evaluate(const Model& model, int node,
+                                     const EvalEnv& env);
+
 class Vm {
  public:
-  /// `program` and `resolver` must outlive the VM. The resolver must be a
-  /// pure function (replay determinism).
-  Vm(const mp::Program* program, int rank, int nprocs, std::uint64_t seed,
-     const mp::IrregularResolver* resolver);
-
-  // The cached resolver wrapper captures `this`; moving or copying a Vm
-  // would leave it dangling. The engine owns Vms behind unique_ptr.
-  Vm(const Vm&) = delete;
-  Vm& operator=(const Vm&) = delete;
+  /// `model` must outlive the VM. `invariants` is this rank's row of the
+  /// engine's invariant table (model.slot_count() entries). `resolver` is
+  /// nullptr for default_irregular(), else a pure function that outlives
+  /// the VM (replay determinism).
+  Vm(const Model& model, int rank, int nprocs, std::uint64_t seed,
+     InvariantSlot* invariants, const mp::IrregularResolver* resolver);
 
   int rank() const { return rank_; }
   int nprocs() const { return nprocs_; }
@@ -212,23 +187,22 @@ class Vm {
   long note_checkpoint_instance(int static_index);
 
  private:
-  /// Evaluates with the current loop-variable environment and the
-  /// deterministic irregular resolver; throws on unresolvable values.
-  std::int64_t eval_or_throw(const mp::Expr& expr, const char* what);
-  bool eval_pred(const mp::Pred& pred);
-  /// Refreshes ctx_ (loop-variable environment) in place — the context and
-  /// the resolver wrapper are cached members so the per-statement eval path
-  /// performs no allocations once the env vector has warmed up.
-  void refresh_ctx();
+  /// Value of a compiled root: served from the invariant table when the
+  /// root is rank-pure, folded into the digest on every use; throws
+  /// "cannot evaluate <what>: <source>" when it has no value.
+  std::int64_t eval_or_throw(const Root& root, const mp::Expr& source,
+                             const char* what);
+  bool eval_pred(const Root& root, const mp::Pred& source);
+  /// Evaluates `root`, or reads its invariant slot, filling it on first
+  /// use; nullopt when it has no value.
+  std::optional<std::int64_t> value_of(const Root& root);
 
-  const mp::Program* program_;
+  const Model* model_;
   int rank_;
   int nprocs_;
+  InvariantSlot* invariants_;
   const mp::IrregularResolver* resolver_;
   VmSnapshot state_;
-  mp::EvalCtx ctx_;
-  mp::IrregularResolver wrapper_;
-  InvariantCache invariant_cache_;
 };
 
 }  // namespace acfc::sim
