@@ -1,7 +1,5 @@
 #include "attr/attr.h"
 
-#include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "mp/subst.h"
@@ -35,13 +33,13 @@ namespace {
 bool collect(const mp::Block& block, int stmt_uid, PathAttribute& acc) {
   for (const auto& s : block.stmts) {
     if (s->uid() == stmt_uid) return true;
-    if (const auto* iff = dynamic_cast<const mp::IfStmt*>(s.get())) {
+    if (const auto* iff = mp::stmt_cast<mp::IfStmt>(s.get())) {
       acc.guards.emplace_back(iff->cond, true);
       if (collect(iff->then_body, stmt_uid, acc)) return true;
       acc.guards.back().second = false;
       if (collect(iff->else_body, stmt_uid, acc)) return true;
       acc.guards.pop_back();
-    } else if (const auto* loop = dynamic_cast<const mp::LoopStmt*>(s.get())) {
+    } else if (const auto* loop = mp::stmt_cast<mp::LoopStmt>(s.get())) {
       acc.loops.push_back({loop->var, loop->lo, loop->hi});
       if (collect(loop->body, stmt_uid, acc)) return true;
       acc.loops.pop_back();
@@ -141,168 +139,6 @@ PathAttribute combine_attributes(const PathAttribute& a,
   return out;
 }
 
-namespace {
-
-/// Shared enumeration state with a global budget.
-struct Enumerator {
-  const SatOptions& opts;
-  long budget;
-
-  explicit Enumerator(const SatOptions& o) : opts(o), budget(o.budget) {}
-
-  bool exhausted() const { return budget <= 0; }
-
-  /// True iff every guard is non-false under ctx (unknown passes).
-  static bool guards_hold(const PathAttribute& attr, const mp::EvalCtx& ctx) {
-    for (const auto& [pred, polarity] : attr.guards) {
-      const auto v = pred.eval(ctx);
-      if (v.has_value() && *v != polarity) return false;
-    }
-    return true;
-  }
-
-  /// Invokes fn for every loop valuation (building ctx.env); fn returns
-  /// false to stop early. Returns false if stopped early.
-  bool for_each_valuation(const PathAttribute& attr, mp::EvalCtx& ctx,
-                          std::size_t depth,
-                          const std::function<bool(const mp::EvalCtx&)>& fn) {
-    if (exhausted()) {
-      // Budget blown: behave conservatively by visiting a single synthetic
-      // valuation that leaves loop variables unbound (expressions over them
-      // then evaluate to unknown → wildcards).
-      return fn(ctx);
-    }
-    if (depth == attr.loops.size()) {
-      --budget;
-      return fn(ctx);
-    }
-    const LoopBinding& binding = attr.loops[depth];
-    const auto lo = binding.lo.eval(ctx);
-    const auto hi = binding.hi.eval(ctx);
-    std::vector<std::int64_t> values;
-    if (lo && hi) {
-      if (*lo >= *hi) return true;  // loop body never executes: no valuation
-      const std::int64_t span = *hi - *lo;
-      const auto cap = static_cast<std::int64_t>(opts.max_loop_values);
-      if (span <= cap) {
-        for (std::int64_t v = *lo; v < *hi; ++v) values.push_back(v);
-      } else {
-        // Sample head and tail; rank-valued destinations live near the
-        // range ends in the common idioms (0, 1, ..., nprocs-1).
-        for (std::int64_t v = *lo; v < *lo + cap / 2; ++v)
-          values.push_back(v);
-        for (std::int64_t v = *hi - cap / 2; v < *hi; ++v)
-          values.push_back(v);
-      }
-    } else {
-      // Unknown bounds (irregular): enumerate the plausible rank-adjacent
-      // values — conservative for matching purposes.
-      for (std::int64_t v = -1; v <= ctx.nprocs; ++v) values.push_back(v);
-    }
-    for (const std::int64_t v : values) {
-      ctx.env.emplace_back(binding.var, v);
-      const bool keep_going = for_each_valuation(attr, ctx, depth + 1, fn);
-      ctx.env.pop_back();
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  /// The set of values an expression can take at (rank, nprocs) across all
-  /// guard-satisfying loop valuations; nullopt means wildcard (some
-  /// valuation made the expression unknown, or the attribute has no
-  /// satisfying valuation? — no: empty set means unreachable).
-  struct ValueSet {
-    bool wildcard = false;
-    std::set<std::int64_t> values;
-    bool reachable = false;  ///< some valuation satisfied the guards
-  };
-
-  ValueSet achievable(const PathAttribute& attr, const mp::Expr& expr,
-                      int rank, int nprocs) {
-    ValueSet out;
-    mp::EvalCtx ctx;
-    ctx.rank = rank;
-    ctx.nprocs = nprocs;
-    for_each_valuation(attr, ctx, 0, [&](const mp::EvalCtx& c) {
-      if (!guards_hold(attr, c)) return true;
-      out.reachable = true;
-      const auto v = expr.eval(c);
-      if (v) {
-        out.values.insert(*v);
-      } else {
-        out.wildcard = true;
-      }
-      // Stop early once a wildcard is seen and reachability established.
-      return !out.wildcard;
-    });
-    return out;
-  }
-
-  bool attr_satisfiable(const PathAttribute& attr, int rank, int nprocs) {
-    bool sat = false;
-    mp::EvalCtx ctx;
-    ctx.rank = rank;
-    ctx.nprocs = nprocs;
-    for_each_valuation(attr, ctx, 0, [&](const mp::EvalCtx& c) {
-      if (guards_hold(attr, c)) {
-        sat = true;
-        return false;
-      }
-      return true;
-    });
-    return sat;
-  }
-};
-
-}  // namespace
-
-bool satisfiable(const PathAttribute& attr, const SatOptions& opts) {
-  Enumerator e(opts);
-  for (const int n : opts.world_sizes) {
-    for (int rank = 0; rank < n; ++rank) {
-      if (e.attr_satisfiable(attr, rank, n)) return true;
-      if (e.exhausted()) return true;  // conservative
-    }
-  }
-  return false;
-}
-
-std::optional<MatchWitness> find_match(const MatchQuery& query,
-                                       const SatOptions& opts) {
-  Enumerator e(opts);
-  for (const int n : opts.world_sizes) {
-    // Precompute per-rank reachability and achievable parameter values.
-    std::vector<Enumerator::ValueSet> dest_sets, src_sets;
-    dest_sets.reserve(static_cast<size_t>(n));
-    src_sets.reserve(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      dest_sets.push_back(e.achievable(query.sender_attr, query.dest, r, n));
-      src_sets.push_back(e.achievable(query.recv_attr, query.src, r, n));
-    }
-    for (int p = 0; p < n; ++p) {
-      const auto& dest = dest_sets[static_cast<size_t>(p)];
-      if (!dest.reachable) continue;
-      for (int q = 0; q < n; ++q) {
-        if (p == q && !opts.allow_self_messages) continue;
-        const auto& src = src_sets[static_cast<size_t>(q)];
-        if (!src.reachable) continue;
-        const bool dest_ok = dest.wildcard || dest.values.count(q) > 0;
-        const bool src_ok =
-            query.src_any || src.wildcard || src.values.count(p) > 0;
-        if (dest_ok && src_ok) return MatchWitness{n, p, q};
-      }
-    }
-    if (e.exhausted()) {
-      // Budget blown: resolve conservatively as matching with a synthetic
-      // witness on the smallest world size.
-      return MatchWitness{opts.world_sizes.empty() ? 2 : opts.world_sizes[0],
-                          0, 1};
-    }
-  }
-  return std::nullopt;
-}
-
 // ---------------------------------------------------------------------------
 // Memoization
 // ---------------------------------------------------------------------------
@@ -328,21 +164,6 @@ void append_canonical_key(std::string& out, const PathAttribute& attr) {
   }
 }
 
-/// Every SatOptions field that can change a verdict goes into the key.
-void append_options_fingerprint(std::string& out, const SatOptions& opts) {
-  out += "|W";
-  for (const int n : opts.world_sizes) {
-    out += std::to_string(n);
-    out += ',';
-  }
-  out += "|V";
-  out += std::to_string(opts.max_loop_values);
-  out += "|S";
-  out += opts.allow_self_messages ? '1' : '0';
-  out += "|B";
-  out += std::to_string(opts.budget);
-}
-
 /// Cap against unbounded growth in long-lived processes; far above any
 /// single analysis run's distinct-query count.
 constexpr size_t kMaxCacheEntries = 1 << 20;
@@ -356,11 +177,48 @@ std::string canonical_key(const PathAttribute& attr) {
   return out;
 }
 
+std::string options_fingerprint(const SatOptions& opts) {
+  std::string out = "|W";
+  for (const int n : opts.world_sizes) {
+    out += std::to_string(n);
+    out += ',';
+  }
+  out += "|V";
+  out += std::to_string(opts.max_loop_values);
+  out += "|S";
+  out += opts.allow_self_messages ? '1' : '0';
+  out += "|B";
+  out += std::to_string(opts.budget);
+  return out;
+}
+
+MatchSide sender_side(const PathAttribute& attr, const mp::Expr& dest) {
+  MatchSide side{&attr, &dest, false, {}};
+  side.key.reserve(96);
+  append_canonical_key(side.key, attr);
+  side.key += "|D";
+  dest.append_str(side.key);
+  side.key += '|';
+  return side;
+}
+
+MatchSide receiver_side(const PathAttribute& attr, const mp::Expr& src,
+                        bool src_any) {
+  MatchSide side{&attr, &src, src_any, {}};
+  side.key.reserve(96);
+  append_canonical_key(side.key, attr);
+  side.key += "|R";
+  src.append_str(side.key);
+  side.key += '|';
+  side.key += src_any ? 'A' : 'a';
+  return side;
+}
+
 bool SatCache::satisfiable(const PathAttribute& attr, const SatOptions& opts) {
   std::string key;
   key.reserve(96);
   append_canonical_key(key, attr);
-  append_options_fingerprint(key, opts);
+  key += options_fingerprint(opts);
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = sat_.find(key);
@@ -379,18 +237,19 @@ bool SatCache::satisfiable(const PathAttribute& attr, const SatOptions& opts) {
 
 std::optional<MatchWitness> SatCache::find_match(const MatchQuery& query,
                                                 const SatOptions& opts) {
-  std::string key;
-  key.reserve(192);
-  append_canonical_key(key, query.sender_attr);
-  key += "|D";
-  query.dest.append_str(key);
-  key += '|';
-  append_canonical_key(key, query.recv_attr);
-  key += "|R";
-  query.src.append_str(key);
-  key += '|';
-  key += query.src_any ? 'A' : 'a';
-  append_options_fingerprint(key, opts);
+  return find_match(sender_side(query.sender_attr, query.dest),
+                    receiver_side(query.recv_attr, query.src, query.src_any),
+                    options_fingerprint(opts), opts);
+}
+
+std::optional<MatchWitness> SatCache::find_match(
+    const MatchSide& sender, const MatchSide& receiver,
+    const std::string& fingerprint, const SatOptions& opts) {
+  // Composed in a per-thread buffer: a hit allocates nothing.
+  thread_local std::string key;
+  key.assign(sender.key);
+  key += receiver.key;
+  key += fingerprint;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = match_.find(key);
@@ -399,11 +258,11 @@ std::optional<MatchWitness> SatCache::find_match(const MatchQuery& query,
       return it->second;
     }
   }
-  const auto verdict = acfc::attr::find_match(query, opts);
+  const auto verdict = acfc::attr::find_match(sender, receiver, opts);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.misses;
   if (match_.size() >= kMaxCacheEntries) match_.clear();
-  match_.emplace(std::move(key), verdict);
+  match_.emplace(key, verdict);
   return verdict;
 }
 
@@ -433,6 +292,14 @@ std::optional<MatchWitness> find_match_cached(const MatchQuery& query,
                                               const SatOptions& opts) {
   if (!opts.use_cache) return find_match(query, opts);
   return global_sat_cache().find_match(query, opts);
+}
+
+std::optional<MatchWitness> find_match_cached(const MatchSide& sender,
+                                              const MatchSide& receiver,
+                                              const std::string& fingerprint,
+                                              const SatOptions& opts) {
+  if (!opts.use_cache) return find_match(sender, receiver, opts);
+  return global_sat_cache().find_match(sender, receiver, fingerprint, opts);
 }
 
 }  // namespace acfc::attr

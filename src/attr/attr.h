@@ -92,7 +92,10 @@ struct SatOptions {
 
 /// Is there a (world size, rank, loop valuation) under which every guard
 /// of the attribute holds? Unknown guard values count as satisfied.
-bool satisfiable(const PathAttribute& attr, const SatOptions& opts = {});
+/// `budget_left`, when given, receives the enumeration budget the query
+/// left unspent (0 when it ran out).
+bool satisfiable(const PathAttribute& attr, const SatOptions& opts = {},
+                 long* budget_left = nullptr);
 
 /// A send/recv compatibility query (the heart of Algorithm 3.1).
 struct MatchQuery {
@@ -113,9 +116,35 @@ struct MatchWitness {
 /// Searches for (n, p, q) with p ≠ q (unless allow_self_messages), sender
 /// guards true at p, receiver guards true at q, dest(p) = q, src(q) = p.
 /// Irregular dest/src act as wildcards. Returns nullopt iff the attributes
-/// contradict (no witness in the enumerated space).
+/// contradict (no witness in the enumerated space). `budget_left` as for
+/// satisfiable.
 std::optional<MatchWitness> find_match(const MatchQuery& query,
-                                       const SatOptions& opts = {});
+                                       const SatOptions& opts = {},
+                                       long* budget_left = nullptr);
+
+/// One side of a match query held by reference — the endpoint's path
+/// attribute and its parameter (a send's dest, a receive's src) — plus
+/// that side's part of the cache key, rendered once. A caller that pairs
+/// many endpoints (build_extended_cfg) makes one side per endpoint and
+/// reuses it for every pair, so a cache hit renders no expression. Both
+/// referents must outlive the side.
+struct MatchSide {
+  const PathAttribute* attr = nullptr;
+  const mp::Expr* param = nullptr;
+  bool any = false;  ///< receiver only: MPI_ANY_SOURCE
+  std::string key;
+};
+MatchSide sender_side(const PathAttribute& attr, const mp::Expr& dest);
+MatchSide receiver_side(const PathAttribute& attr, const mp::Expr& src,
+                        bool src_any);
+
+/// find_match over two sides: the same search as find_match(MatchQuery)
+/// with sender_attr/dest from `sender` and recv_attr/src/src_any from
+/// `receiver`. Keys are not read.
+std::optional<MatchWitness> find_match(const MatchSide& sender,
+                                       const MatchSide& receiver,
+                                       const SatOptions& opts,
+                                       long* budget_left = nullptr);
 
 // -- Memoization -------------------------------------------------------------
 //
@@ -132,6 +161,11 @@ std::optional<MatchWitness> find_match(const MatchQuery& query,
 /// conjunction, so they have the same satisfiability verdict.
 std::string canonical_key(const PathAttribute& attr);
 
+/// Every SatOptions field that can change a verdict, rendered for a cache
+/// key; a caller issuing many queries under one options value renders it
+/// once.
+std::string options_fingerprint(const SatOptions& opts);
+
 class SatCache {
  public:
   struct Stats {
@@ -143,6 +177,13 @@ class SatCache {
   bool satisfiable(const PathAttribute& attr, const SatOptions& opts);
   /// Memoized attr::find_match.
   std::optional<MatchWitness> find_match(const MatchQuery& query,
+                                         const SatOptions& opts);
+  /// Memoized attr::find_match over pre-rendered sides; `fingerprint` is
+  /// options_fingerprint(opts). Keys equal those of the MatchQuery form,
+  /// so both forms share entries.
+  std::optional<MatchWitness> find_match(const MatchSide& sender,
+                                         const MatchSide& receiver,
+                                         const std::string& fingerprint,
                                          const SatOptions& opts);
 
   Stats stats() const;
@@ -164,5 +205,9 @@ SatCache& global_sat_cache();
 bool satisfiable_cached(const PathAttribute& attr, const SatOptions& opts = {});
 std::optional<MatchWitness> find_match_cached(const MatchQuery& query,
                                               const SatOptions& opts = {});
+std::optional<MatchWitness> find_match_cached(const MatchSide& sender,
+                                              const MatchSide& receiver,
+                                              const std::string& fingerprint,
+                                              const SatOptions& opts);
 
 }  // namespace acfc::attr

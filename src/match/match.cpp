@@ -233,6 +233,9 @@ struct Endpoint {
   /// copy attributes.
   const attr::PathAttribute* attribute = nullptr;
   int tag = 0;
+  /// This endpoint's side of every match query it joins; its cache-key
+  /// part is rendered on first use and reused for every pair.
+  std::optional<attr::MatchSide> side;
 };
 
 bool endpoint_irregular(const mp::Expr& param) { return param.has_irregular(); }
@@ -283,16 +286,34 @@ ExtendedCfg build_extended_cfg(const mp::Program& program,
     }
   }
 
+  // Every query of this build shares one options value: render its key
+  // part once.
+  const std::string fingerprint =
+      opts.sat.use_cache ? attr::options_fingerprint(opts.sat) : std::string();
+  const auto send_side = [](Endpoint& s) -> const attr::MatchSide& {
+    if (!s.side)
+      s.side = attr::sender_side(
+          *s.attribute, static_cast<const mp::SendStmt*>(s.stmt)->dest);
+    return *s.side;
+  };
+  const auto recv_side = [](Endpoint& r) -> const attr::MatchSide& {
+    if (!r.side) {
+      const auto* stmt = static_cast<const mp::RecvStmt*>(r.stmt);
+      r.side = attr::receiver_side(*r.attribute, stmt->src, stmt->any_source);
+    }
+    return *r.side;
+  };
+
   std::vector<MessageEdge> edges;
   std::vector<char> send_matched(sends.size(), 0);
 
-  for (const Endpoint& r : recvs) {
+  for (Endpoint& r : recvs) {
     const auto* recv_stmt = static_cast<const mp::RecvStmt*>(r.stmt);
     bool recv_matched = false;
     const bool recv_irregular =
         recv_stmt->any_source || endpoint_irregular(recv_stmt->src);
     for (size_t si = 0; si < sends.size(); ++si) {
-      const Endpoint& s = sends[si];
+      Endpoint& s = sends[si];
       const auto* send_stmt = static_cast<const mp::SendStmt*>(s.stmt);
       if (s.tag != r.tag) continue;
 
@@ -304,13 +325,8 @@ ExtendedCfg build_extended_cfg(const mp::Program& program,
         continue;
       }
 
-      attr::MatchQuery query;
-      query.sender_attr = *s.attribute;
-      query.dest = send_stmt->dest;
-      query.recv_attr = *r.attribute;
-      query.src = recv_stmt->src;
-      query.src_any = recv_stmt->any_source;
-      const auto witness = attr::find_match_cached(query, opts.sat);
+      const auto witness = attr::find_match_cached(
+          send_side(s), recv_side(r), fingerprint, opts.sat);
       if (!witness) continue;
 
       edges.push_back({s.node, r.node, *witness});
@@ -329,17 +345,25 @@ ExtendedCfg build_extended_cfg(const mp::Program& program,
   // (conservative for bcast, whose causality is really root→others).
   for (const cfg::NodeId id : collectives)
     edges.push_back({id, id, attr::MatchWitness{2, 0, 1}});
+  // Co-satisfiability as a match query: a wildcard destination and an
+  // any-source receive. Each collective's two sides are rendered once.
+  const mp::Expr wildcard_dest = mp::Expr::irregular(-1);
+  const mp::Expr unused_src;
+  std::vector<std::optional<attr::MatchSide>> as_sender(collectives.size());
+  std::vector<std::optional<attr::MatchSide>> as_receiver(collectives.size());
   for (size_t i = 0; i < collectives.size(); ++i) {
     for (size_t j = i + 1; j < collectives.size(); ++j) {
       const cfg::Node& a = graph.node(collectives[i]);
       const cfg::Node& b = graph.node(collectives[j]);
       if (a.stmt->kind() != b.stmt->kind()) continue;
-      attr::MatchQuery query;
-      query.sender_attr = *query_attribute(a.stmt_uid);
-      query.recv_attr = *query_attribute(b.stmt_uid);
-      query.dest = mp::Expr::irregular(-1);  // wildcard: co-satisfiability
-      query.src_any = true;
-      const auto witness = attr::find_match_cached(query, opts.sat);
+      if (!as_sender[i])
+        as_sender[i] =
+            attr::sender_side(*query_attribute(a.stmt_uid), wildcard_dest);
+      if (!as_receiver[j])
+        as_receiver[j] = attr::receiver_side(*query_attribute(b.stmt_uid),
+                                             unused_src, /*src_any=*/true);
+      const auto witness = attr::find_match_cached(
+          *as_sender[i], *as_receiver[j], fingerprint, opts.sat);
       if (!witness) continue;
       edges.push_back({collectives[i], collectives[j], *witness});
       edges.push_back({collectives[j], collectives[i],

@@ -121,10 +121,10 @@ namespace {
 void visit(Block& block, const std::function<void(Stmt&)>& fn) {
   for (auto& s : block.stmts) {
     fn(*s);
-    if (auto* iff = dynamic_cast<IfStmt*>(s.get())) {
+    if (auto* iff = stmt_cast<IfStmt>(s.get())) {
       visit(iff->then_body, fn);
       visit(iff->else_body, fn);
-    } else if (auto* loop = dynamic_cast<LoopStmt*>(s.get())) {
+    } else if (auto* loop = stmt_cast<LoopStmt>(s.get())) {
       visit(loop->body, fn);
     }
   }
@@ -133,10 +133,10 @@ void visit(Block& block, const std::function<void(Stmt&)>& fn) {
 void visit_const(const Block& block, const std::function<void(const Stmt&)>& fn) {
   for (const auto& s : block.stmts) {
     fn(*s);
-    if (const auto* iff = dynamic_cast<const IfStmt*>(s.get())) {
+    if (const auto* iff = stmt_cast<IfStmt>(s.get())) {
       visit_const(iff->then_body, fn);
       visit_const(iff->else_body, fn);
-    } else if (const auto* loop = dynamic_cast<const LoopStmt*>(s.get())) {
+    } else if (const auto* loop = stmt_cast<LoopStmt>(s.get())) {
       visit_const(loop->body, fn);
     }
   }
@@ -170,12 +170,12 @@ void Program::renumber() {
 void Program::assign_checkpoint_ids() {
   int max_id = -1;
   for_each_stmt(body, [&max_id](Stmt& s) {
-    if (auto* c = dynamic_cast<CheckpointStmt*>(&s))
+    if (auto* c = stmt_cast<CheckpointStmt>(&s))
       max_id = std::max(max_id, c->ckpt_id);
   });
   int next = max_id + 1;
   for_each_stmt(body, [&next](Stmt& s) {
-    if (auto* c = dynamic_cast<CheckpointStmt*>(&s))
+    if (auto* c = stmt_cast<CheckpointStmt>(&s))
       if (c->ckpt_id < 0) c->ckpt_id = next++;
   });
 }
@@ -214,12 +214,12 @@ bool locate_in(Block& block, int uid, std::vector<Stmt*>& ancestors,
       out.ancestors = ancestors;
       return true;
     }
-    if (auto* iff = dynamic_cast<IfStmt*>(s)) {
+    if (auto* iff = stmt_cast<IfStmt>(s)) {
       ancestors.push_back(s);
       if (locate_in(iff->then_body, uid, ancestors, out)) return true;
       if (locate_in(iff->else_body, uid, ancestors, out)) return true;
       ancestors.pop_back();
-    } else if (auto* loop = dynamic_cast<LoopStmt*>(s)) {
+    } else if (auto* loop = stmt_cast<LoopStmt>(s)) {
       ancestors.push_back(s);
       if (locate_in(loop->body, uid, ancestors, out)) return true;
       ancestors.pop_back();

@@ -81,22 +81,24 @@ class Stmt {
 
 /// Local computation costing `cost` simulated seconds.
 struct ComputeStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kCompute;
   double cost = 0.0;
   std::string label;
 
   explicit ComputeStmt(double cost_s, std::string label_s = {})
-      : Stmt(StmtKind::kCompute), cost(cost_s), label(std::move(label_s)) {}
+      : Stmt(kKind), cost(cost_s), label(std::move(label_s)) {}
   std::unique_ptr<Stmt> clone() const override;
 };
 
 /// Asynchronous send; never blocks the sender.
 struct SendStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kSend;
   Expr dest;
   int tag = 0;
   int bytes = 0;
 
   SendStmt(Expr dest_e, int tag_i = 0, int bytes_i = 0)
-      : Stmt(StmtKind::kSend), dest(std::move(dest_e)), tag(tag_i),
+      : Stmt(kKind), dest(std::move(dest_e)), tag(tag_i),
         bytes(bytes_i) {}
   std::unique_ptr<Stmt> clone() const override;
 };
@@ -104,12 +106,13 @@ struct SendStmt final : Stmt {
 /// Blocking receive. `any_source` models MPI_ANY_SOURCE; otherwise `src`
 /// names the sender.
 struct RecvStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kRecv;
   Expr src;
   bool any_source = false;
   int tag = 0;
 
   RecvStmt(Expr src_e, int tag_i = 0)
-      : Stmt(StmtKind::kRecv), src(std::move(src_e)), tag(tag_i) {}
+      : Stmt(kKind), src(std::move(src_e)), tag(tag_i) {}
   static std::unique_ptr<RecvStmt> any(int tag_i = 0);
   std::unique_ptr<Stmt> clone() const override;
 };
@@ -118,53 +121,58 @@ struct RecvStmt final : Stmt {
 /// across Phase-III movement; -1 until assigned (see
 /// Program::assign_checkpoint_ids).
 struct CheckpointStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kCheckpoint;
   int ckpt_id = -1;
   std::string note;
 
   explicit CheckpointStmt(std::string note_s = {})
-      : Stmt(StmtKind::kCheckpoint), note(std::move(note_s)) {}
+      : Stmt(kKind), note(std::move(note_s)) {}
   std::unique_ptr<Stmt> clone() const override;
 };
 
 struct IfStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kIf;
   Pred cond;
   Block then_body;
   Block else_body;
 
-  explicit IfStmt(Pred cond_p) : Stmt(StmtKind::kIf), cond(std::move(cond_p)) {}
+  explicit IfStmt(Pred cond_p) : Stmt(kKind), cond(std::move(cond_p)) {}
   std::unique_ptr<Stmt> clone() const override;
 };
 
 /// Counted loop: `for var in [lo, hi) { body }`. The paper's `while` loops
 /// with data-dependent trip counts are modelled by an irregular `hi`.
 struct LoopStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kLoop;
   std::string var;
   Expr lo;
   Expr hi;
   Block body;
 
   LoopStmt(std::string var_s, Expr lo_e, Expr hi_e)
-      : Stmt(StmtKind::kLoop), var(std::move(var_s)), lo(std::move(lo_e)),
+      : Stmt(kKind), var(std::move(var_s)), lo(std::move(lo_e)),
         hi(std::move(hi_e)) {}
   std::unique_ptr<Stmt> clone() const override;
 };
 
 /// Collective barrier across all processes.
 struct BarrierStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kBarrier;
   int tag = 0;
 
-  explicit BarrierStmt(int tag_i = 0) : Stmt(StmtKind::kBarrier), tag(tag_i) {}
+  explicit BarrierStmt(int tag_i = 0) : Stmt(kKind), tag(tag_i) {}
   std::unique_ptr<Stmt> clone() const override;
 };
 
 /// Collective broadcast from `root` to every other process.
 struct BcastStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kBcast;
   Expr root;
   int tag = 0;
   int bytes = 0;
 
   BcastStmt(Expr root_e, int tag_i = 0, int bytes_i = 0)
-      : Stmt(StmtKind::kBcast), root(std::move(root_e)), tag(tag_i),
+      : Stmt(kKind), root(std::move(root_e)), tag(tag_i),
         bytes(bytes_i) {}
   std::unique_ptr<Stmt> clone() const override;
 };
@@ -173,12 +181,13 @@ struct BcastStmt final : Stmt {
 /// (MPI_Reduce). The root blocks until every contribution arrives;
 /// contributors continue immediately after sending.
 struct ReduceStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kReduce;
   Expr root;
   int tag = 0;
   int bytes = 0;
 
   ReduceStmt(Expr root_e, int tag_i = 0, int bytes_i = 0)
-      : Stmt(StmtKind::kReduce), root(std::move(root_e)), tag(tag_i),
+      : Stmt(kKind), root(std::move(root_e)), tag(tag_i),
         bytes(bytes_i) {}
   std::unique_ptr<Stmt> clone() const override;
 };
@@ -186,13 +195,30 @@ struct ReduceStmt final : Stmt {
 /// Collective all-reduce (MPI_Allreduce): everyone contributes and
 /// everyone receives the result — a full synchronization with data.
 struct AllreduceStmt final : Stmt {
+  static constexpr StmtKind kKind = StmtKind::kAllreduce;
   int tag = 0;
   int bytes = 0;
 
   explicit AllreduceStmt(int tag_i = 0, int bytes_i = 0)
-      : Stmt(StmtKind::kAllreduce), tag(tag_i), bytes(bytes_i) {}
+      : Stmt(kKind), tag(tag_i), bytes(bytes_i) {}
   std::unique_ptr<Stmt> clone() const override;
 };
+
+/// Checked downcast by kind: `s` as a T when its kind() is T::kKind, else
+/// nullptr (also for a null `s`). Each statement class names its kind in
+/// `kKind` and passes it to Stmt, so this is the one place that maps kinds
+/// to classes; a kind test costs a load where a failed dynamic_cast costs
+/// a type-name comparison on toolchains without merged type_info.
+template <class T>
+T* stmt_cast(Stmt* s) {
+  return s != nullptr && s->kind() == T::kKind ? static_cast<T*>(s) : nullptr;
+}
+
+template <class T>
+const T* stmt_cast(const Stmt* s) {
+  return s != nullptr && s->kind() == T::kKind ? static_cast<const T*>(s)
+                                               : nullptr;
+}
 
 /// A complete SPMD program.
 class Program {

@@ -94,7 +94,7 @@ class Inserter {
   void walk(mp::Block& block) {
     for (std::size_t i = 0; i < block.stmts.size(); ++i) {
       mp::Stmt& stmt = *block.stmts[i];
-      if (auto* loop = dynamic_cast<mp::LoopStmt*>(&stmt)) {
+      if (auto* loop = mp::stmt_cast<mp::LoopStmt>(&stmt)) {
         const double per_iter = block_cost(loop->body, opts_);
         const auto trips = loop_trips(*loop, opts_);
         const double total = static_cast<double>(trips) * per_iter;
@@ -224,7 +224,7 @@ int equalize_block(mp::Block& block, int& added) {
   for (auto& s : block.stmts) {
     if (s->kind() == mp::StmtKind::kCheckpoint) {
       ++total;
-    } else if (auto* iff = dynamic_cast<mp::IfStmt*>(s.get())) {
+    } else if (auto* iff = mp::stmt_cast<mp::IfStmt>(s.get())) {
       int then_count = equalize_block(iff->then_body, added);
       int else_count = equalize_block(iff->else_body, added);
       while (then_count < else_count) {
@@ -240,7 +240,7 @@ int equalize_block(mp::Block& block, int& added) {
         ++added;
       }
       total += then_count;
-    } else if (auto* loop = dynamic_cast<mp::LoopStmt*>(s.get())) {
+    } else if (auto* loop = mp::stmt_cast<mp::LoopStmt>(s.get())) {
       total += equalize_block(loop->body, added);
     }
   }
@@ -536,7 +536,7 @@ MoveOutcome move_back_one(
   }
 
   mp::Stmt* enclosing = loc->ancestors.back();
-  if (auto* loop = dynamic_cast<mp::LoopStmt*>(enclosing)) {
+  if (auto* loop = mp::stmt_cast<mp::LoopStmt>(enclosing)) {
     // Hoist out of the loop body; per-path checkpoint counts are
     // unaffected (each path traverses the body once in the enumeration).
     auto stmt = mp::remove_stmt(program, ckpt_uid);
@@ -548,7 +548,7 @@ MoveOutcome move_back_one(
     return out;
   }
 
-  auto* iff = dynamic_cast<mp::IfStmt*>(enclosing);
+  auto* iff = mp::stmt_cast<mp::IfStmt>(enclosing);
   ACFC_CHECK_MSG(iff != nullptr, "enclosing statement is neither loop nor if");
 
   // Merge: the target and its same-index counterpart in the sibling arm

@@ -5,11 +5,14 @@
 // The synchronous capture path charges the full serialize + ACFD-encode +
 // XXH64 + publish cost to the simulated process at every checkpoint take.
 // AsyncPersister moves that work to background writer thread(s): the take
-// path calls submit() with a cheap serialize closure (in practice a shared
-// immutable VmSnapshot capture — O(1) at take time thanks to the engine's
-// copy-on-write snapshots) and returns immediately; writers drain a
-// bounded FIFO queue, serialize into a reusable per-thread scratch buffer,
-// and commit to the StableStore strictly in submission order (tickets).
+// path calls submit() with a serialize closure and returns immediately. In
+// practice the closure comes from sim::async_store_capture_fn, the engine's
+// one capture hook: it copies the take into a pooled VmSnapshot (copy-
+// assignment into a recycled snapshot, so a steady-state take allocates
+// nothing but still costs a copy of the VM state) that the writer
+// serializes and hands back to the pool. Writers drain a bounded FIFO
+// queue, serialize into a reusable per-thread scratch buffer, and commit
+// to the StableStore strictly in submission order (tickets).
 // Take ordinals, delta bases, and record chains are therefore exactly what
 // a synchronous run would have produced.
 //
@@ -71,10 +74,11 @@ struct AsyncPersistOptions {
 
 /// Move-only type-erased `void(std::string& out)` with inline storage.
 /// submit() runs on the simulation critical path at every checkpoint take;
-/// a std::function closing over a shared snapshot would heap-allocate per
-/// take (a shared_ptr capture defeats libstdc++'s small-object path), so
+/// a std::function closing over a snapshot pointer would heap-allocate per
+/// take (a smart-pointer capture defeats libstdc++'s small-object path), so
 /// this wrapper stores the closure in place. Oversized captures are a
-/// compile error — the intended payload is a shared_ptr plus little else.
+/// compile error — the intended payload is a pooled snapshot and its pool
+/// handle plus little else.
 class SerializeFn {
  public:
   SerializeFn() = default;

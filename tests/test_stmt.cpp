@@ -3,7 +3,13 @@
 // Phase III movement is built on).
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+#include <type_traits>
+#include <typeinfo>
+
 #include "mp/builder.h"
+#include "mp/parser.h"
 #include "mp/stmt.h"
 #include "util/error.h"
 
@@ -204,6 +210,69 @@ TEST(Stmt, BuilderLoopSugar) {
   const auto& l1 = static_cast<const LoopStmt&>(*p.body.stmts[1]);
   EXPECT_NE(l0.var, l1.var);  // fresh loop variables
   EXPECT_EQ(l0.hi.const_value(), 3);
+}
+
+// -- stmt_cast: the one kind → class map -------------------------------------
+
+/// One null pointer per statement class.
+using StmtClassTags =
+    std::tuple<ComputeStmt*, SendStmt*, RecvStmt*, CheckpointStmt*, IfStmt*,
+               LoopStmt*, BarrierStmt*, BcastStmt*, ReduceStmt*,
+               AllreduceStmt*>;
+
+/// Calls fn(tag) with a T* for every statement class T.
+template <class Fn>
+void for_each_class(const Fn& fn) {
+  std::apply([&](auto... tag) { (fn(tag), ...); }, StmtClassTags{});
+}
+
+TEST(StmtCast, EveryKindBuildsTheClassTheHelperMapsItTo) {
+  // One statement of every kind, as the parser (and clone) builds them.
+  const Program parsed = parse(R"(program every_kind {
+    compute 1.0;
+    send to rank + 1;
+    recv from any;
+    checkpoint "c";
+    if (rank == 0) { barrier; } else { bcast root 0; }
+    for i in 0..2 { reduce root 0; }
+    allreduce;
+  })");
+  const Program cloned = parsed.clone();
+  std::set<StmtKind> kinds_seen;
+  for (const Program* p : {&parsed, &cloned}) {
+    for_each_stmt(*p, [&](const Stmt& s) {
+      kinds_seen.insert(s.kind());
+      int owners = 0;
+      for_each_class([&](auto* tag) {
+        using T = std::remove_pointer_t<decltype(tag)>;
+        const T* cast = stmt_cast<T>(&s);
+        if (T::kKind == s.kind()) {
+          ++owners;
+          // The helper maps the kind to the class the object really is.
+          EXPECT_NE(cast, nullptr) << stmt_kind_name(s.kind());
+          EXPECT_EQ(typeid(s), typeid(T)) << stmt_kind_name(s.kind());
+        } else {
+          EXPECT_EQ(cast, nullptr)
+              << stmt_kind_name(s.kind()) << " cast to " << typeid(T).name();
+        }
+      });
+      EXPECT_EQ(owners, 1) << stmt_kind_name(s.kind());
+    });
+  }
+  EXPECT_EQ(kinds_seen.size(), std::tuple_size_v<StmtClassTags>);
+}
+
+TEST(StmtCast, NullAndMutableForms) {
+  EXPECT_EQ(stmt_cast<IfStmt>(static_cast<Stmt*>(nullptr)), nullptr);
+  EXPECT_EQ(stmt_cast<IfStmt>(static_cast<const Stmt*>(nullptr)), nullptr);
+  Program p = jacobi_like();
+  Stmt* loop = p.body.stmts[0].get();
+  LoopStmt* as_loop = stmt_cast<LoopStmt>(loop);
+  ASSERT_NE(as_loop, nullptr);
+  as_loop->var = "renamed";
+  EXPECT_EQ(static_cast<const LoopStmt&>(*p.body.stmts[0]).var, "renamed");
+  EXPECT_EQ(stmt_cast<IfStmt>(loop), nullptr);
+  EXPECT_EQ(stmt_cast<CheckpointStmt>(loop), nullptr);
 }
 
 }  // namespace
