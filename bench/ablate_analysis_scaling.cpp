@@ -61,8 +61,8 @@ void BM_ExtendedCfgUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_ExtendedCfgUncached)->Arg(8)->Arg(16)->Arg(32);
 
-// Condition 1: fast path (per-source reachability) vs legacy (one
-// product-graph BFS per ordered checkpoint pair) — the A3 headline.
+// Condition 1: the hop closure of the message edges answers every target
+// of a source in one reachability pass.
 void BM_CheckCondition1(benchmark::State& state) {
   const mp::Program program =
       make_program(static_cast<int>(state.range(0)), true);
@@ -75,25 +75,10 @@ void BM_CheckCondition1(benchmark::State& state) {
 }
 BENCHMARK(BM_CheckCondition1)->Arg(8)->Arg(16)->Arg(32);
 
-void BM_CheckCondition1Legacy(benchmark::State& state) {
-  const mp::Program program =
-      make_program(static_cast<int>(state.range(0)), true);
-  const match::ExtendedCfg ext = match::build_extended_cfg(program);
-  place::CheckOptions opts;
-  opts.legacy_pairwise = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(place::check_condition1(ext, opts));
-  }
-  state.counters["msg_edges"] =
-      static_cast<double>(ext.message_edges().size());
-}
-BENCHMARK(BM_CheckCondition1Legacy)->Arg(8)->Arg(16)->Arg(32);
-
-// Algorithm 3.2: one extended CFG per repair (checkpoints tracked as slots
-// on a move-invariant skeleton) vs the original rebuild-and-recheck-
-// everything fixpoint (uncached, as seeded). `moves` counts the structural
-// steps of one repair (the same every iteration), so ns_per_op / moves is
-// the cost per move.
+// Algorithm 3.2: one extended CFG per repair, checkpoints tracked as slots
+// on a move-invariant skeleton. `moves` counts the structural steps of one
+// repair (the same every iteration), so ns_per_op / moves is the cost per
+// move.
 int steps(const place::RepairReport& report) {
   return report.moves + report.merges + report.hoists;
 }
@@ -112,25 +97,6 @@ void BM_RepairPlacement(benchmark::State& state) {
   state.counters["moves"] = moves;
 }
 BENCHMARK(BM_RepairPlacement)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
-
-void BM_RepairPlacementLegacy(benchmark::State& state) {
-  place::RepairOptions opts;
-  opts.incremental = false;
-  opts.check.legacy_pairwise = true;
-  opts.match.sat.use_cache = false;
-  int moves = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    mp::Program program =
-        make_program(static_cast<int>(state.range(0)), true);
-    state.ResumeTiming();
-    const auto report = place::repair_placement(program, opts);
-    benchmark::DoNotOptimize(report.success);
-    moves = steps(report);
-  }
-  state.counters["moves"] = moves;
-}
-BENCHMARK(BM_RepairPlacementLegacy)->Arg(8)->Arg(16)->Arg(24)->Arg(32);
 
 void BM_PhaseIInsertion(benchmark::State& state) {
   for (auto _ : state) {

@@ -4,7 +4,7 @@
 // two same-index checkpoints triggers a move, even when no single process
 // could execute the path's control-flow segments (e.g. a segment through
 // both a rank==0-guarded checkpoint and a rank!=0-guarded send). The
-// refined checker (classify_paths_refined) discards such spurious
+// refined checker (CheckOptions::attribute_refinement) discards such spurious
 // violations. This bench measures, over random misaligned corpora and the
 // master/worker family, how many reported violations are spurious and the
 // analysis-time price of refinement.

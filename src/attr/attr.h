@@ -150,9 +150,10 @@ std::optional<MatchWitness> find_match(const MatchSide& sender,
 //
 // Both decision procedures are pure functions of (attribute(s), options),
 // and the offline analyzer asks the same questions over and over: Phase II
-// queries every (send, recv) pair, classify_paths_refined re-checks segment
-// co-satisfiability per hop, and Algorithm 3.2 rebuilds the extended CFG
-// after every move without having changed any send/recv attribute. The
+// queries every (send, recv) pair, refine_classification re-checks segment
+// co-satisfiability per hop, and every repair builds the extended CFG again
+// (once to confirm, and per refined round) without having changed any
+// send/recv attribute. The
 // cache canonicalizes the query to a string key (deterministic expression
 // printing + an options fingerprint) and memoizes the verdict.
 
@@ -197,7 +198,7 @@ class SatCache {
 };
 
 /// The process-wide cache shared by build_extended_cfg and
-/// classify_paths_refined (and anything else that opts in).
+/// refine_classification (and anything else that opts in).
 SatCache& global_sat_cache();
 
 /// satisfiable / find_match through global_sat_cache() when

@@ -1,7 +1,6 @@
 #include "match/match.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 
@@ -48,82 +47,6 @@ std::span<const MessageEdge> ExtendedCfg::edges_to(cfg::NodeId recv) const {
   const auto hi =
       static_cast<size_t>(in_offset_[static_cast<size_t>(recv) + 1]);
   return {in_edges_.data() + lo, hi - lo};
-}
-
-PathClass ExtendedCfg::classify_paths(cfg::NodeId from, cfg::NodeId to) const {
-  // Product-graph BFS: state = (node, used_message_edge, used_back_edge).
-  // We start at `from` with both flags clear and look for `to` with the
-  // message flag set; among those, whether a state with the back flag clear
-  // is reachable distinguishes hard from loop-carried violations.
-  const int n = graph_.node_count();
-  auto state_index = [n](cfg::NodeId id, bool msg, bool back) {
-    return (static_cast<size_t>(id) << 2) | (static_cast<size_t>(msg) << 1) |
-           static_cast<size_t>(back);
-  };
-  std::vector<char> seen(static_cast<size_t>(n) << 2, 0);
-  std::deque<std::tuple<cfg::NodeId, bool, bool>> queue;
-
-  auto push = [&](cfg::NodeId id, bool msg, bool back) {
-    const size_t idx = state_index(id, msg, back);
-    if (seen[idx]) return;
-    seen[idx] = 1;
-    queue.emplace_back(id, msg, back);
-  };
-
-  push(from, false, false);
-  PathClass out;
-  while (!queue.empty()) {
-    const auto [id, msg, back] = queue.front();
-    queue.pop_front();
-    if (id == to && msg) {
-      out.has_message_path = true;
-      if (!back) {
-        out.message_path_without_back_edge = true;
-        return out;  // strongest classification reached
-      }
-    }
-    for (const cfg::NodeId s : graph_.succs(id))
-      push(s, msg, back || graph_.is_back_edge(id, s));
-    for (const auto& e : edges_from(id)) push(e.recv, true, back);
-  }
-  return out;
-}
-
-std::vector<PathClass> ExtendedCfg::classify_all_from(cfg::NodeId from) const {
-  // Same product-graph transition relation as classify_paths, but the
-  // reachable set of ONE traversal answers every target: t has a message
-  // path iff state (t, msg=1, *) is reached, and a back-edge-free one iff
-  // (t, msg=1, back=0) is. No early exit — we want all targets.
-  const auto n = static_cast<size_t>(graph_.node_count());
-  auto state_index = [](cfg::NodeId id, bool msg, bool back) {
-    return (static_cast<size_t>(id) << 2) | (static_cast<size_t>(msg) << 1) |
-           static_cast<size_t>(back);
-  };
-  std::vector<char> seen(n << 2, 0);
-  std::vector<std::tuple<cfg::NodeId, bool, bool>> queue;
-  queue.reserve(n);
-
-  auto push = [&](cfg::NodeId id, bool msg, bool back) {
-    const size_t idx = state_index(id, msg, back);
-    if (seen[idx]) return;
-    seen[idx] = 1;
-    queue.emplace_back(id, msg, back);
-  };
-
-  push(from, false, false);
-  std::vector<PathClass> out(n);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const auto [id, msg, back] = queue[head];
-    if (msg) {
-      out[static_cast<size_t>(id)].has_message_path = true;
-      if (!back)
-        out[static_cast<size_t>(id)].message_path_without_back_edge = true;
-    }
-    for (const cfg::NodeId s : graph_.succs(id))
-      push(s, msg, back || graph_.is_back_edge(id, s));
-    for (const auto& e : edges_from(id)) push(e.recv, true, back);
-  }
-  return out;
 }
 
 namespace {
@@ -210,11 +133,6 @@ PathClass ExtendedCfg::refine_classification(cfg::NodeId from, cfg::NodeId to,
       feasible_path(*this, from, to, /*acyclic_only=*/true, opts.max_hops,
                     opts);
   return refined;
-}
-
-PathClass ExtendedCfg::classify_paths_refined(
-    cfg::NodeId from, cfg::NodeId to, const RefineOptions& opts) const {
-  return refine_classification(from, to, classify_paths(from, to), opts);
 }
 
 std::string ExtendedCfg::to_dot(const std::string& title) const {

@@ -80,38 +80,21 @@ class ExtendedCfg {
   std::span<const MessageEdge> edges_from(cfg::NodeId send) const;
   std::span<const MessageEdge> edges_to(cfg::NodeId recv) const;
 
-  /// Classifies Ĝ-paths from `from` to `to` (BFS over the product of the
-  /// graph with {message-edge-used} × {back-edge-used} flags).
-  PathClass classify_paths(cfg::NodeId from, cfg::NodeId to) const;
-
-  /// Single-source form: one product-graph BFS whose reachable set answers
-  /// classify_paths(from, t) for EVERY node t at once (out[t]). This is
-  /// the fast path of Condition-1 checking — |S_i| traversals instead of
-  /// |S_i|² — and is exactly equivalent to per-pair classify_paths.
-  std::vector<PathClass> classify_all_from(cfg::NodeId from) const;
-
-  /// Attribute-aware refinement of classify_paths: a graph path is
-  /// *feasible* only if every control-flow segment between message-edge
-  /// hops can be executed by one process — the segment endpoints'
-  /// attributes must be co-satisfiable for a single rank, and each hop's
-  /// endpoints must match given the accumulated constraints. A path
-  /// through an even-rank checkpoint and an odd-rank send, say, is
-  /// discarded. Sound: each check is a necessary condition, so refinement
-  /// only removes paths no execution can realize; hop decompositions
-  /// beyond `max_hops` resolve conservatively as feasible.
+  /// Attribute-aware refinement of a coarse (graph-path) classification
+  /// of the Ĝ-paths from→to, such as one Condition-1 verdict of
+  /// place::check_condition1: a graph path is *feasible* only if every
+  /// control-flow segment between message-edge hops can be executed by one
+  /// process — the segment endpoints' attributes must be co-satisfiable for
+  /// a single rank, and each hop's endpoints must match given the
+  /// accumulated constraints. A path through an even-rank checkpoint and an
+  /// odd-rank send, say, is discarded. Sound: each check is a necessary
+  /// condition, so refinement only removes paths no execution can realize;
+  /// hop decompositions beyond `max_hops` resolve conservatively as
+  /// feasible.
   struct RefineOptions {
     int max_hops = 3;
     attr::SatOptions sat;
   };
-  PathClass classify_paths_refined(cfg::NodeId from, cfg::NodeId to,
-                                   const RefineOptions& opts) const;
-  PathClass classify_paths_refined(cfg::NodeId from, cfg::NodeId to) const {
-    return classify_paths_refined(from, to, RefineOptions{});
-  }
-
-  /// The refinement step alone, applied to an already-computed coarse
-  /// classification (e.g. one slot of classify_all_from). Equivalent to
-  /// classify_paths_refined when `coarse` == classify_paths(from, to).
   PathClass refine_classification(cfg::NodeId from, cfg::NodeId to,
                                   const PathClass& coarse,
                                   const RefineOptions& opts) const;

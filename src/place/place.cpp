@@ -262,44 +262,33 @@ int equalize_checkpoints(mp::Program& program) {
 
 namespace {
 
-/// The fast path of Condition-1 checking: a hop-closure index over the
-/// message edges. A Ĝ-path a ⇒ b with ≥1 message edge decomposes into
+/// A hop-closure index over the message edges. A Ĝ-path a ⇒ b with ≥1
+/// message edge decomposes into
 ///
 ///   a →cfg* e₁.send, (e₁ hop), e₁.recv →cfg* e₂.send, …, e_k.recv →cfg* b
 ///
 /// and every control-flow segment is an O(1) lookup in the Cfg's
 /// precomputed reachability bitsets — so instead of launching product-graph
 /// BFS traversals we close the tiny "edge can feed edge" relation
-/// (E × E bits, E = |message edges|) once and answer ALL checkpoint pairs
-/// with a handful of bitset ORs per source. The back-edge-free (hard)
+/// (E × E bits, E = |message edges|) once and answer every target of a
+/// source with a handful of bitset ORs. The back-edge-free (hard)
 /// classification is the same construction over acyclic reachability:
 /// message hops never use CFG edges, so a product-graph state with
 /// back = 0 is exactly a decomposition whose every segment is
-/// back-edge-free. Build cost: O(E² + E·C) O(1) reachability lookups
-/// (C = #checkpoint nodes); per source: O(E²/64 + E·C/64) word ops.
+/// back-edge-free. Build cost: O(E²) O(1) reachability lookups; per
+/// source: O(E²/64 + E·N/64) word ops (N = #nodes).
 class HopClosure {
  public:
   explicit HopClosure(const match::ExtendedCfg& ext) : ext_(ext) {
     const auto& edges = ext.message_edges();
     edge_count_ = edges.size();
     const cfg::Cfg& graph = ext.graph();
-    for (const cfg::Node& n : graph.nodes_of_kind(cfg::NodeKind::kCheckpoint))
-      ckpts_.push_back(n.id);
-    slot_of_.assign(static_cast<size_t>(graph.node_count()), -1);
-    for (size_t c = 0; c < ckpts_.size(); ++c)
-      slot_of_[static_cast<size_t>(ckpts_[c])] = static_cast<int>(c);
-
     edge_words_ = (edge_count_ + 63) / 64;
-    ckpt_words_ = (ckpts_.size() + 63) / 64;
     closure_[0].assign(edge_count_ * edge_words_, 0);
     closure_[1].assign(edge_count_ * edge_words_, 0);
-    target_[0].assign(edge_count_ * ckpt_words_, 0);
-    target_[1].assign(edge_count_ * ckpt_words_, 0);
 
-    // One pass over each edge's receive-side reachability rows fills both
-    // the base hop relation (reflexive; edge i can feed edge j when a
-    // process can flow from i's receive to j's send) and the per-edge
-    // checkpoint-target bitsets.
+    // The base hop relation (reflexive): edge i can feed edge j when a
+    // process can flow from i's receive to j's send.
     for (size_t i = 0; i < edge_count_; ++i) {
       const auto full = graph.reach_row(edges[i].recv);
       const auto acyclic = graph.reach_acyclic_row(edges[i].recv);
@@ -309,10 +298,6 @@ class HopClosure {
         if (row_bit(full, edges[j].send)) set_bit(closure_[0], i, edge_words_, j);
         if (row_bit(acyclic, edges[j].send))
           set_bit(closure_[1], i, edge_words_, j);
-      }
-      for (size_t c = 0; c < ckpts_.size(); ++c) {
-        if (row_bit(full, ckpts_[c])) set_bit(target_[0], i, ckpt_words_, c);
-        if (row_bit(acyclic, ckpts_[c])) set_bit(target_[1], i, ckpt_words_, c);
       }
     }
     // Warshall transitive closure over edge-row bitsets.
@@ -325,30 +310,9 @@ class HopClosure {
     }
   }
 
-  /// classify_paths(a, t) for every checkpoint node t, answered from the
-  /// index: out[slot(t)] (same semantics as ExtendedCfg::classify_all_from
-  /// restricted to checkpoint targets).
-  void classify_from(cfg::NodeId a, std::vector<match::PathClass>& out) {
-    last_hops(a);
-    for (int variant = 0; variant < 2; ++variant) {
-      reach_[variant].assign(ckpt_words_, 0);
-      for_each_bit(last_[variant], [&](size_t e) {
-        or_row_into(reach_[variant], target_[variant], e, ckpt_words_);
-      });
-    }
-    out.assign(ckpts_.size(), match::PathClass{});
-    for (size_t c = 0; c < ckpts_.size(); ++c) {
-      out[c].has_message_path = test_bit(reach_[0], 0, ckpt_words_, c);
-      out[c].message_path_without_back_edge =
-          test_bit(reach_[1], 0, ckpt_words_, c);
-    }
-  }
-
-  /// The same question for EVERY node as target, as Cfg-shaped rows of
-  /// reach_words() words: bit y of `full` is set iff some Ĝ-path a ⇒ y
-  /// uses ≥1 message edge, bit y of `acyclic` iff such a path also avoids
-  /// every back edge. The repair skeleton asks this of the nodes its
-  /// checkpoints sit between, since its checkpoints move.
+  /// Every node as target, as Cfg-shaped rows of reach_words() words: bit
+  /// y of `full` is set iff some Ĝ-path a ⇒ y uses ≥1 message edge, bit y
+  /// of `acyclic` iff such a path also avoids every back edge.
   void reach_nodes_from(cfg::NodeId a, std::uint64_t* full,
                         std::uint64_t* acyclic) {
     last_hops(a);
@@ -365,10 +329,6 @@ class HopClosure {
       const auto row = graph.reach_acyclic_row(edges[e].recv);
       for (size_t w = 0; w < words; ++w) acyclic[w] |= row[w];
     });
-  }
-
-  int slot(cfg::NodeId node) const {
-    return slot_of_[static_cast<size_t>(node)];
   }
 
  private:
@@ -426,73 +386,11 @@ class HopClosure {
   const match::ExtendedCfg& ext_;
   size_t edge_count_ = 0;
   size_t edge_words_ = 0;
-  size_t ckpt_words_ = 0;
-  std::vector<cfg::NodeId> ckpts_;
-  std::vector<int> slot_of_;
   /// [0] = full reachability, [1] = acyclic (back-edge-free).
   Bits closure_[2];
-  Bits target_[2];
   // Per-source scratch (reused across sources).
-  Bits reach_[2];
   Bits last_[2];
 };
-
-/// Appends the violations of one collection S_i to `out`, ordered by
-/// (from node, to node). The fast path answers each source's |S_i|
-/// targets from one hop-closure pass — both orientations of every pair
-/// fall out of iterating each member as a source; the legacy path
-/// re-launches a product-graph BFS per ordered pair.
-void check_collection(const match::ExtendedCfg& ext,
-                      const std::vector<cfg::NodeId>& collection, int index,
-                      const CheckOptions& opts, CheckResult& out,
-                      HopClosure* closure) {
-  const cfg::Cfg& graph = ext.graph();
-  std::vector<match::PathClass> from_a;
-  for (const cfg::NodeId a : collection) {
-    if (closure != nullptr) closure->classify_from(a, from_a);
-    for (const cfg::NodeId b : collection) {
-      match::PathClass pc =
-          closure != nullptr
-              ? from_a[static_cast<size_t>(closure->slot(b))]
-              : ext.classify_paths(a, b);
-      if (opts.attribute_refinement)
-        pc = ext.refine_classification(a, b, pc, opts.refine);
-      if (!pc.has_message_path) continue;
-      Violation v;
-      v.index = index;
-      v.from = a;
-      v.to = b;
-      v.from_ckpt_id =
-          static_cast<const mp::CheckpointStmt*>(graph.node(a).stmt)->ckpt_id;
-      v.to_ckpt_id =
-          static_cast<const mp::CheckpointStmt*>(graph.node(b).stmt)->ckpt_id;
-      v.hard = pc.message_path_without_back_edge;
-      out.violations.push_back(v);
-    }
-  }
-}
-
-/// check_condition1 with the caller's hop closure (nullptr: per-pair BFS).
-CheckResult check_with(const match::ExtendedCfg& ext, const CheckOptions& opts,
-                       HopClosure* closure) {
-  const cfg::CheckpointIndexing indexing = ext.graph().index_checkpoints();
-  CheckResult out;
-  for (int i = 1; i <= indexing.max_index(); ++i)
-    check_collection(ext, indexing.collections[static_cast<size_t>(i - 1)], i,
-                     opts, out, closure);
-  return out;
-}
-
-}  // namespace
-
-CheckResult check_condition1(const match::ExtendedCfg& ext,
-                             const CheckOptions& opts) {
-  std::optional<HopClosure> closure;
-  if (!opts.legacy_pairwise) closure.emplace(ext);
-  return check_with(ext, opts, closure ? &*closure : nullptr);
-}
-
-namespace {
 
 struct MoveOutcome {
   bool moved = false;
@@ -602,7 +500,7 @@ const Violation* pick(const CheckResult& check, RepairPolicy policy) {
 /// Books one move in `report`; false (logged as stuck) if the checkpoint
 /// could not move.
 bool record_move(RepairReport& report, const Violation& chosen,
-                 const MoveOutcome& outcome, bool verbose_log) {
+                 const MoveOutcome& outcome) {
   if (!outcome.moved && !outcome.merged && !outcome.hoisted) {
     report.log.push_back("stuck: " + outcome.description);
     return false;
@@ -610,15 +508,13 @@ bool record_move(RepairReport& report, const Violation& chosen,
   report.moves += outcome.moved ? 1 : 0;
   report.merges += outcome.merged ? 1 : 0;
   report.hoists += outcome.hoisted ? 1 : 0;
-  if (verbose_log) {
-    std::string line = "S_" + std::to_string(chosen.index) + ": ckpt#" +
-                       std::to_string(chosen.from_ckpt_id) + " ⇝ ckpt#" +
-                       std::to_string(chosen.to_ckpt_id) +
-                       (chosen.hard ? " [hard]" : " [loop-carried]") + " — " +
-                       outcome.description;
-    line.shrink_to_fit();  // reports are kept; appends left slack
-    report.log.push_back(std::move(line));
-  }
+  std::string line = "S_" + std::to_string(chosen.index) + ": ckpt#" +
+                     std::to_string(chosen.from_ckpt_id) + " ⇝ ckpt#" +
+                     std::to_string(chosen.to_ckpt_id) +
+                     (chosen.hard ? " [hard]" : " [loop-carried]") + " — " +
+                     outcome.description;
+  line.shrink_to_fit();  // reports are kept; appends left slack
+  report.log.push_back(std::move(line));
   return true;
 }
 
@@ -641,16 +537,30 @@ bool record_move(RepairReport& report, const Violation& chosen,
 /// path does. The index of b is 1 + the checkpoints on any acyclic
 /// entry→u_b path + its rank in its run. Fresh builds number checkpoint
 /// nodes in statement pre-order, so uid order is node order: it ranks
-/// each run, and it orders violations exactly as check_condition1 does.
+/// each run, it orders violations by (index, from node, to node), and
+/// before any move member m is the m-th checkpoint node of `first`.
 class Skeleton {
  public:
   /// `first` and `hops` (its hop closure) must outlive the skeleton; the
-  /// program must be the one `first` was built from, unchanged.
+  /// program is the one `first` was built from, renumbered, and only
+  /// apply()'s moves may change it.
   Skeleton(const match::ExtendedCfg& first, HopClosure& hops)
-      : graph_(first.graph()), hops_(hops) {
+      : first_(first), graph_(first.graph()), hops_(hops) {
     const auto n = static_cast<size_t>(graph_.node_count());
     in_.assign(n, 0);
     row_of_.assign(n, -1);
+    // Exact sizes up front: every Condition-1 check builds a skeleton, and
+    // growing these would churn the allocator once per program.
+    size_t edge_count = 0;
+    size_t ckpt_count = 0;
+    for (const cfg::NodeId u : graph_.rpo()) {
+      if (graph_.node(u).kind == cfg::NodeKind::kCheckpoint)
+        ++ckpt_count;
+      else
+        edge_count += graph_.succs(u).size();
+    }
+    edges_.reserve(edge_count);
+    slot_of_.reserve(ckpt_count);
     for (const cfg::NodeId u : graph_.rpo()) {
       if (graph_.node(u).kind == cfg::NodeKind::kCheckpoint) continue;
       for (const cfg::NodeId s : graph_.succs(u)) {
@@ -664,23 +574,24 @@ class Skeleton {
           v = graph_.succs(v)[0];
         }
         edge.to = v;
-        const cfg::Node& head = graph_.node(v);
-        if (!edge.back && head.stmt != nullptr &&
-            head.kind != cfg::NodeKind::kLoopLatch)
-          entry_of_.emplace(head.stmt, edges_.size());
         edges_.push_back(edge);
       }
     }
-    ACFC_CHECK(index_members());  // the first Ĝ passed index_checkpoints
   }
 
-  /// Condition 1 on the current slots, violations ordered as by
-  /// check_condition1 on a fresh Ĝ. Violation::from/to name members
-  /// (see member()), not CFG nodes. Throws a fresh build's diagnostic if
-  /// the placement became unbalanced.
-  CheckResult check(const mp::Program& program, const RepairOptions& opts) {
+  /// Condition 1 on the current slots, violations ordered by (index, from
+  /// node, to node) of a fresh Ĝ. Violation::from/to name members
+  /// (see member()), not CFG nodes. Throws index_checkpoints()'s
+  /// diagnostic if the placement is unbalanced. Refinement uses `first`
+  /// until a move, then a Ĝ of the current program built with `match`.
+  CheckResult check(const CheckOptions& opts,
+                    const match::MatchOptions& match) {
     if (!index_members()) {
-      cfg::build_cfg(program).index_checkpoints();  // throws, with labels
+      // Throws, with labels.
+      if (moved())
+        cfg::build_cfg(first_.program()).index_checkpoints();
+      else
+        graph_.index_checkpoints();
       ACFC_CHECK_MSG(false, "repair skeleton and a fresh CFG disagree on "
                             "checkpoint balance");
     }
@@ -711,9 +622,31 @@ class Skeleton {
         }
       }
     }
-    if (opts.check.attribute_refinement && !out.violations.empty())
-      refine(program, opts, out);
+    if (opts.attribute_refinement && !out.violations.empty())
+      refine(opts, match, out);
     return out;
+  }
+
+  /// A check() made before any move, with members renamed to the
+  /// checkpoint nodes of `first`.
+  CheckResult on_nodes(CheckResult check) const {
+    ACFC_CHECK(!moved());
+    std::vector<cfg::NodeId> nodes;
+    nodes.reserve(members_.size());
+    for (cfg::NodeId id = 0; id < graph_.node_count(); ++id) {
+      const cfg::Node& node = graph_.node(id);
+      if (node.kind != cfg::NodeKind::kCheckpoint) continue;
+      ACFC_CHECK_MSG(nodes.size() < members_.size() &&
+                         members_[nodes.size()].stmt == node.stmt,
+                     "checkpoint uids out of statement order; call "
+                     "Program::renumber()");
+      nodes.push_back(id);
+    }
+    for (Violation& v : check.violations) {
+      v.from = nodes[static_cast<size_t>(v.from)];
+      v.to = nodes[static_cast<size_t>(v.to)];
+    }
+    return check;
   }
 
   /// The checkpoint statement a violation of the last check() names.
@@ -721,8 +654,8 @@ class Skeleton {
     return members_[static_cast<size_t>(id)].stmt;
   }
 
-  /// The index of a checkpoint statement as of the last check() (or
-  /// construction); -1 if unknown.
+  /// The index of a checkpoint statement as of the last check(); -1 if
+  /// unknown.
   int index_of(const mp::Stmt& ckpt) const {
     for (const Member& m : members_)
       if (m.stmt == &ckpt) return m.index;
@@ -733,6 +666,7 @@ class Skeleton {
   /// the slot of the statement it sits before — that checkpoint's run, or
   /// the forward edge into that statement's first node.
   void apply(const mp::Stmt& target, const MoveOutcome& move) {
+    if (!entry_of_) index_entries();
     --edges_[slot_of_.at(&target)].run;
     if (move.removed) {
       --edges_[slot_of_.at(move.removed.get())].run;
@@ -740,10 +674,13 @@ class Skeleton {
     }
     const size_t e = move.before->kind() == mp::StmtKind::kCheckpoint
                          ? slot_of_.at(move.before)
-                         : entry_of_.at(move.before);
+                         : entry_of_->at(move.before);
     slot_of_[&target] = e;
     ++edges_[e].run;
   }
+
+  /// Whether apply() has run; it builds entry_of_ on first use.
+  bool moved() const { return entry_of_.has_value(); }
 
  private:
   /// An edge u→v of the checkpoint-free CFG and the length of the run of
@@ -759,6 +696,18 @@ class Skeleton {
     size_t edge = 0;
     int index = 0;
   };
+
+  /// Maps each non-checkpoint statement to the forward edge into its first
+  /// node. Non-checkpoint statements never move, so the map stays valid.
+  void index_entries() {
+    entry_of_.emplace();
+    for (size_t e = 0; e < edges_.size(); ++e) {
+      const cfg::Node& head = graph_.node(edges_[e].to);
+      if (!edges_[e].back && head.stmt != nullptr &&
+          head.kind != cfg::NodeKind::kLoopLatch)
+        entry_of_->emplace(head.stmt, e);
+    }
+  }
 
   /// Recomputes members_ in uid order with their indexes; false if two
   /// acyclic entry paths to some node carry different checkpoint counts —
@@ -809,11 +758,14 @@ class Skeleton {
   }
 
   /// Attribute refinement needs the checkpoint nodes themselves (their
-  /// attributes and reachability), so it builds this round's Ĝ.
-  void refine(const mp::Program& program, const RepairOptions& opts,
+  /// attributes and reachability): `first` has them until a move, after
+  /// which this round's Ĝ is built.
+  void refine(const CheckOptions& opts, const match::MatchOptions& match,
               CheckResult& out) const {
-    const match::ExtendedCfg ext =
-        match::build_extended_cfg(program, opts.match);
+    std::optional<match::ExtendedCfg> rebuilt;
+    if (moved())
+      rebuilt.emplace(match::build_extended_cfg(first_.program(), match));
+    const match::ExtendedCfg& ext = rebuilt ? *rebuilt : first_;
     const auto node = [&](cfg::NodeId m) {
       return *ext.graph().node_for_stmt(member(m)->uid());
     };
@@ -821,7 +773,7 @@ class Skeleton {
     for (Violation v : out.violations) {
       const match::PathClass pc = ext.refine_classification(
           node(v.from), node(v.to), match::PathClass{true, v.hard},
-          opts.check.refine);
+          opts.refine);
       if (!pc.has_message_path) continue;
       v.hard = pc.message_path_without_back_edge;
       kept.push_back(v);
@@ -838,13 +790,15 @@ class Skeleton {
         ->ckpt_id;
   }
 
+  const match::ExtendedCfg& first_;
   const cfg::Cfg& graph_;
   HopClosure& hops_;
   std::vector<Edge> edges_;
   /// Checkpoint statement → the edge it sits on.
   std::unordered_map<const mp::Stmt*, size_t> slot_of_;
-  /// Non-checkpoint statement → the forward edge into its first node.
-  std::unordered_map<const mp::Stmt*, size_t> entry_of_;
+  /// Non-checkpoint statement → the forward edge into its first node;
+  /// built by the first apply().
+  std::optional<std::unordered_map<const mp::Stmt*, size_t>> entry_of_;
   std::vector<int> in_;
   // The last index_members(): members in uid order, and per-edge counts.
   std::vector<Member> members_;
@@ -855,6 +809,18 @@ class Skeleton {
   std::vector<int> row_of_;
   std::vector<std::uint64_t> rows_;
 };
+
+}  // namespace
+
+CheckResult check_condition1(const match::ExtendedCfg& ext,
+                             const CheckOptions& opts) {
+  HopClosure hops(ext);
+  Skeleton skeleton(ext, hops);
+  // Nothing moves, so refinement never rebuilds and needs no match options.
+  return skeleton.on_nodes(skeleton.check(opts, {}));
+}
+
+namespace {
 
 /// Condition 1 on a fresh Ĝ of the repaired program, which must agree
 /// violation for violation with the skeleton's verdict on it.
@@ -875,97 +841,45 @@ CheckResult fresh_check(const mp::Program& program, const RepairOptions& opts,
   return fresh;
 }
 
-/// The original fixpoint: rebuild Ĝ and recheck everything after every
-/// move. The differential oracle of the skeleton path, and the baseline
-/// of bench A3.
-RepairReport repair_rebuilding(mp::Program& program,
-                               const RepairOptions& opts) {
-  RepairReport report;
-  for (int iter = 0; iter < opts.max_iterations; ++iter) {
-    const match::ExtendedCfg ext =
-        match::build_extended_cfg(program, opts.match);
-    CheckResult check = check_condition1(ext, opts.check);
-    if (iter == 0) {
-      report.initial_hard = check.hard_count();
-      report.initial_total = static_cast<int>(check.violations.size());
-    }
-    const Violation* chosen = pick(check, opts.policy);
-    if (chosen == nullptr) {
-      report.success = true;
-      report.final_check = std::move(check);
-      return report;
-    }
-    const cfg::Cfg& graph = ext.graph();
-    std::optional<cfg::CheckpointIndexing> indexing;  // merges only
-    const auto index_of = [&](const mp::Stmt& ckpt) {
-      const auto node = graph.node_for_stmt(ckpt.uid());
-      if (!node) return -1;
-      if (!indexing) indexing = graph.index_checkpoints();
-      const auto it = indexing->index_of.find(*node);
-      return it == indexing->index_of.end() ? -1 : it->second;
-    };
-    const MoveOutcome outcome = move_back_one(
-        program, *graph.node(chosen->to).stmt, chosen->index, index_of);
-    if (!record_move(report, *chosen, outcome, opts.verbose_log)) {
-      report.final_check = std::move(check);
-      return report;
-    }
-    program.renumber();
-    program.assign_checkpoint_ids();
-  }
-  report.log.push_back("max_iterations exceeded");
-  report.final_check = check_condition1(
-      match::build_extended_cfg(program, opts.match), opts.check);
-  return report;
-}
-
-/// The default fixpoint: one Ĝ per repair, every later round answered by
-/// the skeleton. Returns the skeleton's verdict on the final program, for
-/// the caller to confirm on a fresh Ĝ — or nullopt when no move was made
-/// and report.final_check, taken on the first Ĝ, is already final.
+/// The fixpoint: one Ĝ per repair, every round answered by its skeleton.
+/// Returns the skeleton's verdict on the final program, for the caller to
+/// confirm on a fresh Ĝ — or nullopt when no move was made and
+/// report.final_check, named by the first Ĝ's nodes, is already final.
 std::optional<CheckResult> repair_on_skeleton(mp::Program& program,
                                               const RepairOptions& opts,
                                               RepairReport& report) {
   const match::ExtendedCfg first =
       match::build_extended_cfg(program, opts.match);
   HopClosure hops(first);
-  CheckResult check = check_with(first, opts.check, &hops);
+  Skeleton skeleton(first, hops);
+  CheckResult check = skeleton.check(opts.check, opts.match);
   report.initial_hard = check.hard_count();
   report.initial_total = static_cast<int>(check.violations.size());
-  const Violation* chosen = pick(check, opts.policy);
-  if (chosen == nullptr) {
-    report.success = true;
-    report.final_check = std::move(check);
-    return std::nullopt;
-  }
+  report.success = pick(check, opts.policy) == nullptr;
 
-  Skeleton skeleton(first, hops);
-  const mp::Stmt* target = first.graph().node(chosen->to).stmt;
   const auto index_of = [&skeleton](const mp::Stmt& ckpt) {
     return skeleton.index_of(ckpt);
   };
-  for (int iter = 0;;) {
+  for (int moves = 0; !report.success;) {
+    if (moves >= opts.max_iterations) {
+      report.log.push_back("max_iterations exceeded");
+      break;
+    }
+    const Violation& chosen = *pick(check, opts.policy);
+    const mp::Stmt& target = *skeleton.member(chosen.to);
     const MoveOutcome outcome =
-        move_back_one(program, *target, chosen->index, index_of);
-    if (!record_move(report, *chosen, outcome, opts.verbose_log)) {
-      if (iter > 0) return check;
-      report.final_check = std::move(check);
-      return std::nullopt;
-    }
-    skeleton.apply(*target, outcome);
+        move_back_one(program, target, chosen.index, index_of);
+    if (!record_move(report, chosen, outcome)) break;
+    skeleton.apply(target, outcome);
     program.renumber();  // moves create no checkpoint, so ids stand
-    if (++iter == opts.max_iterations) break;
-
-    check = skeleton.check(program, opts);
-    chosen = pick(check, opts.policy);
-    if (chosen == nullptr) {
-      report.success = true;
-      return check;
-    }
-    target = skeleton.member(chosen->to);
+    check = skeleton.check(opts.check, opts.match);
+    // The verdict after the last allowed move is reported, not acted on.
+    report.success =
+        ++moves < opts.max_iterations && pick(check, opts.policy) == nullptr;
   }
-  report.log.push_back("max_iterations exceeded");
-  return skeleton.check(program, opts);
+  if (skeleton.moved()) return check;
+  report.final_check = skeleton.on_nodes(std::move(check));
+  return std::nullopt;
 }
 
 }  // namespace
@@ -973,9 +887,6 @@ std::optional<CheckResult> repair_on_skeleton(mp::Program& program,
 RepairReport repair_placement(mp::Program& program, const RepairOptions& opts) {
   program.renumber();
   program.assign_checkpoint_ids();
-  if (!opts.incremental || opts.check.legacy_pairwise ||
-      opts.max_iterations <= 0)
-    return repair_rebuilding(program, opts);
   RepairReport report;
   // The confirming Ĝ is built after the skeleton and the first Ĝ it
   // borrows are gone, so the two never coexist.

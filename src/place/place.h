@@ -36,9 +36,8 @@
 // checkpoints of both arms merge into one checkpoint hoisted before the
 // branch, preserving path balance; at a loop-body boundary the checkpoint
 // hoists before the loop). Condition 1 is rechecked after each move, on a
-// skeleton of the first Ĝ that no move can change (see
-// RepairOptions::incremental). The entry position is always
-// violation-free, so the fixpoint terminates.
+// skeleton of the first Ĝ that no move can change (see repair_placement).
+// The entry position is always violation-free, so the fixpoint terminates.
 #pragma once
 
 #include <string>
@@ -129,25 +128,21 @@ struct CheckResult {
 
 struct CheckOptions {
   /// Attribute-aware path-feasibility refinement (see
-  /// match::ExtendedCfg::classify_paths_refined): discards violations whose
+  /// match::ExtendedCfg::refine_classification): discards violations whose
   /// every witnessing path requires one process to satisfy contradictory
   /// branch attributes. Off by default — the paper's Algorithm 3.2 uses
   /// plain graph paths.
   bool attribute_refinement = false;
   match::ExtendedCfg::RefineOptions refine;
-  /// Use the original per-ordered-pair product-graph BFS (O(|S_i|²)
-  /// traversals) instead of the single-source fast path (O(|S_i|)
-  /// traversals via ExtendedCfg::classify_all_from). The two produce
-  /// identical violation lists — the flag exists for differential testing
-  /// and as the baseline of bench A3.
-  bool legacy_pairwise = false;
 };
 
 /// Evaluates Condition 1 on an extended CFG: examines every ordered pair of
 /// members of every S_i (including a node with itself), BOTH orientations
-/// (a,b) and (b,a) — each source's single reachability pass answers all of
-/// its targets. Throws util::ProgramError if checkpoint counts are
-/// unbalanced. Violations are ordered by (index, from node, to node).
+/// (a,b) and (b,a). The message edges' hop closure answers every target of
+/// a source in one reachability pass, on the same skeleton repair_placement
+/// checks its later rounds on. Throws util::ProgramError (the diagnostic of
+/// cfg::Cfg::index_checkpoints) if checkpoint counts are unbalanced.
+/// Violations are ordered by (index, from node, to node).
 CheckResult check_condition1(const match::ExtendedCfg& ext,
                              const CheckOptions& opts = {});
 
@@ -156,23 +151,9 @@ struct RepairOptions {
   match::MatchOptions match;
   /// Violation checking options (attribute refinement etc.).
   CheckOptions check;
-  /// Fixpoint guard; each iteration performs one structural move.
+  /// Fixpoint guard: at most this many structural moves. With 0 (or less)
+  /// the repair only checks, and succeeds iff no violation needs a move.
   int max_iterations = 10'000;
-  /// Record a human-readable log of every move.
-  bool verbose_log = true;
-  /// Build Ĝ once per repair (the fast path). Checkpoint nodes are
-  /// pass-through and no back edge touches one, and repair moves only
-  /// checkpoints, so the non-checkpoint nodes, their full and acyclic
-  /// reachability, the message edges and their hop closure are fixed for
-  /// the whole repair. Later rounds track each checkpoint as a slot on that
-  /// skeleton (the checkpoint-free CFG edge it sits on) and derive
-  /// indexing, balance and Condition 1 from slots and statement order
-  /// alone; final_check comes from one fresh Ĝ, which must agree with the
-  /// skeleton's last verdict. Off (or CheckOptions::legacy_pairwise)
-  /// rebuilds Ĝ and rechecks everything after every move. Both pick
-  /// violations in the same order, so the report and the repaired program
-  /// are identical.
-  bool incremental = true;
 };
 
 struct RepairReport {
@@ -182,13 +163,23 @@ struct RepairReport {
   int hoists = 0;         ///< loop-body hoists
   int initial_hard = 0;   ///< hard violations before repair
   int initial_total = 0;  ///< all violations before repair
-  std::vector<std::string> log;
+  std::vector<std::string> log;  ///< one line per move, stuck or cap
   CheckResult final_check;
 };
 
 /// Runs Algorithm 3.2 to a fixpoint, mutating `program` (moving checkpoint
 /// statements backward). On success, check_condition1 on the rebuilt Ĝ has
 /// no violations of the policy's class.
+///
+/// Ĝ is built once per repair. Checkpoint nodes are pass-through and no
+/// back edge touches one, and repair moves only checkpoints, so the
+/// non-checkpoint nodes, their full and acyclic reachability, the message
+/// edges and their hop closure are fixed for the whole repair. Every round
+/// tracks each checkpoint as a slot on that skeleton (the checkpoint-free
+/// CFG edge it sits on) and derives indexing, balance and Condition 1 from
+/// slots and statement order alone. After a move, final_check comes from
+/// check_condition1 on one fresh Ĝ, which must agree with the skeleton's
+/// last verdict.
 RepairReport repair_placement(mp::Program& program,
                               const RepairOptions& opts = {});
 

@@ -143,6 +143,19 @@ TEST(Edge, ConditionCheckOnUnbalancedProgramThrows) {
       "program u { if (rank == 0) { checkpoint; } else { compute 1.0; } }");
   const match::ExtendedCfg ext = match::build_extended_cfg(p);
   EXPECT_THROW(place::check_condition1(ext), util::ProgramError);
+  // The message is index_checkpoints()'s diagnostic, word for word.
+  std::string expected;
+  try {
+    ext.graph().index_checkpoints();
+  } catch (const util::ProgramError& e) {
+    expected = e.what();
+  }
+  EXPECT_NE(expected.find("unbalanced checkpoint counts"), std::string::npos);
+  try {
+    place::check_condition1(ext);
+  } catch (const util::ProgramError& e) {
+    EXPECT_EQ(std::string(e.what()), expected);
+  }
 }
 
 TEST(Edge, EqualizeThenCheckSucceeds) {

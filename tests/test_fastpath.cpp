@@ -1,10 +1,10 @@
-// Differential tests for the fast-path analysis engine: the hop-closure
-// Condition-1 checker vs the legacy per-pair product-graph BFS, skeleton
-// repair (one Ĝ per repair, checkpoints tracked as slots) vs the original
+// Differential tests for the analysis engine against tests/place_reference.h:
+// the hop-closure Condition-1 checker vs the per-pair product-graph BFS,
+// skeleton repair (one Ĝ per repair, checkpoints tracked as slots) vs the
 // rebuild-everything fixpoint, and the memoized satisfiability cache vs the
-// plain bounded enumeration. Every fast path must be bit-for-bit equivalent
-// to the path it replaces; the skeleton's invariance lemma is tested on its
-// own.
+// plain bounded enumeration. Every engine path must be bit-for-bit
+// equivalent to its reference; the skeleton's invariance lemma is tested on
+// its own.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -20,7 +20,9 @@
 #include "mp/parser.h"
 #include "mp/printer.h"
 #include "place/place.h"
+#include "place_reference.h"
 #include "util/error.h"
+#include "workloads/workloads.h"
 
 namespace {
 
@@ -69,6 +71,13 @@ std::vector<ViolationKey> keys_of(const CheckResult& result) {
   return keys;
 }
 
+/// check_condition1 and the per-pair reference agree on `p`.
+void expect_same_check(const mp::Program& p, const CheckOptions& opts) {
+  const match::ExtendedCfg ext = match::build_extended_cfg(p);
+  EXPECT_EQ(keys_of(place::check_condition1(ext, opts)),
+            keys_of(place::reference::check_condition1(ext, opts)));
+}
+
 // ---------------------------------------------------------------------------
 // Condition 1: hop closure vs per-pair BFS
 // ---------------------------------------------------------------------------
@@ -76,49 +85,28 @@ std::vector<ViolationKey> keys_of(const CheckResult& result) {
 TEST(FastPathCheck, MatchesLegacyAcrossSeedsAndSizes) {
   for (const std::uint64_t seed : {1u, 7u, 42u, 99u}) {
     for (const int segments : {6, 12, 20, 28}) {
-      const mp::Program p = generated(seed, segments);
-      const match::ExtendedCfg ext = match::build_extended_cfg(p);
-      CheckOptions fast;
-      CheckOptions legacy;
-      legacy.legacy_pairwise = true;
-      const CheckResult a = place::check_condition1(ext, fast);
-      const CheckResult b = place::check_condition1(ext, legacy);
-      EXPECT_EQ(keys_of(a), keys_of(b))
-          << "seed=" << seed << " segments=" << segments;
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " segments=" + std::to_string(segments));
+      expect_same_check(generated(seed, segments), {});
     }
+  }
+  // The canonical shapes, collectives included.
+  for (const std::string& name : mp::workload_names()) {
+    SCOPED_TRACE(name);
+    expect_same_check(mp::workload_by_name(name), {});
   }
 }
 
 TEST(FastPathCheck, MatchesLegacyWithRefinement) {
+  CheckOptions refined;
+  refined.attribute_refinement = true;
   for (const std::uint64_t seed : {3u, 17u}) {
-    const mp::Program p = generated(seed, 14);
-    const match::ExtendedCfg ext = match::build_extended_cfg(p);
-    CheckOptions fast;
-    fast.attribute_refinement = true;
-    CheckOptions legacy = fast;
-    legacy.legacy_pairwise = true;
-    EXPECT_EQ(keys_of(place::check_condition1(ext, fast)),
-              keys_of(place::check_condition1(ext, legacy)))
-        << "seed=" << seed;
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    expect_same_check(generated(seed, 14), refined);
   }
-}
-
-TEST(FastPathCheck, ClassifyAllFromMatchesPairwiseForEveryTarget) {
-  const mp::Program p = generated(/*seed=*/5, /*segments=*/12);
-  const match::ExtendedCfg ext = match::build_extended_cfg(p);
-  const int n = ext.graph().node_count();
-  for (cfg::NodeId from = 0; from < n; ++from) {
-    const auto all = ext.classify_all_from(from);
-    ASSERT_EQ(static_cast<int>(all.size()), n);
-    for (cfg::NodeId to = 0; to < n; ++to) {
-      const match::PathClass pair = ext.classify_paths(from, to);
-      EXPECT_EQ(all[static_cast<size_t>(to)].has_message_path,
-                pair.has_message_path)
-          << "from=" << from << " to=" << to;
-      EXPECT_EQ(all[static_cast<size_t>(to)].message_path_without_back_edge,
-                pair.message_path_without_back_edge)
-          << "from=" << from << " to=" << to;
-    }
+  for (const std::string& name : mp::workload_names()) {
+    SCOPED_TRACE(name);
+    expect_same_check(mp::workload_by_name(name), refined);
   }
 }
 
@@ -145,9 +133,8 @@ TEST(FastPathCheck, BothOrientationsReportedOnMisalignedJacobi) {
   EXPECT_TRUE(fwd);
   EXPECT_TRUE(rev);
 
-  CheckOptions legacy;
-  legacy.legacy_pairwise = true;
-  EXPECT_EQ(keys_of(result), keys_of(place::check_condition1(ext, legacy)));
+  EXPECT_EQ(keys_of(result),
+            keys_of(place::reference::check_condition1(ext)));
 }
 
 TEST(FastPathCheck, EdgeSpansCoverTheEdgeList) {
@@ -174,12 +161,19 @@ TEST(FastPathCheck, EdgeSpansCoverTheEdgeList) {
 // Repair: the skeleton path vs rebuild-everything
 // ---------------------------------------------------------------------------
 
-/// One differential repair case: a generated program and the repair
-/// policy. A checkpoint-free program goes through analyze_and_place, so
-/// Phase I (loop blocking included) and equalization run first.
+/// One differential repair case: a generated program (or, if `workload`
+/// is set, that canonical workload) and the repair policy. A
+/// checkpoint-free program goes through analyze_and_place, so Phase I
+/// (loop blocking included) and equalization run first.
 struct RepairCase {
   mp::GenerateOptions gen;
+  std::string workload;
   RepairPolicy policy = RepairPolicy::kAlignedInstances;
+
+  mp::Program program() const {
+    return workload.empty() ? mp::generate_program(gen)
+                            : mp::workload_by_name(workload);
+  }
 };
 
 RepairCase repair_case(std::uint64_t seed, int segments) {
@@ -191,6 +185,9 @@ RepairCase repair_case(std::uint64_t seed, int segments) {
 }
 
 std::string describe(const RepairCase& c) {
+  if (!c.workload.empty())
+    return c.workload +
+           " strict=" + std::to_string(c.policy == RepairPolicy::kStrict);
   return "seed=" + std::to_string(c.gen.seed) +
          " seg=" + std::to_string(c.gen.segments) +
          " misalign=" + std::to_string(c.gen.misalign_checkpoints) +
@@ -205,15 +202,22 @@ struct RepairRun {
   std::string error;
 };
 
-RepairRun run_repair(mp::Program& program, const RepairOptions& opts) {
+/// Runs place's repair (or, with `reference`, the rebuild-everything one).
+RepairRun run_repair(mp::Program& program, const RepairOptions& opts,
+                     bool reference) {
   RepairRun run;
   try {
     if (mp::checkpoint_count(program) == 0) {
       place::InsertOptions insert;
       insert.target_interval = 4.0;  // generated programs run for seconds
-      run.report = place::analyze_and_place(program, insert, opts);
+      run.report =
+          reference
+              ? place::reference::analyze_and_place(program, insert, opts)
+              : place::analyze_and_place(program, insert, opts);
     } else {
-      run.report = place::repair_placement(program, opts);
+      run.report = reference
+                       ? place::reference::repair_placement(program, opts)
+                       : place::repair_placement(program, opts);
     }
   } catch (const util::Error& e) {
     run.error = e.what();
@@ -221,23 +225,21 @@ RepairRun run_repair(mp::Program& program, const RepairOptions& opts) {
   return run;
 }
 
-/// Repairs two copies of the case's program, one on the default
-/// (skeleton) path and one on the rebuild-everything reference, and
-/// expects the same RepairReport — log line for line — and the same
-/// repaired text. Returns the default path's report.
+/// Repairs two copies of the case's program, one with repair_placement
+/// and one with the rebuild-everything reference, and expects the same
+/// RepairReport — log line for line — and the same repaired text.
+/// Returns repair_placement's report.
 place::RepairReport expect_same_repair(const RepairCase& c) {
   SCOPED_TRACE(describe(c));
-  mp::Program fast_p = mp::generate_program(c.gen);
-  mp::Program slow_p = mp::generate_program(c.gen);
+  mp::Program fast_p = c.program();
+  mp::Program slow_p = c.program();
   RepairOptions fast;  // skeleton + hop closure + sat cache (default)
   fast.policy = c.policy;
   RepairOptions slow = fast;
-  slow.incremental = false;
-  slow.check.legacy_pairwise = true;
   slow.match.sat.use_cache = false;
 
-  const RepairRun a = run_repair(fast_p, fast);
-  const RepairRun b = run_repair(slow_p, slow);
+  const RepairRun a = run_repair(fast_p, fast, /*reference=*/false);
+  const RepairRun b = run_repair(slow_p, slow, /*reference=*/true);
   EXPECT_EQ(a.error, b.error);
   EXPECT_EQ(a.report.success, b.report.success);
   EXPECT_EQ(a.report.moves, b.report.moves);
@@ -332,17 +334,15 @@ TEST(IncrementalRepair, MatchesLegacyOnLargePrograms) {
 }
 
 TEST(IncrementalRepair, MatchesLegacyOnHandWrittenCounterexample) {
+  MoveTally tally;
   for (const RepairPolicy policy :
        {RepairPolicy::kAlignedInstances, RepairPolicy::kStrict}) {
     mp::Program fast_p = mp::parse(kJacobi2);
     mp::Program slow_p = mp::parse(kJacobi2);
     RepairOptions fast;
     fast.policy = policy;
-    RepairOptions slow = fast;
-    slow.incremental = false;
-    slow.check.legacy_pairwise = true;
     const auto a = place::repair_placement(fast_p, fast);
-    const auto b = place::repair_placement(slow_p, slow);
+    const auto b = place::reference::repair_placement(slow_p, fast);
     EXPECT_TRUE(a.success);
     EXPECT_EQ(a.success, b.success);
     EXPECT_EQ(a.moves, b.moves);
@@ -350,7 +350,16 @@ TEST(IncrementalRepair, MatchesLegacyOnHandWrittenCounterexample) {
     EXPECT_EQ(a.hoists, b.hoists);
     EXPECT_EQ(a.log, b.log);
     EXPECT_EQ(mp::print(fast_p), mp::print(slow_p));
+
+    // The canonical shapes, collectives included.
+    for (const std::string& name : mp::workload_names()) {
+      RepairCase c;
+      c.workload = name;
+      c.policy = policy;
+      tally.add(expect_same_repair(c));
+    }
   }
+  EXPECT_GT(tally.repaired, 0);
 }
 
 TEST(IncrementalRepair, UnbalancingMergeThrowsLikeLegacy) {
@@ -371,15 +380,17 @@ TEST(IncrementalRepair, UnbalancingMergeThrowsLikeLegacy) {
       }
     })";
   std::string errors[2];
-  for (const bool incremental : {true, false}) {
+  for (const bool reference : {false, true}) {
     mp::Program p = mp::parse(kNested);
     RepairOptions opts;
     opts.policy = RepairPolicy::kStrict;
-    opts.incremental = incremental;
     try {
-      place::repair_placement(p, opts);
+      if (reference)
+        place::reference::repair_placement(p, opts);
+      else
+        place::repair_placement(p, opts);
     } catch (const util::ProgramError& e) {
-      errors[incremental ? 0 : 1] = e.what();
+      errors[reference ? 1 : 0] = e.what();
     }
   }
   EXPECT_NE(errors[0].find("unbalanced checkpoint counts"), std::string::npos)
@@ -393,10 +404,8 @@ TEST(IncrementalRepair, MatchesLegacyWithAttributeRefinement) {
     mp::Program slow_p = generated(seed, 10);
     RepairOptions fast;
     fast.check.attribute_refinement = true;
-    RepairOptions slow = fast;
-    slow.incremental = false;
     const auto a = place::repair_placement(fast_p, fast);
-    const auto b = place::repair_placement(slow_p, slow);
+    const auto b = place::reference::repair_placement(slow_p, fast);
     EXPECT_EQ(a.success, b.success) << "seed=" << seed;
     EXPECT_EQ(a.log, b.log) << "seed=" << seed;
     EXPECT_EQ(keys_of(a.final_check), keys_of(b.final_check));
@@ -410,12 +419,17 @@ TEST(IncrementalRepair, IterationCapMatchesLegacy) {
     mp::Program slow_p = generated(/*seed=*/7, /*segments=*/16);
     RepairOptions fast;
     fast.max_iterations = cap;
-    RepairOptions slow = fast;
-    slow.incremental = false;
     const auto a = place::repair_placement(fast_p, fast);
-    const auto b = place::repair_placement(slow_p, slow);
+    const auto b = place::reference::repair_placement(slow_p, fast);
     EXPECT_EQ(a.success, b.success) << "cap=" << cap;
     EXPECT_EQ(a.initial_total, b.initial_total) << "cap=" << cap;
+    EXPECT_EQ(a.initial_hard, b.initial_hard) << "cap=" << cap;
+    if (cap == 0) {
+      // No move is allowed, so the initial counts describe the final check.
+      EXPECT_EQ(a.initial_total,
+                static_cast<int>(a.final_check.violations.size()));
+      EXPECT_EQ(a.initial_hard, a.final_check.hard_count());
+    }
     EXPECT_EQ(a.log, b.log) << "cap=" << cap;
     EXPECT_EQ(keys_of(a.final_check), keys_of(b.final_check))
         << "cap=" << cap;
@@ -502,8 +516,8 @@ TEST(RepairSkeleton, CheckpointFreeGraphIsInvariantUnderEveryMove) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential corpus (slow tier): the fast paths vs their legacy
-// counterparts over hundreds of generated programs.
+// Differential corpus (slow tier): the engine vs the reference over
+// hundreds of generated programs.
 // ---------------------------------------------------------------------------
 
 // 100 seeds × misaligned {off, on} = 200 programs, sizes cycling through
@@ -521,14 +535,9 @@ TEST(DifferentialCorpusSlow, HopClosureMatchesPairwiseOn200Programs) {
   int programs = 0;
   for (int index = 0; index < 100; ++index) {
     for (const bool misalign : {false, true}) {
-      const mp::Program p = corpus_program(index, misalign);
-      const match::ExtendedCfg ext = match::build_extended_cfg(p);
-      CheckOptions fast;
-      CheckOptions legacy;
-      legacy.legacy_pairwise = true;
-      EXPECT_EQ(keys_of(place::check_condition1(ext, fast)),
-                keys_of(place::check_condition1(ext, legacy)))
-          << "index=" << index << " misalign=" << misalign;
+      SCOPED_TRACE("index=" + std::to_string(index) +
+                   " misalign=" + std::to_string(misalign));
+      expect_same_check(corpus_program(index, misalign), {});
       ++programs;
     }
   }

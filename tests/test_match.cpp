@@ -1,11 +1,14 @@
 // Unit tests for Phase II (Algorithm 3.1): extended-CFG construction,
 // message-edge matching on the paper's figures, matching policies, and
-// path classification.
+// path classification (the reference BFS of tests/place_reference.h, which
+// place::check_condition1 must agree with).
 #include <gtest/gtest.h>
 
 #include "match/match.h"
 #include "mp/lower.h"
 #include "mp/parser.h"
+#include "place/place.h"
+#include "place_reference.h"
 
 namespace {
 
@@ -14,6 +17,20 @@ using match::build_extended_cfg;
 using match::ExtendedCfg;
 using match::MatchOptions;
 using match::MatchPolicy;
+using place::reference::classify_paths;
+
+/// classify_paths(ext, from, to), expected to equal check_condition1's
+/// verdict on the pair (both members of one S_i).
+match::PathClass classify_checked(const ExtendedCfg& ext, cfg::NodeId from,
+                                  cfg::NodeId to) {
+  const match::PathClass pc = classify_paths(ext, from, to);
+  const match::PathClass engine = place::reference::path_class_in(
+      place::check_condition1(ext), from, to);
+  EXPECT_EQ(engine.has_message_path, pc.has_message_path);
+  EXPECT_EQ(engine.message_path_without_back_edge,
+            pc.message_path_without_back_edge);
+  return pc;
+}
 
 constexpr const char* kJacobi2 = R"(
   program jacobi2 {
@@ -180,11 +197,11 @@ TEST(MatchPaths, MisalignedJacobiHasHardPath) {
     const auto& c = *static_cast<const mp::CheckpointStmt*>(n.stmt);
     (c.note == "even" ? even : odd) = n.id;
   }
-  const auto pc = ext.classify_paths(even, odd);
+  const auto pc = classify_checked(ext, even, odd);
   EXPECT_TRUE(pc.has_message_path);
   EXPECT_TRUE(pc.message_path_without_back_edge);
   // The reverse direction only exists across iterations (via back edge).
-  const auto rev = ext.classify_paths(odd, even);
+  const auto rev = classify_checked(ext, odd, even);
   EXPECT_TRUE(rev.has_message_path);
   EXPECT_FALSE(rev.message_path_without_back_edge);
 }
@@ -207,7 +224,7 @@ TEST(MatchPaths, AlignedJacobiHasOnlyLoopCarriedPaths) {
   const ExtendedCfg ext = build_extended_cfg(p);
   const auto ckpts = ext.graph().nodes_of_kind(cfg::NodeKind::kCheckpoint);
   ASSERT_EQ(ckpts.size(), 1u);
-  const auto pc = ext.classify_paths(ckpts[0].id, ckpts[0].id);
+  const auto pc = classify_checked(ext, ckpts[0].id, ckpts[0].id);
   EXPECT_TRUE(pc.has_message_path);
   EXPECT_FALSE(pc.message_path_without_back_edge);
 }
@@ -221,7 +238,7 @@ TEST(MatchPaths, NoMessagePathWithoutCommunication) {
   const ExtendedCfg ext = build_extended_cfg(p);
   const auto ckpts = ext.graph().nodes_of_kind(cfg::NodeKind::kCheckpoint);
   ASSERT_EQ(ckpts.size(), 2u);
-  const auto pc = ext.classify_paths(ckpts[0].id, ckpts[1].id);
+  const auto pc = classify_checked(ext, ckpts[0].id, ckpts[1].id);
   EXPECT_FALSE(pc.has_message_path);
 }
 

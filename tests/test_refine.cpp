@@ -4,12 +4,15 @@
 // corpus), and its effect on strict-mode repair.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "attr/attr.h"
 #include "match/match.h"
 #include "mp/generate.h"
 #include "mp/parser.h"
 #include "mp/printer.h"
 #include "place/place.h"
+#include "place_reference.h"
 #include "sim/engine.h"
 #include "trace/analysis.h"
 
@@ -19,6 +22,27 @@ using namespace acfc;
 using match::build_extended_cfg;
 using mp::Expr;
 using mp::Pred;
+
+const match::ExtendedCfg::RefineOptions kRefine;  // the defaults
+
+/// The reference classification of (from, to), refined under `refine` if
+/// given, expected to equal check_condition1's verdict on the pair.
+match::PathClass classify_checked(
+    const match::ExtendedCfg& ext, cfg::NodeId from, cfg::NodeId to,
+    std::optional<match::ExtendedCfg::RefineOptions> refine = std::nullopt) {
+  place::CheckOptions opts;
+  opts.attribute_refinement = refine.has_value();
+  if (refine) opts.refine = *refine;
+  const match::PathClass pc =
+      refine ? place::reference::classify_paths_refined(ext, from, to, *refine)
+             : place::reference::classify_paths(ext, from, to);
+  const match::PathClass engine = place::reference::path_class_in(
+      place::check_condition1(ext, opts), from, to);
+  EXPECT_EQ(engine.has_message_path, pc.has_message_path);
+  EXPECT_EQ(engine.message_path_without_back_edge,
+            pc.message_path_without_back_edge);
+  return pc;
+}
 
 // ---------------------------------------------------------------------------
 // combine_attributes
@@ -100,10 +124,10 @@ TEST(Refine, DiscardsInfeasibleSelfViolation) {
   ASSERT_NE(master, cfg::kNoNode);
 
   // Coarse: a self message path exists (m → send ⇒ recv → back edge → m).
-  const auto coarse = ext.classify_paths(master, master);
+  const auto coarse = classify_checked(ext, master, master);
   EXPECT_TRUE(coarse.has_message_path);
   // Refined: the recv→m segment needs rank≠0 ∧ rank==0 — infeasible.
-  const auto refined = ext.classify_paths_refined(master, master);
+  const auto refined = classify_checked(ext, master, master, kRefine);
   EXPECT_FALSE(refined.has_message_path);
 }
 
@@ -188,16 +212,16 @@ TEST(Refine, MasterOnlyCommunicationFreesMasterCheckpoint) {
     (c.note == "m" ? master : worker) = n.id;
   }
   // Coarse: graph paths exist from m through the worker arm's sends.
-  EXPECT_TRUE(ext.classify_paths(master, master).has_message_path);
-  EXPECT_TRUE(ext.classify_paths(master, worker).has_message_path);
+  EXPECT_TRUE(classify_checked(ext, master, master).has_message_path);
+  EXPECT_TRUE(classify_checked(ext, master, worker).has_message_path);
   // Refined: rank 0 cannot reach any send — both discarded.
   EXPECT_FALSE(
-      ext.classify_paths_refined(master, master).has_message_path);
+      classify_checked(ext, master, master, kRefine).has_message_path);
   EXPECT_FALSE(
-      ext.classify_paths_refined(master, worker).has_message_path);
+      classify_checked(ext, master, worker, kRefine).has_message_path);
   // The worker-side self causality is real and must be kept.
   EXPECT_TRUE(
-      ext.classify_paths_refined(worker, worker).has_message_path);
+      classify_checked(ext, worker, worker, kRefine).has_message_path);
 }
 
 // Soundness: refined repair still yields consistent straight cuts on the
@@ -235,7 +259,7 @@ TEST(Refine, NoPathMeansNoPathEitherWay) {
   const match::ExtendedCfg ext = build_extended_cfg(p);
   const auto ckpts = ext.graph().nodes_of_kind(cfg::NodeKind::kCheckpoint);
   const auto refined =
-      ext.classify_paths_refined(ckpts[0].id, ckpts[1].id);
+      classify_checked(ext, ckpts[0].id, ckpts[1].id, kRefine);
   EXPECT_FALSE(refined.has_message_path);
 }
 
@@ -246,8 +270,8 @@ TEST(Refine, HopBudgetIsConservative) {
   match::ExtendedCfg::RefineOptions opts;
   opts.max_hops = 0;  // exhausted budget: behaves like the coarse check
   const auto refined =
-      ext.classify_paths_refined(ckpts[0].id, ckpts[0].id, opts);
-  const auto coarse = ext.classify_paths(ckpts[0].id, ckpts[0].id);
+      classify_checked(ext, ckpts[0].id, ckpts[0].id, opts);
+  const auto coarse = classify_checked(ext, ckpts[0].id, ckpts[0].id);
   EXPECT_EQ(refined.has_message_path, coarse.has_message_path);
 }
 

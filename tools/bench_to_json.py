@@ -13,15 +13,13 @@ Two suites:
         "BM_CheckCondition1/32": {"ns_per_op": ..., "iterations": ...,
                                    "counters": {"msg_edges": ...}},
         ...
-      },
-      "speedups": {"CheckCondition1/32": 6.8, "RepairPlacement/32": 7.3}
+      }
     }
 
-  "speedups" pairs every fast-path phase with its *Legacy twin at the same
-  argument (legacy ns-per-op / fast ns-per-op). With --baseline (an
-  earlier BENCH_analysis.json, e.g. from the parent commit on the same
-  host) it adds "ns_per_op_before" and "speedup_vs_before" (before / now)
-  for every phase both runs have, plus the baseline's "note".
+  With --baseline (an earlier BENCH_analysis.json, e.g. from the parent
+  commit on the same host) it adds "ns_per_op_before" and
+  "speedup_vs_before" (before / now) for every phase both runs have, plus
+  the baseline's "note".
 
   --suite sim drives bench/ablate_sim_throughput plus bench/ablate_recovery,
   bench/ablate_degraded_recovery, and bench/ablate_partition, and writes
@@ -153,22 +151,10 @@ def strip_real_time(name):
 
 def condense_analysis(raw, baseline):
     phases = extract_phases(raw)
-
-    # Fast path vs its Legacy twin: BM_Foo/N vs BM_FooLegacy/N.
-    speedups = {}
-    for name, stats in phases.items():
-        base, slash, arg = name.partition("/")
-        legacy = phases.get(base + "Legacy" + slash + arg)
-        if legacy is None or stats["ns_per_op"] == 0:
-            continue
-        label = name[3:] if name.startswith("BM_") else name
-        speedups[label] = round(legacy["ns_per_op"] / stats["ns_per_op"], 2)
-
     doc = {
         "benchmark": "ablate_analysis_scaling",
         "context": raw.get("context", {}),
         "phases": phases,
-        "speedups": speedups,
     }
     if baseline:
         before = {name: stats["ns_per_op"]
@@ -320,9 +306,8 @@ def main():
             baseline = json.load(f)
     if args.suite == "analysis":
         doc = condense_analysis(raw, baseline)
-        ratios = dict(doc["speedups"])
-        ratios.update({"vs before " + name: speedup for name, speedup
-                       in doc.get("speedup_vs_before", {}).items()})
+        ratios = {"vs before " + name: speedup for name, speedup
+                  in doc.get("speedup_vs_before", {}).items()}
     else:
         extra_raw = {"recovery": None, "degraded": None, "partition": None}
         for key, slot in (("recovery_bench", "recovery"),
