@@ -14,10 +14,6 @@
 //     capacity 64 is the price of an undersized queue; 64 is the
 //     steady-state cost the engine pays per take. takes/s divides by the
 //     MAIN thread's cpu_time: cv-waits cost no cpu, writer cpu excluded.
-//
-//   BM_ManifestBatch/<batch>     synchronous write_payload throughput with
-//     manifest publication coalesced every <batch> writes {1, 8, 64};
-//     batch 1 is the legacy publish-per-write cadence.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -96,28 +92,6 @@ void BM_AsyncSubmit(benchmark::State& state) {
       static_cast<double>(takes), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_AsyncSubmit)->Arg(1)->Arg(4)->Arg(64);
-
-void BM_ManifestBatch(benchmark::State& state) {
-  const sim::VmSnapshot snap = sample_snapshot(8);
-  const int batch = static_cast<int>(state.range(0));
-  const std::string payload = sim::serialize_snapshot(snap);
-  constexpr int kWritesPerIter = 64;
-  long writes = 0;
-  for (auto _ : state) {
-    store::StableStore stable(store::StorageModel{},
-                              store::CheckpointMode::kIncremental, 8);
-    stable.set_manifest_batch(batch);
-    for (int i = 0; i < kWritesPerIter; ++i)
-      stable.write_payload(i % 8, payload, static_cast<double>(i));
-    stable.flush_manifests();
-    writes += kWritesPerIter;
-    benchmark::DoNotOptimize(stable.bytes_stored());
-  }
-  state.counters["writes/s"] = benchmark::Counter(
-      static_cast<double>(writes), benchmark::Counter::kIsRate);
-  state.SetLabel(batch == 1 ? "publish per write" : "batched publish");
-}
-BENCHMARK(BM_ManifestBatch)->Arg(1)->Arg(8)->Arg(64);
 
 }  // namespace
 

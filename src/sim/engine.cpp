@@ -113,9 +113,7 @@ Engine::Engine(const Model* model, const mp::Program* program,
                        opts_.delay.reorder >= 0.0 &&
                        opts_.delay.reorder <= 1.0,
                    "loss probabilities out of range (drop must be < 1)");
-    ACFC_CHECK_MSG(opts_.transport.rto > 0.0 &&
-                       opts_.transport.backoff >= 1.0 &&
-                       opts_.transport.max_retries >= 0,
+    ACFC_CHECK_MSG(opts_.transport.max_retries >= 0,
                    "invalid transport options");
     xport_.resize(n * n);
   }
@@ -1269,16 +1267,25 @@ void Engine::reset_collectives_for_rollback() {
 // drivers, the VMs) observe exactly the reliable FIFO channel the system
 // model of Section 2 assumes, just later and with retransmit traffic.
 
+namespace {
+
+constexpr double kInitialRto = 0.05;   ///< first retransmit timeout (s)
+constexpr double kRtoBackoff = 2.0;    ///< RTO multiplier per retry
+constexpr int kAckBytes = 8;           ///< wire size of a cumulative ack
+constexpr double kReorderExtra = 0.05; ///< bound of a detour's delay (s)
+
+}  // namespace
+
 void Engine::xport_send(long msg_index, double at) {
   auto& msg = trace_.messages[static_cast<size_t>(msg_index)];
   const size_t chan = chan_of(msg.src, msg.dst);
   XportChan& ch = xport_[chan];
   msg.xport_seq = ch.next_seq++;
   ch.unacked.insert(msg.xport_seq,
-                    XportChan::Unacked{msg_index, 0, opts_.transport.rto});
+                    XportChan::Unacked{msg_index, 0, kInitialRto});
   ++stats_.transport_sends;
   xport_transmit(chan, msg.xport_seq, at);
-  push_event(at + opts_.transport.rto, EvKind::kRto, msg.src,
+  push_event(at + kInitialRto, EvKind::kRto, msg.src,
              static_cast<long>(chan), msg.xport_seq);
 }
 
@@ -1310,7 +1317,7 @@ void Engine::xport_transmit(std::size_t chan, long seq, double at) {
 double Engine::wire_arrival(int src, int dst, int bytes, double at) {
   double d = p2p_delay(src, dst, bytes, at);
   if (opts_.delay.reorder > 0.0 && net_rng_.bernoulli(opts_.delay.reorder))
-    d += net_rng_.uniform(0.0, opts_.delay.reorder_extra);
+    d += net_rng_.uniform(0.0, kReorderExtra);
   // channel_last_deliver_ is the receiver-restart floor here (set by
   // perform_rollback), not a FIFO chain — ordering comes from seq numbers.
   return std::max(at + d, channel_last_deliver_[chan_of(src, dst)]);
@@ -1357,9 +1364,8 @@ void Engine::send_xport_ack(std::size_t chan) {
     ++stats_.transport_dropped;  // acks ride the same lossy wire
     return;
   }
-  push_event(
-      wire_arrival(data_dst, data_src, opts_.transport.ack_bytes, now_),
-      EvKind::kAck, data_src, static_cast<long>(chan), ch.next_expected);
+  push_event(wire_arrival(data_dst, data_src, kAckBytes, now_), EvKind::kAck,
+             data_src, static_cast<long>(chan), ch.next_expected);
 }
 
 void Engine::handle_ack(std::size_t chan, long upto) {
@@ -1380,7 +1386,7 @@ void Engine::handle_rto(std::size_t chan, long seq) {
   ++entry->retries;
   ++stats_.transport_retransmits;
   if (entry->retries >= 2) ++stats_.transport_rto_backoffs;
-  entry->rto *= opts_.transport.backoff;
+  entry->rto *= kRtoBackoff;
   const double next_rto = entry->rto;
   const int owner =
       static_cast<int>(chan / static_cast<size_t>(opts_.nprocs));

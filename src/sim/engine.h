@@ -42,8 +42,8 @@ namespace acfc::sim {
 ///
 /// The loss knobs make the network unreliable: each transmission attempt
 /// is independently dropped with probability `drop`, duplicated with
-/// probability `dup`, and detoured (an extra uniform [0, reorder_extra)
-/// delay that lets later attempts overtake it) with probability `reorder`.
+/// probability `dup`, and detoured (an extra uniform delay of up to 50 ms
+/// that lets later attempts overtake it) with probability `reorder`.
 /// Any of them > 0 switches the engine onto the reliable-transport shim
 /// (per-channel sequence numbers, ack + timeout retransmit, duplicate
 /// suppression), which restores exactly-once FIFO delivery to the layers
@@ -57,7 +57,6 @@ struct DelayModel {
   double drop = 0.0;           ///< P(attempt lost), per transmission
   double dup = 0.0;            ///< P(attempt arrives twice)
   double reorder = 0.0;        ///< P(attempt takes a detour)
-  double reorder_extra = 0.05; ///< detour delay bound (s)
 
   double base(int bytes) const {
     return setup + per_byte * static_cast<double>(bytes);
@@ -66,14 +65,13 @@ struct DelayModel {
 };
 
 /// Reliable-transport shim tuning (active only when DelayModel::lossy()).
+/// The retransmit timeout starts at 50 ms and doubles per retry; a
+/// cumulative ack is 8 bytes on the wire.
 struct TransportOptions {
-  double rto = 0.05;     ///< initial retransmit timeout (s)
-  double backoff = 2.0;  ///< RTO multiplier per retry (exponential)
   int max_retries = 16;  ///< retry cap; past it the message is abandoned
                          ///< (stats.transport_give_ups) and the run may
                          ///< end incomplete — exactly like a real channel
                          ///< declaring its peer unreachable
-  int ack_bytes = 8;     ///< wire size of a cumulative ack
 };
 
 struct SimOptions {
@@ -129,8 +127,8 @@ struct SimOptions {
   /// Capture hook fired on every checkpoint take with the process's full
   /// VM state — the bridge to real stored payloads. sim::store_capture_fn
   /// serializes it into a StableStore inline; sim::async_store_capture_fn
-  /// hands a pooled copy to a store::AsyncPersister, whose writer threads
-  /// serialize and store it off the simulation critical path (see
+  /// hands a pooled copy to a store::AsyncPersister, whose writer thread
+  /// serializes and stores it off the simulation critical path (see
   /// sim/snapshot_codec.h). Independent of keep_snapshots. Must be
   /// deterministic for replay.
   std::function<void(int proc, const VmSnapshot& state)> checkpoint_capture_fn;
@@ -518,7 +516,7 @@ class Engine {
     struct Unacked {
       long msg_index = -1;
       int retries = 0;
-      double rto = 0.0;  ///< current timeout (grows by transport.backoff)
+      double rto = 0.0;  ///< current timeout (doubles per retry)
     };
     SeqRing<Unacked> unacked;     ///< sender window, keyed by seq
     SeqRing<long> reorder_buf;    ///< receiver: seq → msg index

@@ -103,7 +103,7 @@ std::function<void(int, const VmSnapshot&)> async_store_capture_fn(
   // Copy-assigning into a recycled snapshot reuses every member vector's
   // capacity, so a steady-state take allocates nothing; and because the
   // writer RETURNS snapshots instead of freeing them, producer-allocated
-  // blocks are never released on a writer thread (which would route every
+  // blocks are never released on the writer thread (which would route every
   // subsequent capture allocation through the allocator's slow cross-
   // thread path). The mutex hand-off doubles as the happens-before edge
   // between the writer's last read of a snapshot and its reuse.

@@ -19,12 +19,13 @@
 //    allocates nothing.
 //  * async_store_capture_fn copies the take into a recycled snapshot and
 //    submits it to a store::AsyncPersister; serialization, delta encoding,
-//    checksumming, and publication all happen on its writer threads, off
-//    the simulation critical path. Snapshots cycle through a freelist — writers return
-//    them after serializing — so steady-state capture performs zero heap
-//    allocations AND never frees producer-allocated memory on a writer
-//    thread (cross-thread malloc/free churn defeats the allocator's
-//    per-thread caches; recycling is most of this adapter's speedup).
+//    checksumming, and publication all happen on its writer thread, off
+//    the simulation critical path. Snapshots cycle through a freelist — the
+//    writer returns them after serializing — so steady-state capture
+//    performs zero heap allocations AND never frees producer-allocated
+//    memory on the writer thread (cross-thread malloc/free churn defeats
+//    the allocator's per-thread caches; recycling is most of this
+//    adapter's speedup).
 //
 // The store (and persister) must outlive the returned function and belong
 // to a single Engine run.
@@ -60,7 +61,7 @@ std::function<void(int, const VmSnapshot&)> store_capture_fn(
 /// A SimOptions::checkpoint_capture_fn that copies every take into a
 /// pooled snapshot and submits it to `persister`: the take path costs one
 /// copy-assignment into recycled storage (no allocation, no frees), and
-/// the persister's writer threads serialize + store it in take order.
+/// the persister's writer thread serializes + stores it in take order.
 /// After persister.drain() — or any barrier-triggering store read — the
 /// store is byte-identical to what store_capture_fn would have produced.
 std::function<void(int, const VmSnapshot&)> async_store_capture_fn(

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <utility>
+#include <vector>
 
 #include "util/error.h"
 
@@ -11,9 +12,6 @@ namespace acfc::store {
 AsyncPersister::AsyncPersister(StableStore& store, AsyncPersistOptions opts)
     : store_(store), opts_(opts) {
   ACFC_CHECK_MSG(opts_.queue_capacity >= 1, "queue capacity must be >= 1");
-  ACFC_CHECK_MSG(opts_.writer_threads >= 1, "need at least one writer");
-  if (opts_.manifest_batch >= 1)
-    store_.set_manifest_batch(opts_.manifest_batch);
   if (opts_.obs != nullptr) {
     obs::Registry& reg = *opts_.obs;
     obs_.submitted = &reg.counter("persist.submitted", {"jobs", "persist"});
@@ -27,11 +25,9 @@ AsyncPersister::AsyncPersister(StableStore& store, AsyncPersistOptions opts)
   }
   // Readers (restore / scan / verify / GC) transparently wait for every
   // pending write before observing the store. The barrier runs on the
-  // reader's thread, never on a writer, so it cannot self-deadlock.
+  // reader's thread, never on the writer, so it cannot self-deadlock.
   store_.set_read_barrier([this] { drain(); });
-  writers_.reserve(static_cast<std::size_t>(opts_.writer_threads));
-  for (int t = 0; t < opts_.writer_threads; ++t)
-    writers_.emplace_back([this] { writer_loop(); });
+  writer_ = std::thread([this] { writer_loop(); });
 }
 
 AsyncPersister::~AsyncPersister() {
@@ -41,21 +37,23 @@ AsyncPersister::~AsyncPersister() {
     const std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  work_cv_.notify_all();
-  for (std::thread& t : writers_) t.join();
+  work_cv_.notify_one();
+  writer_.join();
 }
 
 void AsyncPersister::submit(int proc, SerializeFn serialize) {
+  // Checked here: on the writer thread the error could only terminate.
+  ACFC_CHECK_MSG(proc >= 0 && proc < store_.nprocs(),
+                 "submit names a process outside the store");
   std::unique_lock<std::mutex> lock(mu_);
   ACFC_CHECK_MSG(!stop_, "submit after shutdown");
   if (queue_.size() >= static_cast<std::size_t>(opts_.queue_capacity)) {
     // Block-on-full backpressure, with hysteresis: wait until the queue
     // has drained to HALF capacity, not just below it. Waking per freed
     // slot would cost the producer a futex round-trip per take once the
-    // writers fall behind; waking at the half-way mark amortizes one
+    // writer falls behind; waking at the half-way mark amortizes one
     // sleep/wake over capacity/2 takes while memory stays bounded by
     // queue_capacity jobs either way.
-    ++stats_.backpressure_waits;
     if (obs_.backpressure_waits != nullptr) obs_.backpressure_waits->inc();
     const auto block_start = obs_.backpressure_block_ns != nullptr
                                  ? std::chrono::steady_clock::now()
@@ -78,15 +76,12 @@ void AsyncPersister::submit(int proc, SerializeFn serialize) {
   job.ticket = next_ticket_++;
   job.serialize = std::move(serialize);
   queue_.push_back(std::move(job));
-  ++stats_.submitted;
-  stats_.max_queue_depth =
-      std::max(stats_.max_queue_depth, static_cast<long>(queue_.size()));
   if (obs_.submitted != nullptr) {
     obs_.submitted->inc();
     obs_.queue_depth->set(static_cast<long long>(queue_.size()));
   }
   lock.unlock();
-  // A writer only waits on work_cv_ while the queue is empty (its wait
+  // The writer only waits on work_cv_ while the queue is empty (its wait
   // predicate), so a push onto a non-empty queue can have no one to wake —
   // skipping the notify keeps the per-take critical path futex-free.
   if (was_empty) work_cv_.notify_one();
@@ -104,20 +99,9 @@ void AsyncPersister::drain() {
   commit_cv_.wait(lock, [&] { return committed_ >= target; });
 }
 
-AsyncPersister::Stats AsyncPersister::stats() const {
-  Stats out;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    out = stats_;
-  }
-  const std::lock_guard<std::mutex> lock(commit_mu_);
-  out.persisted = committed_;
-  return out;
-}
-
 void AsyncPersister::writer_loop() {
-  // Scratch buffer reused across this writer's jobs: after warm-up a
-  // serialize costs zero allocations on the writer side too.
+  // Scratch buffer reused across jobs: after warm-up a serialize costs
+  // zero allocations on the writer side too.
   std::string scratch;
   std::vector<Job> batch;
   batch.reserve(kPopBatch);
@@ -143,22 +127,17 @@ void AsyncPersister::writer_loop() {
       if (wake) space_cv_.notify_one();
     }
 
+    // One writer popping a FIFO commits in submit order. The commit_mu_
+    // hand-off publishes the store's memory to post-drain readers.
     for (Job& job : batch) {
       scratch.clear();
       job.serialize(scratch);
-
-      // Ordered commit: only the writer holding the next ticket touches
-      // the store, so multi-writer serialization never reorders ordinals
-      // or delta bases. The mutex hand-off also publishes the store's
-      // memory to the next committer and to post-drain readers.
-      std::unique_lock<std::mutex> lock(commit_mu_);
-      commit_cv_.wait(lock, [&] { return committed_ == job.ticket; });
-      lock.unlock();
       store_.write_payload(job.proc, scratch,
                            static_cast<double>(job.ticket));
-      lock.lock();
-      ++committed_;
-      lock.unlock();
+      {
+        const std::lock_guard<std::mutex> lock(commit_mu_);
+        ++committed_;
+      }
       if (obs_.persisted != nullptr) obs_.persisted->inc();
       commit_cv_.notify_all();
     }

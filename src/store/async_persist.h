@@ -4,20 +4,20 @@
 //
 // The synchronous capture path charges the full serialize + ACFD-encode +
 // XXH64 + publish cost to the simulated process at every checkpoint take.
-// AsyncPersister moves that work to background writer thread(s): the take
+// AsyncPersister moves that work to one background writer thread: the take
 // path calls submit() with a serialize closure and returns immediately. In
 // practice the closure comes from sim::async_store_capture_fn, the engine's
 // one capture hook: it copies the take into a pooled VmSnapshot (copy-
 // assignment into a recycled snapshot, so a steady-state take allocates
 // nothing but still costs a copy of the VM state) that the writer
-// serializes and hands back to the pool. Writers drain a bounded FIFO
-// queue, serialize into a reusable per-thread scratch buffer, and commit
-// to the StableStore strictly in submission order (tickets).
+// serializes and hands back to the pool. The writer drains a bounded FIFO
+// queue, serializes into a reusable scratch buffer, and commits to the
+// StableStore in submission order — the order it pops the queue in.
 // Take ordinals, delta bases, and record chains are therefore exactly what
 // a synchronous run would have produced.
 //
 // Backpressure: the queue is bounded by queue_capacity; when it is full,
-// submit() blocks until a writer frees a slot, so memory stays bounded by
+// submit() blocks until the writer frees a slot, so memory stays bounded by
 // queue_capacity pending snapshots and ordering can never be traded away
 // under load.
 //
@@ -46,7 +46,6 @@
 #include <thread>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "store/store.h"
 
@@ -56,13 +55,6 @@ struct AsyncPersistOptions {
   /// Bounded queue depth; submit() blocks while the queue holds this many
   /// jobs (block-on-full backpressure).
   int queue_capacity = 64;
-  /// Background writer threads. Serialization parallelizes across them;
-  /// store commits stay in strict submission order regardless.
-  int writer_threads = 1;
-  /// When >= 1, applied to the store via set_manifest_batch at attach
-  /// (coalesced manifest republication); 0 leaves the store's setting
-  /// untouched.
-  int manifest_batch = 0;
   /// Observability sink (docs/observability.md); nullptr ⇒ inert. The
   /// persister publishes `persist.*` metrics: submitted/persisted
   /// counters, queue-depth gauge (high-water), backpressure waits, and
@@ -140,14 +132,11 @@ class SerializeFn {
 
 class AsyncPersister {
  public:
-  /// Fills `out` (already cleared) with the payload bytes to persist.
-  /// Runs on a writer thread; must not touch the store or the persister.
-
   /// `store` must outlive the persister. While attached, every store write
   /// must flow through submit() — mixing direct write_payload calls with
   /// pending async jobs would interleave ordinals nondeterministically.
   AsyncPersister(StableStore& store, AsyncPersistOptions opts = {});
-  /// Drains, detaches the read barrier, and joins the writers.
+  /// Drains, detaches the read barrier, and joins the writer.
   ~AsyncPersister();
 
   AsyncPersister(const AsyncPersister&) = delete;
@@ -157,22 +146,15 @@ class AsyncPersister {
   /// submit order with a per-store sequence number as the write time,
   /// matching the synchronous sim::store_capture_fn counter. Blocks while
   /// the queue is at capacity. Single producer: one simulation thread.
+  /// `serialize` fills `out` (already cleared) with the payload bytes; it
+  /// runs on the writer thread and must not touch the store or the
+  /// persister. A `proc` outside the store throws here, on the caller's
+  /// thread.
   void submit(int proc, SerializeFn serialize);
 
   /// Barrier: returns once every submitted job has committed to the store.
-  /// Also reachable implicitly through the store's read barrier. Does NOT
-  /// flush batched manifests — publish cadence stays identical to a
-  /// synchronous run with the same manifest_batch setting.
+  /// Also reachable implicitly through the store's read barrier.
   void drain();
-
-  struct Stats {
-    long submitted = 0;
-    long persisted = 0;
-    /// Times submit() had to wait for queue space (backpressure events).
-    long backpressure_waits = 0;
-    long max_queue_depth = 0;
-  };
-  Stats stats() const;
 
  private:
   struct Job {
@@ -192,40 +174,38 @@ class AsyncPersister {
 
   void writer_loop();
 
-  /// Jobs a writer claims from the queue per lock acquisition. Batching
-  /// shrinks how often a writer holds mu_, which is what the producer's
+  /// Jobs the writer claims from the queue per lock acquisition. Batching
+  /// shrinks how often the writer holds mu_, which is what the producer's
   /// submit() contends with — on a single core a writer descheduled inside
   /// its critical section stalls the simulation thread for a full futex
-  /// round-trip. Tickets inside a batch are consecutive, so ordered
-  /// commits are unaffected.
+  /// round-trip. A batch is a FIFO prefix, so commit order is unaffected.
   static constexpr int kPopBatch = 32;
 
   StableStore& store_;
   AsyncPersistOptions opts_;
 
   // Queue state (producer side) and commit state (writer side) live under
-  // separate mutexes so the per-take submit() only ever contends with a
+  // separate mutexes so the per-take submit() only ever contends with the
   // writer's brief batch-pop, never with its commit bookkeeping.
-  mutable std::mutex mu_;
-  std::condition_variable work_cv_;   ///< writers: queue non-empty or stop
+  std::mutex mu_;
+  std::condition_variable work_cv_;   ///< writer: queue non-empty or stop
   std::condition_variable space_cv_;  ///< producer: drained to half capacity
   std::deque<Job> queue_;
   long next_ticket_ = 0;  ///< tickets handed out (== jobs submitted)
   bool stop_ = false;
-  /// True while the producer sleeps in submit()'s backpressure wait.
-  /// Writers skip the space_cv_ notify entirely unless someone is waiting
+  /// True while the producer sleeps in submit()'s backpressure wait. The
+  /// writer skips the space_cv_ notify entirely unless someone is waiting
   /// AND the queue has drained to the hysteresis low-water mark (half
   /// capacity) — one producer wake-up per capacity/2 freed slots instead
   /// of one futex round-trip per slot.
   bool producer_waiting_ = false;
-  Stats stats_;
   ObsHandles obs_;
 
-  mutable std::mutex commit_mu_;
-  std::condition_variable commit_cv_; ///< writers: my ticket's turn / drain
+  std::mutex commit_mu_;
+  std::condition_variable commit_cv_; ///< drain(): committed_ advanced
   long committed_ = 0;    ///< jobs fully written to the store
 
-  std::vector<std::thread> writers_;
+  std::thread writer_;
 };
 
 }  // namespace acfc::store

@@ -158,9 +158,7 @@ StableStore::StableStore(StorageModel model, CheckpointMode mode, int nprocs,
       since_full_(static_cast<size_t>(nprocs), 0),
       write_counts_(static_cast<size_t>(nprocs), 0),
       manifest_version_(static_cast<size_t>(nprocs), 0),
-      published_upto_(static_cast<size_t>(nprocs), 0),
-      unpublished_(static_cast<size_t>(nprocs), 0),
-      stale_pending_(static_cast<size_t>(nprocs), 0) {
+      published_upto_(static_cast<size_t>(nprocs), 0) {
   ACFC_CHECK_MSG(nprocs > 0, "store needs at least one process");
   ACFC_CHECK_MSG(model_.write_bandwidth > 0 && model_.read_bandwidth > 0,
                  "storage bandwidths must be positive");
@@ -171,12 +169,59 @@ StableStore::StableStore(StorageModel model, CheckpointMode mode, int nprocs,
                    "storage fault targets an invalid (proc, ordinal)");
 }
 
+long StableStore::next_ordinal(int proc) {
+  ACFC_CHECK_MSG(proc >= 0 && proc < nprocs(),
+                 "write names a process outside the store");
+  return ++write_counts_[static_cast<size_t>(proc)];
+}
+
+template <typename Damage>
+bool StableStore::apply_faults(Record& record, Damage&& damage) const {
+  bool publish_succeeds = true;
+  for (const StorageFault& fault : faults_.faults) {
+    if (fault.proc != record.proc || fault.ckpt_ordinal != record.ordinal)
+      continue;
+    switch (fault.kind) {
+      case StorageFault::Kind::kTornWrite:
+        record.torn = true;
+        damage(fault.kind);
+        break;
+      case StorageFault::Kind::kBitFlip:
+        damage(fault.kind);
+        break;
+      case StorageFault::Kind::kLostManifestEntry:
+        record.in_manifest = false;
+        break;
+      case StorageFault::Kind::kStaleManifest:
+        publish_succeeds = false;
+        break;
+    }
+  }
+  return publish_succeeds;
+}
+
+void StableStore::commit(Record record, bool publish_succeeds) {
+  const auto p = static_cast<size_t>(record.proc);
+  if (obs_.bytes_written != nullptr) {
+    obs_.bytes_written->inc(record.bytes);
+    (record.full_image ? obs_.records_full : obs_.records_delta)->inc();
+  }
+  per_proc_[p].push_back(std::move(record));
+  // Write-then-publish: the new manifest version is staged beside the old
+  // one, then atomically swapped in. A failed publish (kStaleManifest)
+  // leaves the previous version live — everything above published_upto_
+  // is invisible to restore until the next successful publish.
+  if (!publish_succeeds) return;
+  ++manifest_version_[p];
+  published_upto_[p] = write_counts_[p];
+}
+
 WriteCost StableStore::write_checkpoint(int proc, long state_bytes,
                                         double time) {
   ACFC_CHECK_MSG(state_bytes >= 0, "negative state size");
-  auto& records = per_proc_.at(static_cast<size_t>(proc));
-  int& since_full = since_full_.at(static_cast<size_t>(proc));
-  const long ordinal = ++write_counts_.at(static_cast<size_t>(proc));
+  const long ordinal = next_ordinal(proc);
+  const auto& records = per_proc_[static_cast<size_t>(proc)];
+  int& since_full = since_full_[static_cast<size_t>(proc)];
 
   WriteCost cost;
   const bool full = mode_ == CheckpointMode::kFull || records.empty() ||
@@ -206,40 +251,27 @@ WriteCost StableStore::write_checkpoint(int proc, long state_bytes,
       record_checksum(proc, ordinal, cost.bytes, cost.full_image);
   record.stored_checksum = record.checksum;
 
-  // Apply write-time faults landing on this ordinal.
-  bool publish_succeeds = true;
-  for (const StorageFault& fault : faults_.faults) {
-    if (fault.proc != proc || fault.ckpt_ordinal != ordinal) continue;
-    switch (fault.kind) {
-      case StorageFault::Kind::kTornWrite:
-        record.torn = true;
-        // Only a prefix landed: its checksum can never match the content.
-        record.stored_checksum =
-            record_checksum(proc, ordinal, cost.bytes / 2, cost.full_image);
-        break;
-      case StorageFault::Kind::kBitFlip:
-        record.stored_checksum ^= 1ULL << (ordinal % 64);
-        break;
-      case StorageFault::Kind::kLostManifestEntry:
-        record.in_manifest = false;
-        break;
-      case StorageFault::Kind::kStaleManifest:
-        publish_succeeds = false;
-        break;
-    }
-  }
-  records.push_back(record);
-  note_write_obs(cost.bytes, cost.full_image);
-  note_write_for_publish(proc, publish_succeeds);
+  // No bytes are stored here, so write-time damage lands on the checksum.
+  // A torn write landed only a prefix, whose checksum never matches.
+  const bool publish_succeeds =
+      apply_faults(record, [&](StorageFault::Kind kind) {
+        if (kind == StorageFault::Kind::kTornWrite) {
+          record.stored_checksum = record_checksum(
+              proc, ordinal, cost.bytes / 2, cost.full_image);
+        } else {
+          record.stored_checksum ^= 1ULL << (ordinal % 64);
+        }
+      });
+  commit(std::move(record), publish_succeeds);
   return cost;
 }
 
 WriteCost StableStore::write_payload(int proc, std::string_view payload,
                                      double time) {
-  auto& records = per_proc_.at(static_cast<size_t>(proc));
-  std::string& last = last_payload_.at(static_cast<size_t>(proc));
-  int& since_full = since_full_.at(static_cast<size_t>(proc));
-  const long ordinal = ++write_counts_.at(static_cast<size_t>(proc));
+  const long ordinal = next_ordinal(proc);
+  const auto& records = per_proc_[static_cast<size_t>(proc)];
+  std::string& last = last_payload_[static_cast<size_t>(proc)];
+  int& since_full = since_full_[static_cast<size_t>(proc)];
 
   // Full vs delta follows the same cadence as write_checkpoint, plus two
   // payload-specific fallbacks: no base yet, or a delta that failed to
@@ -276,36 +308,23 @@ WriteCost StableStore::write_payload(int proc, std::string_view payload,
   record.full_image = full;
   record.checksum = util::checksum64(encoded);
 
-  // Apply write-time faults to the stored bytes themselves: integrity
+  // Write-time damage lands on the stored bytes themselves: integrity
   // checks and decode then reject the record for the same physical reason.
-  bool publish_succeeds = true;
-  for (const StorageFault& fault : faults_.faults) {
-    if (fault.proc != proc || fault.ckpt_ordinal != ordinal) continue;
-    switch (fault.kind) {
-      case StorageFault::Kind::kTornWrite:
-        record.torn = true;
-        encoded.resize(encoded.size() / 2);
-        break;
-      case StorageFault::Kind::kBitFlip:
-        encoded[static_cast<size_t>(ordinal) % encoded.size()] ^=
-            static_cast<char>(1 << (ordinal % 8));
-        break;
-      case StorageFault::Kind::kLostManifestEntry:
-        record.in_manifest = false;
-        break;
-      case StorageFault::Kind::kStaleManifest:
-        publish_succeeds = false;
-        break;
-    }
-  }
+  const bool publish_succeeds =
+      apply_faults(record, [&](StorageFault::Kind kind) {
+        if (kind == StorageFault::Kind::kTornWrite) {
+          encoded.resize(encoded.size() / 2);
+        } else {
+          encoded[static_cast<size_t>(ordinal) % encoded.size()] ^=
+              static_cast<char>(1 << (ordinal % 8));
+        }
+      });
   record.stored_checksum = util::checksum64(encoded);
   record.encoded = std::move(encoded);
-  records.push_back(std::move(record));
   // The writer deltas against what it intended to write, not against what
   // landed on disk: its in-memory state is authoritative.
   last.assign(payload);
-  note_write_obs(cost.bytes, full);
-  note_write_for_publish(proc, publish_succeeds);
+  commit(std::move(record), publish_succeeds);
   return cost;
 }
 
@@ -343,41 +362,6 @@ std::optional<std::string> StableStore::restore_latest_payload(
   const RestoreScan scan = scan_restore(proc);
   if (scan.ordinal == 0) return std::nullopt;
   return restore_payload(proc, scan.ordinal);
-}
-
-void StableStore::set_manifest_batch(int every) {
-  ACFC_CHECK_MSG(every >= 1, "manifest batch must be >= 1");
-  manifest_batch_ = every;
-}
-
-void StableStore::note_write_for_publish(int proc, bool publish_succeeds) {
-  // A stale-manifest fault poisons the publish attempt that first covers
-  // this write — with batching that attempt may be several writes away.
-  if (!publish_succeeds) stale_pending_.at(static_cast<size_t>(proc)) = 1;
-  if (++unpublished_.at(static_cast<size_t>(proc)) < manifest_batch_) return;
-  attempt_publish(proc);
-}
-
-void StableStore::attempt_publish(int proc) {
-  // Write-then-publish: the new manifest version is staged beside the old
-  // one, then atomically swapped in. A failed publish (kStaleManifest)
-  // leaves the previous version live — everything above published_upto_
-  // is invisible to restore until the next successful publish. Failure or
-  // not, the attempt consumes the batch window: the next write starts a
-  // fresh one.
-  unpublished_.at(static_cast<size_t>(proc)) = 0;
-  char& stale = stale_pending_.at(static_cast<size_t>(proc));
-  const bool ok = stale == 0;
-  stale = 0;
-  if (!ok) return;
-  ++manifest_version_.at(static_cast<size_t>(proc));
-  published_upto_.at(static_cast<size_t>(proc)) =
-      write_counts_.at(static_cast<size_t>(proc));
-}
-
-void StableStore::flush_manifests() {
-  for (size_t p = 0; p < per_proc_.size(); ++p)
-    if (unpublished_[p] > 0) attempt_publish(static_cast<int>(p));
 }
 
 void StableStore::set_read_barrier(std::function<void()> barrier) {
@@ -618,8 +602,8 @@ std::vector<StableStore::Record> StableStore::records_of(int proc) const {
 }
 
 DerivedParams derive_checkpoint_params(const StorageModel& model,
-                                       CheckpointMode mode, long state_bytes,
-                                       bool async_drain) {
+                                       CheckpointMode mode,
+                                       long state_bytes) {
   DerivedParams out;
   double bytes = static_cast<double>(state_bytes);
   if (mode == CheckpointMode::kIncremental) {
@@ -630,12 +614,9 @@ DerivedParams derive_checkpoint_params(const StorageModel& model,
     bytes = (delta * (model.full_every - 1) + bytes) /
             static_cast<double>(model.full_every);
   }
-  const double transfer = bytes / model.write_bandwidth;
-  out.latency = model.write_latency + transfer;
-  // Synchronous writes block the process for the full latency; with an
-  // asynchronous drain (copy-on-write fork, background flush) the process
-  // only pays the snapshot fence.
-  out.overhead = async_drain ? model.write_latency : out.latency;
+  out.latency = model.write_latency + bytes / model.write_bandwidth;
+  // Synchronous writes block the process for the full latency.
+  out.overhead = out.latency;
   return out;
 }
 

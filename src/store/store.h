@@ -97,6 +97,9 @@ class StableStore {
   StableStore(StorageModel model, CheckpointMode mode, int nprocs,
               StorageFaultPlan faults = {});
 
+  /// Processes the store serves; writes name a proc in [0, nprocs()).
+  int nprocs() const { return static_cast<int>(per_proc_.size()); }
+
   /// Records a checkpoint of `state_bytes` of process state at `time`;
   /// applies any StorageFaultPlan entry landing on this write, then
   /// republishes the process's manifest (write-then-publish; a
@@ -162,22 +165,6 @@ class StableStore {
   /// The currently published manifest of `proc` (what restore would read).
   Manifest manifest_of(int proc) const;
 
-  /// Manifest publication batching: coalesce `every` writes into one
-  /// versioned republish instead of republishing after every
-  /// write_checkpoint / write_payload. Write-then-publish semantics and
-  /// the ACFM format are unchanged — records awaiting the next batched
-  /// publish are simply not yet visible to restore (verify_record fails on
-  /// them exactly as it does for a record hidden by a stale manifest).
-  /// 1 (the default) is the classic publish-per-write behavior.
-  void set_manifest_batch(int every);
-
-  /// Publishes any writes still awaiting a batched republish (one attempt
-  /// per process with a non-empty window). A pending kStaleManifest fault
-  /// makes that attempt fail, exactly as it would at a batch boundary.
-  /// No-op when every window is empty — in particular always a no-op with
-  /// manifest batching off.
-  void flush_manifests();
-
   /// Attaches an observability registry (docs/observability.md): bytes
   /// written, full/delta record counts, GC reclaim, and read-barrier
   /// drains flow into `store.*` metrics from then on. Handles are cached
@@ -198,8 +185,8 @@ class StableStore {
   /// published visibility horizon, folded per process in ordinal order.
   /// Two stores with equal digests hold byte-identical record chains —
   /// the equality the async-vs-sync differential tests assert. Manifest
-  /// version counters are deliberately excluded (they count publish
-  /// attempts, not content).
+  /// version counters are deliberately excluded (they count publishes, not
+  /// content).
   std::uint64_t digest() const;
 
   /// Drops records not needed to restore any of the `keep_last` newest
@@ -235,12 +222,17 @@ class StableStore {
 
  private:
   const Record* find_record(int proc, long ordinal) const;
-  /// Accounts one completed write toward the manifest batch window and
-  /// publishes when the window fills (or immediately with batching off).
-  void note_write_for_publish(int proc, bool publish_succeeds);
-  /// One publish attempt: consumes the window; a pending stale fault makes
-  /// it fail, leaving the previous manifest version live.
-  void attempt_publish(int proc);
+  /// Checks `proc` and returns the ordinal of its next write.
+  long next_ordinal(int proc);
+  /// Applies the plan's faults on write (record.proc, record.ordinal) in
+  /// plan order: manifest faults mark `record`, byte damage (torn write,
+  /// bit flip) goes to `damage(kind)`. False when a stale-manifest fault
+  /// fails this write's publish.
+  template <typename Damage>
+  bool apply_faults(Record& record, Damage&& damage) const;
+  /// The commit tail of both write entry points: stores the record, counts
+  /// it, and republishes the manifest unless the publish failed.
+  void commit(Record record, bool publish_succeeds);
   /// Read-side entry gate: lets an attached AsyncPersister drain before
   /// this thread observes the store.
   void sync_point() const {
@@ -249,12 +241,6 @@ class StableStore {
       if (obs_.read_barrier_drains != nullptr)
         obs_.read_barrier_drains->inc();
     }
-  }
-  /// Accounts one completed write (shared by both write entry points).
-  void note_write_obs(long bytes, bool full_image) {
-    if (obs_.bytes_written == nullptr) return;
-    obs_.bytes_written->inc(bytes);
-    (full_image ? obs_.records_full : obs_.records_delta)->inc();
   }
 
   StorageModel model_;
@@ -270,11 +256,6 @@ class StableStore {
   /// the live manifest covers (records above it are invisible to restore).
   std::vector<long> manifest_version_;
   std::vector<long> published_upto_;
-  /// Manifest batching: window size, per-process writes awaiting the next
-  /// publish attempt, and whether a stale fault poisoned that attempt.
-  int manifest_batch_ = 1;
-  std::vector<int> unpublished_;
-  std::vector<char> stale_pending_;
   std::function<void()> read_barrier_;
   /// Cached metric handles (all null when no registry is attached).
   struct ObsHandles {
@@ -288,8 +269,8 @@ class StableStore {
 };
 
 /// The (o, l) this storage model implies for a given state size: o is the
-/// process-blocking portion (we model synchronous writes: o = l = transfer
-/// + commit latency; an asynchronous variant would report o < l).
+/// process-blocking portion. Writes are modelled as synchronous, so
+/// o = l = transfer + commit latency.
 struct DerivedParams {
   double overhead = 0.0;  ///< o
   double latency = 0.0;   ///< l
@@ -297,8 +278,7 @@ struct DerivedParams {
 
 DerivedParams derive_checkpoint_params(const StorageModel& model,
                                        CheckpointMode mode,
-                                       long state_bytes,
-                                       bool async_drain = false);
+                                       long state_bytes);
 
 /// Adapters wiring a StableStore into the simulator. The store must
 /// outlive the returned functions and be private to one Engine run (the

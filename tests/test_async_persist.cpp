@@ -1,17 +1,19 @@
 // The asynchronous checkpoint-persistence pipeline's determinism contract:
 // a store fed by store::AsyncPersister must, after drain(), hold record
 // chains byte-identical to synchronous capture — across world sizes,
-// writer counts, queue capacities (including capacity 1 under heavy
-// backpressure), manifest batching, storage faults, mid-run rollbacks that
-// consult the store, and parallel Monte-Carlo batches. The slow tier runs
-// the 200-program generated corpus; the whole file is TSan-clean under
-// -DACFC_TSAN (writer threads + read barrier are the interesting part).
+// queue capacities (including capacity 1 under heavy backpressure),
+// storage faults, mid-run rollbacks that consult the store, and parallel
+// Monte-Carlo batches. StoreDigestPin pins the store's digest and manifest
+// versions on generated programs. The slow tier runs the 200-program
+// generated corpus; the whole file is TSan-clean under -DACFC_TSAN (the
+// writer thread + read barrier are the interesting part).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,6 +24,8 @@
 #include "sim/snapshot_codec.h"
 #include "store/async_persist.h"
 #include "store/store.h"
+#include "util/checksum.h"
+#include "util/error.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -83,19 +87,29 @@ void expect_stores_equal(const StableStore& sync_store,
   }
 }
 
+/// A persist.* counter's count, or a gauge's high-water mark, as the
+/// registry holds it now (0 when the metric is absent — and for every
+/// metric when observability is compiled out).
+long long persist_metric(const obs::Registry& registry, const char* name) {
+  const obs::MetricsSnapshot snap = registry.snapshot();
+  const obs::MetricSnap* metric = snap.find(name);
+  if (metric == nullptr) return 0;
+  return metric->kind == obs::MetricKind::kGauge ? metric->high_water
+                                                 : metric->count;
+}
+
 struct CaptureRun {
   sim::SimResult result;
   std::unique_ptr<StableStore> store;
-  AsyncPersister::Stats stats;  ///< zero for synchronous runs
+  /// The persister's persist.* metrics (null for synchronous runs).
+  std::unique_ptr<obs::Registry> registry;
 };
 
 CaptureRun run_sync(const mp::Program& program, sim::SimOptions opts,
-                    CheckpointMode mode, int manifest_batch = 1,
-                    store::StorageFaultPlan faults = {}) {
+                    CheckpointMode mode, store::StorageFaultPlan faults = {}) {
   CaptureRun out;
   out.store = std::make_unique<StableStore>(tight_model(4), mode,
                                             opts.nprocs, std::move(faults));
-  out.store->set_manifest_batch(manifest_batch);
   opts.checkpoint_capture_fn = sim::store_capture_fn(*out.store);
   sim::Engine engine(program, opts);
   out.result = engine.run();
@@ -108,13 +122,14 @@ CaptureRun run_async(const mp::Program& program, sim::SimOptions opts,
   CaptureRun out;
   out.store = std::make_unique<StableStore>(tight_model(4), mode,
                                             opts.nprocs, std::move(faults));
+  out.registry = std::make_unique<obs::Registry>();
+  popts.obs = out.registry.get();
   {
     AsyncPersister persister(*out.store, popts);
     opts.checkpoint_capture_fn = sim::async_store_capture_fn(persister);
     sim::Engine engine(program, opts);
     out.result = engine.run();
     persister.drain();
-    out.stats = persister.stats();
   }
   return out;
 }
@@ -142,23 +157,10 @@ TEST(AsyncPersist, RecordsMatchSyncAfterDrain) {
                 async.result.trace.final_digest);
       EXPECT_GT(sync.store->write_count(0), 0);
       expect_stores_equal(*sync.store, *async.store, n);
-      EXPECT_EQ(async.stats.submitted, async.stats.persisted);
+      EXPECT_EQ(persist_metric(*async.registry, "persist.submitted"),
+                persist_metric(*async.registry, "persist.persisted"));
     }
   }
-}
-
-TEST(AsyncPersist, MultiWriterCommitsStayOrdered) {
-  // Three writers race on serialization; ticket-ordered commits must keep
-  // ordinals, times, and delta bases exactly sequential.
-  const mp::Program program = ring_program(12);
-  sim::SimOptions opts;
-  opts.nprocs = 6;
-  AsyncPersistOptions popts;
-  popts.writer_threads = 3;
-  popts.queue_capacity = 4;
-  auto sync = run_sync(program, opts, CheckpointMode::kIncremental);
-  auto async = run_async(program, opts, CheckpointMode::kIncremental, popts);
-  expect_stores_equal(*sync.store, *async.store, opts.nprocs);
 }
 
 TEST(AsyncPersist, BackpressureCapacityOneStillIdentical) {
@@ -172,8 +174,10 @@ TEST(AsyncPersist, BackpressureCapacityOneStillIdentical) {
   auto sync = run_sync(program, opts, CheckpointMode::kIncremental);
   auto async = run_async(program, opts, CheckpointMode::kIncremental, popts);
   expect_stores_equal(*sync.store, *async.store, opts.nprocs);
-  EXPECT_EQ(async.stats.submitted, async.stats.persisted);
-  EXPECT_LE(async.stats.max_queue_depth, 1);
+  const obs::Registry& metrics = *async.registry;
+  EXPECT_EQ(persist_metric(metrics, "persist.submitted"),
+            persist_metric(metrics, "persist.persisted"));
+  EXPECT_LE(persist_metric(metrics, "persist.queue_depth"), 1);
 }
 
 TEST(AsyncPersist, BackpressureBlocksTheProducerAndIsCounted) {
@@ -182,10 +186,12 @@ TEST(AsyncPersist, BackpressureBlocksTheProducerAndIsCounted) {
   // block at least once before the third submit returns, and all three
   // jobs must still commit in ticket order.
   StableStore store(tight_model(4), CheckpointMode::kFull, 1);
+  obs::Registry registry;
   std::atomic<int> serialized{0};
   {
     AsyncPersistOptions popts;
     popts.queue_capacity = 1;
+    popts.obs = &registry;
     AsyncPersister persister(store, popts);
     for (int i = 0; i < 3; ++i) {
       persister.submit(0, [i, &serialized](std::string& out) {
@@ -196,10 +202,11 @@ TEST(AsyncPersist, BackpressureBlocksTheProducerAndIsCounted) {
       });
     }
     persister.drain();
-    const auto stats = persister.stats();
-    EXPECT_EQ(stats.submitted, 3);
-    EXPECT_EQ(stats.persisted, 3);
-    EXPECT_GE(stats.backpressure_waits, 1);
+#if ACFC_OBS
+    EXPECT_EQ(persist_metric(registry, "persist.submitted"), 3);
+    EXPECT_EQ(persist_metric(registry, "persist.persisted"), 3);
+    EXPECT_GE(persist_metric(registry, "persist.backpressure_waits"), 1);
+#endif
   }
   EXPECT_EQ(serialized.load(), 3);
   const auto records = store.records_of(0);
@@ -221,7 +228,10 @@ TEST(AsyncPersist, ReadBarrierDrainsBeforeRestore) {
 
   StableStore store(tight_model(4), CheckpointMode::kIncremental,
                     opts.nprocs);
-  AsyncPersister persister(store, AsyncPersistOptions{});
+  obs::Registry registry;
+  AsyncPersistOptions popts;
+  popts.obs = &registry;
+  AsyncPersister persister(store, popts);
   sim::SimOptions aopts = opts;
   aopts.checkpoint_capture_fn = sim::async_store_capture_fn(persister);
   sim::Engine engine(program, aopts);
@@ -235,9 +245,11 @@ TEST(AsyncPersist, ReadBarrierDrainsBeforeRestore) {
     EXPECT_EQ(store.restore_latest_payload(p),
               sync.store->restore_latest_payload(p));
   }
-  const auto stats = persister.stats();
-  EXPECT_GT(stats.submitted, 0);
-  EXPECT_EQ(stats.submitted, stats.persisted);
+#if ACFC_OBS
+  EXPECT_GT(persist_metric(registry, "persist.submitted"), 0);
+#endif
+  EXPECT_EQ(persist_metric(registry, "persist.submitted"),
+            persist_metric(registry, "persist.persisted"));
   expect_stores_equal(*sync.store, store, opts.nprocs);
 }
 
@@ -252,8 +264,7 @@ TEST(AsyncPersist, StorageFaultsComposeWithAsyncWrites) {
   plan.faults.push_back(store::StorageFaultPlan::bit_flip(1, 1));
   plan.faults.push_back(store::StorageFaultPlan::stale_manifest(2, 3));
   plan.faults.push_back(store::StorageFaultPlan::lost_manifest_entry(3, 2));
-  auto sync = run_sync(program, opts, CheckpointMode::kIncremental,
-                       /*manifest_batch=*/1, plan);
+  auto sync = run_sync(program, opts, CheckpointMode::kIncremental, plan);
   auto async = run_async(program, opts, CheckpointMode::kIncremental,
                          AsyncPersistOptions{}, plan);
   expect_stores_equal(*sync.store, *async.store, opts.nprocs);
@@ -266,22 +277,6 @@ TEST(AsyncPersist, StorageFaultsComposeWithAsyncWrites) {
   EXPECT_FALSE(async.store->verify_record(3, 2));
   // The stale manifest at (2, 3) healed when take 4 republished.
   EXPECT_TRUE(async.store->verify_record(2, 3));
-}
-
-TEST(AsyncPersist, ManifestBatchingKeepsChainsIdentical) {
-  // Batched publication through the persister vs the same batching on a
-  // synchronous store: after flushing both, visibility and content match.
-  const mp::Program program = ring_program(12);
-  sim::SimOptions opts;
-  opts.nprocs = 4;
-  auto sync = run_sync(program, opts, CheckpointMode::kIncremental,
-                       /*manifest_batch=*/4);
-  AsyncPersistOptions popts;
-  popts.manifest_batch = 4;
-  auto async = run_async(program, opts, CheckpointMode::kIncremental, popts);
-  sync.store->flush_manifests();
-  async.store->flush_manifests();
-  expect_stores_equal(*sync.store, *async.store, opts.nprocs);
 }
 
 TEST(AsyncPersist, EngineRollbackDrainsBeforeVerify) {
@@ -333,6 +328,30 @@ TEST(AsyncPersist, EngineRollbackDrainsBeforeVerify) {
   }
   persister.drain();
   expect_stores_equal(sync_store, async_store, base.nprocs);
+}
+
+TEST(AsyncPersist, OutOfRangeProcThrowsOnTheCallerThread) {
+  // A bad process id is the caller's error: both write paths reject it
+  // where it was made — never on the writer thread, where an escaping
+  // exception would terminate the program.
+  StableStore sync_store(tight_model(4), CheckpointMode::kIncremental, 2);
+  StableStore async_store(tight_model(4), CheckpointMode::kIncremental, 2);
+  AsyncPersister persister(async_store);
+  for (const int proc : {-1, sync_store.nprocs()}) {
+    SCOPED_TRACE("proc " + std::to_string(proc));
+    EXPECT_THROW(sync_store.write_payload(proc, "state", 0.0),
+                 util::InternalError);
+    EXPECT_THROW(sync_store.write_checkpoint(proc, 100, 0.0),
+                 util::InternalError);
+    EXPECT_THROW(persister.submit(
+                     proc, [](std::string& out) { out.assign("state"); }),
+                 util::InternalError);
+  }
+  // The rejected writes left no trace: the next take is still ordinal 1.
+  persister.submit(1, [](std::string& out) { out.assign("state"); });
+  EXPECT_EQ(sync_store.write_count(0) + sync_store.write_count(1), 0);
+  EXPECT_EQ(async_store.write_count(1), 1);
+  EXPECT_EQ(async_store.restore_payload(1, 1), "state");
 }
 
 TEST(AsyncPersist, ScratchSerializerMatchesFreshAllocations) {
@@ -419,6 +438,109 @@ store::StorageFaultPlan corpus_faults(int index, int nprocs) {
   return plan;
 }
 
+// ---------------------------------------------------------------------------
+// Store pins: digest() and manifest versions on generated programs, values
+// recorded before the store dropped manifest batching and multi-writer
+// commits (every byte it holds must stay the same)
+// ---------------------------------------------------------------------------
+
+/// One fault of every kind, plus a stale manifest on P0's first write: it
+/// heals at P0's second write, or stays stale when P0 writes only once.
+store::StorageFaultPlan every_fault_kind(int nprocs) {
+  store::StorageFaultPlan plan;
+  plan.faults = {store::StorageFaultPlan::stale_manifest(0, 1),
+                 store::StorageFaultPlan::torn_write(0, 2),
+                 store::StorageFaultPlan::bit_flip(1, 1),
+                 store::StorageFaultPlan::lost_manifest_entry(2, 3),
+                 store::StorageFaultPlan::stale_manifest(nprocs - 1, 2)};
+  return plan;
+}
+
+/// Runs 12 generated programs × {full, incremental} × {no faults, every
+/// fault kind} through `capture` (which builds the store and runs the
+/// engine) and folds each store's digest() and every manifest_of(p).version
+/// into one value; `dump` gets the per-run values for bisecting.
+template <typename Capture>
+std::uint64_t store_pin(Capture capture, std::ostringstream& dump) {
+  std::vector<std::uint64_t> fold;
+  dump << "index mode faults digest versions\n";
+  for (int index = 0; index < 12; ++index) {
+    const mp::Program program = corpus_program(index, index % 2 == 1);
+    const sim::SimOptions opts = corpus_options(index);
+    for (const auto mode :
+         {CheckpointMode::kFull, CheckpointMode::kIncremental}) {
+      for (const bool faulty : {false, true}) {
+        const std::unique_ptr<StableStore> stable = capture(
+            program, opts, mode,
+            faulty ? every_fault_kind(opts.nprocs) : store::StorageFaultPlan{});
+        fold.push_back(stable->digest());
+        dump << index << ' ' << (mode == CheckpointMode::kFull ? "full" : "inc")
+             << ' ' << faulty << " 0x" << std::hex << stable->digest()
+             << std::dec;
+        for (int p = 0; p < opts.nprocs; ++p) {
+          const long version = stable->manifest_of(p).version;
+          fold.push_back(static_cast<std::uint64_t>(version));
+          dump << ' ' << version;
+        }
+        dump << '\n';
+      }
+    }
+  }
+  return util::checksum64(fold.data(), fold.size() * sizeof(std::uint64_t));
+}
+
+/// Payload records (store_capture_fn and the persister) pin to this.
+constexpr std::uint64_t kPayloadStorePin = 0x61095447cee7bd37ULL;
+
+auto async_capture(int capacity) {
+  return [capacity](const mp::Program& program, const sim::SimOptions& opts,
+                    CheckpointMode mode, store::StorageFaultPlan faults) {
+    AsyncPersistOptions popts;
+    popts.queue_capacity = capacity;
+    return run_async(program, opts, mode, popts, std::move(faults)).store;
+  };
+}
+
+TEST(StoreDigestPin, SyncCapture) {
+  std::ostringstream dump;
+  const std::uint64_t pin = store_pin(
+      [](const mp::Program& program, const sim::SimOptions& opts,
+         CheckpointMode mode, store::StorageFaultPlan faults) {
+        return run_sync(program, opts, mode, std::move(faults)).store;
+      },
+      dump);
+  EXPECT_EQ(pin, kPayloadStorePin) << dump.str();
+}
+
+TEST(StoreDigestPin, AsyncCaptureCapacityOne) {
+  std::ostringstream dump;
+  EXPECT_EQ(store_pin(async_capture(1), dump), kPayloadStorePin) << dump.str();
+}
+
+TEST(StoreDigestPin, AsyncCaptureCapacitySixtyFour) {
+  std::ostringstream dump;
+  EXPECT_EQ(store_pin(async_capture(64), dump), kPayloadStorePin)
+      << dump.str();
+}
+
+TEST(StoreDigestPin, ByteCountWritesThroughCheckpointCostFn) {
+  // write_checkpoint's checksum-only records, fed by the engine's cost hook.
+  std::ostringstream dump;
+  const std::uint64_t pin = store_pin(
+      [](const mp::Program& program, sim::SimOptions opts,
+         CheckpointMode mode, store::StorageFaultPlan faults) {
+        auto stable = std::make_unique<StableStore>(
+            tight_model(4), mode, opts.nprocs, std::move(faults));
+        opts.checkpoint_cost_fn = store::checkpoint_cost_fn(
+            *stable, [](int proc) { return 200'000L + 10'000L * proc; });
+        sim::Engine engine(program, opts);
+        engine.run();
+        return stable;
+      },
+      dump);
+  EXPECT_EQ(pin, 0x9e2f110835609d62ULL) << dump.str();
+}
+
 TEST(AsyncPersistCorpusSlow, TwoHundredProgramDifferential) {
   int programs = 0;
   for (int index = 0; index < 100; ++index) {
@@ -429,11 +551,10 @@ TEST(AsyncPersistCorpusSlow, TwoHundredProgramDifferential) {
                                        : CheckpointMode::kIncremental;
       AsyncPersistOptions popts;
       popts.queue_capacity = 1 << (index % 4 * 2);  // 1, 4, 16, 64
-      popts.writer_threads = 1 + index % 2;
       SCOPED_TRACE("index=" + std::to_string(index) +
                    " misalign=" + std::to_string(misalign));
-      auto sync = run_sync(program, opts, mode, /*manifest_batch=*/1,
-                           corpus_faults(index, opts.nprocs));
+      auto sync =
+          run_sync(program, opts, mode, corpus_faults(index, opts.nprocs));
       auto async = run_async(program, opts, mode, popts,
                              corpus_faults(index, opts.nprocs));
       EXPECT_EQ(sync.result.trace.final_digest,
@@ -464,7 +585,6 @@ TEST(AsyncPersistParallelSlow, RunBatchWithPerRunPersistersIsBitIdentical) {
     {
       AsyncPersistOptions popts;
       popts.queue_capacity = 4;
-      popts.writer_threads = index % 2 == 0 ? 1 : 2;
       AsyncPersister persister(store, popts);
       opts.checkpoint_capture_fn = sim::async_store_capture_fn(persister);
       sim::Engine engine(program, opts);
@@ -502,8 +622,8 @@ TEST(AsyncPersist, ObsMetricsMatchACapacityOneBlockingScenarioExactly) {
   //   * submit j1 — the queue is empty again (j0 left it), no wait;
   //   * submit j2 from a helper thread — the queue holds j1 and the writer
   //     is parked, so this is the one and only backpressure wait;
-  //   * open the gate only after the wait is observed in stats(), then
-  //     everything drains.
+  //   * open the gate only after the wait is observed in the registry,
+  //     then everything drains.
   StableStore store(tight_model(4), CheckpointMode::kFull, 1);
   obs::Registry registry;
   std::promise<void> started_promise;
@@ -513,7 +633,6 @@ TEST(AsyncPersist, ObsMetricsMatchACapacityOneBlockingScenarioExactly) {
   {
     AsyncPersistOptions popts;
     popts.queue_capacity = 1;
-    popts.writer_threads = 1;
     popts.obs = &registry;
     AsyncPersister persister(store, popts);
 
@@ -531,17 +650,11 @@ TEST(AsyncPersist, ObsMetricsMatchACapacityOneBlockingScenarioExactly) {
     });
     // The wait counter is incremented before the producer sleeps, so this
     // poll observes the block without racing it.
-    while (persister.stats().backpressure_waits < 1)
+    while (persist_metric(registry, "persist.backpressure_waits") < 1)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     gate_promise.set_value();
     blocked_producer.join();
     persister.drain();
-
-    const auto stats = persister.stats();
-    EXPECT_EQ(stats.submitted, 3);
-    EXPECT_EQ(stats.persisted, 3);
-    EXPECT_EQ(stats.backpressure_waits, 1);  // exactly j2's submit
-    EXPECT_EQ(stats.max_queue_depth, 1);     // capacity is the ceiling
   }
 
   const obs::MetricsSnapshot snap = registry.snapshot();
@@ -549,11 +662,12 @@ TEST(AsyncPersist, ObsMetricsMatchACapacityOneBlockingScenarioExactly) {
   ASSERT_NE(submitted, nullptr);
   EXPECT_EQ(submitted->count, 3);
   EXPECT_EQ(snap.find("persist.persisted")->count, 3);
+  // Exactly j2's submit waited.
   EXPECT_EQ(snap.find("persist.backpressure_waits")->count, 1);
   const obs::MetricSnap* depth = snap.find("persist.queue_depth");
   ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->high_water, 1);
-  EXPECT_EQ(depth->value, 0);  // fully drained at teardown
+  EXPECT_EQ(depth->high_water, 1);  // capacity is the ceiling
+  EXPECT_EQ(depth->value, 0);       // fully drained at teardown
   // The block-time metric is the layer's one WALL-time value (excluded
   // from byte-identical comparisons); here the producer really blocked,
   // so it must be positive.

@@ -314,13 +314,6 @@ TEST(StoreDerive, FullSynchronous) {
   EXPECT_DOUBLE_EQ(d.overhead, d.latency);
 }
 
-TEST(StoreDerive, AsyncDrainShrinksOverheadNotLatency) {
-  const auto d = store::derive_checkpoint_params(
-      fast_model(), CheckpointMode::kFull, 100'000'000, /*async=*/true);
-  EXPECT_NEAR(d.overhead, 0.01, 1e-12);
-  EXPECT_NEAR(d.latency, 1.01, 1e-12);
-}
-
 TEST(StoreDerive, IncrementalAveragesCheaper) {
   const auto full = store::derive_checkpoint_params(
       fast_model(), CheckpointMode::kFull, 100'000'000);
@@ -343,103 +336,6 @@ TEST(StoreDerive, FeedsOverheadModel) {
   large.o = d_large.overhead;
   large.l = d_large.latency;
   EXPECT_LT(perf::overhead_ratio(small), perf::overhead_ratio(large));
-}
-
-// ---------------------------------------------------------------------------
-// Manifest publication batching (set_manifest_batch / flush_manifests)
-// ---------------------------------------------------------------------------
-
-TEST(ManifestBatch, CoalescesPublishes) {
-  StableStore s(fast_model(), CheckpointMode::kFull, 1);
-  s.set_manifest_batch(3);
-  const long version0 = s.manifest_of(0).version;
-  s.write_checkpoint(0, 1'000'000, 0.0);
-  s.write_checkpoint(0, 1'000'000, 1.0);
-  // Two writes into a window of three: nothing published, the records are
-  // written but not yet visible to restore (write-then-publish intact).
-  EXPECT_EQ(s.manifest_of(0).version, version0);
-  EXPECT_FALSE(s.verify_record(0, 1));
-  EXPECT_EQ(s.latest_valid_index(0), 0);
-  EXPECT_EQ(s.record_count(0), 2);
-  // The third write fills the window: ONE publish covers all three.
-  s.write_checkpoint(0, 1'000'000, 2.0);
-  EXPECT_EQ(s.manifest_of(0).version, version0 + 1);
-  EXPECT_TRUE(s.verify_record(0, 1));
-  EXPECT_TRUE(s.verify_record(0, 3));
-  EXPECT_EQ(s.latest_valid_index(0), 3);
-  EXPECT_EQ(s.manifest_of(0).entries.size(), 3u);
-}
-
-TEST(ManifestBatch, FlushPublishesTheTail) {
-  StableStore s(fast_model(), CheckpointMode::kIncremental, 2);
-  s.set_manifest_batch(4);
-  for (int i = 0; i < 6; ++i) s.write_checkpoint(0, 1'000'000, i);
-  // 6 = one full window (published) + 2 pending.
-  EXPECT_EQ(s.latest_valid_index(0), 4);
-  s.flush_manifests();
-  EXPECT_EQ(s.latest_valid_index(0), 6);
-  // Proc 1 never wrote: flush must not have touched its manifest.
-  EXPECT_EQ(s.manifest_of(1).version, 0);
-  // Nothing pending now — a second flush is a no-op.
-  const long version = s.manifest_of(0).version;
-  s.flush_manifests();
-  EXPECT_EQ(s.manifest_of(0).version, version);
-}
-
-TEST(ManifestBatch, BatchOfOneIsClassicPublishPerWrite) {
-  StableStore classic(fast_model(), CheckpointMode::kFull, 1);
-  StableStore batched(fast_model(), CheckpointMode::kFull, 1);
-  batched.set_manifest_batch(1);
-  for (int i = 0; i < 5; ++i) {
-    classic.write_checkpoint(0, 1'000'000, i);
-    batched.write_checkpoint(0, 1'000'000, i);
-    EXPECT_EQ(batched.manifest_of(0).version, classic.manifest_of(0).version);
-    EXPECT_EQ(batched.latest_valid_index(0), classic.latest_valid_index(0));
-  }
-  EXPECT_EQ(batched.digest(), classic.digest());
-}
-
-TEST(ManifestBatch, StaleFaultFailsTheCoveringPublish) {
-  // The stale fault is declared against write ordinal 2, but with a window
-  // of 2 the publish ATTEMPT that first covers ordinal 2 happens at write
-  // 2 (window boundary) — it fails, hiding ordinals 1-2 until the next
-  // boundary at write 4 publishes over them.
-  StorageFaultPlan plan;
-  plan.faults = {StorageFaultPlan::stale_manifest(0, 2)};
-  StableStore s(fast_model(), CheckpointMode::kFull, 1, plan);
-  s.set_manifest_batch(2);
-  s.write_checkpoint(0, 1'000'000, 0.0);
-  s.write_checkpoint(0, 1'000'000, 1.0);
-  EXPECT_EQ(s.latest_valid_index(0), 0);
-  EXPECT_EQ(s.manifest_of(0).version, 0);
-  s.write_checkpoint(0, 1'000'000, 2.0);
-  s.write_checkpoint(0, 1'000'000, 3.0);
-  EXPECT_EQ(s.latest_valid_index(0), 4);
-  EXPECT_TRUE(s.verify_record(0, 2));
-}
-
-TEST(ManifestBatch, PayloadPathBatchesIdentically) {
-  // write_payload shares the publish bookkeeping with write_checkpoint.
-  StableStore s(fast_model(), CheckpointMode::kIncremental, 1);
-  s.set_manifest_batch(2);
-  s.write_payload(0, "state one", 0.0);
-  EXPECT_EQ(s.latest_valid_index(0), 0);
-  EXPECT_FALSE(s.restore_latest_payload(0).has_value());
-  s.write_payload(0, "state two", 1.0);
-  EXPECT_EQ(s.latest_valid_index(0), 2);
-  EXPECT_EQ(s.restore_latest_payload(0), "state two");
-  s.write_payload(0, "state three", 2.0);
-  s.flush_manifests();
-  EXPECT_EQ(s.restore_latest_payload(0), "state three");
-}
-
-TEST(ManifestBatch, InvalidBatchRejected) {
-  EXPECT_THROW(
-      {
-        StableStore s(fast_model(), CheckpointMode::kFull, 1);
-        s.set_manifest_batch(0);
-      },
-      util::InternalError);
 }
 
 }  // namespace
