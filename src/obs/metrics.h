@@ -179,21 +179,6 @@ class Histogram {
 #endif
   }
 
-  /// Bulk merge used when flushing pre-aggregated data (e.g. calendar-queue
-  /// occupancy samples) into the registry.
-  void add_bucket(int bucket, long long count) {
-#if ACFC_OBS
-    if (bucket < 0) bucket = 0;
-    if (bucket >= kBuckets) bucket = kBuckets - 1;
-    auto& shard = cells_[static_cast<std::size_t>(detail::shard_index())];
-    shard.buckets[static_cast<std::size_t>(bucket)].fetch_add(
-        count, std::memory_order_relaxed);
-#else
-    (void)bucket;
-    (void)count;
-#endif
-  }
-
   long long count() const {
 #if ACFC_OBS
     long long total = 0;

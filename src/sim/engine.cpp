@@ -196,7 +196,7 @@ std::unique_ptr<Vm> Engine::make_vm(int p) {
 }
 
 void Engine::push_event(double time, EvKind kind, int proc, long a, long b) {
-  calqueue_.push(Ev{time, event_seq_++, kind, proc, a, b, epoch_});
+  queue_.push(Ev{time, event_seq_++, kind, proc, a, b, epoch_});
 }
 
 void Engine::wake_at(int p, double time, int compute_uid) {
@@ -216,11 +216,11 @@ trace::EventRec& Engine::note(trace::EventKind kind, int proc, double time) {
 }
 
 Ev Engine::next_event() {
-  Ev ev = calqueue_.pop();
+  Ev ev = queue_.pop();
   ScheduleHook* hook = opts_.schedule_hook;
   const int cap = std::min(opts_.perturb.tie_cap,
                            PerturbOptions::kMaxTieBreak);
-  if (hook == nullptr || cap < 2 || calqueue_.empty() || !event_live(ev))
+  if (hook == nullptr || cap < 2 || queue_.empty() || !event_live(ev))
     return ev;
   // Gather up to `cap` live events sharing ev's timestamp. Candidates are
   // popped in (time, seq) order, so cands[0] is the unperturbed default;
@@ -231,10 +231,10 @@ Ev Engine::next_event() {
   Ev cands[PerturbOptions::kMaxTieBreak];
   int k = 1;
   cands[0] = ev;
-  while (k < cap && !calqueue_.empty()) {
-    const Ev& next = calqueue_.top();
+  while (k < cap && !queue_.empty()) {
+    const Ev& next = queue_.top();
     if (next.time != ev.time || !event_live(next)) break;
-    cands[k++] = calqueue_.pop();
+    cands[k++] = queue_.pop();
   }
   if (k == 1) return ev;
   const ChoicePoint cp{ChoiceKind::kTieBreak, k, -1, BoundaryKind::kNone,
@@ -242,7 +242,7 @@ Ev Engine::next_event() {
   int pick = hook->choose(cp);
   if (pick < 0 || pick >= k) pick = 0;
   for (int i = 0; i < k; ++i)
-    if (i != pick) calqueue_.push(cands[i]);
+    if (i != pick) queue_.push(cands[i]);
   return cands[pick];
 }
 
@@ -333,7 +333,7 @@ void Engine::check_event_faults() {
 SimResult Engine::run() {
   bootstrap();
   while (stats_.events_processed < opts_.max_events) {
-    if (calqueue_.empty()) break;
+    if (queue_.empty()) break;
     const Ev ev = next_event();
     ++stats_.events_processed;
     ACFC_CHECK_MSG(ev.time + 1e-12 >= now_, "time went backwards");
@@ -1635,11 +1635,11 @@ std::uint64_t Engine::schedule_state_hash() const {
     mix.mix(quantize_rel(floor, now_));
 
   // The live event queue: a commutative sum of per-event hashes, because
-  // CalendarQueue::for_each visits bucket-layout order, which may differ
+  // EventQueue::for_each visits heap-array order, which may differ
   // between two logically identical queues.
   std::uint64_t queue_sum = 0;
   std::uint64_t queue_count = 0;
-  calqueue_.for_each([&](const Ev& ev) {
+  queue_.for_each([&](const Ev& ev) {
     if (!event_live(ev)) return;
     StateMix em;
     em.mix(static_cast<std::uint64_t>(ev.kind));
@@ -1695,10 +1695,11 @@ std::uint64_t Engine::schedule_state_hash() const {
 // ===========================================================================
 
 // Everything here is end-of-run: the simulation loop itself maintains only
-// its plain SimStats / CalendarQueue counters, and this one pass converts
-// them (plus the trace and recovery records) into registry metrics and
-// spans. That keeps the instrumented-but-idle cost of the hot loop at
-// exactly zero and makes the flush a deterministic function of the run.
+// its plain SimStats counters and the queue's high-water mark, and this one
+// pass converts them (plus the trace and recovery records) into registry
+// metrics and spans. That keeps the instrumented-but-idle cost of the hot
+// loop at exactly zero and makes the flush a deterministic function of the
+// run.
 void Engine::flush_obs() {
   obs::Registry* reg = opts_.obs;
   if (reg == nullptr) return;
@@ -1753,17 +1754,10 @@ void Engine::flush_obs() {
   set("partition.stall_deferred_events", stats_.stall_deferred_events,
       "events", "partition");
 
-  const CalendarQueue::Stats& cq = calqueue_.stats();
-  set("calqueue.grows", cq.grows, "resizes", "calqueue");
-  set("calqueue.shrinks", cq.shrinks, "resizes", "calqueue");
-  set("calqueue.direct_jumps", cq.direct_jumps, "jumps", "calqueue");
+  // The gauge keeps the calendar queue's layer name, under which
+  // tools/check_obs_export.py and the e2e per-layer table read it.
   reg->gauge("calqueue.size_high_water", {"events", "calqueue"})
-      .set(cq.size_high_water);
-  obs::Histogram& occupancy =
-      reg->histogram("calqueue.bucket_occupancy", {"events", "calqueue"});
-  for (int b = 0; b < CalendarQueue::kOccupancyBuckets; ++b)
-    if (cq.occupancy_samples[b] != 0)
-      occupancy.add_bucket(b, cq.occupancy_samples[b]);
+      .set(queue_.size_high_water());
 
   // Per-take spans in simulated time: [t_begin, t_end] is the blocking
   // overhead window the process actually paused for.

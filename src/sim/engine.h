@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "mp/stmt.h"
-#include "sim/calqueue.h"
 #include "sim/driver.h"
 #include "sim/event.h"
 #include "sim/fault.h"
@@ -154,8 +153,8 @@ struct SimOptions {
   /// deterministic hash sim::default_irregular() (values in [0, nprocs)).
   mp::IrregularResolver irregular;
   /// Observability sink (docs/observability.md). nullptr ⇒ fully inert:
-  /// the engine keeps its plain SimStats/CalendarQueue counters and never
-  /// touches the registry, so the common uninstrumented run pays nothing.
+  /// the engine keeps its plain SimStats counters and never touches the
+  /// registry, so the common uninstrumented run pays nothing.
   /// When set, the engine flushes end-of-run totals, per-recovery
   /// histograms, and checkpoint/rollback spans (in simulated time) into it
   /// — one registry per run (the per-run-resources rule of run_batch).
@@ -418,11 +417,11 @@ class Engine {
   bool checkpoint_usable(int ckpt_index) const;
   /// Whether rollback must run degraded selection at all.
   bool degraded_selection_active() const;
-  /// End-of-run observability flush: copies SimStats and calendar-queue
-  /// totals into opts_.obs, emits checkpoint/rollback spans stamped with
-  /// simulated time, and records per-recovery rollback-distance/lost-work
-  /// histograms. No-op when opts_.obs is nullptr; called once before the
-  /// trace is moved into the SimResult.
+  /// End-of-run observability flush: copies SimStats and the event
+  /// queue's high-water mark into opts_.obs, emits checkpoint/rollback
+  /// spans stamped with simulated time, and records per-recovery
+  /// rollback-distance/lost-work histograms. No-op when opts_.obs is
+  /// nullptr; called once before the trace is moved into the SimResult.
   void flush_obs();
 
   // -- Reliable transport over a lossy wire (DelayModel::lossy()) ----------
@@ -524,7 +523,7 @@ class Engine {
   std::vector<XportChan> xport_;
 
   /// The event core: pops events in their unique (time, seq) order.
-  CalendarQueue calqueue_;
+  EventQueue queue_;
   util::Rng net_rng_{0x5eedULL};
 };
 

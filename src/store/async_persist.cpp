@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 #include <vector>
 
@@ -31,7 +32,7 @@ AsyncPersister::AsyncPersister(StableStore& store, AsyncPersistOptions opts)
 }
 
 AsyncPersister::~AsyncPersister() {
-  drain();
+  wait_done();
   store_.set_read_barrier(nullptr);
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -47,6 +48,7 @@ void AsyncPersister::submit(int proc, SerializeFn serialize) {
                  "submit names a process outside the store");
   std::unique_lock<std::mutex> lock(mu_);
   ACFC_CHECK_MSG(!stop_, "submit after shutdown");
+  if (error_) std::rethrow_exception(error_);
   if (queue_.size() >= static_cast<std::size_t>(opts_.queue_capacity)) {
     // Block-on-full backpressure, with hysteresis: wait until the queue
     // has drained to HALF capacity, not just below it. Waking per freed
@@ -88,15 +90,21 @@ void AsyncPersister::submit(int proc, SerializeFn serialize) {
 }
 
 void AsyncPersister::drain() {
-  // "Every job submitted before this call has committed": snapshot the
-  // ticket horizon, then wait for commits to reach it.
+  wait_done();
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (error_) std::rethrow_exception(error_);
+}
+
+void AsyncPersister::wait_done() {
+  // "Every job submitted before this call is done": snapshot the ticket
+  // horizon, then wait for the writer to reach it.
   long target;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     target = next_ticket_;
   }
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  commit_cv_.wait(lock, [&] { return committed_ >= target; });
+  std::unique_lock<std::mutex> lock(done_mu_);
+  done_cv_.wait(lock, [&] { return done_ >= target; });
 }
 
 void AsyncPersister::writer_loop() {
@@ -105,6 +113,7 @@ void AsyncPersister::writer_loop() {
   std::string scratch;
   std::vector<Job> batch;
   batch.reserve(kPopBatch);
+  bool failed = false;  // writer-side copy of error_ != nullptr
   for (;;) {
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -127,19 +136,29 @@ void AsyncPersister::writer_loop() {
       if (wake) space_cv_.notify_one();
     }
 
-    // One writer popping a FIFO commits in submit order. The commit_mu_
-    // hand-off publishes the store's memory to post-drain readers.
+    // One writer popping a FIFO commits in submit order. The done_mu_
+    // hand-off publishes the store's memory to post-drain readers. After
+    // the first failed job every later one is skipped, so the store keeps
+    // a prefix of the submissions and the error reaches the producer.
     for (Job& job : batch) {
-      scratch.clear();
-      job.serialize(scratch);
-      store_.write_payload(job.proc, scratch,
-                           static_cast<double>(job.ticket));
-      {
-        const std::lock_guard<std::mutex> lock(commit_mu_);
-        ++committed_;
+      if (!failed) {
+        try {
+          scratch.clear();
+          job.serialize(scratch);
+          store_.write_payload(job.proc, scratch,
+                               static_cast<double>(job.ticket));
+          if (obs_.persisted != nullptr) obs_.persisted->inc();
+        } catch (...) {
+          failed = true;
+          const std::lock_guard<std::mutex> lock(mu_);
+          error_ = std::current_exception();
+        }
       }
-      if (obs_.persisted != nullptr) obs_.persisted->inc();
-      commit_cv_.notify_all();
+      {
+        const std::lock_guard<std::mutex> lock(done_mu_);
+        ++done_;
+      }
+      done_cv_.notify_all();
     }
     batch.clear();
   }

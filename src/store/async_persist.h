@@ -21,6 +21,11 @@
 // queue_capacity pending snapshots and ordering can never be traded away
 // under load.
 //
+// Errors: an exception on the writer (a throwing serialize closure, a
+// failed store write) is saved, never escapes the thread. That job and
+// every later one are marked done without committing, and drain() and
+// submit() rethrow the saved exception on the caller's thread.
+//
 // Determinism contract (tests/test_async_persist.cpp):
 //  * after drain(), the backing store's record chains are byte-identical
 //    to synchronous capture — proven differentially over the generated
@@ -40,6 +45,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <mutex>
 #include <new>
 #include <string>
@@ -136,7 +142,8 @@ class AsyncPersister {
   /// must flow through submit() — mixing direct write_payload calls with
   /// pending async jobs would interleave ordinals nondeterministically.
   AsyncPersister(StableStore& store, AsyncPersistOptions opts = {});
-  /// Drains, detaches the read barrier, and joins the writer.
+  /// Waits for every job, detaches the read barrier, and joins the writer.
+  /// Never throws: call drain() first to learn of a writer error.
   ~AsyncPersister();
 
   AsyncPersister(const AsyncPersister&) = delete;
@@ -149,11 +156,15 @@ class AsyncPersister {
   /// `serialize` fills `out` (already cleared) with the payload bytes; it
   /// runs on the writer thread and must not touch the store or the
   /// persister. A `proc` outside the store throws here, on the caller's
-  /// thread.
+  /// thread, and so does a writer error (see drain).
   void submit(int proc, SerializeFn serialize);
 
-  /// Barrier: returns once every submitted job has committed to the store.
-  /// Also reachable implicitly through the store's read barrier.
+  /// Barrier: returns once every submitted job is done. Also reachable
+  /// implicitly through the store's read barrier. If a job threw on the
+  /// writer (its serialize closure or the store write), that job and every
+  /// later one are done without committing, so the store holds a prefix of
+  /// the submissions in commit order, and drain() — like every later
+  /// submit() — rethrows the first such exception on the caller's thread.
   void drain();
 
  private:
@@ -173,6 +184,8 @@ class AsyncPersister {
   };
 
   void writer_loop();
+  /// Waits until every job submitted before the call is done.
+  void wait_done();
 
   /// Jobs the writer claims from the queue per lock acquisition. Batching
   /// shrinks how often the writer holds mu_, which is what the producer's
@@ -184,7 +197,7 @@ class AsyncPersister {
   StableStore& store_;
   AsyncPersistOptions opts_;
 
-  // Queue state (producer side) and commit state (writer side) live under
+  // Queue state (producer side) and done state (writer side) live under
   // separate mutexes so the per-take submit() only ever contends with the
   // writer's brief batch-pop, never with its commit bookkeeping.
   std::mutex mu_;
@@ -199,11 +212,14 @@ class AsyncPersister {
   /// capacity) — one producer wake-up per capacity/2 freed slots instead
   /// of one futex round-trip per slot.
   bool producer_waiting_ = false;
+  /// The first exception a job threw on the writer; once set, the writer
+  /// skips every later job.
+  std::exception_ptr error_;
   ObsHandles obs_;
 
-  std::mutex commit_mu_;
-  std::condition_variable commit_cv_; ///< drain(): committed_ advanced
-  long committed_ = 0;    ///< jobs fully written to the store
+  std::mutex done_mu_;
+  std::condition_variable done_cv_;  ///< drain(): done_ advanced
+  long done_ = 0;  ///< jobs committed, or skipped after a writer error
 
   std::thread writer_;
 };

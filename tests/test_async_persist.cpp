@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -352,6 +353,44 @@ TEST(AsyncPersist, OutOfRangeProcThrowsOnTheCallerThread) {
   EXPECT_EQ(sync_store.write_count(0) + sync_store.write_count(1), 0);
   EXPECT_EQ(async_store.write_count(1), 1);
   EXPECT_EQ(async_store.restore_payload(1, 1), "state");
+}
+
+TEST(AsyncPersist, ThrowingSerializeSurfacesOnTheCallerThread) {
+  // A serialize closure that throws runs on the writer thread. The error
+  // must not end the program there: drain(), the store's read barrier and
+  // every later submit() rethrow it, and the store keeps only the jobs
+  // submitted before the failing one.
+  StableStore store(tight_model(4), CheckpointMode::kFull, 1);
+  obs::Registry registry;
+  {
+    AsyncPersistOptions popts;
+    popts.obs = &registry;
+    AsyncPersister persister(store, popts);
+    persister.submit(0, [](std::string& out) { out.assign("first"); });
+    persister.submit(0, [](std::string&) {
+      throw std::runtime_error("serialize failed");
+    });
+    persister.submit(0, [](std::string& out) { out.assign("third"); });
+    try {
+      persister.drain();
+      ADD_FAILURE() << "drain() returned after a failed job";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "serialize failed");
+    }
+    EXPECT_THROW(persister.drain(), std::runtime_error);
+    EXPECT_THROW(store.write_count(0), std::runtime_error);
+    EXPECT_THROW(persister.submit(
+                     0, [](std::string& out) { out.assign("fourth"); }),
+                 std::runtime_error);
+  }  // the destructor swallows the error it never rethrew
+#if ACFC_OBS
+  EXPECT_EQ(persist_metric(registry, "persist.submitted"), 3);
+  EXPECT_EQ(persist_metric(registry, "persist.persisted"), 1);
+#endif
+  const auto records = store.records_of(0);
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].ordinal, 1);
+  EXPECT_EQ(store.restore_payload(0, 1), "first");
 }
 
 TEST(AsyncPersist, ScratchSerializerMatchesFreshAllocations) {

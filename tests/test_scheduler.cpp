@@ -1,7 +1,8 @@
-// Coverage for the calendar-queue event core. The engine-level tests pin
-// (final digest, end time, events processed) for fixed inputs; the values
-// were recorded when the calendar queue and a std::priority_queue core
-// still ran side by side in the engine and agreed bit for bit. The
+// Coverage for the engine's event core (sim::EventQueue). The engine-level
+// tests pin (final digest, end time, events processed) for fixed inputs;
+// the values were recorded when a calendar queue and a
+// std::priority_queue core still ran side by side in the engine and agreed
+// bit for bit, and the 4-ary heap that replaced both reproduces them. The
 // data-structure property tests keep std::priority_queue<Ev, EvCmp> as
 // the oracle for the exact (time, seq) pop order. A fast grid runs in
 // tier 1; the 200-program generated corpus (with fault plans) and the
@@ -17,8 +18,8 @@
 #include <vector>
 
 #include "mp/generate.h"
-#include "sim/calqueue.h"
 #include "sim/engine.h"
+#include "sim/event.h"
 #include "sim/fault.h"
 #include "sim/montecarlo.h"
 #include "util/checksum.h"
@@ -127,8 +128,8 @@ TEST(Scheduler, PinnedOnDominoWithFaults) {
 }
 
 TEST(Scheduler, PinnedUnderTimedFaultAndSparseTimes) {
-  // at_time faults plus a long-tailed delay model exercise bucket
-  // rotation over mostly-empty calendar days.
+  // at_time faults plus a long-tailed delay model: sparse event times
+  // with a far-future failure resident in the queue.
   benchws::RingParams params;
   params.iterations = 6;
   params.compute_cost = 50.0;
@@ -206,22 +207,21 @@ TEST(SchedulerCorpusSlow, PinnedOn200Programs) {
 }
 
 // ---------------------------------------------------------------------------
-// Data-structure-level differential property test: CalendarQueue against
+// Data-structure-level differential property test: EventQueue against
 // std::priority_queue<Ev, EvCmp> under randomized push/pop interleavings.
 // (time, seq) is a unique total order, so the two must agree on the EXACT
-// pop sequence, not just multiset equality. The op mix deliberately
-// stresses the hard regimes: same-time bursts (one day, heap discipline),
-// regular spacing (steady ring occupancy), far-future outliers (empty-year
-// direct jumps + width re-estimation), and the tiny-behind-the-scan pushes
-// the engine's time slack can produce (anchor rewind).
+// pop sequence, not just multiset equality. The op mix covers same-time
+// bursts (ties broken by seq alone), regular spacing, far-future outliers,
+// and the tiny-behind-the-current-time pushes the engine's time slack can
+// produce.
 
-void expect_pop_matches(sim::CalendarQueue& cal,
+void expect_pop_matches(sim::EventQueue& queue,
                         std::priority_queue<sim::Ev, std::vector<sim::Ev>,
                                             sim::EvCmp>& ref,
                         double& now) {
   ASSERT_FALSE(ref.empty());
-  ASSERT_FALSE(cal.empty());
-  const sim::Ev got = cal.pop();
+  ASSERT_FALSE(queue.empty());
+  const sim::Ev got = queue.pop();
   const sim::Ev want = ref.top();
   ref.pop();
   ASSERT_EQ(got.time, want.time);
@@ -230,11 +230,10 @@ void expect_pop_matches(sim::CalendarQueue& cal,
 }
 
 TEST(SchedulerQueueProperty, RandomOpSequencesMatchPriorityQueue) {
-  long total_direct_jumps = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     util::Rng rng(seed);
-    sim::CalendarQueue cal;
+    sim::EventQueue queue;
     std::priority_queue<sim::Ev, std::vector<sim::Ev>, sim::EvCmp> ref;
     long seq = 0;
     double now = 0.0;
@@ -251,34 +250,29 @@ TEST(SchedulerQueueProperty, RandomOpSequencesMatchPriorityQueue) {
         ev.time = regime == 9 ? std::max(0.0, now - 1e-12) : now + dt;
         ev.seq = seq++;
         ev.a = op;
-        cal.push(ev);
+        queue.push(ev);
         ref.push(ev);
       } else {
-        expect_pop_matches(cal, ref, now);
+        expect_pop_matches(queue, ref, now);
       }
     }
-    while (!ref.empty()) expect_pop_matches(cal, ref, now);
-    EXPECT_TRUE(cal.empty());
-    total_direct_jumps += cal.stats().direct_jumps;
+    while (!ref.empty()) expect_pop_matches(queue, ref, now);
+    EXPECT_TRUE(queue.empty());
   }
-  // The outlier regime must have exercised the empty-year jump path —
-  // otherwise the mix is too tame to count as differential coverage.
-  EXPECT_GT(total_direct_jumps, 0);
 }
 
 TEST(SchedulerQueueProperty, BurstThenSparseDrainMatches) {
-  // Deterministic boundary case: a 256-event same-time burst (everything
-  // in one day; grows the ring past two doublings) followed by events at
-  // exponentially growing gaps — the width estimate always trails the
-  // largest gaps, so draining them needs empty-year direct jumps.
-  sim::CalendarQueue cal;
+  // Deterministic boundary case: a 256-event same-time burst (five heap
+  // levels ordered by seq alone) followed by events at exponentially
+  // growing gaps.
+  sim::EventQueue queue;
   std::priority_queue<sim::Ev, std::vector<sim::Ev>, sim::EvCmp> ref;
   long seq = 0;
   for (int i = 0; i < 256; ++i) {
     sim::Ev ev;
     ev.time = 5.0;
     ev.seq = seq++;
-    cal.push(ev);
+    queue.push(ev);
     ref.push(ev);
   }
   double t = 1000.0;
@@ -286,27 +280,27 @@ TEST(SchedulerQueueProperty, BurstThenSparseDrainMatches) {
     sim::Ev ev;
     ev.time = t;
     ev.seq = seq++;
-    cal.push(ev);
+    queue.push(ev);
     ref.push(ev);
     t *= 4.0;
   }
-  EXPECT_GT(cal.stats().grows, 0);
+  EXPECT_EQ(queue.size_high_water(), 256 + 24);
   double now = 0.0;
-  while (!ref.empty()) expect_pop_matches(cal, ref, now);
-  EXPECT_TRUE(cal.empty());
-  EXPECT_GT(cal.stats().direct_jumps, 0);
+  while (!ref.empty()) expect_pop_matches(queue, ref, now);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_EQ(queue.size_high_water(), 256 + 24);
 }
 
 // ---------------------------------------------------------------------------
 // top() and the tie-break gather. top() must always name the event the
-// next pop() extracts, whatever the ring did in between (grows, shrinks,
-// empty-year jumps, same-time bursts). Engine::next_event gathers
+// next pop() extracts, whatever was pushed and popped in between (fill
+// and drain phases, same-time bursts, outliers). Engine::next_event gathers
 // same-time candidates by peeking; the pop-and-re-push gather it replaced
 // is kept below as the reference, and both must pop the same sequence.
 
 /// A push with a regime-dependent gap: same-time bursts, quantized gaps
-/// (exact ties across pushes), far-future outliers, and behind-the-scan
-/// times. Fills in fields a and seq.
+/// (exact ties across pushes), far-future outliers, and times just
+/// behind the current one. Fills in fields a and seq.
 sim::Ev random_event(util::Rng& rng, double now, long& seq) {
   const auto regime = rng.uniform_int(0, 9);
   double dt = 0.0;  // regimes 0-3: same-time burst
@@ -322,26 +316,25 @@ sim::Ev random_event(util::Rng& rng, double now, long& seq) {
 }
 
 TEST(SchedulerQueueProperty, TopAlwaysEqualsTheNextPop) {
-  sim::CalendarQueue::Stats seen;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     util::Rng rng(seed * 7919);
-    sim::CalendarQueue cal;
+    sim::EventQueue queue;
     std::priority_queue<sim::Ev, std::vector<sim::Ev>, sim::EvCmp> ref;
     long seq = 0;
     double now = 0.0;
     for (int op = 0; op < 6000; ++op) {
-      // Alternate fill and drain phases so the ring both grows and shrinks.
+      // Alternate fill and drain phases so the heap both deepens and drains.
       const int push_pct = (op / 500) % 2 == 0 ? 75 : 25;
       if (ref.empty() || rng.uniform_int(0, 99) < push_pct) {
         const sim::Ev ev = random_event(rng, now, seq);
-        cal.push(ev);
+        queue.push(ev);
         ref.push(ev);
       } else {
-        const sim::Ev peeked = cal.top();
+        const sim::Ev peeked = queue.top();
         // top() is idempotent: a second peek names the same event.
-        ASSERT_EQ(cal.top().seq, peeked.seq);
-        const sim::Ev popped = cal.pop();
+        ASSERT_EQ(queue.top().seq, peeked.seq);
+        const sim::Ev popped = queue.pop();
         ASSERT_EQ(popped.seq, peeked.seq);
         ASSERT_EQ(popped.seq, ref.top().seq);
         ASSERT_EQ(popped.time, ref.top().time);
@@ -349,21 +342,15 @@ TEST(SchedulerQueueProperty, TopAlwaysEqualsTheNextPop) {
         now = popped.time;
       }
       if (!ref.empty()) {
-        ASSERT_EQ(cal.top().seq, ref.top().seq);
+        ASSERT_EQ(queue.top().seq, ref.top().seq);
       }
     }
     while (!ref.empty()) {
-      ASSERT_EQ(cal.top().seq, ref.top().seq);
-      expect_pop_matches(cal, ref, now);
+      ASSERT_EQ(queue.top().seq, ref.top().seq);
+      expect_pop_matches(queue, ref, now);
     }
-    EXPECT_TRUE(cal.empty());
-    seen.grows += cal.stats().grows;
-    seen.shrinks += cal.stats().shrinks;
-    seen.direct_jumps += cal.stats().direct_jumps;
+    EXPECT_TRUE(queue.empty());
   }
-  EXPECT_GT(seen.grows, 0);
-  EXPECT_GT(seen.shrinks, 0);
-  EXPECT_GT(seen.direct_jumps, 0);
 }
 
 /// Events whose payload is a multiple of 4 stand in for the engine's dead
@@ -374,7 +361,7 @@ bool gather_live(const sim::Ev& ev) { return ev.a % 4 != 0; }
 /// the engine's top()-driven gather; otherwise the reference pops the
 /// event that ends the gather and pushes it back. The hook's answer is
 /// `step` mod the candidate count, written to `arity`.
-sim::Ev gather(sim::CalendarQueue& q, int cap, int step, bool peek,
+sim::Ev gather(sim::EventQueue& q, int cap, int step, bool peek,
                int& arity) {
   const sim::Ev ev = q.pop();
   arity = 1;
@@ -405,12 +392,11 @@ sim::Ev gather(sim::CalendarQueue& q, int cap, int step, bool peek,
 
 TEST(SchedulerQueueProperty, PeekGatherPopsTheSameSequenceAsPopAndRepush) {
   long tie_breaks = 0;
-  sim::CalendarQueue::Stats seen;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed=" + std::to_string(seed));
     util::Rng rng(seed);
-    sim::CalendarQueue peek_q;
-    sim::CalendarQueue ref_q;
+    sim::EventQueue peek_q;
+    sim::EventQueue ref_q;
     long seq = 0;
     double now = 0.0;
     int step = 0;
@@ -441,14 +427,8 @@ TEST(SchedulerQueueProperty, PeekGatherPopsTheSameSequenceAsPopAndRepush) {
     }
     while (!peek_q.empty()) dispatch();
     EXPECT_TRUE(ref_q.empty());
-    seen.grows += peek_q.stats().grows;
-    seen.shrinks += peek_q.stats().shrinks;
-    seen.direct_jumps += peek_q.stats().direct_jumps;
   }
   EXPECT_GT(tie_breaks, 0);
-  EXPECT_GT(seen.grows, 0);
-  EXPECT_GT(seen.shrinks, 0);
-  EXPECT_GT(seen.direct_jumps, 0);
 }
 
 TEST(SchedulerCorpusSlow, ParallelBatchMatchesSerialBatch) {

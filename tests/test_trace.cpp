@@ -181,10 +181,12 @@ TEST(TraceRecovery, FailureAfterFinalCheckpointUsesTailCheckpoints) {
     // No committed checkpoint of p may postdate the chosen member.
     const auto& chosen =
         t.checkpoints[static_cast<size_t>(line.cut.member[p])];
-    for (const auto& c : t.checkpoints)
+    for (const auto& c : t.checkpoints) {
       if (c.proc == static_cast<int>(p) &&
-          line.rollbacks[p] == 0)  // latest-checkpoint member
+          line.rollbacks[p] == 0) {  // latest-checkpoint member
         EXPECT_LE(c.t_commit, chosen.t_commit + 1e-12);
+      }
+    }
   }
   EXPECT_GT(line.lost_work, 0.0);
 }
@@ -219,12 +221,17 @@ TEST(TraceRecovery, ProcessThatNeverCheckpointsDragsPeersBack) {
     if (line.cut.member[0] >= 0) {
       const auto& chosen =
           t.checkpoints[static_cast<size_t>(line.cut.member[0])];
-      for (const auto& c : t.checkpoints)
-        if (c.proc == 0) EXPECT_LE(chosen.t_commit, c.t_commit + 1e-12);
+      for (const auto& c : t.checkpoints) {
+        if (c.proc == 0) {
+          EXPECT_LE(chosen.t_commit, c.t_commit + 1e-12);
+        }
+      }
     }
     // Once the whole run is visible, the latest checkpoint (iteration 2,
     // two consumed messages) must be demoted at least once.
-    if (frac > 1.0) EXPECT_GE(line.rollbacks[0], 1);
+    if (frac > 1.0) {
+      EXPECT_GE(line.rollbacks[0], 1);
+    }
   }
 }
 

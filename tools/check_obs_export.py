@@ -14,6 +14,9 @@ checks, with only the stdlib json module as the oracle:
     ({"span", "track", "ts_us", "dur_us", "depth"});
   * every instrumented layer actually emitted (engine, transport,
     calqueue, store, persist) and the marquee metric of each is present;
+    `calqueue` is the event queue's layer (src/sim/event.h), which kept
+    the calendar queue's name, and `calqueue.size_high_water` its one
+    metric;
   * <prefix>.trace.json — loads as one JSON document with a traceEvents
     array of chrome://tracing events carrying both complete spans ("X")
     and counter samples ("C"), each with the fields about:tracing needs.

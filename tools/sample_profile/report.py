@@ -13,6 +13,9 @@ Options:
     --callers F   also list the immediate callers of the innermost frame
                   matching F
     --top N       rows per table (default 30)
+    --layers      instead of the function tables, print the inclusive share
+                  of each engine layer (LAYERS below); frames inlined into
+                  a sampled frame count as frames of the stack here
     --keep        with --run, keep the sample files
 
 A function's inclusive share counts the samples with it anywhere on the
@@ -33,6 +36,36 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+
+# The engine's layers: a frame belongs to a layer when its demangled name
+# contains one of the layer's patterns. A sample counts toward every layer
+# with a frame on its stack, so the shares of nested layers (a VM step that
+# merges a vector clock) overlap; a sample in no layer counts as "other".
+# The calendar queue's names stay so older builds report the same layer.
+LAYERS = (
+    ("VM step", ("acfc::sim::Vm::",)),
+    ("vector clocks", ("acfc::trace::VClock::",)),
+    ("event queue", ("acfc::sim::EventQueue::", "acfc::sim::CalendarQueue::",
+                     "acfc::sim::Engine::next_event",
+                     "acfc::sim::Engine::push_event")),
+    ("transport shim", ("acfc::sim::Engine::xport_",
+                        "acfc::sim::Engine::wire_arrival",
+                        "acfc::sim::Engine::handle_net_arrive",
+                        "acfc::sim::Engine::send_xport_ack",
+                        "acfc::sim::Engine::handle_ack",
+                        "acfc::sim::Engine::handle_rto",
+                        "acfc::sim::Engine::reset_transport_for_rollback",
+                        "acfc::sim::SeqRing")),
+    ("trace recording", ("acfc::sim::Engine::note", "acfc::trace::Trace::",
+                         "acfc::trace::EventRec", "acfc::trace::MsgRec",
+                         "acfc::trace::CkptRec")),
+    ("checkpoint capture", ("acfc::sim::Engine::take_checkpoint",
+                            "acfc::sim::Engine::force_checkpoint",
+                            "acfc::sim::store_capture_fn",
+                            "acfc::sim::async_store_capture_fn",
+                            "acfc::sim::serialize_snapshot",
+                            "acfc::sim::VmSnapshot", "acfc::store::")),
+)
 
 
 def parse_sample_file(path):
@@ -91,7 +124,7 @@ class Symbolizer:
                 continue
             m = self._mapping(addr)
             if m is None or not os.path.exists(m[2]):
-                self.names[addr] = "0x%x" % addr
+                self.names[addr] = ["0x%x" % addr]
                 continue
             by_object[m[2]].append((addr, m))
         for path, items in by_object.items():
@@ -109,15 +142,32 @@ class Symbolizer:
                         break
                 queries.append(vaddr)
             out = subprocess.run(
-                ["addr2line", "-f", "-C", "-e", path] +
+                ["addr2line", "-a", "-i", "-f", "-C", "-e", path] +
                 ["0x%x" % q for q in queries],
                 capture_output=True, text=True, check=False).stdout.splitlines()
+            chains = parse_addr2line(out)
             base = os.path.basename(path)
             for i, (addr, _) in enumerate(items):
-                name = out[2 * i] if 2 * i < len(out) else "??"
-                if name == "??":
-                    name = "%s+0x%x" % (base, queries[i])
-                self.names[addr] = short_name(name)
+                chain = chains[i] if i < len(chains) else ["??"]
+                if chain[0] == "??":
+                    chain = ["%s+0x%x" % (base, queries[i])]
+                self.names[addr] = [short_name(name) for name in chain]
+
+
+def parse_addr2line(lines):
+    """Function chains, innermost (inlined) first, one per queried address,
+    from the output of `addr2line -a -i -f`: an address line, then a
+    function line and a location line per inlined scope."""
+    chains = []
+    for line in lines:
+        if line.startswith("0x"):
+            chains.append([])
+            position = 0
+        elif chains:
+            if position % 2 == 0:
+                chains[-1].append(line)
+            position += 1
+    return [chain or ["??"] for chain in chains]
 
 
 def short_name(name):
@@ -138,8 +188,10 @@ def short_name(name):
     return name
 
 
-def symbolize(files):
-    """Stacks of function names, leaf first, over every file."""
+def symbolize(files, inlines=False):
+    """Stacks of function names, leaf first, over every file. A frame is
+    its innermost inlined function, or with `inlines` every function
+    inlined at it, innermost first."""
     named = []
     for path in files:
         maps, stacks = parse_sample_file(path)
@@ -150,14 +202,42 @@ def symbolize(files):
             wanted.update([stack[0]] + [a - 1 for a in stack[1:]])
         sym.resolve(sorted(wanted))
         for stack in stacks:
-            named.append([sym.names[stack[0]]] +
-                         [sym.names[a - 1] for a in stack[1:]])
+            frames = [sym.names[stack[0]]] + [sym.names[a - 1] for a in stack[1:]]
+            named.append([name for chain in frames
+                          for name in (chain if inlines else chain[:1])])
     return named
 
 
+def keep_within(stacks, within):
+    return [s for s in stacks if any(within in f for f in s)] if within else stacks
+
+
+def layer_shares(stacks, layers=LAYERS):
+    """{layer: fraction of the stacks with a frame in it}, plus "other" for
+    the stacks in no layer."""
+    total = len(stacks)
+    hits = collections.Counter()
+    for s in stacks:
+        found = [name for name, patterns in layers
+                 if any(p in f for f in s for p in patterns)]
+        hits.update(found or ["other"])
+    names = [name for name, _ in layers] + ["other"]
+    return {name: hits[name] / total if total else 0.0 for name in names}
+
+
+def layer_report(stacks, within=None, out=sys.stdout):
+    stacks = keep_within(stacks, within)
+    print("samples: %d%s" % (len(stacks), " within '%s'" % within if within else ""),
+          file=out)
+    if not stacks:
+        return
+    print("\n%7s  %s" % ("incl%", "layer"), file=out)
+    for name, share in layer_shares(stacks).items():
+        print("%7.1f  %s" % (100.0 * share, name), file=out)
+
+
 def report(stacks, within=None, callers=None, top=30, out=sys.stdout):
-    if within:
-        stacks = [s for s in stacks if any(within in f for f in s)]
+    stacks = keep_within(stacks, within)
     total = len(stacks)
     print("samples: %d%s" % (total, " within '%s'" % within if within else ""),
           file=out)
@@ -215,6 +295,7 @@ def main(argv=None):
     parser.add_argument("--within")
     parser.add_argument("--callers")
     parser.add_argument("--top", type=int, default=30)
+    parser.add_argument("--layers", action="store_true")
     parser.add_argument("--keep", action="store_true")
     args, command = parser.parse_known_args(argv)
     if command and command[0] == "--":
@@ -230,7 +311,10 @@ def main(argv=None):
             sys.exit("report.py: the command wrote no sample file")
     elif not files:
         parser.error("give sample files or --run -- CMD")
-    report(symbolize(files), args.within, args.callers, args.top)
+    if args.layers:
+        layer_report(symbolize(files, inlines=True), args.within)
+    else:
+        report(symbolize(files), args.within, args.callers, args.top)
     if args.run and not args.keep:
         for path in files:
             os.remove(path)
