@@ -19,6 +19,10 @@
 //            uncoordinated; measured coordination accounting.
 //   perf   — the Section-4 stochastic model: absorbing Markov chains, the
 //            closed-form Γ and overhead ratio, Figure 8/9 series.
+//   store  — stable storage: checksummed records, restore chains,
+//            manifests, storage faults, asynchronous persistence.
+//   obs    — metric registry (counters, gauges, histograms, spans) and
+//            its JSON-lines and chrome://tracing exporters.
 //   explore — schedule-space model checking: systematic interleaving and
 //            failure-point exploration, memoized DFS, counterexample
 //            shrinking, replayable ACFX artifacts.
@@ -42,7 +46,6 @@
 #include "mp/subst.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "workloads/workloads.h"
 #include "perf/markov.h"
 #include "perf/model.h"
@@ -57,7 +60,6 @@
 #include "sim/vm.h"
 #include "store/store.h"
 #include "trace/analysis.h"
-#include "trace/json.h"
 #include "trace/render.h"
 #include "trace/trace.h"
 #include "trace/vclock.h"

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <fstream>
 
-#include "trace/json.h"
 #include "util/error.h"
 
 namespace acfc::obs {
@@ -55,13 +54,6 @@ const char* kind_name(MetricKind kind) {
       return "histogram";
   }
   return "counter";
-}
-
-std::optional<MetricKind> kind_from_name(std::string_view name) {
-  if (name == "counter") return MetricKind::kCounter;
-  if (name == "gauge") return MetricKind::kGauge;
-  if (name == "histogram") return MetricKind::kHistogram;
-  return std::nullopt;
 }
 
 /// Deterministic span order for export: emission order is already stable
@@ -121,85 +113,9 @@ std::string to_jsonl(const MetricsSnapshot& snap) {
     out += ",\"ts_us\":" + std::to_string(to_us(span.t_begin));
     out += ",\"dur_us\":" +
            std::to_string(to_us(span.t_end) - to_us(span.t_begin));
-    out += ",\"depth\":" + std::to_string(span.depth);
     out += "}\n";
   }
   return out;
-}
-
-std::optional<MetricsSnapshot> snapshot_from_jsonl(std::string_view text) {
-  MetricsSnapshot snap;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
-
-    const auto parsed = trace::parse_json(line);
-    if (!parsed) return std::nullopt;
-    if (parsed->kind != trace::Json::Kind::kObject) return std::nullopt;
-    const trace::JsonObject& obj = *parsed->object;
-
-    const auto get = [&obj](const char* key) -> const trace::Json* {
-      const auto it = obj.find(key);
-      return it == obj.end() ? nullptr : &it->second;
-    };
-    const auto i64 = [&get](const char* key, long long fallback =
-                                                 0) -> long long {
-      const trace::Json* v = get(key);
-      return (v != nullptr && v->kind == trace::Json::Kind::kNumber)
-                 ? v->exact_i64()
-                 : fallback;
-    };
-    const auto str = [&get](const char* key) -> std::string {
-      const trace::Json* v = get(key);
-      return (v != nullptr && v->kind == trace::Json::Kind::kString)
-                 ? v->string
-                 : std::string();
-    };
-
-    if (const trace::Json* metric = get("metric");
-        metric != nullptr && metric->kind == trace::Json::Kind::kString) {
-      const auto kind = kind_from_name(str("kind"));
-      if (!kind) return std::nullopt;
-      MetricSnap m;
-      m.kind = *kind;
-      m.layer = str("layer");
-      m.unit = str("unit");
-      m.count = i64("count");
-      m.value = i64("value");
-      m.high_water = i64("high_water");
-      m.sum = i64("sum");
-      if (const trace::Json* buckets = get("buckets");
-          buckets != nullptr &&
-          buckets->kind == trace::Json::Kind::kArray) {
-        for (const trace::Json& b : *buckets->array) {
-          if (b.kind != trace::Json::Kind::kNumber) return std::nullopt;
-          m.buckets.push_back(b.exact_i64());
-        }
-      }
-      snap.metrics.emplace_back(metric->string, std::move(m));
-      continue;
-    }
-    if (const trace::Json* span = get("span");
-        span != nullptr && span->kind == trace::Json::Kind::kString) {
-      SpanRec rec;
-      rec.name = span->string;
-      rec.track = static_cast<int>(i64("track"));
-      rec.t_begin = static_cast<double>(i64("ts_us")) / 1e6;
-      rec.t_end =
-          static_cast<double>(i64("ts_us") + i64("dur_us")) / 1e6;
-      rec.depth = static_cast<int>(i64("depth"));
-      snap.spans.push_back(std::move(rec));
-      continue;
-    }
-    // Unknown-but-valid lines are ignored so the format can grow.
-  }
-  std::sort(snap.metrics.begin(), snap.metrics.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return snap;
 }
 
 std::string to_chrome_trace(const MetricsSnapshot& snap) {
@@ -218,7 +134,7 @@ std::string to_chrome_trace(const MetricsSnapshot& snap) {
     out += ",\"ts\":" + std::to_string(to_us(span.t_begin));
     out += ",\"dur\":" +
            std::to_string(to_us(span.t_end) - to_us(span.t_begin));
-    out += ",\"args\":{\"depth\":" + std::to_string(span.depth) + "}}";
+    out += '}';
   }
   // End-of-run totals as one counter event per metric at ts=0 — keeps the
   // whole snapshot visible inside the trace viewer.

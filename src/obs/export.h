@@ -3,12 +3,10 @@
 // Two formats:
 //   * JSON-lines (`to_jsonl`) — one JSON object per line. Metric lines
 //     carry {"metric", "kind", "layer", "unit", ...integer fields...};
-//     span lines {"span", "track", "ts_us", "dur_us", "depth"}. All
-//     numeric fields are integers (span times are converted to whole
+//     span lines {"span", "track", "ts_us", "dur_us"}. All numeric
+//     fields are integers (span times are converted to whole
 //     microseconds), so identical snapshots serialize to identical bytes
-//     on every platform — the property the parallel≡serial Monte-Carlo
-//     aggregation test pins down. `snapshot_from_jsonl` parses the format
-//     back (via trace::parse_json, never throwing) so exports round-trip.
+//     on every platform.
 //   * chrome://tracing (`to_chrome_trace`) — a single JSON document with a
 //     "traceEvents" array of "X" (complete) events for spans plus one "C"
 //     (counter) summary event per metric, loadable in chrome://tracing or
@@ -18,7 +16,6 @@
 // emitters still produce deterministic bytes.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -28,10 +25,6 @@ namespace acfc::obs {
 
 /// One JSON object per line; deterministic bytes for a given snapshot.
 std::string to_jsonl(const MetricsSnapshot& snap);
-
-/// Parses `to_jsonl` output back into a snapshot. Unknown lines are
-/// skipped; malformed JSON yields std::nullopt. Never throws.
-std::optional<MetricsSnapshot> snapshot_from_jsonl(std::string_view text);
 
 /// chrome://tracing "trace_event" JSON document (displayTimeUnit: ms).
 std::string to_chrome_trace(const MetricsSnapshot& snap);

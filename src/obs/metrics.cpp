@@ -4,24 +4,6 @@
 
 namespace acfc::obs {
 
-namespace detail {
-
-#if ACFC_OBS
-namespace {
-std::atomic<int> g_next_shard{0};
-}  // namespace
-
-int shard_index() {
-  thread_local int idx =
-      g_next_shard.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return idx;
-}
-#else
-int shard_index() { return 0; }
-#endif
-
-}  // namespace detail
-
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
@@ -63,22 +45,13 @@ Histogram& Registry::histogram(std::string_view name, MetricMeta meta) {
 }
 
 void Registry::emit_span(std::string_view name, int track, double t_begin,
-                         double t_end, int depth) {
-#if ACFC_OBS
+                         double t_end) {
   std::lock_guard<std::mutex> lock(mu_);
-  spans_.push_back(SpanRec{std::string(name), track, t_begin, t_end, depth});
-#else
-  (void)name;
-  (void)track;
-  (void)t_begin;
-  (void)t_end;
-  (void)depth;
-#endif
+  spans_.push_back(SpanRec{std::string(name), track, t_begin, t_end});
 }
 
 MetricsSnapshot Registry::snapshot() const {
   MetricsSnapshot snap;
-#if ACFC_OBS
   std::lock_guard<std::mutex> lock(mu_);
   snap.metrics.reserve(entries_.size());
   for (const auto& entry : entries_) {
@@ -111,7 +84,6 @@ MetricsSnapshot Registry::snapshot() const {
   std::sort(snap.metrics.begin(), snap.metrics.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   snap.spans = spans_;
-#endif
   return snap;
 }
 
@@ -121,40 +93,6 @@ const MetricSnap* MetricsSnapshot::find(std::string_view name) const {
       [](const auto& entry, std::string_view key) { return entry.first < key; });
   if (it == metrics.end() || it->first != name) return nullptr;
   return &it->second;
-}
-
-void merge_into(MetricsSnapshot& into, const MetricsSnapshot& from) {
-  for (const auto& [name, src] : from.metrics) {
-    auto it = std::lower_bound(
-        into.metrics.begin(), into.metrics.end(), name,
-        [](const auto& entry, const std::string& key) {
-          return entry.first < key;
-        });
-    if (it == into.metrics.end() || it->first != name) {
-      into.metrics.insert(it, {name, src});
-      continue;
-    }
-    MetricSnap& dst = it->second;
-    switch (src.kind) {
-      case MetricKind::kCounter:
-        dst.count += src.count;
-        break;
-      case MetricKind::kGauge:
-        dst.value += src.value;
-        dst.high_water = std::max(dst.high_water, src.high_water);
-        break;
-      case MetricKind::kHistogram: {
-        dst.count += src.count;
-        dst.sum += src.sum;
-        if (src.buckets.size() > dst.buckets.size())
-          dst.buckets.resize(src.buckets.size(), 0);
-        for (std::size_t b = 0; b < src.buckets.size(); ++b)
-          dst.buckets[b] += src.buckets[b];
-        break;
-      }
-    }
-  }
-  into.spans.insert(into.spans.end(), from.spans.begin(), from.spans.end());
 }
 
 }  // namespace acfc::obs

@@ -1036,26 +1036,15 @@ void Engine::perform_rollback(int failed_proc) {
   for (auto& box : inbox_) box.clear();
   if (opts_.delay.lossy()) reset_transport_for_rollback();
 
-  // Per-process restart times: the uniform restart delay R plus an
-  // optional per-process restore cost (e.g. replaying an incremental
-  // checkpoint chain from a StableStore).
-  const double base_resume = now_ + opts_.recovery_overhead;
-  std::vector<double> resume_of(static_cast<size_t>(opts_.nprocs),
-                                base_resume);
-  if (opts_.recovery_cost_fn)
-    for (int p = 0; p < opts_.nprocs; ++p)
-      resume_of[static_cast<size_t>(p)] += opts_.recovery_cost_fn(p);
-  double max_resume = base_resume;
-  for (const double t : resume_of) max_resume = std::max(max_resume, t);
-  record.resume_time = max_resume;
+  // Every process restarts after the uniform restart delay R.
+  const double resume_at = now_ + opts_.recovery_overhead;
+  record.resume_time = resume_at;
 
   // FIFO floors: nothing may be delivered to a process before it restarts.
-  for (int src = 0; src < opts_.nprocs; ++src)
-    for (int dst = 0; dst < opts_.nprocs; ++dst) {
-      const size_t chan = chan_of(src, dst);
-      channel_last_deliver_[chan] = resume_of[static_cast<size_t>(dst)];
-      control_last_deliver_[chan] = resume_of[static_cast<size_t>(dst)];
-    }
+  std::fill(channel_last_deliver_.begin(), channel_last_deliver_.end(),
+            resume_at);
+  std::fill(control_last_deliver_.begin(), control_last_deliver_.end(),
+            resume_at);
 
   // Restore every process. Quarantined processes stay retired: no restore,
   // no restart event — their pre-crash sends are still replayed below so
@@ -1088,7 +1077,6 @@ void Engine::perform_rollback(int failed_proc) {
     crash_time_[static_cast<size_t>(p)] = 0.0;
     proc.status = proc.pending_recv ? Process::Status::kBlockedRecv
                                     : Process::Status::kReady;
-    const double resume_at = resume_of[static_cast<size_t>(p)];
     note(trace::EventKind::kRestart, p, resume_at);
     if (proc.status == Process::Status::kReady)
       push_event(resume_at, EvKind::kWake, p);
@@ -1124,7 +1112,7 @@ void Engine::perform_rollback(int failed_proc) {
         copy.recv_time = -1.0;
         copy.recv_stmt_uid = -1;
         copy.replayed = true;
-        post(std::move(copy), resume_of[static_cast<size_t>(src)]);
+        post(std::move(copy), resume_at);
         ++record.replayed_messages;
       }
     }
@@ -1132,7 +1120,7 @@ void Engine::perform_rollback(int failed_proc) {
 
   recoveries_.push_back(std::move(record));
   if (driver_ != nullptr)
-    driver_->on_rollback(*this, failed_proc, max_resume);
+    driver_->on_rollback(*this, failed_proc, resume_at);
 }
 
 // ===========================================================================

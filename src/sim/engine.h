@@ -93,11 +93,6 @@ struct SimOptions {
   double recovery_overhead = 0.0;
   /// Multiplicative jitter on compute durations, uniform in [0, x).
   double compute_jitter = 0.0;
-  /// Per-process restore delay added on top of recovery_overhead when a
-  /// rollback restores that process (e.g. store::restore_cost_fn deriving
-  /// chain-length-aware restore times from a StableStore). Must be
-  /// deterministic for replay.
-  std::function<double(int proc)> recovery_cost_fn;
   /// Per-process relative compute speed (duration /= speed); empty means
   /// homogeneous 1.0. Models heterogeneous grid nodes.
   std::vector<double> compute_speed;
@@ -203,8 +198,8 @@ struct SimStats {
 struct RecoveryRec {
   int failed_proc = -1;
   double fail_time = 0.0;
-  /// Latest restart time across processes (per-process restores may end at
-  /// different times under recovery_cost_fn).
+  /// Restart time of every restored process: fail_time plus the restart
+  /// delay R (SimOptions::recovery_overhead).
   double resume_time = 0.0;
   trace::Cut cut;               ///< the restored recovery line
   std::vector<int> rollbacks;   ///< per-process demotion below its latest

@@ -86,34 +86,6 @@ std::vector<SimResult> run_batch(const mp::Program& program,
                       });
 }
 
-ObservedBatch run_batch_observed(const mp::Program& program,
-                                 const std::vector<SimOptions>& configs,
-                                 const McOptions& opts) {
-  const auto count = static_cast<std::size_t>(configs.size());
-  const Model model(program);
-  ObservedBatch batch;
-  batch.results.resize(count);
-  batch.snapshots.resize(count);
-  // One private registry per run, living only for that run's body; the
-  // snapshot lands in the run's index-addressed slot. Nothing is shared
-  // across workers, so this inherits run_batch's determinism contract.
-  detail::run_indexed(
-      static_cast<long>(count), resolve_threads(opts.threads), [&](long i) {
-        const auto slot = static_cast<std::size_t>(i);
-        obs::Registry registry;
-        SimOptions config = configs[slot];
-        config.obs = &registry;
-        Engine engine(model, std::move(config));
-        batch.results[slot] = engine.run();
-        batch.snapshots[slot] = registry.snapshot();
-      });
-  // Serial fold in run-index order — the canonical order every thread
-  // count reproduces byte-identically.
-  for (const obs::MetricsSnapshot& snap : batch.snapshots)
-    obs::merge_into(batch.merged, snap);
-  return batch;
-}
-
 std::vector<SimOptions> seed_sweep(const SimOptions& base, int replications) {
   std::vector<SimOptions> configs;
   configs.reserve(static_cast<std::size_t>(std::max(0, replications)));

@@ -21,7 +21,6 @@
 #include <functional>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "sim/engine.h"
 
 namespace acfc::sim {
@@ -100,23 +99,5 @@ struct McAggregate {
 };
 
 McAggregate aggregate(const std::vector<SimResult>& runs);
-
-/// run_batch with per-run observability. Each run gets its OWN private
-/// obs::Registry (the per-run-resources rule — any `obs` pointer already
-/// present in a config is overridden); after the batch the per-run
-/// snapshots are returned in run order plus their fold, merged serially in
-/// RUN-INDEX order. Counter/gauge/histogram merging is associative and
-/// commutative and the fold order is fixed, so the merged snapshot — down
-/// to its exported bytes — is identical on 1 thread and on N threads
-/// (tests/test_obs.cpp pins obs::to_jsonl(merged) to byte equality).
-struct ObservedBatch {
-  std::vector<SimResult> results;               ///< run order
-  std::vector<obs::MetricsSnapshot> snapshots;  ///< run order
-  obs::MetricsSnapshot merged;                  ///< run-index-order fold
-};
-
-ObservedBatch run_batch_observed(const mp::Program& program,
-                                 const std::vector<SimOptions>& configs,
-                                 const McOptions& opts = {});
 
 }  // namespace acfc::sim

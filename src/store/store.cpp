@@ -29,37 +29,6 @@ std::uint64_t record_checksum(int proc, long ordinal, long bytes,
   return util::checksum64(buf, sizeof(buf), /*seed=*/0x5704e5eedULL);
 }
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char b[4];
-  std::memcpy(b, &v, 4);
-  out.append(b, 4);
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char b[8];
-  std::memcpy(b, &v, 8);
-  out.append(b, 8);
-}
-
-bool get_u32(std::string_view bytes, size_t& at, std::uint32_t& v) {
-  if (bytes.size() - at < 4) return false;
-  std::memcpy(&v, bytes.data() + at, 4);
-  at += 4;
-  return true;
-}
-
-bool get_u64(std::string_view bytes, size_t& at, std::uint64_t& v) {
-  if (bytes.size() - at < 8) return false;
-  std::memcpy(&v, bytes.data() + at, 8);
-  at += 8;
-  return true;
-}
-
-constexpr char kManifestMagic[4] = {'A', 'C', 'F', 'M'};
-constexpr std::uint32_t kManifestFormat = 1;
-/// Per-entry wire size: ordinal + bytes + full flag + checksum.
-constexpr size_t kEntryBytes = 8 + 8 + 1 + 8;
-
 }  // namespace
 
 const char* storage_fault_name(StorageFault::Kind kind) {
@@ -74,76 +43,6 @@ const char* storage_fault_name(StorageFault::Kind kind) {
       return "stale-manifest";
   }
   return "unknown";
-}
-
-// ---------------------------------------------------------------------------
-// Manifest wire format
-// ---------------------------------------------------------------------------
-
-std::string encode_manifest(const Manifest& manifest) {
-  std::string out;
-  out.reserve(4 + 4 + 4 + 8 + 4 + manifest.entries.size() * kEntryBytes + 8);
-  out.append(kManifestMagic, 4);
-  put_u32(out, kManifestFormat);
-  put_u32(out, static_cast<std::uint32_t>(manifest.proc));
-  put_u64(out, static_cast<std::uint64_t>(manifest.version));
-  put_u32(out, static_cast<std::uint32_t>(manifest.entries.size()));
-  for (const ManifestEntry& e : manifest.entries) {
-    put_u64(out, static_cast<std::uint64_t>(e.ordinal));
-    put_u64(out, static_cast<std::uint64_t>(e.bytes));
-    out.push_back(e.full_image ? '\1' : '\0');
-    put_u64(out, e.checksum);
-  }
-  put_u64(out, util::checksum64(out));
-  return out;
-}
-
-std::optional<Manifest> parse_manifest(std::string_view bytes) {
-  // Header: magic + format + proc + version + count.
-  size_t at = 0;
-  if (bytes.size() < 4 + 4 + 4 + 8 + 4 + 8) return std::nullopt;
-  if (std::memcmp(bytes.data(), kManifestMagic, 4) != 0) return std::nullopt;
-  at = 4;
-  std::uint32_t format = 0, proc = 0, count = 0;
-  std::uint64_t version = 0;
-  if (!get_u32(bytes, at, format) || format != kManifestFormat)
-    return std::nullopt;
-  if (!get_u32(bytes, at, proc) || !get_u64(bytes, at, version) ||
-      !get_u32(bytes, at, count))
-    return std::nullopt;
-  // Exact-length check before touching entries: rejects truncation and
-  // trailing garbage alike (and guards count against overflow).
-  const size_t want = at + static_cast<size_t>(count) * kEntryBytes + 8;
-  if (count > (bytes.size() / kEntryBytes) + 1 || bytes.size() != want)
-    return std::nullopt;
-  // Trailing checksum covers everything before it.
-  std::uint64_t stored = 0;
-  size_t tail = bytes.size() - 8;
-  std::memcpy(&stored, bytes.data() + tail, 8);
-  if (util::checksum64(bytes.substr(0, tail)) != stored) return std::nullopt;
-
-  Manifest out;
-  out.proc = static_cast<int>(proc);
-  out.version = static_cast<long>(version);
-  out.entries.reserve(count);
-  long prev_ordinal = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ManifestEntry e;
-    std::uint64_t ordinal = 0, entry_bytes = 0;
-    if (!get_u64(bytes, at, ordinal) || !get_u64(bytes, at, entry_bytes))
-      return std::nullopt;
-    const char full = bytes[at++];
-    if (full != '\0' && full != '\1') return std::nullopt;
-    if (!get_u64(bytes, at, e.checksum)) return std::nullopt;
-    e.ordinal = static_cast<long>(ordinal);
-    e.bytes = static_cast<long>(entry_bytes);
-    e.full_image = full == '\1';
-    // Structural invariants: ordinals strictly ascend and stay positive.
-    if (e.ordinal <= prev_ordinal || e.bytes < 0) return std::nullopt;
-    prev_ordinal = e.ordinal;
-    out.entries.push_back(e);
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -631,15 +530,6 @@ std::function<std::pair<double, double>(int)> checkpoint_cost_fn(
         proc, state_bytes(proc), static_cast<double>((*counter)++));
     return {cost.seconds, cost.seconds};  // synchronous write: o = l
   };
-}
-
-std::function<double(int)> restore_cost_fn(const StableStore& store) {
-  return [&store](int proc) { return store.restore_seconds(proc); };
-}
-
-std::function<double(int)> degraded_restore_cost_fn(
-    const StableStore& store) {
-  return [&store](int proc) { return store.scan_restore(proc).seconds; };
 }
 
 std::function<bool(int, long)> checkpoint_verify_fn(

@@ -77,16 +77,6 @@ struct Manifest {
   std::vector<ManifestEntry> entries;
 };
 
-/// Binary manifest encoding ("ACFM" magic, format version, entries,
-/// trailing XXH64 of everything before it). docs/analysis.md documents the
-/// exact layout.
-std::string encode_manifest(const Manifest& manifest);
-
-/// Strict parse: rejects (nullopt) bad magic, unknown format versions,
-/// truncation, trailing garbage, and checksum mismatches. Never throws on
-/// arbitrary bytes — tests/test_fuzz.cpp feeds it mutated encodings.
-std::optional<Manifest> parse_manifest(std::string_view bytes);
-
 // ---------------------------------------------------------------------------
 // The store
 // ---------------------------------------------------------------------------
@@ -292,15 +282,6 @@ DerivedParams derive_checkpoint_params(const StorageModel& model,
 /// a monotone order for chain bookkeeping.
 std::function<std::pair<double, double>(int)> checkpoint_cost_fn(
     StableStore& store, std::function<long(int)> state_bytes);
-
-/// For SimOptions::recovery_cost_fn: the chain-length-aware time to
-/// restore the process's newest stored image (full image plus deltas for
-/// incremental chains).
-std::function<double(int)> restore_cost_fn(const StableStore& store);
-
-/// Degraded variant: the restore cost of the deepest fully-verifiable
-/// chain (what a corruption-aware restore actually pays).
-std::function<double(int)> degraded_restore_cost_fn(const StableStore& store);
 
 /// For SimOptions::checkpoint_verify_fn: asks the store whether the record
 /// written at `(proc, ordinal)` currently has a fully-verifiable restore

@@ -1,9 +1,6 @@
 #include "util/dot.h"
 
-#include <fstream>
 #include <sstream>
-
-#include "util/error.h"
 
 namespace acfc::util {
 
@@ -49,12 +46,6 @@ std::string DotGraph::str() const {
   for (const auto& line : lines_) os << line << '\n';
   os << "}\n";
   return os.str();
-}
-
-void DotGraph::save(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw Error("cannot open DOT output file: " + path);
-  out << str();
 }
 
 }  // namespace acfc::util

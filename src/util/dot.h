@@ -18,7 +18,6 @@ class DotGraph {
                 const std::string& extra_attrs = {});
 
   std::string str() const;
-  void save(const std::string& path) const;
 
  private:
   std::string name_;

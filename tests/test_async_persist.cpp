@@ -89,8 +89,7 @@ void expect_stores_equal(const StableStore& sync_store,
 }
 
 /// A persist.* counter's count, or a gauge's high-water mark, as the
-/// registry holds it now (0 when the metric is absent — and for every
-/// metric when observability is compiled out).
+/// registry holds it now (0 when the metric is absent).
 long long persist_metric(const obs::Registry& registry, const char* name) {
   const obs::MetricsSnapshot snap = registry.snapshot();
   const obs::MetricSnap* metric = snap.find(name);
@@ -203,11 +202,9 @@ TEST(AsyncPersist, BackpressureBlocksTheProducerAndIsCounted) {
       });
     }
     persister.drain();
-#if ACFC_OBS
     EXPECT_EQ(persist_metric(registry, "persist.submitted"), 3);
     EXPECT_EQ(persist_metric(registry, "persist.persisted"), 3);
     EXPECT_GE(persist_metric(registry, "persist.backpressure_waits"), 1);
-#endif
   }
   EXPECT_EQ(serialized.load(), 3);
   const auto records = store.records_of(0);
@@ -246,9 +243,7 @@ TEST(AsyncPersist, ReadBarrierDrainsBeforeRestore) {
     EXPECT_EQ(store.restore_latest_payload(p),
               sync.store->restore_latest_payload(p));
   }
-#if ACFC_OBS
   EXPECT_GT(persist_metric(registry, "persist.submitted"), 0);
-#endif
   EXPECT_EQ(persist_metric(registry, "persist.submitted"),
             persist_metric(registry, "persist.persisted"));
   expect_stores_equal(*sync.store, store, opts.nprocs);
@@ -362,15 +357,24 @@ TEST(AsyncPersist, ThrowingSerializeSurfacesOnTheCallerThread) {
   // submitted before the failing one.
   StableStore store(tight_model(4), CheckpointMode::kFull, 1);
   obs::Registry registry;
+  // The first job holds the writer on `gate` until all three are queued:
+  // without it the writer can fail the second job before the third
+  // submit(), which then (correctly) rethrows instead of queueing.
+  std::promise<void> gate_promise;
+  auto gate = gate_promise.get_future().share();
   {
     AsyncPersistOptions popts;
     popts.obs = &registry;
     AsyncPersister persister(store, popts);
-    persister.submit(0, [](std::string& out) { out.assign("first"); });
+    persister.submit(0, [gate](std::string& out) {
+      gate.wait();
+      out.assign("first");
+    });
     persister.submit(0, [](std::string&) {
       throw std::runtime_error("serialize failed");
     });
     persister.submit(0, [](std::string& out) { out.assign("third"); });
+    gate_promise.set_value();
     try {
       persister.drain();
       ADD_FAILURE() << "drain() returned after a failed job";
@@ -383,10 +387,8 @@ TEST(AsyncPersist, ThrowingSerializeSurfacesOnTheCallerThread) {
                      0, [](std::string& out) { out.assign("fourth"); }),
                  std::runtime_error);
   }  // the destructor swallows the error it never rethrew
-#if ACFC_OBS
   EXPECT_EQ(persist_metric(registry, "persist.submitted"), 3);
   EXPECT_EQ(persist_metric(registry, "persist.persisted"), 1);
-#endif
   const auto records = store.records_of(0);
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].ordinal, 1);
@@ -651,9 +653,6 @@ TEST(AsyncPersistParallelSlow, RunBatchWithPerRunPersistersIsBitIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST(AsyncPersist, ObsMetricsMatchACapacityOneBlockingScenarioExactly) {
-#if !ACFC_OBS
-  GTEST_SKIP() << "observability compiled out (ACFC_OBS=0)";
-#endif
   // Gate-controlled serialize closures make the schedule deterministic, so
   // the persist.* metrics have exact expected values, not just bounds:
   //   * submit j0 — queue empty, no wait; the writer pops it immediately

@@ -184,6 +184,27 @@ TEST(Cli, DotEmitsGraph) {
   EXPECT_NE(r.output.find("msg"), std::string::npos);
 }
 
+TEST(Cli, OutputWriteFailureIsAnError) {
+  // An output file that cannot be opened is reported, not claimed written.
+  const std::string bad = "/nonexistent/dir/out";
+  const std::string prog = program_path("pipeline.mp");
+  for (const std::string& args :
+       {"place " + prog + " -o " + bad, "insert " + prog + " -o " + bad,
+        "dot " + prog + " -o " + bad,
+        "explore -w ring --iterations 3 -n 3 --driver cic-broken "
+        "--interval 22 --cic-stagger 0.5 --check-cic-index --depth 8 "
+        "--budget 4000 --delay-steps 3 --delay-quantum 2.0 --no-shrink -o " +
+            bad}) {
+    SCOPED_TRACE(args);
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 1) << r.output;
+    EXPECT_NE(r.output.find("error: cannot open output file: " + bad),
+              std::string::npos)
+        << r.output;
+    EXPECT_EQ(r.output.find("wrote"), std::string::npos) << r.output;
+  }
+}
+
 TEST(Cli, ModelPrintsOverheadTable) {
   const auto r = run_cli("model -n 64 --wm 0.01");
   EXPECT_EQ(r.exit_code, 0);

@@ -269,7 +269,6 @@ TEST(StoreWired, StableStoreDrivesDegradedSelection) {
   opts.recovery_overhead = 0.5;
   opts.checkpoint_cost_fn =
       store::checkpoint_cost_fn(store, [](int) { return 1'000'000L; });
-  opts.recovery_cost_fn = store::degraded_restore_cost_fn(store);
   opts.checkpoint_verify_fn = store::checkpoint_verify_fn(store);
   // Crash after take 4: with a real store the 4th write has not committed
   // yet (t_commit = now + latency), so the newest *candidate* record is

@@ -11,14 +11,10 @@
 #include "explore/artifact.h"
 #include "match/match.h"
 #include "mp/generate.h"
-#include "obs/export.h"
-#include "obs/metrics.h"
 #include "mp/parser.h"
 #include "mp/printer.h"
 #include "place/place.h"
 #include "sim/engine.h"
-#include "store/store.h"
-#include "trace/json.h"
 #include "util/rng.h"
 
 namespace {
@@ -316,88 +312,6 @@ TEST(TokenFuzzSlow, RepairPlacementSurvivesEveryParseableMutant) {
   EXPECT_GT(repaired_ok, 25);
 }
 
-// ---------------------------------------------------------------------------
-// Manifest fuzzing: the on-disk catalog parser must reject, never crash.
-// ---------------------------------------------------------------------------
-
-// A realistic encoded manifest: several records, incremental mode.
-std::string sample_manifest_bytes(int writes) {
-  store::StableStore s(store::StorageModel{},
-                       store::CheckpointMode::kIncremental, 2);
-  for (int i = 0; i < writes; ++i)
-    s.write_checkpoint(1, 1'000'000 + i * 10'000, static_cast<double>(i));
-  return store::encode_manifest(s.manifest_of(1));
-}
-
-TEST(ManifestFuzz, MutatedManifestsParseOrRejectCleanly) {
-  // Byte-level mutants of a valid encoding: parse_manifest must return
-  // nullopt or a manifest that round-trips — never throw or crash. The
-  // trailing checksum makes essentially every real mutation detectable, so
-  // almost all mutants must be rejected.
-  const std::string clean = sample_manifest_bytes(6);
-  ASSERT_TRUE(store::parse_manifest(clean).has_value());
-
-  util::Rng rng(20260806);
-  int accepted = 0, rejected = 0;
-  for (int round = 0; round < 500; ++round) {
-    const std::string mutant = mutate(clean, rng);
-    const auto parsed = store::parse_manifest(mutant);
-    if (!parsed.has_value()) {
-      ++rejected;
-      continue;
-    }
-    ++accepted;
-    // Anything accepted must re-encode to a parseable, equal manifest.
-    const std::string reencoded = store::encode_manifest(*parsed);
-    const auto again = store::parse_manifest(reencoded);
-    ASSERT_TRUE(again.has_value()) << "round=" << round;
-    EXPECT_EQ(again->proc, parsed->proc);
-    EXPECT_EQ(again->version, parsed->version);
-    EXPECT_EQ(again->entries.size(), parsed->entries.size());
-  }
-  // The checksum gate: mutations land somewhere in the covered bytes (or
-  // in the checksum itself) virtually always, so acceptance is the rare
-  // case (identity mutants: swap-with-self, duplicate-then-delete).
-  EXPECT_GT(rejected, 450);
-  EXPECT_LT(accepted, 50);
-}
-
-TEST(ManifestFuzz, TruncatedPrefixesAllRejected) {
-  const std::string clean = sample_manifest_bytes(4);
-  for (size_t len = 0; len < clean.size(); ++len) {
-    EXPECT_FALSE(
-        store::parse_manifest(std::string_view(clean.data(), len))
-            .has_value())
-        << "prefix of length " << len << " accepted";
-  }
-}
-
-TEST(ManifestFuzz, TrailingGarbageRejected) {
-  const std::string clean = sample_manifest_bytes(3);
-  util::Rng rng(55);
-  for (int round = 0; round < 50; ++round) {
-    std::string padded = clean;
-    const auto extra = rng.uniform_int(1, 32);
-    for (std::int64_t i = 0; i < extra; ++i)
-      padded += static_cast<char>(rng.uniform_int(0, 255));
-    EXPECT_FALSE(store::parse_manifest(padded).has_value())
-        << "round=" << round;
-  }
-}
-
-TEST(ManifestFuzz, RandomGarbageNeverCrashes) {
-  util::Rng rng(314159);
-  int accepted = 0;
-  for (int round = 0; round < 500; ++round) {
-    std::string garbage;
-    const auto len = rng.uniform_int(0, 300);
-    for (std::int64_t i = 0; i < len; ++i)
-      garbage += static_cast<char>(rng.uniform_int(0, 255));
-    if (store::parse_manifest(garbage).has_value()) ++accepted;
-  }
-  EXPECT_EQ(accepted, 0);  // random bytes never pass magic + checksum
-}
-
 TEST(Fuzz, GarbageInputsRejectedStructurally) {
   util::Rng rng(99);
   for (int round = 0; round < 200; ++round) {
@@ -412,92 +326,6 @@ TEST(Fuzz, GarbageInputsRejectedStructurally) {
     }
   }
   SUCCEED();
-}
-
-// ---------------------------------------------------------------------------
-// Observability JSON-lines exporter — obs::snapshot_from_jsonl /
-// trace::parse_json over mutated and truncated exports
-// ---------------------------------------------------------------------------
-
-std::string sample_obs_jsonl() {
-  obs::Registry registry;
-  registry.counter("engine.events_processed", {"events", "engine"}).inc(321);
-  registry.counter("transport.retransmits", {"messages", "transport"})
-      .inc(7);
-  registry.gauge("persist.queue_depth", {"jobs", "persist"}).set(3);
-  obs::Histogram& h =
-      registry.histogram("engine.lost_work_us", {"us", "engine"});
-  h.record(1500);
-  h.record(42);
-  registry.emit_span("checkpoint", 2, 1.0, 1.5);
-  registry.emit_span("rollback", 0, 3.0, 4.25, 1);
-  return obs::to_jsonl(registry.snapshot());
-}
-
-TEST(ObsJsonlFuzz, CleanExportRoundTripsThroughTheParser) {
-  const std::string clean = sample_obs_jsonl();
-  const auto parsed = obs::snapshot_from_jsonl(clean);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(obs::to_jsonl(*parsed), clean);  // byte-level fixed point
-}
-
-TEST(ObsJsonlFuzz, MutatedExportsParseOrRejectButNeverThrow) {
-#if !ACFC_OBS
-  GTEST_SKIP() << "observability compiled out (ACFC_OBS=0)";
-#endif
-  const std::string clean = sample_obs_jsonl();
-  util::Rng rng(20260808);
-  int accepted = 0, rejected = 0;
-  for (int round = 0; round < 800; ++round) {
-    const std::string mutant = mutate(clean, rng);
-    // noexcept contract: snapshot_from_jsonl (and the trace::parse_json
-    // underneath) must never throw, whatever the bytes.
-    const auto parsed = obs::snapshot_from_jsonl(mutant);
-    if (!parsed.has_value()) {
-      ++rejected;
-      continue;
-    }
-    ++accepted;
-    // Whatever survives mutation must re-export without throwing; the
-    // re-export must itself parse (the format is closed under round
-    // trips, even for mutants that changed values or dropped lines).
-    const std::string reencoded = obs::to_jsonl(*parsed);
-    const auto again = obs::snapshot_from_jsonl(reencoded);
-    ASSERT_TRUE(again.has_value()) << "round=" << round;
-    EXPECT_EQ(again->metrics, parsed->metrics) << "round=" << round;
-  }
-  // Character edits usually land inside JSON syntax or a keyword, so both
-  // outcomes must actually occur — rejection dominating.
-  EXPECT_GT(rejected, 0);
-  EXPECT_GT(accepted, 0);
-}
-
-TEST(ObsJsonlFuzz, EveryTruncationParsesOrRejectsCleanly) {
-  const std::string clean = sample_obs_jsonl();
-  for (size_t len = 0; len <= clean.size(); ++len) {
-    const auto parsed =
-        obs::snapshot_from_jsonl(std::string_view(clean.data(), len));
-    if (!parsed.has_value()) continue;  // mid-line cut: rejected, fine
-    // Cuts on line boundaries parse as a valid prefix of the export.
-    EXPECT_LE(parsed->metrics.size(), 4u) << "len=" << len;
-    EXPECT_LE(parsed->spans.size(), 2u) << "len=" << len;
-  }
-}
-
-TEST(ObsJsonlFuzz, RawGarbageIntoTraceJsonParserNeverThrows) {
-  util::Rng rng(60486048);
-  int accepted = 0;
-  for (int round = 0; round < 500; ++round) {
-    std::string garbage;
-    const auto len = rng.uniform_int(0, 240);
-    for (std::int64_t i = 0; i < len; ++i)
-      garbage += static_cast<char>(rng.uniform_int(0, 255));
-    if (trace::parse_json(garbage).has_value()) ++accepted;
-    (void)obs::snapshot_from_jsonl(garbage);
-  }
-  // Random bytes essentially never form valid JSON; the point is the
-  // noexcept path, the count just documents the expectation.
-  EXPECT_LT(accepted, 10);
 }
 
 // ---------------------------------------------------------------------------

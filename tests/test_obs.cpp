@@ -1,15 +1,10 @@
 // Tests for the deterministic observability layer (src/obs/):
-//   * metric primitive semantics — counter shard-merge, gauge high-water,
-//     histogram log-bucket boundaries and saturation;
-//   * snapshot/merge algebra — name-sorted freeze, associative and
-//     commutative folds, trailing-bucket trimming;
-//   * scoped spans — RAII emission, per-thread nesting depth, inert when
-//     the registry pointer is null;
-//   * exporters — JSON-lines round-trip, chrome://tracing validity (via
-//     the repo's own trace::parse_json), byte determinism;
-//   * sim::run_batch_observed — parallel vs serial merged snapshots are
-//     byte-identical (the tentpole determinism claim);
-//   * a multi-writer hammer that gives TSan the sharded registry;
+//   * metric primitive semantics — exact concurrent counter totals, gauge
+//     high-water, histogram log-bucket boundaries and saturation;
+//   * snapshots — name-sorted freeze, trailing-bucket trimming;
+//   * exporters — JSON-lines and chrome://tracing pinned by golden bytes,
+//     byte determinism;
+//   * a multi-writer hammer that gives TSan the registry;
 //   * the metric-catalog drift gate: every metric a fully instrumented
 //     run registers has a docs/observability.md row with its kind and
 //     unit, and every row names a registered metric.
@@ -26,35 +21,22 @@
 
 #include "obs/export.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
-#include "sim/montecarlo.h"
+#include "sim/engine.h"
 #include "sim/snapshot_codec.h"
 #include "sim/supervisor.h"
 #include "store/async_persist.h"
 #include "store/store.h"
-#include "trace/json.h"
 #include "workloads/workloads.h"
 
 namespace {
 
 using namespace acfc;
 
-// Most tests here assert on recorded values, which a -DACFC_OBS=OFF
-// build intentionally discards; they skip there. Tests of pure functions
-// (bucket_of), inertness, and parser robustness run in both builds.
-#if ACFC_OBS
-#define ACFC_REQUIRE_OBS() (void)0
-#else
-#define ACFC_REQUIRE_OBS() \
-  GTEST_SKIP() << "observability compiled out (ACFC_OBS=0)"
-#endif
-
 // ---------------------------------------------------------------------------
 // Counter
 // ---------------------------------------------------------------------------
 
 TEST(ObsCounter, StartsAtZeroAndAccumulates) {
-  ACFC_REQUIRE_OBS();
   obs::Counter c;
   EXPECT_EQ(c.value(), 0);
   c.inc();
@@ -63,7 +45,6 @@ TEST(ObsCounter, StartsAtZeroAndAccumulates) {
 }
 
 TEST(ObsCounter, ConcurrentIncrementsSumExactly) {
-  ACFC_REQUIRE_OBS();
   obs::Registry registry;
   obs::Counter& c = registry.counter("hammer.counter");
   constexpr int kThreads = 8;
@@ -74,7 +55,6 @@ TEST(ObsCounter, ConcurrentIncrementsSumExactly) {
       for (int i = 0; i < kIncs; ++i) c.inc();
     });
   for (auto& t : pool) t.join();
-  // Shard assignment is per-thread and arbitrary; the merged total is not.
   EXPECT_EQ(c.value(), static_cast<long long>(kThreads) * kIncs);
 }
 
@@ -83,7 +63,6 @@ TEST(ObsCounter, ConcurrentIncrementsSumExactly) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsGauge, TracksValueAndHighWater) {
-  ACFC_REQUIRE_OBS();
   obs::Gauge g;
   g.set(5);
   g.set(2);
@@ -117,7 +96,6 @@ TEST(ObsHistogram, BucketBoundariesAreBitWidths) {
 }
 
 TEST(ObsHistogram, HugeValuesSaturateInTheLastBucket) {
-  ACFC_REQUIRE_OBS();
   const int last = obs::Histogram::kBuckets - 1;
   EXPECT_EQ(obs::Histogram::bucket_of(std::numeric_limits<long long>::max()),
             last);
@@ -131,7 +109,6 @@ TEST(ObsHistogram, HugeValuesSaturateInTheLastBucket) {
 }
 
 TEST(ObsHistogram, RecordTracksCountSumAndBuckets) {
-  ACFC_REQUIRE_OBS();
   obs::Histogram h;
   h.record(1);
   h.record(3);
@@ -150,7 +127,6 @@ TEST(ObsHistogram, RecordTracksCountSumAndBuckets) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsRegistry, SameNameReturnsTheSameHandle) {
-  ACFC_REQUIRE_OBS();
   obs::Registry registry;
   obs::Counter& a = registry.counter("x.count", {"events", "engine"});
   obs::Counter& b = registry.counter("x.count");
@@ -160,7 +136,6 @@ TEST(ObsRegistry, SameNameReturnsTheSameHandle) {
 }
 
 TEST(ObsRegistry, SnapshotIsNameSortedWithMetaAndTrimmedBuckets) {
-  ACFC_REQUIRE_OBS();
   obs::Registry registry;
   registry.counter("z.last", {"events", "engine"}).inc(9);
   registry.gauge("a.first", {"jobs", "persist"}).set(4);
@@ -188,103 +163,6 @@ TEST(ObsRegistry, SnapshotIsNameSortedWithMetaAndTrimmedBuckets) {
   EXPECT_EQ(snap.find("missing"), nullptr);
 }
 
-TEST(ObsMerge, CountersAddGaugesMaxHighWaterHistogramsFold) {
-  ACFC_REQUIRE_OBS();
-  obs::Registry r1;
-  r1.counter("c").inc(10);
-  r1.gauge("g").set(7);
-  r1.histogram("h").record(1);
-
-  obs::Registry r2;
-  r2.counter("c").inc(5);
-  r2.gauge("g").set(3);
-  r2.histogram("h").record(100);
-  r2.counter("only2").inc(1);
-
-  obs::MetricsSnapshot merged = r1.snapshot();
-  obs::merge_into(merged, r2.snapshot());
-
-  EXPECT_EQ(merged.find("c")->count, 15);
-  EXPECT_EQ(merged.find("g")->value, 10);       // levels add
-  EXPECT_EQ(merged.find("g")->high_water, 7);   // high-waters max
-  EXPECT_EQ(merged.find("h")->count, 2);
-  EXPECT_EQ(merged.find("h")->sum, 101);
-  ASSERT_EQ(merged.find("h")->buckets.size(), 8u);  // widened to r2's
-  EXPECT_EQ(merged.find("h")->buckets[1], 1);
-  EXPECT_EQ(merged.find("h")->buckets[7], 1);
-  EXPECT_EQ(merged.find("only2")->count, 1);
-}
-
-TEST(ObsMerge, FoldIsAssociativeAndCommutativeOnMetrics) {
-  ACFC_REQUIRE_OBS();
-  const auto make = [](long long c, long long g, long long v) {
-    obs::Registry r;
-    r.counter("c").inc(c);
-    r.gauge("g").set(g);
-    r.histogram("h").record(v);
-    return r.snapshot();
-  };
-  const obs::MetricsSnapshot a = make(1, 10, 2);
-  const obs::MetricsSnapshot b = make(2, 5, 70);
-  const obs::MetricsSnapshot c = make(4, 20, 1000);
-
-  obs::MetricsSnapshot left;  // (a ⊕ b) ⊕ c
-  obs::merge_into(left, a);
-  obs::merge_into(left, b);
-  obs::merge_into(left, c);
-
-  obs::MetricsSnapshot right;  // a ⊕ (b ⊕ c), then reordered folds
-  obs::MetricsSnapshot bc;
-  obs::merge_into(bc, b);
-  obs::merge_into(bc, c);
-  obs::merge_into(right, a);
-  obs::merge_into(right, bc);
-  EXPECT_EQ(left.metrics, right.metrics);
-
-  obs::MetricsSnapshot rev;  // c ⊕ b ⊕ a
-  obs::merge_into(rev, c);
-  obs::merge_into(rev, b);
-  obs::merge_into(rev, a);
-  EXPECT_EQ(left.metrics, rev.metrics);
-  EXPECT_EQ(obs::to_jsonl(left), obs::to_jsonl(rev));
-}
-
-// ---------------------------------------------------------------------------
-// Spans
-// ---------------------------------------------------------------------------
-
-TEST(ObsSpan, ScopedSpanEmitsClosedIntervalWithDepth) {
-  ACFC_REQUIRE_OBS();
-  obs::Registry registry;
-  double now = 1.0;
-  const auto clock = [&now] { return now; };
-  {
-    obs::ScopedSpan outer(&registry, "outer", 3, clock);
-    now = 2.0;
-    {
-      obs::ScopedSpan inner(&registry, "inner", 3, clock);
-      now = 3.0;
-    }
-    now = 4.0;
-  }
-  const obs::MetricsSnapshot snap = registry.snapshot();
-  ASSERT_EQ(snap.spans.size(), 2u);
-  // Inner closes first (RAII order).
-  EXPECT_EQ(snap.spans[0], (obs::SpanRec{"inner", 3, 2.0, 3.0, 1}));
-  EXPECT_EQ(snap.spans[1], (obs::SpanRec{"outer", 3, 1.0, 4.0, 0}));
-}
-
-TEST(ObsSpan, NullRegistryIsInertAndNeverReadsTheClock) {
-  int clock_calls = 0;
-  {
-    obs::ScopedSpan span(nullptr, "ghost", 0, [&clock_calls] {
-      ++clock_calls;
-      return 0.0;
-    });
-  }
-  EXPECT_EQ(clock_calls, 0);
-}
-
 // ---------------------------------------------------------------------------
 // Exporters
 // ---------------------------------------------------------------------------
@@ -297,24 +175,27 @@ obs::MetricsSnapshot sample_snapshot() {
   h.record(100);
   h.record(5000);
   registry.emit_span("checkpoint", 1, 0.5, 1.25);
-  registry.emit_span("rollback", 0, 2.0, 2.5, 1);
+  registry.emit_span("rollback", 0, 2.0, 2.5);
   return registry.snapshot();
 }
 
-TEST(ObsExport, JsonlRoundTripsExactly) {
-  ACFC_REQUIRE_OBS();
-  const obs::MetricsSnapshot snap = sample_snapshot();
-  const std::string text = obs::to_jsonl(snap);
-  const auto back = obs::snapshot_from_jsonl(text);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->metrics, snap.metrics);
-  // Span times in the sample are whole microseconds, so the µs-integer
-  // wire format reproduces them exactly (spans come back export-sorted).
-  ASSERT_EQ(back->spans.size(), snap.spans.size());
-  EXPECT_EQ(back->spans[0], snap.spans[0]);
-  EXPECT_EQ(back->spans[1], snap.spans[1]);
-  // And the round-trip is a fixed point at the byte level.
-  EXPECT_EQ(obs::to_jsonl(*back), text);
+TEST(ObsExport, JsonlGoldenBytes) {
+  // Pins the exact wire format: metrics in name order, then spans in
+  // begin-time order, every number an integer (span times in whole µs).
+  EXPECT_EQ(
+      obs::to_jsonl(sample_snapshot()),
+      "{\"metric\":\"engine.events\",\"kind\":\"counter\","
+      "\"layer\":\"engine\",\"unit\":\"events\",\"count\":123}\n"
+      "{\"metric\":\"persist.queue_depth\",\"kind\":\"gauge\","
+      "\"layer\":\"persist\",\"unit\":\"jobs\",\"value\":2,"
+      "\"high_water\":2}\n"
+      "{\"metric\":\"store.bytes\",\"kind\":\"histogram\","
+      "\"layer\":\"store\",\"unit\":\"bytes\",\"count\":2,\"sum\":5100,"
+      "\"buckets\":[0,0,0,0,0,0,0,1,0,0,0,0,0,1]}\n"
+      "{\"span\":\"checkpoint\",\"track\":1,\"ts_us\":500000,"
+      "\"dur_us\":750000}\n"
+      "{\"span\":\"rollback\",\"track\":0,\"ts_us\":2000000,"
+      "\"dur_us\":500000}\n");
 }
 
 TEST(ObsExport, JsonlIsByteDeterministicAcrossIdenticalRegistries) {
@@ -322,67 +203,27 @@ TEST(ObsExport, JsonlIsByteDeterministicAcrossIdenticalRegistries) {
             obs::to_jsonl(sample_snapshot()));
 }
 
-TEST(ObsExport, JsonlSkipsUnknownLinesAndRejectsMalformed) {
-  const std::string text = obs::to_jsonl(sample_snapshot());
-  const auto with_unknown = obs::snapshot_from_jsonl(
-      "{\"future_record\":1}\n" + text + "\n\n");
-  ASSERT_TRUE(with_unknown.has_value());
-  EXPECT_EQ(with_unknown->metrics, sample_snapshot().metrics);
-
-  EXPECT_FALSE(obs::snapshot_from_jsonl("{\"metric\":\"x\"").has_value());
-  EXPECT_FALSE(obs::snapshot_from_jsonl("not json at all\n").has_value());
-  EXPECT_FALSE(
-      obs::snapshot_from_jsonl("{\"metric\":\"x\",\"kind\":\"widget\"}\n")
-          .has_value());
-}
-
-TEST(ObsExport, ChromeTraceIsValidJsonWithSpanAndCounterEvents) {
-  ACFC_REQUIRE_OBS();
-  const std::string text = obs::to_chrome_trace(sample_snapshot());
-  const auto doc = trace::parse_json(text);
-  ASSERT_TRUE(doc.has_value());
-  ASSERT_EQ(doc->kind, trace::Json::Kind::kObject);
-  const auto& top = *doc->object;
-  ASSERT_TRUE(top.count("traceEvents"));
-  const auto& events = *top.at("traceEvents").array;
-  // 2 spans ("X") + 3 metrics ("C").
-  ASSERT_EQ(events.size(), 5u);
-  int xs = 0, cs = 0;
-  for (const auto& ev : events) {
-    const auto& e = *ev.object;
-    const std::string ph = e.at("ph").string;
-    ASSERT_TRUE(e.count("name"));
-    ASSERT_TRUE(e.count("ts"));
-    if (ph == "X") {
-      ++xs;
-      ASSERT_TRUE(e.count("dur"));
-    } else if (ph == "C") {
-      ++cs;
-      ASSERT_TRUE(e.count("args"));
-    }
-  }
-  EXPECT_EQ(xs, 2);
-  EXPECT_EQ(cs, 3);
-}
-
 TEST(ObsExport, ChromeTraceGoldenBytes) {
-  ACFC_REQUIRE_OBS();
-  // Pins the exact wire format: any byte-level change to the exporter is
-  // a deliberate format bump, not an accident.
-  obs::Registry registry;
-  registry.counter("c", {"events", "engine"}).inc(7);
-  registry.emit_span("take", 2, 0.0, 0.001, 0);
+  // Pins the exact wire format: one "X" event per span with name, ts and
+  // dur, then one "C" event per metric whose args carry its value (a
+  // gauge's level, a counter's or histogram's count).
   EXPECT_EQ(
-      obs::to_chrome_trace(registry.snapshot()),
+      obs::to_chrome_trace(sample_snapshot()),
       "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
-      "{\"name\":\"take\",\"ph\":\"X\",\"cat\":\"sim\",\"pid\":0,\"tid\":2,"
-      "\"ts\":0,\"dur\":1000,\"args\":{\"depth\":0}},"
-      "{\"name\":\"c\",\"ph\":\"C\",\"cat\":\"metrics\",\"pid\":0,\"tid\":0,"
-      "\"ts\":0,\"args\":{\"value\":7}}]}");
+      "{\"name\":\"checkpoint\",\"ph\":\"X\",\"cat\":\"sim\",\"pid\":0,"
+      "\"tid\":1,\"ts\":500000,\"dur\":750000},"
+      "{\"name\":\"rollback\",\"ph\":\"X\",\"cat\":\"sim\",\"pid\":0,"
+      "\"tid\":0,\"ts\":2000000,\"dur\":500000},"
+      "{\"name\":\"engine.events\",\"ph\":\"C\",\"cat\":\"metrics\","
+      "\"pid\":0,\"tid\":0,\"ts\":0,\"args\":{\"value\":123}},"
+      "{\"name\":\"persist.queue_depth\",\"ph\":\"C\",\"cat\":\"metrics\","
+      "\"pid\":0,\"tid\":0,\"ts\":0,\"args\":{\"value\":2}},"
+      "{\"name\":\"store.bytes\",\"ph\":\"C\",\"cat\":\"metrics\","
+      "\"pid\":0,\"tid\":0,\"ts\":0,\"args\":{\"value\":2}}]}");
 }
 
 // ---------------------------------------------------------------------------
-// Instrumented engine runs + parallel ≡ serial aggregation
+// Instrumented engine runs
 // ---------------------------------------------------------------------------
 
 mp::Program ring_program() {
@@ -393,7 +234,6 @@ mp::Program ring_program() {
 }
 
 TEST(ObsEngine, InstrumentedRunExportsEngineAndCalqueueLayers) {
-  ACFC_REQUIRE_OBS();
   const mp::Program program = ring_program();
   obs::Registry registry;
   sim::SimOptions opts;
@@ -436,38 +276,11 @@ TEST(ObsEngine, DetachedRegistryStaysEmpty) {
   // running without obs is the default and works.
 }
 
-TEST(ObsBatch, ParallelAndSerialMergedSnapshotsAreByteIdentical) {
-  ACFC_REQUIRE_OBS();
-  const mp::Program program = ring_program();
-  sim::SimOptions base;
-  base.nprocs = 4;
-  base.compute_jitter = 0.2;
-  const std::vector<sim::SimOptions> configs = sim::seed_sweep(base, 8);
-
-  const sim::ObservedBatch serial =
-      sim::run_batch_observed(program, configs, sim::McOptions{1});
-  const sim::ObservedBatch parallel =
-      sim::run_batch_observed(program, configs, sim::McOptions{4});
-
-  ASSERT_EQ(serial.results.size(), parallel.results.size());
-  for (std::size_t i = 0; i < serial.results.size(); ++i) {
-    EXPECT_EQ(serial.results[i].stats.events_processed,
-              parallel.results[i].stats.events_processed);
-    EXPECT_EQ(serial.snapshots[i].metrics, parallel.snapshots[i].metrics);
-  }
-  EXPECT_EQ(obs::to_jsonl(serial.merged), obs::to_jsonl(parallel.merged));
-  // And the merged fold actually aggregated: events equal the batch total.
-  long long total = 0;
-  for (const auto& r : serial.results) total += r.stats.events_processed;
-  EXPECT_EQ(serial.merged.find("engine.events_processed")->count, total);
-}
-
 // ---------------------------------------------------------------------------
-// Multi-writer hammer (TSan coverage of shards, gauge CAS, registration)
+// Multi-writer hammer (TSan coverage of counters, gauge CAS, registration)
 // ---------------------------------------------------------------------------
 
 TEST(ObsRegistry, ConcurrentWritersAndSnapshotsRaceCleanly) {
-  ACFC_REQUIRE_OBS();
   obs::Registry registry;
   constexpr int kThreads = 6;
   constexpr int kOps = 4000;
@@ -635,7 +448,6 @@ obs::MetricsSnapshot fully_instrumented_snapshot() {
 }
 
 TEST(ObsCatalog, EveryRegisteredMetricHasAMatchingDocsRow) {
-  ACFC_REQUIRE_OBS();
   std::ifstream file(ACFC_DOCS_DIR "/observability.md");
   ASSERT_TRUE(file.good()) << "cannot open " ACFC_DOCS_DIR "/observability.md";
   std::stringstream text;

@@ -442,9 +442,6 @@ TEST(Determinism, SupervisedFanOutMatchesSerialExecution) {
 // Observability: the detection control plane exports its counters
 
 TEST(Obs, SupervisionMetricsAndOutageSpansAreExported) {
-#if !ACFC_OBS
-  GTEST_SKIP() << "observability compiled out (ACFC_OBS=0)";
-#endif
   const mp::Program program = mp::parse(kRing);
   sim::SimOptions opts = ring_options();
   opts.fault_plan.faults = {sim::FaultPlan::at_time(1, 7.0)};

@@ -12,8 +12,6 @@
 //    triggers fire where they claim to.
 //  * ProtocolRecovery: the same oracle through every protocol baseline
 //    (sync-and-stop, Chandy–Lamport, Koo–Toueg, CIC, uncoordinated).
-//  * StoreBackedRecovery: restore costs derived from a StableStore's
-//    incremental chains shift the per-process restart times.
 #include <algorithm>
 #include <limits>
 #include <string>
@@ -27,7 +25,6 @@
 #include "proto/protocols.h"
 #include "sim/montecarlo.h"
 #include "sim/recovery.h"
-#include "store/store.h"
 #include "trace/analysis.h"
 #include "util/error.h"
 
@@ -407,42 +404,6 @@ TEST(ProtocolRecovery, CoordinatedRollbackIsShallow) {
   ASSERT_EQ(result.recoveries.size(), 1u);
   for (const int demotions : result.recoveries[0].rollbacks)
     EXPECT_EQ(demotions, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Store-backed restore costs
-// ---------------------------------------------------------------------------
-
-TEST(StoreBackedRecovery, RestoreChainDelaysRestart) {
-  const mp::Program program = mp::parse(kRing);
-
-  store::StorageModel model;
-  model.write_bandwidth = 1e6;  // slow store: visible (o, l) and restores
-  model.read_bandwidth = 1e6;
-  store::StableStore store(model, store::CheckpointMode::kIncremental, 4);
-
-  sim::SimOptions opts;
-  opts.nprocs = 4;
-  opts.recovery_overhead = 1.0;
-  opts.checkpoint_cost_fn =
-      store::checkpoint_cost_fn(store, [](int) { return 500'000L; });
-  opts.recovery_cost_fn = store::restore_cost_fn(store);
-  opts.fault_plan.faults = {sim::FaultPlan::at_time(0, 15.0)};
-
-  sim::Engine engine(program, opts);
-  const auto result = engine.run();
-  ASSERT_TRUE(result.trace.completed);
-  ASSERT_EQ(result.recoveries.size(), 1u);
-  const sim::RecoveryRec& rec = result.recoveries[0];
-  // The restart is delayed past R by the store's restore chain. (The
-  // store keeps accumulating records after recovery, so compare against a
-  // lower bound, not the end-of-run chain.)
-  double max_restore = 0.0;
-  for (int p = 0; p < 4; ++p)
-    max_restore = std::max(max_restore, store.restore_seconds(p));
-  EXPECT_GT(max_restore, 0.0);
-  EXPECT_GT(rec.resume_time, rec.fail_time + 1.0);
-  EXPECT_TRUE(trace::analyze_cut(result.trace, rec.cut).consistent);
 }
 
 // ---------------------------------------------------------------------------

@@ -225,25 +225,6 @@ TEST(StoreIntegrity, StaleManifestHealsOnNextPublish) {
   EXPECT_GT(s.manifest_of(0).version, version_before);
 }
 
-TEST(StoreIntegrity, ManifestRoundTrips) {
-  StableStore s(fast_model(), CheckpointMode::kIncremental, 2);
-  for (int i = 0; i < 5; ++i) s.write_checkpoint(1, 2'000'000, i);
-  const store::Manifest manifest = s.manifest_of(1);
-  const std::string encoded = store::encode_manifest(manifest);
-  const auto parsed = store::parse_manifest(encoded);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->proc, manifest.proc);
-  EXPECT_EQ(parsed->version, manifest.version);
-  ASSERT_EQ(parsed->entries.size(), manifest.entries.size());
-  for (size_t i = 0; i < manifest.entries.size(); ++i) {
-    EXPECT_EQ(parsed->entries[i].ordinal, manifest.entries[i].ordinal);
-    EXPECT_EQ(parsed->entries[i].bytes, manifest.entries[i].bytes);
-    EXPECT_EQ(parsed->entries[i].full_image,
-              manifest.entries[i].full_image);
-    EXPECT_EQ(parsed->entries[i].checksum, manifest.entries[i].checksum);
-  }
-}
-
 TEST(StoreIntegrity, GcNeverUnchainsTheDegradedFallbackTarget) {
   // Records 1..4, the two newest rotten: a degraded restore falls back to
   // ordinal 2. collect_garbage(1) must keep it restorable — corrupt

@@ -269,8 +269,7 @@ void write_or_print(const std::optional<std::string>& path,
     std::cout << text;
     return;
   }
-  std::ofstream out(*path);
-  out << text;
+  obs::save_text(*path, text);
   std::cout << "wrote " << *path << '\n';
 }
 
@@ -510,8 +509,7 @@ int cmd_explore(const Args& args) {
   std::cout << '\n';
   if (args.output) {
     const auto artifact = explore::make_artifact(scenario, opts, minimal);
-    std::ofstream out(*args.output);
-    out << explore::to_text(artifact);
+    obs::save_text(*args.output, explore::to_text(artifact));
     std::cout << "wrote " << *args.output << '\n';
   }
   return 1;

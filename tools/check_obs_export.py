@@ -11,7 +11,7 @@ checks, with only the stdlib json module as the oracle:
 
   * <prefix>.metrics.jsonl — every line parses as a JSON object shaped
     like a metric ({"metric", "kind", "layer", "unit", ...}) or a span
-    ({"span", "track", "ts_us", "dur_us", "depth"});
+    ({"span", "track", "ts_us", "dur_us"});
   * every instrumented layer actually emitted (engine, transport,
     calqueue, store, persist) and the marquee metric of each is present;
     `calqueue` is the event queue's layer (src/sim/event.h), which kept
@@ -67,7 +67,7 @@ def check_metric_line(lineno, obj):
 
 
 def check_span_line(lineno, obj):
-    for key in ("track", "ts_us", "dur_us", "depth"):
+    for key in ("track", "ts_us", "dur_us"):
         if not isinstance(obj.get(key), int):
             fail(f"metrics.jsonl:{lineno}: span lacks integer {key!r}")
     if obj["dur_us"] < 0:

@@ -3,17 +3,15 @@
 # configuration is configured, compiled, and ctest-run. The default matrix
 # is what CI gates on; MATRIX_FULL=1 adds the remaining sanitizer build.
 #
-#   default    — RelWithDebInfo, observability ON (the shipping config)
-#   obs-off    — -DACFC_OBS=OFF: the no-op observability stubs must still
-#                compile every instrumentation site and pass the suite
+#   default    — RelWithDebInfo (the shipping config)
 #   tsan       — -DACFC_TSAN=ON: the Monte-Carlo pool, the parallel
 #                explorer shards, and the supervised runtime under
 #                ThreadSanitizer (default: data races in the detection
 #                control plane would silently break bit-determinism)
 #   asan-ubsan — -DACFC_SANITIZE=address,undefined (MATRIX_FULL=1)
 #
-#   tools/test_matrix.sh                # default + obs-off + tsan
-#   MATRIX_FULL=1 tools/test_matrix.sh  # all four legs
+#   tools/test_matrix.sh                # default + tsan
+#   MATRIX_FULL=1 tools/test_matrix.sh  # all three legs
 #   MATRIX_LABELS=tier1 tools/test_matrix.sh   # ctest label filter
 set -euo pipefail
 
@@ -37,7 +35,6 @@ run_leg() {
 }
 
 run_leg default
-run_leg obs-off -DACFC_OBS=OFF
 run_leg tsan -DACFC_TSAN=ON
 
 if [ "${MATRIX_FULL:-0}" = "1" ]; then
