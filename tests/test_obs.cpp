@@ -3,13 +3,15 @@
 //     high-water, histogram log-bucket boundaries and saturation;
 //   * snapshots — name-sorted freeze, trailing-bucket trimming;
 //   * exporters — JSON-lines and chrome://tracing pinned by golden bytes,
-//     byte determinism;
+//     chrome://tracing output read back as well-formed JSON, byte
+//     determinism;
 //   * a multi-writer hammer that gives TSan the registry;
 //   * the metric-catalog drift gate: every metric a fully instrumented
 //     run registers has a docs/observability.md row with its kind and
 //     unit, and every row names a registered metric.
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -201,6 +203,182 @@ TEST(ObsExport, JsonlGoldenBytes) {
 TEST(ObsExport, JsonlIsByteDeterministicAcrossIdenticalRegistries) {
   EXPECT_EQ(obs::to_jsonl(sample_snapshot()),
             obs::to_jsonl(sample_snapshot()));
+}
+
+// A strict RFC 8259 reader just large enough to check an export is a
+// well-formed JSON document; object members keep their order.
+struct JsonValue {
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  std::string text;                // kString
+  std::vector<std::string> keys;   // kObject, parallel to items
+  std::vector<JsonValue> items;    // kArray elements or kObject values
+
+  const JsonValue* get(const std::string& key) const {
+    for (std::size_t i = 0; i < keys.size(); ++i)
+      if (keys[i] == key) return &items[i];
+    return nullptr;
+  }
+};
+
+class JsonReader {
+ public:
+  explicit JsonReader(const std::string& s) : s_(s) {}
+
+  // The whole input as one value, or false on any syntax error.
+  bool document(JsonValue& out) {
+    if (!value(out, 0)) return false;
+    ws();
+    return pos_ == s_.size();
+  }
+
+ private:
+  void ws() {
+    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' ||
+                                s_[pos_] == '\n' || s_[pos_] == '\r'))
+      ++pos_;
+  }
+  bool eat(char c) {
+    ws();
+    if (pos_ < s_.size() && s_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool word(const char* w) {
+    const std::string lit(w);
+    if (s_.compare(pos_, lit.size(), lit) != 0) return false;
+    pos_ += lit.size();
+    return true;
+  }
+  bool digits() {
+    const std::size_t start = pos_;
+    while (pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9') ++pos_;
+    return pos_ > start;
+  }
+  bool number() {
+    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
+    if (pos_ < s_.size() && s_[pos_] == '0') {
+      ++pos_;
+    } else if (!digits()) {
+      return false;
+    }
+    if (pos_ < s_.size() && s_[pos_] == '.') {
+      ++pos_;
+      if (!digits()) return false;
+    }
+    if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
+      ++pos_;
+      if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-')) ++pos_;
+      if (!digits()) return false;
+    }
+    return true;
+  }
+  bool string(std::string& out) {
+    if (!eat('"')) return false;
+    while (pos_ < s_.size()) {
+      const char c = s_[pos_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        out.push_back(c);
+        continue;
+      }
+      if (pos_ >= s_.size()) return false;
+      const char e = s_[pos_++];
+      if (e == 'u') {
+        for (int i = 0; i < 4; ++i, ++pos_)
+          if (pos_ >= s_.size() || !std::isxdigit(
+                                       static_cast<unsigned char>(s_[pos_])))
+            return false;
+        out.push_back('?');
+      } else if (std::string("\"\\/bfnrt").find(e) != std::string::npos) {
+        out.push_back(e);
+      } else {
+        return false;
+      }
+    }
+    return false;
+  }
+  bool value(JsonValue& out, int depth) {
+    if (depth > 64) return false;
+    ws();
+    if (pos_ >= s_.size()) return false;
+    const char c = s_[pos_];
+    if (c == '{') {
+      ++pos_;
+      out.kind = JsonValue::Kind::kObject;
+      if (eat('}')) return true;
+      do {
+        std::string key;
+        if (!string(key) || !eat(':')) return false;
+        JsonValue member;
+        if (!value(member, depth + 1)) return false;
+        out.keys.push_back(std::move(key));
+        out.items.push_back(std::move(member));
+      } while (eat(','));
+      return eat('}');
+    }
+    if (c == '[') {
+      ++pos_;
+      out.kind = JsonValue::Kind::kArray;
+      if (eat(']')) return true;
+      do {
+        JsonValue item;
+        if (!value(item, depth + 1)) return false;
+        out.items.push_back(std::move(item));
+      } while (eat(','));
+      return eat(']');
+    }
+    if (c == '"') {
+      out.kind = JsonValue::Kind::kString;
+      return string(out.text);
+    }
+    if (c == 't' || c == 'f') {
+      out.kind = JsonValue::Kind::kBool;
+      return word(c == 't' ? "true" : "false");
+    }
+    if (c == 'n') return word("null");
+    out.kind = JsonValue::Kind::kNumber;
+    return number();
+  }
+
+  const std::string& s_;
+  std::size_t pos_ = 0;
+};
+
+TEST(ObsExport, ChromeTraceIsValidJsonWithSpanAndCounterEvents) {
+  const std::string text = obs::to_chrome_trace(sample_snapshot());
+  JsonValue doc;
+  ASSERT_TRUE(JsonReader(text).document(doc)) << text;
+  ASSERT_EQ(doc.kind, JsonValue::Kind::kObject);
+  const JsonValue* events = doc.get("traceEvents");
+  ASSERT_NE(events, nullptr);
+  ASSERT_EQ(events->kind, JsonValue::Kind::kArray);
+  // 2 spans ("X") + 3 metrics ("C").
+  ASSERT_EQ(events->items.size(), 5u);
+  int xs = 0, cs = 0;
+  for (const JsonValue& e : events->items) {
+    ASSERT_EQ(e.kind, JsonValue::Kind::kObject);
+    const JsonValue* ph = e.get("ph");
+    ASSERT_NE(ph, nullptr);
+    ASSERT_NE(e.get("name"), nullptr);
+    ASSERT_NE(e.get("ts"), nullptr);
+    if (ph->text == "X") {
+      ++xs;
+      ASSERT_NE(e.get("dur"), nullptr);
+    } else if (ph->text == "C") {
+      ++cs;
+      ASSERT_NE(e.get("args"), nullptr);
+    }
+  }
+  EXPECT_EQ(xs, 2);
+  EXPECT_EQ(cs, 3);
+  // The reader is strict: a truncated export is not a document.
+  JsonValue truncated;
+  EXPECT_FALSE(
+      JsonReader(text.substr(0, text.size() - 1)).document(truncated));
 }
 
 TEST(ObsExport, ChromeTraceGoldenBytes) {
