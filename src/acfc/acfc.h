@@ -47,7 +47,6 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "workloads/workloads.h"
-#include "perf/markov.h"
 #include "perf/model.h"
 #include "place/place.h"
 #include "proto/chandy_lamport.h"

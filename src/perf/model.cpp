@@ -13,37 +13,6 @@ double expected_interval_time(const ModelParams& p) {
   return (1.0 - std::exp(-a)) * std::exp(b) / p.lambda;
 }
 
-MarkovChain interval_chain(const ModelParams& p) {
-  MarkovChain chain;
-  const int s_i = chain.add_state("i");
-  const int s_r = chain.add_state("R_i");
-  const int s_next = chain.add_state("i+1");  // absorbing
-
-  const double to = p.T + p.total_overhead();
-  const double tr = p.T + p.R + p.total_latency();
-  const double p_ok = std::exp(-p.lambda * to);
-  const double p_fail = 1.0 - p_ok;
-  // Expected time to failure conditioned on a failure within [0, to).
-  const double w_fail =
-      1.0 / p.lambda - to * std::exp(-p.lambda * to) / p_fail;
-  const double p_r_ok = std::exp(-p.lambda * tr);
-  const double p_r_fail = 1.0 - p_r_ok;
-  const double w_r_fail =
-      1.0 / p.lambda - tr * std::exp(-p.lambda * tr) / p_r_fail;
-
-  chain.add_transition(s_i, s_next, p_ok, to);
-  chain.add_transition(s_i, s_r, p_fail, w_fail);
-  chain.add_transition(s_r, s_next, p_r_ok, tr);
-  chain.add_transition(s_r, s_r, p_r_fail, w_r_fail);
-  (void)s_next;
-  return chain;
-}
-
-double expected_interval_time_numeric(const ModelParams& p) {
-  const MarkovChain chain = interval_chain(p);
-  return chain.expected_cost_to_absorption()[0];
-}
-
 double overhead_ratio(const ModelParams& p) {
   ACFC_CHECK_MSG(p.T > 0.0, "model needs T > 0");
   return expected_interval_time(p) / p.T - 1.0;
@@ -85,15 +54,6 @@ double optimal_checkpoint_interval(ModelParams params, double t_lo,
 double young_interval(const ModelParams& params) {
   ACFC_CHECK_MSG(params.lambda > 0.0, "young_interval needs lambda > 0");
   return std::sqrt(2.0 * params.total_overhead() / params.lambda);
-}
-
-WasteBreakdown waste_breakdown(const ModelParams& params) {
-  const double gamma = expected_interval_time(params);
-  WasteBreakdown out;
-  out.useful = params.T / gamma;
-  out.overhead = params.total_overhead() / gamma;
-  out.rollback = std::max(0.0, 1.0 - out.useful - out.overhead);
-  return out;
 }
 
 double system_failure_rate(double p_single, int nprocs) {

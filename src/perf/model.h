@@ -14,8 +14,8 @@
 //
 //      Γ = λ⁻¹ · (1 − e^{−λ(T+O)}) · e^{λ(T+R+L)}
 //
-// (which we also re-derive numerically from the generic chain solver in
-// tests), and the overhead ratio is r = Γ/T − 1.
+// (which tests/perf_reference.h re-derives numerically from a generic
+// chain solver), and the overhead ratio is r = Γ/T − 1.
 //
 // Protocol coordination terms (per checkpoint, fully connected network,
 // message cost w_m + 8·w_b for the 8-bit program message):
@@ -33,7 +33,6 @@
 #include <string>
 #include <vector>
 
-#include "perf/markov.h"
 #include "proto/protocols.h"
 
 namespace acfc::perf {
@@ -54,13 +53,6 @@ struct ModelParams {
 /// Expected interval completion time Γ (closed form).
 double expected_interval_time(const ModelParams& params);
 
-/// Γ evaluated by building the 3-state chain and solving it exactly —
-/// used to validate the closed form.
-double expected_interval_time_numeric(const ModelParams& params);
-
-/// Builds the 3-state chain of Figure 7 (states "i", "R_i", "i+1").
-MarkovChain interval_chain(const ModelParams& params);
-
 /// Overhead ratio r = Γ/T − 1.
 double overhead_ratio(const ModelParams& params);
 
@@ -73,17 +65,6 @@ double optimal_checkpoint_interval(ModelParams params, double t_lo = 1.0,
 
 /// Young's first-order approximation sqrt(2·O/λ) for the same parameters.
 double young_interval(const ModelParams& params);
-
-/// Where the expected interval time Γ goes: useful work T, checkpoint +
-/// coordination overhead O, and failure/rollback waste (the remainder).
-/// Fractions sum to 1.
-struct WasteBreakdown {
-  double useful = 0.0;     ///< T / Γ
-  double overhead = 0.0;   ///< O / Γ
-  double rollback = 0.0;   ///< 1 − (T+O)/Γ
-};
-
-WasteBreakdown waste_breakdown(const ModelParams& params);
 
 // -- Protocol parameterization ----------------------------------------------
 

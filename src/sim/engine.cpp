@@ -8,6 +8,7 @@
 #endif
 
 #include "obs/metrics.h"
+#include "sim/snapshot_codec.h"
 #include "util/error.h"
 
 namespace acfc::sim {
@@ -163,6 +164,11 @@ Engine::Engine(const Model* model, const mp::Program* program,
   // without reallocating. Growth beyond the hint stays geometric.
   trace_.reserve(/*events=*/256 * n, /*messages=*/96 * n,
                  /*checkpoints=*/32 * n);
+  // The image arena starts with room for 16 records of a small state: 24
+  // bytes per process (send and receive counters, clock word) plus 256 for
+  // the header, a short stack and a few counters. A short run's takes then
+  // append without regrowing it.
+  if (opts_.keep_snapshots) images_.reserve(16 * (256 + 24 * n));
   if (opts_.schedule_hook != nullptr) {
     ACFC_CHECK_MSG(!opts_.delay.lossy(),
                    "schedule hooks require the reliable fast path");
@@ -757,9 +763,8 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   rec.forced = forced;
   if (opts_.keep_snapshots) {
     rec.snapshot = static_cast<int>(snapshots_.size());
-    snapshots_.push_back(
-        EngineSnapshot{std::make_shared<const VmSnapshot>(proc.vm->state()),
-                       proc.pending_recv});
+    snapshots_.push_back(EngineSnapshot{
+        append_snapshot_image(proc.vm->state(), images_), proc.pending_recv});
   }
   trace_.checkpoints.push_back(rec);
 
@@ -1062,14 +1067,15 @@ void Engine::perform_rollback(int failed_proc) {
                      "recovery needs keep_snapshots=true");
       const EngineSnapshot& snap =
           snapshots_[static_cast<size_t>(ckpt.snapshot)];
-      proc.vm->restore(*snap.vm);
+      read_snapshot_image(images_.data() + snap.offset,
+                          proc.vm->mutable_state());
       proc.pending_recv = snap.pending_recv;
     }
     // Rewind the completed-checkpoint tally to the restored state so that
     // checkpoint_count() (CIC piggybacks) reflects the new incarnation.
     long restored_ckpts = 0;
     for (const auto& entry : proc.vm->state().ckpt_instances.entries)
-      restored_ckpts += entry.second;
+      restored_ckpts += entry.value;
     ckpt_counts_[static_cast<size_t>(p)] = restored_ckpts;
     proc.pending_compute_uid = -1;
     proc.pause_requested = false;

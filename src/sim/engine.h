@@ -16,6 +16,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "mp/stmt.h"
@@ -447,13 +448,13 @@ class Engine {
   /// engine; survives VM re-creation on rollback.
   std::vector<InvariantSlot> invariants_;
 
-  /// A restorable checkpoint image: VM state plus any outstanding blocking
-  /// receive (a protocol may force a checkpoint while a process is blocked,
-  /// in which case the receive is still pending in the restored state).
-  /// The VM state is an immutable shared image — rollbacks and repeated
-  /// restores alias it instead of copying.
+  /// A restorable checkpoint: the offset of its VM image in images_ plus
+  /// any outstanding blocking receive (a protocol may force a checkpoint
+  /// while a process is blocked, in which case the receive is still pending
+  /// in the restored state). Images are never modified once appended, so
+  /// any number of rollbacks may decode the same one.
   struct EngineSnapshot {
-    std::shared_ptr<const VmSnapshot> vm;
+    std::size_t offset = 0;
     std::optional<ActionRecv> pending_recv;
   };
 
@@ -479,6 +480,10 @@ class Engine {
   std::vector<StallSpec> stalls_;
   std::vector<std::unique_ptr<Process>> procs_;
   std::vector<EngineSnapshot> snapshots_;
+  /// Append-only arena of VM image records (sim/snapshot_codec.h): a take
+  /// appends one record, so the images of a run cost amortized growth of
+  /// one buffer instead of allocations per take.
+  std::string images_;
   /// Per-process completed-checkpoint tally — checkpoint_count() is on the
   /// CIC piggyback path (one call per app message), so it must be O(1).
   std::vector<long> ckpt_counts_;

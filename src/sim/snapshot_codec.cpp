@@ -3,6 +3,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <vector>
 
 namespace acfc::sim {
@@ -36,7 +37,85 @@ void put_counters(std::string& out, const CounterMap& counters) {
   }
 }
 
+/// Fixed part of an image record; the arrays follow in declaration order
+/// of the counts.
+struct ImageHeader {
+  std::uint64_t digest;
+  std::uint64_t rng[4];
+  long collectives_done;
+  std::uint32_t frames;
+  std::uint32_t sends;
+  std::uint32_t recvs;
+  std::uint32_t irregular;
+  std::uint32_t ckpts;
+  std::uint32_t clock;
+};
+
+template <typename T>
+char* put_array(char* out, const T* items, std::size_t count) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  if (count != 0) std::memcpy(out, items, count * sizeof(T));
+  return out + count * sizeof(T);
+}
+
+template <typename T>
+const char* get_array(const char* in, std::vector<T>& items,
+                      std::size_t count) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  items.resize(count);
+  if (count != 0) std::memcpy(items.data(), in, count * sizeof(T));
+  return in + count * sizeof(T);
+}
+
 }  // namespace
+
+std::size_t append_snapshot_image(const VmSnapshot& snapshot,
+                                  std::string& arena) {
+  ImageHeader header{};
+  header.digest = snapshot.digest;
+  snapshot.rng.save_state(header.rng);
+  header.collectives_done = snapshot.collectives_done;
+  header.frames = static_cast<std::uint32_t>(snapshot.stack.size());
+  header.sends = static_cast<std::uint32_t>(snapshot.sends_per_channel.size());
+  header.recvs = static_cast<std::uint32_t>(snapshot.recvs_per_channel.size());
+  header.irregular =
+      static_cast<std::uint32_t>(snapshot.irregular_counts.entries.size());
+  header.ckpts =
+      static_cast<std::uint32_t>(snapshot.ckpt_instances.entries.size());
+  header.clock = static_cast<std::uint32_t>(snapshot.vc.size());
+
+  const std::size_t offset = arena.size();
+  arena.resize(offset + sizeof(ImageHeader) +
+               header.frames * sizeof(Frame) +
+               (header.sends + header.recvs) * sizeof(long) +
+               (header.irregular + header.ckpts) * sizeof(CounterMap::Entry) +
+               header.clock * sizeof(std::uint64_t));
+  char* out = put_array(arena.data() + offset, &header, 1);
+  out = put_array(out, snapshot.stack.data(), header.frames);
+  out = put_array(out, snapshot.sends_per_channel.data(), header.sends);
+  out = put_array(out, snapshot.recvs_per_channel.data(), header.recvs);
+  out = put_array(out, snapshot.irregular_counts.entries.data(),
+                  header.irregular);
+  out = put_array(out, snapshot.ckpt_instances.entries.data(), header.ckpts);
+  put_array(out, snapshot.vc.words(), header.clock);
+  return offset;
+}
+
+void read_snapshot_image(const char* image, VmSnapshot& snapshot) {
+  ImageHeader header{};
+  std::memcpy(&header, image, sizeof header);
+  snapshot.digest = header.digest;
+  snapshot.rng.load_state(header.rng);
+  snapshot.collectives_done = header.collectives_done;
+  const char* in = image + sizeof header;
+  in = get_array(in, snapshot.stack, header.frames);
+  in = get_array(in, snapshot.sends_per_channel, header.sends);
+  in = get_array(in, snapshot.recvs_per_channel, header.recvs);
+  in = get_array(in, snapshot.irregular_counts.entries, header.irregular);
+  in = get_array(in, snapshot.ckpt_instances.entries, header.ckpts);
+  std::memcpy(snapshot.vc.overwrite(static_cast<int>(header.clock)), in,
+              header.clock * sizeof(std::uint64_t));
+}
 
 std::string serialize_snapshot(const VmSnapshot& snapshot) {
   std::string out;

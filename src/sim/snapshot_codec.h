@@ -10,6 +10,13 @@
 // uid, never by address, so encodings are stable across runs and
 // processes.
 //
+// The engine keeps its own restorable images in a second, process-private
+// format: append_snapshot_image copies a state into one contiguous record
+// at the end of a per-engine arena, and read_snapshot_image writes a record
+// back into a VmSnapshot. A record is raw memory — frames keep their AST
+// pointers — so it is valid only inside the process that wrote it and is
+// never stored; ACFS is the only stored format.
+//
 // Two capture adapters package the serializer as engine hooks; both are
 // SimOptions::checkpoint_capture_fn values:
 //
@@ -51,6 +58,18 @@ std::string serialize_snapshot(const VmSnapshot& snapshot);
 /// it. Callers that persist many snapshots reuse one scratch buffer and
 /// pay zero allocations per take once it has warmed up.
 void serialize_snapshot_into(const VmSnapshot& snapshot, std::string& out);
+
+/// Appends `snapshot` to `arena` as one image record and returns the
+/// record's offset. The record is sized once and filled by memcpy: a
+/// header (digest, rng words, collectives_done, array lengths), then the
+/// frames, send and receive counters, irregular and checkpoint-instance
+/// counters, and clock words.
+std::size_t append_snapshot_image(const VmSnapshot& snapshot,
+                                  std::string& arena);
+
+/// Writes the record at `image` (from append_snapshot_image) into
+/// `snapshot`, reusing its vectors' capacity: read(append(s)) == s.
+void read_snapshot_image(const char* image, VmSnapshot& snapshot);
 
 /// A SimOptions::checkpoint_capture_fn that serializes every captured
 /// snapshot into `store`. Write times are a per-store sequence number (the

@@ -7,14 +7,14 @@
 // collective — for the discrete-event engine to schedule. Its entire
 // mutable state (control stack, RNG, vector clock, channel counters,
 // irregular-resolution counters, execution digest) lives in a VmSnapshot
-// value, which the engine stores on checkpoint and restores on rollback;
-// because the resolver is a pure function of (site, rank, instance),
-// re-execution from a snapshot reproduces the original run exactly.
+// value, which the engine copies into a checkpoint image on every take and
+// writes back on rollback; because the resolver is a pure function of
+// (site, rank, instance), re-execution from an image reproduces the
+// original run exactly.
 #pragma once
 
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <variant>
 #include <vector>
 
@@ -28,15 +28,21 @@ namespace acfc::sim {
 /// Tiny flat key → counter map. A process touches a handful of irregular
 /// sites and checkpoint ids, so a contiguous array with linear lookup beats
 /// a node-based map on both access and — critically for checkpointing —
-/// copy cost: snapshotting the counters is one allocation, not one per key.
+/// copy cost: the entries are one trivially copyable array, so a checkpoint
+/// image stores them with one memcpy.
 struct CounterMap {
-  std::vector<std::pair<int, std::int64_t>> entries;
+  struct Entry {
+    int key = 0;
+    std::int64_t value = 0;
+    bool operator==(const Entry&) const = default;
+  };
+  std::vector<Entry> entries;
 
   std::int64_t& operator[](int key) {
     for (auto& e : entries)
-      if (e.first == key) return e.second;
-    entries.emplace_back(key, 0);
-    return entries.back().second;
+      if (e.key == key) return e.value;
+    entries.push_back({key, 0});
+    return entries.back().value;
   }
 
   bool operator==(const CounterMap&) const = default;
@@ -52,6 +58,8 @@ struct Frame {
   const mp::LoopStmt* loop = nullptr;
   std::int64_t loop_value = 0;
   std::int64_t loop_hi = 0;
+
+  bool operator==(const Frame&) const = default;
 };
 
 /// Complete copyable process state.
@@ -72,6 +80,8 @@ struct VmSnapshot {
   long collectives_done = 0;
   /// Checkpoint-statement completions per static index (instances).
   CounterMap ckpt_instances;
+
+  bool operator==(const VmSnapshot&) const = default;
 };
 
 struct ActionCompute {
@@ -173,8 +183,8 @@ class Vm {
   bool done() const { return state_.stack.empty(); }
 
   const VmSnapshot& state() const { return state_; }
-  VmSnapshot snapshot() const { return state_; }
-  void restore(const VmSnapshot& snapshot) { state_ = snapshot; }
+  /// Rollback writes a checkpoint image back here (read_snapshot_image).
+  VmSnapshot& mutable_state() { return state_; }
 
   // -- Engine callbacks -------------------------------------------------
   void tick() { state_.vc.tick(rank_); }

@@ -20,6 +20,17 @@ void VClock::detach() {
   heap_ = std::move(fresh);
 }
 
+std::uint64_t* VClock::overwrite(int nprocs) {
+  if (nprocs <= kInlineCapacity) {
+    heap_.reset();
+  } else if (nprocs != size_ || heap_.use_count() != 1) {
+    heap_ = std::make_shared_for_overwrite<std::uint64_t[]>(
+        static_cast<std::size_t>(nprocs));
+  }
+  size_ = nprocs;
+  return nprocs > kInlineCapacity ? heap_.get() : small_;
+}
+
 void VClock::merge(const VClock& other) {
   ACFC_CHECK_MSG(size_ == other.size_, "vector clock size mismatch");
   std::uint64_t* mine = data();

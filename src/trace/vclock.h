@@ -83,10 +83,13 @@ class VClock {
   /// Advances this process's component (call on every local event).
   void tick(int proc) { ++data()[check_index(proc)]; }
 
-  /// Sets a component directly (deserialization only).
-  void set(int proc, std::uint64_t value) {
-    data()[check_index(proc)] = value;
-  }
+  /// The size() components, for raw copies (checkpoint images).
+  const std::uint64_t* words() const { return data(); }
+
+  /// Resizes to `nprocs` components and returns their storage for the
+  /// caller to fill (deserialization only). An unshared payload of the
+  /// same size is reused; otherwise the clock gets a fresh one.
+  std::uint64_t* overwrite(int nprocs);
 
   /// Componentwise max (call on message receipt with the sender's clock).
   void merge(const VClock& other);

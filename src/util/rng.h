@@ -88,6 +88,11 @@ class Rng {
     for (int i = 0; i < 4; ++i) out[i] = state_[i];
   }
 
+  /// Inverse of save_state: resumes the stream at the saved position.
+  void load_state(const std::uint64_t in[4]) {
+    for (int i = 0; i < 4; ++i) state_[i] = in[i];
+  }
+
   friend bool operator==(const Rng& a, const Rng& b) {
     for (int i = 0; i < 4; ++i)
       if (a.state_[i] != b.state_[i]) return false;

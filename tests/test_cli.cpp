@@ -148,6 +148,25 @@ TEST(Cli, NegativeCountsAndNonFiniteDoublesAreRejected) {
   }
 }
 
+TEST(Cli, ExploreRejectsOutOfRangeFlags) {
+  // Each of these used to get past the parser and die on an internal
+  // check (exit 1) inside explore() or the engine.
+  for (const std::string flag :
+       {"--budget 0", "--depth 0", "--tie-cap 0", "--tie-cap 99",
+        "--delay-steps 0"}) {
+    SCOPED_TRACE(flag);
+    const auto r = run_cli("explore -w ring -n 3 " + flag);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("invalid " + flag), std::string::npos)
+        << r.output;
+    EXPECT_NE(r.output.find("usage"), std::string::npos) << r.output;
+    EXPECT_EQ(r.output.find("ACFC_CHECK"), std::string::npos) << r.output;
+  }
+  EXPECT_EQ(run_cli("explore -w ring -n 3 --depth 2 --budget 4 --tie-cap 8")
+                .exit_code,
+            0);
+}
+
 TEST(Cli, RunAndExploreNeedTwoProcesses) {
   // -n 0 used to die on an internal check with exit 1.
   const std::string prog = program_path("jacobi_aligned.mp");

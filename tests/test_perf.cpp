@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "perf/markov.h"
+#include "perf_reference.h"
 #include "perf/model.h"
 #include "util/error.h"
 

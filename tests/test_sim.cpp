@@ -4,9 +4,13 @@
 // replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "mp/lower.h"
 #include "mp/parser.h"
 #include "sim/engine.h"
+#include "sim/snapshot_codec.h"
 #include "util/error.h"
 
 namespace {
@@ -377,6 +381,31 @@ TEST(SimFailure, MultipleFailuresStillComplete) {
   EXPECT_EQ(r.stats.restarts, 3);
 }
 
+TEST(SimFailure, RepeatedRollbackToOneImage) {
+  // The second failure strikes after the first restart and before any
+  // process takes a new checkpoint, so both rollbacks decode the same
+  // images; the first restore must have left them intact.
+  const mp::Program p = mp::parse(kRecoverable);
+  SimOptions clean;
+  clean.nprocs = 3;
+  const auto base = Engine(p, clean).run();
+
+  SimOptions faulty;
+  faulty.nprocs = 3;
+  faulty.recovery_overhead = 1.0;
+  faulty.fault_plan.faults = {sim::FaultPlan::at_time(1, 5.0),
+                              sim::FaultPlan::at_time(2, 6.5)};
+  const auto rec = Engine(p, faulty).run();
+  ASSERT_EQ(rec.recoveries.size(), 2u);
+  const auto& first = rec.recoveries[0].cut.member;
+  EXPECT_EQ(rec.recoveries[1].cut.member, first);
+  EXPECT_GT(std::count_if(first.begin(), first.end(),
+                          [](int member) { return member >= 0; }),
+            0);
+  EXPECT_TRUE(rec.trace.completed);
+  EXPECT_EQ(rec.trace.final_digest, base.trace.final_digest);
+}
+
 TEST(SimFailure, FailureAfterCompletionIsIgnored) {
   const mp::Program p = mp::parse("program quick { compute 1.0; }");
   SimOptions opts;
@@ -385,6 +414,83 @@ TEST(SimFailure, FailureAfterCompletionIsIgnored) {
   const auto r = Engine(p, opts).run();
   EXPECT_TRUE(r.trace.completed);
   EXPECT_EQ(r.stats.restarts, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint images (sim/snapshot_codec.h)
+// ---------------------------------------------------------------------------
+
+TEST(SnapshotImage, RoundTripsEveryField) {
+  const mp::Program p = mp::parse(R"(
+    program img {
+      for i in 0 .. 3 {
+        if (rank == 0) { compute 1.0; checkpoint; } else { compute 2.0; }
+      }
+    })");
+  const auto* loop = mp::stmt_cast<mp::LoopStmt>(p.body.stmts[0].get());
+  ASSERT_NE(loop, nullptr);
+  const auto* arm = mp::stmt_cast<mp::IfStmt>(loop->body.stmts[0].get());
+  ASSERT_NE(arm, nullptr);
+
+  // n = 12 spills the clock out of its inline storage.
+  sim::VmSnapshot a;
+  a.stack = {sim::Frame{&p.body, 0, nullptr, 0, 0},
+             sim::Frame{&loop->body, 0, loop, 2, 3},
+             sim::Frame{&arm->then_body, 1, nullptr, 0, 0}};
+  a.rng = util::Rng(7);
+  a.rng.next_u64();
+  a.vc = trace::VClock(12);
+  for (int i = 0; i < 12; ++i)
+    for (int k = 0; k <= i; ++k) a.vc.tick(i);
+  a.digest = 0x0123456789abcdefULL;
+  a.irregular_counts[3] = 5;
+  a.irregular_counts[-9] = 1;
+  a.sends_per_channel.assign(12, 0);
+  a.recvs_per_channel.assign(12, 0);
+  for (int i = 0; i < 12; ++i) {
+    a.sends_per_channel[static_cast<size_t>(i)] = 3L * i;
+    a.recvs_per_channel[static_cast<size_t>(i)] = 1L << i;
+  }
+  a.collectives_done = 4;
+  a.ckpt_instances[0] = 2;
+  a.ckpt_instances[1] = 1;
+
+  // A second, smaller state: inline clock, one frame, no counters.
+  sim::VmSnapshot b;
+  b.stack = {sim::Frame{&p.body, 1, nullptr, 0, 0}};
+  b.rng = util::Rng(8);
+  b.vc = trace::VClock(3);
+  b.vc.tick(2);
+  b.sends_per_channel = {0, 1, 2};
+  b.recvs_per_channel = {2, 1, 0};
+
+  std::string arena;
+  const std::size_t at_a = sim::append_snapshot_image(a, arena);
+  const std::size_t at_b = sim::append_snapshot_image(b, arena);
+  EXPECT_EQ(at_a, 0u);
+  EXPECT_GT(at_b, at_a);
+  // Each record is one header plus its arrays, so the two differ by 2
+  // frames, 18 channel counters, 4 counter entries and 9 clock words.
+  EXPECT_EQ(arena.size() - at_b, at_b - at_a - 2 * sizeof(sim::Frame) -
+                                     18 * sizeof(long) -
+                                     4 * sizeof(sim::CounterMap::Entry) -
+                                     9 * sizeof(std::uint64_t));
+
+  sim::VmSnapshot out;
+  sim::read_snapshot_image(arena.data() + at_a, out);
+  EXPECT_EQ(out, a);
+
+  // Reading the smaller image over the larger state reuses its vectors and
+  // leaves a clock sharing the old payload untouched.
+  const trace::VClock shared = out.vc;
+  const long* sends = out.sends_per_channel.data();
+  sim::read_snapshot_image(arena.data() + at_b, out);
+  EXPECT_EQ(out, b);
+  EXPECT_EQ(out.sends_per_channel.data(), sends);
+  EXPECT_EQ(shared, a.vc);
+
+  sim::read_snapshot_image(arena.data() + at_a, out);
+  EXPECT_EQ(out, a);
 }
 
 }  // namespace

@@ -98,11 +98,12 @@ struct Args {
   bool no_shrink = false;
 };
 
-/// A whole-string number >= lo: no leading blanks or '+', no trailing
-/// garbage, no wrap-around, finite (std::stoi and friends accept "4x" as
-/// 4, and std::stoull accepts "-1" as 2^64-1).
+/// A whole-string number in [lo, hi]: no leading blanks or '+', no
+/// trailing garbage, no wrap-around, finite (std::stoi and friends accept
+/// "4x" as 4, and std::stoull accepts "-1" as 2^64-1).
 template <typename T>
-std::optional<T> parse_number(const std::string& text, T lo) {
+std::optional<T> parse_number(const std::string& text, T lo,
+                              T hi = std::numeric_limits<T>::max()) {
   T value{};
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
@@ -110,7 +111,7 @@ std::optional<T> parse_number(const std::string& text, T lo) {
   if constexpr (std::is_floating_point_v<T>) {
     if (!std::isfinite(value)) return std::nullopt;
   }
-  if (value < lo) return std::nullopt;
+  if (value < lo || value > hi) return std::nullopt;
   return value;
 }
 
@@ -135,12 +136,12 @@ std::optional<Args> parse_args(int argc, char** argv) {
       return std::string(argv[++i]);
     };
     // Parses the flag's value into `out`; false (after saying why) if it
-    // is missing or not a number >= lo.
-    auto number = [&](auto& out, auto lo) {
+    // is missing or not a number in [lo, hi] (hi is optional).
+    auto number = [&](auto& out, auto lo, auto... hi) {
       const auto v = next();
       if (!v) return false;
       using T = std::decay_t<decltype(out)>;
-      const auto value = parse_number<T>(*v, T(lo));
+      const auto value = parse_number<T>(*v, T(lo), T(hi)...);
       if (!value) {
         std::cerr << "invalid " << arg << " " << *v << '\n';
         return false;
@@ -178,15 +179,16 @@ std::optional<Args> parse_args(int argc, char** argv) {
       if (!v) return std::nullopt;
       args.driver = *v;
     } else if (arg == "--depth") {
-      if (!number(args.depth, 0)) return std::nullopt;
+      if (!number(args.depth, 1)) return std::nullopt;
     } else if (arg == "--budget") {
-      if (!number(args.budget, 0)) return std::nullopt;
+      if (!number(args.budget, 1)) return std::nullopt;
     } else if (arg == "--max-failures") {
       if (!number(args.max_failures, 0)) return std::nullopt;
     } else if (arg == "--tie-cap") {
-      if (!number(args.tie_cap, 0)) return std::nullopt;
+      if (!number(args.tie_cap, 1, sim::PerturbOptions::kMaxTieBreak))
+        return std::nullopt;
     } else if (arg == "--delay-steps") {
-      if (!number(args.delay_steps, 0)) return std::nullopt;
+      if (!number(args.delay_steps, 1)) return std::nullopt;
     } else if (arg == "--delay-quantum") {
       if (!number(args.delay_quantum, 0.0)) return std::nullopt;
     } else if (arg == "--iterations") {

@@ -59,12 +59,20 @@ LAYERS = (
     ("trace recording", ("acfc::sim::Engine::note", "acfc::trace::Trace::",
                          "acfc::trace::EventRec", "acfc::trace::MsgRec",
                          "acfc::trace::CkptRec")),
-    ("checkpoint capture", ("acfc::sim::Engine::take_checkpoint",
-                            "acfc::sim::Engine::force_checkpoint",
-                            "acfc::sim::store_capture_fn",
+    # Capture work only, not all of take_checkpoint: the explorer hook and
+    # the trace note that run inside a take belong to their own layers.
+    # "acfc::sim::VmSnapshot const" matches the capture hook's
+    # std::function frames (their signature names the type) and shared
+    # images of older builds; a live VM's own state teardown is not capture.
+    ("checkpoint capture", ("acfc::sim::store_capture_fn",
                             "acfc::sim::async_store_capture_fn",
                             "acfc::sim::serialize_snapshot",
-                            "acfc::sim::VmSnapshot", "acfc::store::")),
+                            "acfc::sim::append_snapshot_image",
+                            "acfc::sim::read_snapshot_image",
+                            "acfc::sim::VmSnapshot const",
+                            "acfc::sim::VmSnapshot::VmSnapshot",
+                            "acfc::sim::VmSnapshot::operator=",
+                            "acfc::store::")),
 )
 
 

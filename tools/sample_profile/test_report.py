@@ -38,6 +38,10 @@ STACKS = [
     ["acfc::store::StableStore::write_payload",
      "acfc::sim::store_capture_fn", "acfc::sim::Engine::take_checkpoint",
      ENGINE_RUN, RUN, "main"],
+    # the explorer hook inside a take is not capture work
+    ["acfc::explore::PlanHook::choose",
+     "acfc::sim::Engine::offer_failure_point",
+     "acfc::sim::Engine::take_checkpoint", ENGINE_RUN, RUN, "main"],
     # the calendar queue of older builds is the same layer
     ["acfc::sim::CalendarQueue::resize", "acfc::sim::CalendarQueue::push",
      "acfc::sim::Engine::post", ENGINE_RUN, RUN, "main"],
@@ -56,23 +60,45 @@ class LayerShares(unittest.TestCase):
 
     def test_inclusive_shares_within_an_op(self):
         stacks = report.keep_within(STACKS, RUN)
-        self.assertEqual(len(stacks), 7)
+        self.assertEqual(len(stacks), 8)
         shares = report.layer_shares(stacks)
-        self.assertAlmostEqual(shares["event queue"], 2 / 7)
-        self.assertAlmostEqual(shares["VM step"], 1 / 7)
-        self.assertAlmostEqual(shares["vector clocks"], 1 / 7)
-        self.assertAlmostEqual(shares["transport shim"], 1 / 7)
-        self.assertAlmostEqual(shares["trace recording"], 1 / 7)
-        self.assertAlmostEqual(shares["checkpoint capture"], 1 / 7)
-        self.assertAlmostEqual(shares["other"], 1 / 7)
+        self.assertAlmostEqual(shares["event queue"], 2 / 8)
+        self.assertAlmostEqual(shares["VM step"], 1 / 8)
+        self.assertAlmostEqual(shares["vector clocks"], 1 / 8)
+        self.assertAlmostEqual(shares["transport shim"], 1 / 8)
+        self.assertAlmostEqual(shares["trace recording"], 1 / 8)
+        self.assertAlmostEqual(shares["checkpoint capture"], 1 / 8)
+        self.assertAlmostEqual(shares["other"], 2 / 8)
+
+    def test_explorer_hook_inside_a_take_is_not_capture(self):
+        hook = [s for s in STACKS if "acfc::sim::Engine::offer_failure_point" in s]
+        self.assertEqual(len(hook), 1)
+        shares = report.layer_shares(hook)
+        self.assertEqual(shares["checkpoint capture"], 0.0)
+        self.assertEqual(shares["other"], 1.0)
+
+    def test_capture_counts_image_copies_not_vm_teardown(self):
+        copy = ["malloc", "acfc::sim::VmSnapshot::VmSnapshot",
+                "std::make_shared<acfc::sim::VmSnapshot const, "
+                "acfc::sim::VmSnapshot const&>",
+                "acfc::sim::Engine::take_checkpoint", ENGINE_RUN]
+        hook = ["std::function<void (int, acfc::sim::VmSnapshot const&)>"
+                "::operator()", "acfc::sim::Engine::take_checkpoint",
+                ENGINE_RUN]
+        teardown = ["__libc_free", "acfc::sim::VmSnapshot::~VmSnapshot",
+                    "acfc::sim::Vm::~Vm", "acfc::sim::Engine::~Engine"]
+        shares = report.layer_shares([copy, hook, teardown])
+        self.assertAlmostEqual(shares["checkpoint capture"], 2 / 3)
+        self.assertEqual(
+            report.layer_shares([teardown])["checkpoint capture"], 0.0)
 
     def test_nested_layers_overlap_and_other_excludes_them(self):
         shares = report.layer_shares(STACKS)
         # The VM-step sample also counts as vector clocks, so the layers
         # sum past the samples they cover.
         layered = sum(v for k, v in shares.items() if k != "other")
-        self.assertAlmostEqual(layered, 7 / 8)
-        self.assertAlmostEqual(shares["other"], 2 / 8)
+        self.assertAlmostEqual(layered, 7 / 9)
+        self.assertAlmostEqual(shares["other"], 3 / 9)
         self.assertGreater(layered + shares["other"], 1.0)
 
     def test_no_samples_gives_zero_shares(self):
@@ -83,9 +109,9 @@ class LayerShares(unittest.TestCase):
         out = io.StringIO()
         report.layer_report(STACKS, within=ENGINE_RUN, out=out)
         text = out.getvalue()
-        self.assertIn("samples: 7 within 'acfc::sim::Engine::run'", text)
-        self.assertIn("   28.6  event queue", text)
-        self.assertIn("   14.3  other", text)
+        self.assertIn("samples: 8 within 'acfc::sim::Engine::run'", text)
+        self.assertIn("   25.0  event queue", text)
+        self.assertIn("   25.0  other", text)
 
 
 class Addr2lineParsing(unittest.TestCase):
