@@ -62,11 +62,8 @@ int main() {
       store::StableStore stable(model, mode, 6);
       sim::SimOptions opts;
       opts.nprocs = 6;
-      opts.checkpoint_cost_fn = [&stable, mb](int proc) {
-        const auto cost =
-            stable.write_checkpoint(proc, mb * 1'000'000, 0.0);
-        return std::make_pair(cost.seconds, cost.seconds);
-      };
+      opts.checkpoint_cost_fn = store::checkpoint_cost_fn(
+          stable, [mb](int) { return mb * 1'000'000; });
       sim::Engine engine(program, opts);
       const auto result = engine.run();
       if (!result.trace.completed) {

@@ -232,7 +232,7 @@ std::optional<Artifact> parse_artifact(std::string_view text) {
     } else if (key == "cic_stagger") {
       ok = parse_double(value, 0.0, 1e3, a.scenario.proto.cic_stagger);
     } else if (key == "nprocs") {
-      ok = parse_int(value, 1, 256, a.scenario.nprocs);
+      ok = parse_int(value, 2, 256, a.scenario.nprocs);
     } else if (key == "seed") {
       ok = parse_u64(value, a.scenario.seed);
     } else if (key == "delay_setup") {

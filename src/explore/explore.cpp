@@ -5,7 +5,7 @@
 
 #include "sim/model.h"
 #include "sim/montecarlo.h"
-#include "trace/analysis.h"
+#include "sim/recovery.h"
 #include "util/error.h"
 
 namespace acfc::explore {
@@ -30,10 +30,7 @@ struct Ctx {
   /// schedule-independence check (failure-free schedules must reach the
   /// same final state along every interleaving) and the recovery-replay
   /// check (failure schedules must roll back TO that same state).
-  std::vector<std::uint64_t> baseline_digest;
-  std::vector<long> baseline_sends;
-  std::vector<long> baseline_recvs;
-  bool baseline_completed = false;
+  sim::SimResult baseline;
 };
 
 }  // namespace detail
@@ -46,7 +43,6 @@ struct RunOut {
   sim::SimResult result;
   std::vector<ChoiceRec> log;
   long total_choice_points = 0;
-  int failures_injected = 0;
   bool pruned = false;
   long memo_hits = 0;
   long states_recorded = 0;
@@ -83,80 +79,34 @@ RunOut run_plan(const Ctx& ctx, const std::vector<int>& plan,
   out.result = engine.run();
   out.log = hook.take_log();
   out.total_choice_points = hook.total_choice_points();
-  out.failures_injected = hook.failures_injected();
   out.pruned = hook.pruned();
   out.memo_hits = hook.memo_hits();
   out.states_recorded = hook.states_recorded();
   return out;
 }
 
-std::optional<std::string> orphan_violation(const sim::SimResult& run,
-                                            int nprocs) {
-  const auto n = static_cast<size_t>(nprocs);
-  for (size_t src = 0; src < n; ++src)
-    for (size_t dst = 0; dst < n; ++dst) {
-      const long sent = run.final_sends[src * n + dst];
-      const long consumed = run.final_recvs[dst * n + src];
-      if (consumed > sent)
-        return "orphan channel (" + std::to_string(src) + "→" +
-               std::to_string(dst) + "): receiver consumed " +
-               std::to_string(consumed) + " of " + std::to_string(sent) +
-               " sent";
-    }
-  return std::nullopt;
-}
-
+/// The shared recovery verdict (sim::check_run, then the CIC index
+/// invariant, then sim::check_replay against the baseline), as a
+/// reproducible Violation.
 std::optional<Violation> evaluate(const Ctx& ctx, const RunOut& run) {
-  const auto violated = [&run](const char* property, std::string detail) {
-    Violation v;
-    v.property = property;
-    v.detail = std::move(detail);
-    v.plan = trim_plan(taken_of(run.log));
-    v.digest = fold_digest(run.result.trace.final_digest);
-    return v;
-  };
-
-  if (!run.result.trace.completed)
-    return violated("completion",
-                    "a process never reached program exit");
-
-  for (const sim::RecoveryRec& rec : run.result.recoveries) {
-    const trace::CutAnalysis cut =
-        trace::analyze_cut(run.result.trace, rec.cut);
-    if (!cut.consistent)
-      return violated(
-          "cut-consistency",
-          "restored recovery line for proc " +
-              std::to_string(rec.failed_proc) + " at t=" +
-              std::to_string(rec.fail_time) + " has " +
-              std::to_string(cut.orphan_msgs.size()) + " orphan msgs");
-  }
-
-  if (auto orphan = orphan_violation(run.result, ctx.scenario.nprocs))
-    return violated("orphans", std::move(*orphan));
-
-  if (ctx.opts.check_cic_index) {
+  std::optional<sim::Verdict> verdict = sim::check_run(run.result);
+  if (!verdict && ctx.opts.check_cic_index) {
     if (auto cic = proto::check_cic_index_invariant(run.result))
-      return violated("cic-index", std::move(*cic));
+      verdict = sim::Verdict{"cic-index", std::move(*cic)};
   }
-
-  // Digest check: for deterministic source-specific workloads the final
-  // per-process digests are schedule-independent, so every explored
-  // schedule — perturbed, failed-and-recovered, or both — must land on
-  // the all-defaults baseline state.
-  if (ctx.opts.check_digest && ctx.baseline_completed) {
-    if (run.result.trace.final_digest != ctx.baseline_digest)
-      return violated("digest",
-                      run.failures_injected > 0
-                          ? "recovery replay diverged from the baseline "
-                            "final state"
-                          : "schedule-dependent final state");
-    if (run.result.final_sends != ctx.baseline_sends ||
-        run.result.final_recvs != ctx.baseline_recvs)
-      return violated("digest", "final channel counters diverged from "
-                                "the baseline");
-  }
-  return std::nullopt;
+  // For deterministic source-specific workloads the final per-process
+  // digests are schedule-independent, so every explored schedule —
+  // perturbed, failed-and-recovered, or both — must land on the
+  // all-defaults baseline state.
+  if (!verdict && ctx.opts.check_digest && ctx.baseline.trace.completed)
+    verdict = sim::check_replay(run.result, ctx.baseline);
+  if (!verdict) return std::nullopt;
+  Violation v;
+  v.property = std::move(verdict->property);
+  v.detail = std::move(verdict->detail);
+  v.plan = trim_plan(taken_of(run.log));
+  v.digest = fold_digest(run.result.trace.final_digest);
+  return v;
 }
 
 /// Per-shard accumulator, merged in shard-index order.
@@ -255,12 +205,9 @@ detail::Ctx::Ctx(const Scenario& scenario_in, const ExploreOptions& opts_in)
       model(program),
       factory(scenario_in.driver_factory()) {
   const std::vector<int> empty;
-  const RunOut baseline =
-      run_plan(*this, empty, /*suppress_failures=*/true, nullptr, nullptr);
-  baseline_completed = baseline.result.trace.completed;
-  baseline_digest = baseline.result.trace.final_digest;
-  baseline_sends = baseline.result.final_sends;
-  baseline_recvs = baseline.result.final_recvs;
+  baseline = run_plan(*this, empty, /*suppress_failures=*/true, nullptr,
+                      nullptr)
+                 .result;
 }
 
 std::uint64_t fold_digest(const std::vector<std::uint64_t>& parts) {

@@ -5,10 +5,11 @@
 // same-time tie-break, bounded delivery delay, and failure point is a node
 // whose out-edges are the alternatives. explore() walks that tree
 // depth-first to a bounded horizon, runs EVERY visited schedule to
-// completion, and applies the recovery oracle family to each: completion,
-// restored-cut consistency (trace::analyze_cut), zero orphans, digest
-// schedule-independence, and optionally the CIC index invariant
-// (proto::check_cic_index_invariant). State-hash memoization
+// completion, and judges each with the recovery oracle's verdict
+// (sim/recovery.h): sim::check_run (completion, restored-cut consistency,
+// corrupt members, zero orphans), optionally the CIC index invariant
+// (proto::check_cic_index_invariant), then sim::check_replay — digest
+// schedule-independence against the baseline. State-hash memoization
 // (Engine::schedule_state_hash) prunes subtrees rooted at states the
 // search has already expanded.
 //
@@ -88,8 +89,8 @@ struct ExploreOptions {
 
 /// One oracle violation, with everything needed to reproduce it.
 struct Violation {
-  std::string property;  ///< completion | cut-consistency | orphans |
-                         ///< digest | cic-index
+  std::string property;  ///< completion | cut-consistency |
+                         ///< corrupt-member | orphans | cic-index | digest
   std::string detail;    ///< human-readable specifics
   std::vector<int> plan; ///< trimmed choice plan that reproduces it
   std::uint64_t digest = 0;  ///< fold_digest of the violating run

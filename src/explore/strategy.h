@@ -71,7 +71,6 @@ class PlanHook final : public sim::ScheduleHook {
   std::vector<ChoiceRec> take_log() { return std::move(log_); }
   /// Every consulted point, including those past the horizon.
   long total_choice_points() const { return total_; }
-  int failures_injected() const { return failures_; }
   int partitions_injected() const { return partitions_; }
   int stalls_injected() const { return stalls_; }
   bool pruned() const { return pruned_; }

@@ -63,93 +63,70 @@ ProtocolRunResult run_protocol(const mp::Program& program, Protocol protocol,
   return out;
 }
 
-sim::OracleReport check_protocol_recovery(const mp::Program& program,
-                                          Protocol protocol,
-                                          const sim::SimOptions& sim_opts,
-                                          const sim::FaultPlan& plan,
-                                          const ProtocolOptions& proto_opts,
-                                          const sim::OracleOptions& oracle) {
-  return sim::check_recovery(
-      program, sim_opts, plan, oracle,
-      [protocol, proto_opts] { return make_driver(protocol, proto_opts); });
+namespace {
+
+/// The genuine protocols by their stable wire names, in Protocol order.
+struct NamedProtocol {
+  const char* name;
+  Protocol protocol;
+};
+constexpr NamedProtocol kProtocols[] = {
+    {"app-driven", Protocol::kAppDriven},
+    {"sync-and-stop", Protocol::kSyncAndStop},
+    {"chandy-lamport", Protocol::kChandyLamport},
+    {"koo-toueg", Protocol::kKooToueg},
+    {"cic", Protocol::kCic},
+    {"uncoordinated", Protocol::kUncoordinated},
+};
+
+/// Detector geometry scales off the protocol interval: heartbeats 5x
+/// faster than the timeout and a backoff ladder that tops out at one
+/// interval. "supervised" times out after one interval, polls twice per
+/// timeout and allows 3 restarts. The "supervised-fragile" negative
+/// control times out and polls every quarter interval — shorter than
+/// perturbations the explorer can inject — with a zero budget, so a
+/// single false suspicion quarantines a healthy process: the wedge the
+/// explorer must catch.
+sim::SupervisorOptions supervisor_options(const ProtocolOptions& opts,
+                                          bool fragile) {
+  sim::SupervisorOptions so;
+  so.detector.hb_interval = opts.interval / 5.0;
+  so.detector.timeout = fragile ? opts.interval / 4.0 : opts.interval;
+  so.detector.hb_bytes = opts.control_bytes;
+  so.poll_interval = fragile ? opts.interval / 4.0 : opts.interval / 2.0;
+  so.restart_budget = fragile ? 0 : 3;
+  so.backoff_base = opts.interval / 10.0;
+  so.backoff_factor = 2.0;
+  so.backoff_max = opts.interval;
+  return so;
+}
+
+}  // namespace
+
+sim::DriverFactory driver_factory(Protocol protocol,
+                                  const ProtocolOptions& opts) {
+  return [protocol, opts] { return make_driver(protocol, opts); };
 }
 
 sim::DriverFactory driver_factory_by_name(const std::string& name,
                                           const ProtocolOptions& opts) {
-  if (name == "app-driven")
-    return [] { return std::unique_ptr<sim::ProtocolDriver>(); };
-  if (name == "sync-and-stop")
-    return [opts] {
-      return std::unique_ptr<sim::ProtocolDriver>(
-          std::make_unique<SyncAndStopDriver>(opts));
-    };
-  if (name == "chandy-lamport")
-    return [opts] {
-      return std::unique_ptr<sim::ProtocolDriver>(
-          std::make_unique<ChandyLamportDriver>(opts));
-    };
-  if (name == "koo-toueg")
-    return [opts] {
-      return std::unique_ptr<sim::ProtocolDriver>(
-          std::make_unique<KooTouegDriver>(opts));
-    };
-  if (name == "cic")
-    return [opts] {
-      return std::unique_ptr<sim::ProtocolDriver>(
-          std::make_unique<CicDriver>(opts));
-    };
-  if (name == "uncoordinated")
-    return [opts] {
-      return std::unique_ptr<sim::ProtocolDriver>(
-          std::make_unique<UncoordinatedDriver>(opts));
-    };
+  for (const NamedProtocol& row : kProtocols)
+    if (name == row.name) return driver_factory(row.protocol, opts);
   if (name == "cic-broken")
-    return [opts] {
-      return std::unique_ptr<sim::ProtocolDriver>(
-          std::make_unique<BrokenCicDriver>(opts));
-    };
-  if (name == "supervised")
-    return [opts] {
-      // Detector geometry scales off the protocol interval: heartbeats 5x
-      // faster than the timeout, polls twice per timeout, and a backoff
-      // ladder that tops out at one interval.
-      sim::SupervisorOptions so;
-      so.detector.hb_interval = opts.interval / 5.0;
-      so.detector.timeout = opts.interval;
-      so.detector.hb_bytes = opts.control_bytes;
-      so.poll_interval = opts.interval / 2.0;
-      so.restart_budget = 3;
-      so.backoff_base = opts.interval / 10.0;
-      so.backoff_factor = 2.0;
-      so.backoff_max = opts.interval;
-      return std::unique_ptr<sim::ProtocolDriver>(
-          std::make_unique<sim::Supervisor>(so));
-    };
-  if (name == "supervised-fragile")
-    return [opts] {
-      // Negative control: the timeout is shorter than perturbations the
-      // explorer can inject and the budget is zero, so a single false
-      // suspicion quarantines a healthy process — the wedge the explorer
-      // must catch.
-      sim::SupervisorOptions so;
-      so.detector.hb_interval = opts.interval / 5.0;
-      so.detector.timeout = opts.interval / 4.0;
-      so.detector.hb_bytes = opts.control_bytes;
-      so.poll_interval = opts.interval / 4.0;
-      so.restart_budget = 0;
-      so.backoff_base = opts.interval / 10.0;
-      so.backoff_factor = 2.0;
-      so.backoff_max = opts.interval;
-      return std::unique_ptr<sim::ProtocolDriver>(
-          std::make_unique<sim::Supervisor>(so));
+    return [opts] { return std::make_unique<BrokenCicDriver>(opts); };
+  if (name == "supervised" || name == "supervised-fragile")
+    return [so = supervisor_options(opts, name == "supervised-fragile")] {
+      return std::make_unique<sim::Supervisor>(so);
     };
   throw util::ProgramError("unknown protocol driver name: " + name);
 }
 
 std::vector<std::string> explorable_driver_names() {
-  return {"app-driven", "sync-and-stop", "chandy-lamport",
-          "koo-toueg",  "cic",           "uncoordinated",
-          "supervised", "cic-broken",    "supervised-fragile"};
+  std::vector<std::string> names;
+  for (const NamedProtocol& row : kProtocols) names.emplace_back(row.name);
+  names.insert(names.end(),
+               {"supervised", "cic-broken", "supervised-fragile"});
+  return names;
 }
 
 std::optional<std::string> check_cic_index_invariant(

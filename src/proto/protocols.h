@@ -89,15 +89,10 @@ ProtocolRunResult run_protocol(const mp::Program& program, Protocol protocol,
                                const sim::SimOptions& sim_opts,
                                const ProtocolOptions& proto_opts = {});
 
-/// Runs the recovery oracle (sim::check_recovery) under `protocol`: a
-/// failure-free reference and a fault-injected run each get a fresh driver
-/// instance, and the oracle validates completion, restored-cut
-/// consistency, zero orphans, and bit-identical replay.
-sim::OracleReport check_protocol_recovery(
-    const mp::Program& program, Protocol protocol,
-    const sim::SimOptions& sim_opts, const sim::FaultPlan& plan,
-    const ProtocolOptions& proto_opts = {},
-    const sim::OracleOptions& oracle = {});
+/// A factory of fresh `protocol` drivers (make_driver per call) — the
+/// form sim::check_recovery and the explorer take.
+sim::DriverFactory driver_factory(Protocol protocol,
+                                  const ProtocolOptions& opts = {});
 
 /// Closed-form per-checkpoint coordination message count from the paper:
 /// M(SaS) = 5(n−1)·(w_m + 8·w_b), M(C-L) = 2n(n−1)·(w_m + 8·w_b), and 0

@@ -151,45 +151,80 @@ store::StorageFaultPlan random_storage_fault_plan(std::uint64_t seed,
   return plan;
 }
 
-namespace {
+std::optional<Verdict> check_run(const SimResult& run) {
+  if (!run.trace.completed)
+    return Verdict{"completion", "a process never reached program exit"};
 
-std::string describe_channel(int src, int dst) {
-  std::ostringstream out;
-  out << src << "→" << dst;
-  return out.str();
-}
+  for (size_t i = 0; i < run.recoveries.size(); ++i) {
+    const RecoveryRec& rec = run.recoveries[i];
+    const trace::CutAnalysis cut = trace::analyze_cut(run.trace, rec.cut);
+    if (!cut.consistent) {
+      std::ostringstream out;
+      out << "rollback " << i << " (proc " << rec.failed_proc
+          << " failed at t=" << rec.fail_time
+          << ") restored an inconsistent cut (" << cut.orphan_pairs.size()
+          << " orphan pairs)";
+      return Verdict{"cut-consistency", out.str()};
+    }
+  }
 
-/// First orphan violation in the final channel counters, if any.
-std::string orphan_violation(const SimResult& result, int nprocs) {
-  const auto n = static_cast<size_t>(nprocs);
-  if (result.final_sends.size() != n * n ||
-      result.final_recvs.size() != n * n)
-    return "final channel counters missing";
-  for (int src = 0; src < nprocs; ++src)
-    for (int dst = 0; dst < nprocs; ++dst) {
-      if (src == dst) continue;
-      const long sent =
-          result.final_sends[static_cast<size_t>(src) * n +
-                             static_cast<size_t>(dst)];
-      const long consumed =
-          result.final_recvs[static_cast<size_t>(dst) * n +
-                             static_cast<size_t>(src)];
+  if (!run.corrupt_checkpoints.empty()) {
+    const std::set<int> corrupt(run.corrupt_checkpoints.begin(),
+                                run.corrupt_checkpoints.end());
+    for (size_t i = 0; i < run.recoveries.size(); ++i)
+      for (const int member : run.recoveries[i].cut.member) {
+        if (member < 0 || corrupt.count(member) == 0) continue;
+        std::ostringstream out;
+        out << "rollback " << i << " restored a cut containing corrupt "
+            << "checkpoint " << member << " (process "
+            << run.trace.checkpoints[static_cast<size_t>(member)].proc
+            << ") — recovery trusted rotten storage";
+        return Verdict{"corrupt-member", out.str()};
+      }
+  }
+
+  const auto n = static_cast<size_t>(run.trace.nprocs);
+  if (run.final_sends.size() != n * n || run.final_recvs.size() != n * n)
+    return Verdict{"orphans", "final channel counters missing"};
+  for (size_t src = 0; src < n; ++src)
+    for (size_t dst = 0; dst < n; ++dst) {
+      const long sent = run.final_sends[src * n + dst];
+      const long consumed = run.final_recvs[dst * n + src];
       if (consumed > sent) {
         std::ostringstream out;
-        out << "orphan messages on channel " << describe_channel(src, dst)
+        out << "orphan messages on channel " << src << "→" << dst
             << ": receiver consumed " << consumed << " but sender's final "
             << "incarnation sent " << sent;
-        return out.str();
+        return Verdict{"orphans", out.str()};
       }
     }
-  return {};
+  return std::nullopt;
 }
 
-}  // namespace
+std::optional<Verdict> check_replay(const SimResult& run,
+                                    const SimResult& reference) {
+  const std::vector<std::uint64_t>& got = run.trace.final_digest;
+  const std::vector<std::uint64_t>& want = reference.trace.final_digest;
+  if (got != want) {
+    size_t p = 0;
+    while (p < got.size() && p < want.size() && got[p] == want[p]) ++p;
+    std::ostringstream out;
+    out << "final state diverged from the failure-free reference at "
+        << "process " << p;
+    if (p < got.size() && p < want.size())
+      out << ": digest " << std::hex << got[p] << " vs " << want[p];
+    return Verdict{"digest", out.str()};
+  }
+  if (run.final_sends != reference.final_sends ||
+      run.final_recvs != reference.final_recvs)
+    return Verdict{"digest",
+                   "final per-channel send/recv counters diverged from the "
+                   "failure-free reference"};
+  return std::nullopt;
+}
 
 OracleReport check_recovery(const mp::Program& program,
                             const SimOptions& base, const FaultPlan& plan,
-                            const OracleOptions& oracle,
                             const DriverFactory& driver_factory) {
   OracleReport report;
 
@@ -212,75 +247,14 @@ OracleReport check_recovery(const mp::Program& program,
   report.restarts = faulty.stats.restarts;
   report.metrics = recovery_metrics({faulty});
 
-  auto fail = [&report](std::string why) {
-    report.ok = false;
-    report.failure = std::move(why);
+  if (!reference.trace.completed) {
+    report.failure = "reference run did not complete";
     return report;
-  };
-
-  if (!reference.trace.completed)
-    return fail("reference run did not complete");
-  if (oracle.check_completion && !faulty.trace.completed)
-    return fail("fault-injected run did not complete");
-
-  if (oracle.check_cuts) {
-    for (size_t i = 0; i < faulty.recoveries.size(); ++i) {
-      const trace::CutAnalysis analysis =
-          trace::analyze_cut(faulty.trace, faulty.recoveries[i].cut);
-      if (!analysis.consistent) {
-        std::ostringstream out;
-        out << "rollback " << i << " restored an inconsistent cut ("
-            << analysis.orphan_pairs.size() << " orphan pairs)";
-        return fail(out.str());
-      }
-    }
   }
-
-  if (oracle.check_corrupt_members && !faulty.corrupt_checkpoints.empty()) {
-    const std::set<int> corrupt(faulty.corrupt_checkpoints.begin(),
-                                faulty.corrupt_checkpoints.end());
-    for (size_t i = 0; i < faulty.recoveries.size(); ++i) {
-      for (const int member : faulty.recoveries[i].cut.member) {
-        if (member < 0 || corrupt.count(member) == 0) continue;
-        const auto& ckpt =
-            faulty.trace.checkpoints[static_cast<size_t>(member)];
-        std::ostringstream out;
-        out << "rollback " << i << " restored a cut containing corrupt "
-            << "checkpoint " << member << " (process " << ckpt.proc
-            << ") — recovery trusted rotten storage";
-        return fail(out.str());
-      }
-    }
-  }
-
-  if (oracle.check_orphans) {
-    if (std::string violation = orphan_violation(faulty, base.nprocs);
-        !violation.empty())
-      return fail(std::move(violation));
-  }
-
-  if (oracle.check_digest) {
-    if (faulty.trace.final_digest != reference.trace.final_digest) {
-      for (size_t p = 0; p < reference.trace.final_digest.size(); ++p) {
-        if (faulty.trace.final_digest[p] !=
-            reference.trace.final_digest[p]) {
-          std::ostringstream out;
-          out << "replay diverged from the failure-free reference: process "
-              << p << " digest " << std::hex
-              << faulty.trace.final_digest[p] << " vs reference "
-              << reference.trace.final_digest[p];
-          return fail(out.str());
-        }
-      }
-    }
-    if (faulty.final_sends != reference.final_sends ||
-        faulty.final_recvs != reference.final_recvs)
-      return fail(
-          "replay diverged from the failure-free reference: final "
-          "per-channel send/recv counters differ");
-  }
-
-  report.ok = true;
+  std::optional<Verdict> verdict = check_run(faulty);
+  if (!verdict) verdict = check_replay(faulty, reference);
+  report.ok = !verdict;
+  if (verdict) report.failure = verdict->property + ": " + verdict->detail;
   return report;
 }
 

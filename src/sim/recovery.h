@@ -1,17 +1,15 @@
 // The end-to-end recovery oracle: runs a program twice — once failure-free
 // (the reference) and once under a FaultPlan — and checks that rollback
-// recovery actually worked:
+// recovery actually worked. The verdict is two pure functions over a
+// SimResult, shared with the schedule explorer (explore/explore.h):
 //
-//  1. the fault-injected run completes (every process reaches exit);
-//  2. every rollback restored a *consistent* cut (re-validated post-hoc
-//     with trace::analyze_cut, independently of the engine's own check);
-//  3. the final execution has no orphan messages: for every channel
-//     (s, d), the receiver's consumed count never exceeds the sender's
-//     final send count — no process ends the run having consumed a message
-//     its sender's surviving incarnation never sent;
-//  4. (deterministic schemes, including the paper's coordination-free
-//     placement) the replayed execution is bit-identical to the reference:
-//     same per-process digests and per-channel send/recv counters.
+//  * check_run — the run completes; every rollback restored a
+//    *consistent* cut (re-validated post-hoc with trace::analyze_cut,
+//    independently of the engine's own check) holding no corrupt stored
+//    image; and the final channel counters show no orphan messages;
+//  * check_replay — (deterministic schemes, including the paper's
+//    coordination-free placement) the run ends bit-identical to the
+//    reference: same per-process digests and per-channel counters.
 //
 // A protocol driver factory lets the same oracle exercise the baselines in
 // src/proto/ without a sim→proto layering inversion: the caller supplies
@@ -21,6 +19,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "mp/stmt.h"
@@ -94,30 +93,35 @@ store::StorageFaultPlan random_storage_fault_plan(std::uint64_t seed,
                                                   long max_ordinal,
                                                   int max_faults = 2);
 
-struct OracleOptions {
-  /// Require the fault-injected run to complete.
-  bool check_completion = true;
-  /// Re-validate every restored cut with trace::analyze_cut.
-  bool check_cuts = true;
-  /// Require zero orphan messages in the final channel counters.
-  bool check_orphans = true;
-  /// Require bit-identical replay (digests + channel counters) vs the
-  /// failure-free reference. Sound for deterministic schemes; leave on for
-  /// the coordination-free placement and the protocol baselines here (the
-  /// drivers only add control traffic and forced checkpoints, neither of
-  /// which folds into the application digest).
-  bool check_digest = true;
-  /// Require that no restored cut contains a permanently corrupt stored
-  /// image (SimResult::corrupt_checkpoints). This is the oracle's teeth
-  /// against the deliberately-weakened verify_stored_checkpoints=false
-  /// mode: an engine that trusts rotten storage is caught here even when
-  /// the in-memory replay happens to look healthy.
-  bool check_corrupt_members = true;
+/// The first recovery property a run violates: `property` names it
+/// (completion | cut-consistency | corrupt-member | orphans | digest),
+/// `detail` says where.
+struct Verdict {
+  std::string property;
+  std::string detail;
 };
+
+/// The properties a finished run must hold on its own, checked in this
+/// order: `completion` (every process reached exit), `cut-consistency`
+/// (every restored cut re-validates under trace::analyze_cut),
+/// `corrupt-member` (no restored cut holds one of
+/// SimResult::corrupt_checkpoints — the teeth against an engine that
+/// trusts rotten storage) and `orphans` (no channel's receiver consumed
+/// more than its sender's final incarnation sent, self channels
+/// included). nullopt when all hold.
+std::optional<Verdict> check_run(const SimResult& run);
+
+/// `digest`: the run's final per-process digests and per-channel
+/// send/recv counters equal `reference`'s. Sound for deterministic
+/// schemes under every protocol driver here: checkpoints and control
+/// traffic never fold into the application digest.
+std::optional<Verdict> check_replay(const SimResult& run,
+                                    const SimResult& reference);
 
 struct OracleReport {
   bool ok = false;
-  /// Empty when ok; otherwise the first violated property, human-readable.
+  /// Empty when ok; otherwise "<property>: <detail>" of the first
+  /// violation.
   std::string failure;
   int restarts = 0;
   RecoveryMetrics metrics;
@@ -125,12 +129,12 @@ struct OracleReport {
 
 using DriverFactory = std::function<std::unique_ptr<ProtocolDriver>()>;
 
-/// Runs the oracle: reference (no faults) vs fault-injected run of the
-/// same program/options, then checks the properties enabled in `oracle`.
-/// `driver_factory` may be null (coordination-free runtime).
+/// Runs the oracle: a failure-free reference and a fault-injected run of
+/// the same program/options, each with a fresh driver from
+/// `driver_factory` (null: coordination-free runtime). The reference must
+/// complete; then check_run, then check_replay against the reference.
 OracleReport check_recovery(const mp::Program& program,
                             const SimOptions& base, const FaultPlan& plan,
-                            const OracleOptions& oracle = {},
                             const DriverFactory& driver_factory = nullptr);
 
 }  // namespace acfc::sim

@@ -418,7 +418,8 @@ TEST_P(ProtocolsUnderLoss, EveryBaselineSurvivesALossyWire) {
   sim::FaultPlan plan;
   plan.faults = {sim::FaultPlan::at_time(1, 13.0)};
   const sim::OracleReport oracle =
-      proto::check_protocol_recovery(program, protocol, opts, plan, popts);
+      sim::check_recovery(program, opts, plan,
+                          proto::driver_factory(protocol, popts));
   EXPECT_TRUE(oracle.ok) << proto::protocol_name(protocol) << ": "
                          << oracle.failure;
   EXPECT_GE(oracle.restarts, 1);

@@ -665,6 +665,8 @@ TEST(ExploreArtifact, RejectsMalformedInputs) {
   EXPECT_FALSE(explore::parse_artifact("ACFX2\nend\n").has_value());
   EXPECT_FALSE(
       explore::parse_artifact("ACFX1\nnprocs zero\nend\n").has_value());
+  EXPECT_FALSE(explore::parse_artifact("ACFX1\nnprocs 1\nend\n")
+                   .has_value());  // the engine needs at least 2
   EXPECT_FALSE(
       explore::parse_artifact("ACFX1\nworkload nope\nend\n").has_value());
   EXPECT_FALSE(

@@ -515,7 +515,7 @@ TEST(PartitionOracleSlow, CrashPartitionStallCombinationsAllRecover) {
       if (!plan.partitions.empty() || !plan.stalls.empty())
         ++plans_with_windows;
       const sim::OracleReport oracle =
-          sim::check_recovery(program, base, plan, {}, factory);
+          sim::check_recovery(program, base, plan, factory);
       ASSERT_TRUE(oracle.ok)
           << "seed=" << seed << " variant=" << variant << ": "
           << oracle.failure;

@@ -12,9 +12,13 @@
 //    triggers fire where they claim to.
 //  * ProtocolRecovery: the same oracle through every protocol baseline
 //    (sync-and-stop, Chandy–Lamport, Koo–Toueg, CIC, uncoordinated).
+//  * RecoveryVerdict: the verdict's property order and names on
+//    hand-built results.
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -370,7 +374,8 @@ TEST_P(ProtocolRecovery, OracleHoldsUnderEveryBaseline) {
   plan.faults = {sim::FaultPlan::at_time(1, 13.0)};
 
   const sim::OracleReport oracle =
-      proto::check_protocol_recovery(program, protocol, opts, plan, popts);
+      sim::check_recovery(program, opts, plan,
+                          proto::driver_factory(protocol, popts));
   EXPECT_TRUE(oracle.ok) << proto::protocol_name(protocol) << ": "
                          << oracle.failure;
   EXPECT_GE(oracle.restarts, 1);
@@ -404,6 +409,107 @@ TEST(ProtocolRecovery, CoordinatedRollbackIsShallow) {
   ASSERT_EQ(result.recoveries.size(), 1u);
   for (const int demotions : result.recoveries[0].rollbacks)
     EXPECT_EQ(demotions, 0);
+}
+
+// ---------------------------------------------------------------------------
+// The verdict on hand-built results: property order and names
+// ---------------------------------------------------------------------------
+
+/// A completed 2-process run with balanced counters and equal digests.
+sim::SimResult clean_run() {
+  sim::SimResult run;
+  run.trace.nprocs = 2;
+  run.trace.completed = true;
+  run.trace.final_digest = {11, 22};
+  run.final_sends = {0, 3, 2, 0};
+  run.final_recvs = {0, 2, 3, 0};
+  return run;
+}
+
+/// One checkpoint per process (ids 0 and 1) and one rollback to both.
+/// With `p1_saw_p0_ahead`, process 1's member has seen two events of
+/// process 0 while process 0's member has executed one: an orphan pair.
+void add_rollback(sim::SimResult& run, bool p1_saw_p0_ahead) {
+  for (int p = 0; p < 2; ++p) {
+    trace::CkptRec ckpt;
+    ckpt.proc = p;
+    ckpt.vc = trace::VClock(2);
+    ckpt.vc.tick(p);
+    run.trace.checkpoints.push_back(ckpt);
+  }
+  if (p1_saw_p0_ahead) {
+    run.trace.checkpoints[1].vc.tick(0);
+    run.trace.checkpoints[1].vc.tick(0);
+  }
+  sim::RecoveryRec rec;
+  rec.failed_proc = 1;
+  rec.cut.member = {0, 1};
+  run.recoveries.push_back(rec);
+}
+
+TEST(RecoveryVerdict, FirstViolatedPropertyInOrder) {
+  struct Case {
+    const char* name;
+    sim::SimResult run;
+    std::string property;  ///< "" = no violation
+    std::string detail_has;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"clean", clean_run(), "", ""});
+  {
+    sim::SimResult run = clean_run();
+    run.trace.completed = false;
+    run.final_recvs[1] = 9;  // 0 consumed 9 from 1, which sent 2
+    cases.push_back({"incomplete with an orphan", run, "completion", ""});
+  }
+  {
+    sim::SimResult run = clean_run();
+    run.final_recvs[0] = 1;  // 0 consumed a self-message it never sent
+    cases.push_back({"self-channel orphan", run, "orphans", "0→0"});
+  }
+  {
+    sim::SimResult run = clean_run();
+    add_rollback(run, /*p1_saw_p0_ahead=*/true);
+    run.corrupt_checkpoints = {1};
+    cases.push_back(
+        {"inconsistent cut with a corrupt member", run, "cut-consistency",
+         "1 orphan pairs"});
+  }
+  {
+    sim::SimResult run = clean_run();
+    add_rollback(run, /*p1_saw_p0_ahead=*/false);
+    run.corrupt_checkpoints = {1};
+    run.final_recvs[1] = 9;
+    cases.push_back(
+        {"corrupt member with an orphan", run, "corrupt-member", "corrupt"});
+  }
+  {
+    sim::SimResult run = clean_run();
+    add_rollback(run, /*p1_saw_p0_ahead=*/false);
+    cases.push_back({"consistent rollback", run, "", ""});
+  }
+  {
+    sim::SimResult run = clean_run();
+    run.final_sends[1] = 4;  // still no orphan: 1 consumed 3 of 4
+    cases.push_back({"counter mismatch, equal digests", run, "digest",
+                     "counters"});
+  }
+  {
+    sim::SimResult run = clean_run();
+    run.trace.final_digest[1] = 23;
+    cases.push_back({"digest mismatch", run, "digest", "process 1"});
+  }
+
+  const sim::SimResult reference = clean_run();
+  for (const Case& c : cases) {
+    std::optional<sim::Verdict> verdict = sim::check_run(c.run);
+    if (!verdict) verdict = sim::check_replay(c.run, reference);
+    EXPECT_EQ(verdict ? verdict->property : "", c.property) << c.name;
+    if (verdict) {
+      EXPECT_NE(verdict->detail.find(c.detail_has), std::string::npos)
+          << c.name << ": " << verdict->detail;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -10,10 +10,11 @@
 # --user-paths runs what a user runs instead of the test suite, on the
 # same instrumented build: every bench binary once (ctest -L BenchSmoke),
 # every examples/ binary, every acfc subcommand on examples/programs/*.mp
-# plus one `acfc explore -w ring`, and one second of each bench/e2e
-# workload from a --coverage build of bench/e2e under <build>/e2e. A src/
-# line the tier-1 table covers and this one does not is reached only by
-# tests.
+# plus one `acfc explore -w ring`, one cic-broken explore that writes an
+# ACFX artifact and its `acfc explore --repro`, and one second of each
+# bench/e2e workload from a --coverage build of bench/e2e under
+# <build>/e2e. A src/ line the tier-1 table covers and this one does not
+# is reached only by tests.
 #
 #   tools/coverage.sh                # tier-1 suite (the CI gate)
 #   tools/coverage.sh --min 70       # additionally FAIL if TOTAL < 70%
@@ -93,6 +94,13 @@ if [ "$USER_PATHS" = 1 ]; then
   "$ACFC" workloads >/dev/null 2>&1 || true
   "$ACFC" explore -w ring -n 3 --depth 4 -o "$OUT/ring.acfx" \
           >/dev/null 2>&1 || true
+  # The pinned cic-index violation: explore exits 1 and writes its ACFX
+  # artifact, which --repro replays (exit 0, "reproduced").
+  "$ACFC" explore -w ring --driver cic-broken -T 22 --cic-stagger 0.5 \
+          --check-cic-index --delay-steps 3 --delay-quantum 2 -n 3 \
+          --depth 8 --budget 4000 --iterations 3 -o "$OUT/cic.acfx" \
+          >/dev/null 2>&1 || true
+  "$ACFC" explore --repro "$OUT/cic.acfx" >/dev/null 2>&1 || true
   echo "== user paths: bench/e2e workloads"
   for workload in analyze simulate recover explore; do
     "$E2E/acfc_bench" --workload "$workload" --seconds 1 --root "$ROOT" \
