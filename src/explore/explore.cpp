@@ -33,65 +33,82 @@ struct Ctx {
   sim::SimResult baseline;
 };
 
+/// One engine, plan hook and result, re-armed for every schedule a DFS
+/// shard, Replayer or random walk runs: the engine keeps its trace,
+/// queue, image arena and VM buffers across schedules, the hook its log,
+/// so a schedule builds no engine. Each run gets a fresh driver from the
+/// scenario's factory. Not for concurrent use.
+class Runner {
+ public:
+  explicit Runner(const Ctx& ctx)
+      : ctx_(ctx),
+        hook_(PlanHook::Config{}),
+        engine_(ctx.model, engine_options(ctx, &hook_)) {}
+  Runner(const Runner&) = delete;
+  Runner& operator=(const Runner&) = delete;
+
+  /// Runs `plan` (past it: defaults, or uniform draws from `random`);
+  /// result() and hook() describe that run until the next one.
+  void run(const std::vector<int>& plan, bool suppress_failures, Memo* memo,
+           util::Rng* random) {
+    PlanHook::Config cfg;
+    cfg.plan = &plan;
+    cfg.max_choice_points = ctx_.opts.max_choice_points;
+    cfg.max_failures = suppress_failures ? 0 : ctx_.opts.max_failures;
+    cfg.max_partitions = suppress_failures ? 0 : ctx_.opts.max_partitions;
+    cfg.max_stalls = suppress_failures ? 0 : ctx_.opts.max_stalls;
+    cfg.suppress_failures = suppress_failures;
+    cfg.memo = memo;
+    cfg.random = random;
+    hook_.rearm(cfg);
+
+    std::unique_ptr<sim::ProtocolDriver> driver;
+    if (ctx_.factory) driver = ctx_.factory();
+    engine_.rearm(driver.get(), std::move(result_));
+    driver_ = std::move(driver);  // the last run's driver is unused now
+    result_ = engine_.run();
+  }
+
+  const sim::SimResult& result() const { return result_; }
+  const PlanHook& hook() const { return hook_; }
+  sim::SimResult release_result() { return std::move(result_); }
+
+ private:
+  static sim::SimOptions engine_options(const Ctx& ctx,
+                                        sim::ScheduleHook* hook) {
+    sim::SimOptions so;
+    so.nprocs = ctx.scenario.nprocs;
+    so.seed = ctx.scenario.seed;
+    so.delay = ctx.scenario.delay;
+    so.checkpoint_overhead = ctx.scenario.checkpoint_overhead;
+    so.checkpoint_latency = ctx.scenario.checkpoint_latency;
+    so.keep_snapshots = true;
+    so.schedule_hook = hook;
+    so.perturb = ctx.opts.perturb;
+    return so;
+  }
+
+  const Ctx& ctx_;
+  PlanHook hook_;
+  std::unique_ptr<sim::ProtocolDriver> driver_;
+  sim::Engine engine_;
+  sim::SimResult result_;
+};
+
 }  // namespace detail
 
 namespace {
 
 using detail::Ctx;
-
-struct RunOut {
-  sim::SimResult result;
-  std::vector<ChoiceRec> log;
-  long total_choice_points = 0;
-  bool pruned = false;
-  long memo_hits = 0;
-  long states_recorded = 0;
-};
-
-RunOut run_plan(const Ctx& ctx, const std::vector<int>& plan,
-                bool suppress_failures, Memo* memo, util::Rng* random) {
-  PlanHook::Config cfg;
-  cfg.plan = &plan;
-  cfg.max_choice_points = ctx.opts.max_choice_points;
-  cfg.max_failures = suppress_failures ? 0 : ctx.opts.max_failures;
-  cfg.max_partitions = suppress_failures ? 0 : ctx.opts.max_partitions;
-  cfg.max_stalls = suppress_failures ? 0 : ctx.opts.max_stalls;
-  cfg.suppress_failures = suppress_failures;
-  cfg.memo = memo;
-  cfg.random = random;
-  PlanHook hook(cfg);
-
-  sim::SimOptions so;
-  so.nprocs = ctx.scenario.nprocs;
-  so.seed = ctx.scenario.seed;
-  so.delay = ctx.scenario.delay;
-  so.checkpoint_overhead = ctx.scenario.checkpoint_overhead;
-  so.checkpoint_latency = ctx.scenario.checkpoint_latency;
-  so.keep_snapshots = true;
-  so.schedule_hook = &hook;
-  so.perturb = ctx.opts.perturb;
-
-  std::unique_ptr<sim::ProtocolDriver> driver;
-  if (ctx.factory) driver = ctx.factory();
-  sim::Engine engine(ctx.model, std::move(so), driver.get());
-
-  RunOut out;
-  out.result = engine.run();
-  out.log = hook.take_log();
-  out.total_choice_points = hook.total_choice_points();
-  out.pruned = hook.pruned();
-  out.memo_hits = hook.memo_hits();
-  out.states_recorded = hook.states_recorded();
-  return out;
-}
+using detail::Runner;
 
 /// The shared recovery verdict (sim::check_run, then the CIC index
 /// invariant, then sim::check_replay against the baseline), as a
 /// reproducible Violation.
-std::optional<Violation> evaluate(const Ctx& ctx, const RunOut& run) {
-  std::optional<sim::Verdict> verdict = sim::check_run(run.result);
+std::optional<Violation> evaluate(const Ctx& ctx, const Runner& run) {
+  std::optional<sim::Verdict> verdict = sim::check_run(run.result());
   if (!verdict && ctx.opts.check_cic_index) {
-    if (auto cic = proto::check_cic_index_invariant(run.result))
+    if (auto cic = proto::check_cic_index_invariant(run.result()))
       verdict = sim::Verdict{"cic-index", std::move(*cic)};
   }
   // For deterministic source-specific workloads the final per-process
@@ -99,13 +116,13 @@ std::optional<Violation> evaluate(const Ctx& ctx, const RunOut& run) {
   // perturbed, failed-and-recovered, or both — must land on the
   // all-defaults baseline state.
   if (!verdict && ctx.opts.check_digest && ctx.baseline.trace.completed)
-    verdict = sim::check_replay(run.result, ctx.baseline);
+    verdict = sim::check_replay(run.result(), ctx.baseline);
   if (!verdict) return std::nullopt;
   Violation v;
   v.property = std::move(verdict->property);
   v.detail = std::move(verdict->detail);
-  v.plan = trim_plan(taken_of(run.log));
-  v.digest = fold_digest(run.result.trace.final_digest);
+  v.plan = trim_plan(taken_of(run.hook().log()));
+  v.digest = fold_digest(run.result().trace.final_digest);
   return v;
 }
 
@@ -134,17 +151,17 @@ void note_violation(const Ctx& ctx, ShardOut& out,
 /// at every branchable NEW position. Pushed deepest-position-first so the
 /// LIFO stack explores shallow positions (and alternative 1) first.
 void push_children(const Ctx& ctx, const std::vector<int>& plan,
-                   const RunOut& run, std::vector<std::vector<int>>& stack,
+                   const std::vector<ChoiceRec>& log,
+                   std::vector<std::vector<int>>& stack,
                    long& max_plan_length) {
   const std::size_t limit = std::min(
-      run.log.size(),
-      static_cast<std::size_t>(ctx.opts.max_choice_points));
+      log.size(), static_cast<std::size_t>(ctx.opts.max_choice_points));
   for (std::size_t i = limit; i-- > plan.size();) {
-    const ChoiceRec& rec = run.log[i];
+    const ChoiceRec& rec = log[i];
     if (rec.arity <= 1) continue;
     std::vector<int> prefix;
     prefix.reserve(i + 1);
-    for (std::size_t j = 0; j < i; ++j) prefix.push_back(run.log[j].taken);
+    for (std::size_t j = 0; j < i; ++j) prefix.push_back(log[j].taken);
     for (int alt = rec.arity - 1; alt >= 1; --alt) {
       std::vector<int> child = prefix;
       child.push_back(alt);
@@ -159,6 +176,7 @@ void push_children(const Ctx& ctx, const std::vector<int>& plan,
 ShardOut dfs(const Ctx& ctx, std::vector<std::vector<int>> stack,
              long budget) {
   Memo memo;
+  Runner run(ctx);
   ShardOut out;
   while (!stack.empty()) {
     if (out.schedules >= budget) {
@@ -167,15 +185,14 @@ ShardOut dfs(const Ctx& ctx, std::vector<std::vector<int>> stack,
     }
     const std::vector<int> plan = std::move(stack.back());
     stack.pop_back();
-    const RunOut run = run_plan(ctx, plan, /*suppress_failures=*/false,
-                                ctx.opts.memoize ? &memo : nullptr,
-                                /*random=*/nullptr);
+    run.run(plan, /*suppress_failures=*/false,
+            ctx.opts.memoize ? &memo : nullptr, /*random=*/nullptr);
     ++out.schedules;
-    out.choice_points += run.total_choice_points;
-    out.states_recorded += run.states_recorded;
-    if (run.pruned) ++out.states_pruned;
+    out.choice_points += run.hook().total_choice_points();
+    out.states_recorded += run.hook().states_recorded();
+    if (run.hook().pruned()) ++out.states_pruned;
     note_violation(ctx, out, evaluate(ctx, run));
-    push_children(ctx, plan, run, stack, out.max_plan_length);
+    push_children(ctx, plan, run.hook().log(), stack, out.max_plan_length);
   }
   return out;
 }
@@ -205,9 +222,9 @@ detail::Ctx::Ctx(const Scenario& scenario_in, const ExploreOptions& opts_in)
       model(program),
       factory(scenario_in.driver_factory()) {
   const std::vector<int> empty;
-  baseline = run_plan(*this, empty, /*suppress_failures=*/true, nullptr,
-                      nullptr)
-                 .result;
+  Runner run(*this);
+  run.run(empty, /*suppress_failures=*/true, nullptr, nullptr);
+  baseline = run.release_result();
 }
 
 std::uint64_t fold_digest(const std::vector<std::uint64_t>& parts) {
@@ -237,12 +254,13 @@ ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts) {
         opts.random_walks, mc, [&](long i) {
           util::Rng rng(sim::run_seed(opts.strategy_seed, i));
           const std::vector<int> empty;
-          const RunOut run = run_plan(ctx, empty, false, nullptr, &rng);
+          Runner run(ctx);
+          run.run(empty, false, nullptr, &rng);
           ShardOut out;
           out.schedules = 1;
-          out.choice_points = run.total_choice_points;
+          out.choice_points = run.hook().total_choice_points();
           out.max_plan_length = static_cast<long>(
-              trim_plan(taken_of(run.log)).size());
+              trim_plan(taken_of(run.hook().log())).size());
           note_violation(ctx, out, evaluate(ctx, run));
           return out;
         });
@@ -263,13 +281,15 @@ ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts) {
   // worker-local memo; merging in shard-index order keeps the result
   // bit-deterministic for a given thread count.
   const std::vector<int> root_plan;
-  const RunOut root = run_plan(ctx, root_plan, false, nullptr, nullptr);
+  Runner root(ctx);
+  root.run(root_plan, false, nullptr, nullptr);
   ShardOut root_out;
   root_out.schedules = 1;
-  root_out.choice_points = root.total_choice_points;
+  root_out.choice_points = root.hook().total_choice_points();
   note_violation(ctx, root_out, evaluate(ctx, root));
   std::vector<std::vector<int>> children;
-  push_children(ctx, root_plan, root, children, root_out.max_plan_length);
+  push_children(ctx, root_plan, root.hook().log(), children,
+                root_out.max_plan_length);
   merge(res, ctx, root_out, exhausted);
 
   const int nshards =
@@ -298,18 +318,19 @@ ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts) {
 }
 
 Replayer::Replayer(const Scenario& scenario, const ExploreOptions& opts)
-    : ctx_(std::make_unique<const Ctx>(scenario, opts)) {}
+    : ctx_(std::make_unique<const Ctx>(scenario, opts)),
+      runner_(std::make_unique<Runner>(*ctx_)) {}
 
 Replayer::~Replayer() = default;
 
-ReplayReport Replayer::replay(const std::vector<int>& plan) const {
-  const RunOut run =
-      run_plan(*ctx_, plan, /*suppress_failures=*/false, nullptr, nullptr);
+ReplayReport Replayer::replay(const std::vector<int>& plan) {
+  runner_->run(plan, /*suppress_failures=*/false, nullptr, nullptr);
+  const sim::SimResult& result = runner_->result();
   ReplayReport rep;
-  rep.completed = run.result.trace.completed;
-  rep.digest = fold_digest(run.result.trace.final_digest);
-  rep.stats = run.result.stats;
-  rep.violation = evaluate(*ctx_, run);
+  rep.completed = result.trace.completed;
+  rep.digest = fold_digest(result.trace.final_digest);
+  rep.stats = result.stats;
+  rep.violation = evaluate(*ctx_, *runner_);
   return rep;
 }
 

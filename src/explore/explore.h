@@ -18,7 +18,8 @@
 // derives per-walk RNGs from (strategy_seed, walk index) via
 // sim::run_seed; parallel mode shards the root's children round-robin
 // across sim::parallel_map workers with worker-local memo sets and merges
-// in shard order.
+// in shard order. Each shard keeps one engine and re-arms it for every
+// schedule it runs (sim::Engine::rearm).
 #pragma once
 
 #include <cstdint>
@@ -124,21 +125,25 @@ ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts);
 
 namespace detail {
 struct Ctx;
+class Runner;
 }  // namespace detail
 
 /// A scenario prepared for many replays: the program, its sim::Model and
-/// the all-defaults baseline run are built once, not once per plan.
-/// `scenario` and `opts` must outlive the replayer.
+/// the all-defaults baseline run are built once, not once per plan, and
+/// one engine is re-armed for every replay (sim::Engine::rearm). Owning
+/// that engine, a Replayer is not for concurrent use: give each thread
+/// its own. `scenario` and `opts` must outlive the replayer.
 class Replayer {
  public:
   Replayer(const Scenario& scenario, const ExploreOptions& opts);
   ~Replayer();
 
   /// Same report as replay_plan(scenario, opts, plan).
-  ReplayReport replay(const std::vector<int>& plan) const;
+  ReplayReport replay(const std::vector<int>& plan);
 
  private:
   std::unique_ptr<const detail::Ctx> ctx_;
+  std::unique_ptr<detail::Runner> runner_;
 };
 
 /// Replays one plan under the same semantics the search used and returns

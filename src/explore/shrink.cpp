@@ -29,7 +29,7 @@ ShrinkResult shrink(const Scenario& scenario, const ExploreOptions& opts,
   out.minimal = violation;
   out.minimal.plan = trim_plan(out.minimal.plan);
   out.initial_choices = nondefault_count(out.minimal.plan);
-  const Replayer replayer(scenario, opts);
+  Replayer replayer(scenario, opts);
 
   // Accept a trial iff it reproduces the same property. The accepted
   // plan is the REPLAY's trimmed taken log (not the trial verbatim), so

@@ -5,6 +5,17 @@
 
 namespace acfc::explore {
 
+void PlanHook::rearm(const Config& cfg) {
+  cfg_ = cfg;
+  log_.clear();
+  total_ = 0;
+  failures_ = 0;
+  partitions_ = 0;
+  stalls_ = 0;
+  pruned_ = false;
+  states_recorded_ = 0;
+}
+
 int PlanHook::choose(const sim::ChoicePoint& cp) {
   const auto pos = static_cast<std::size_t>(total_);
   ++total_;
@@ -58,10 +69,8 @@ int PlanHook::choose(const sim::ChoicePoint& cp) {
          0x9e3779b97f4a7c15ULL;
     if (cfg_.memo->insert(h).second)
       ++states_recorded_;
-    else {
-      ++memo_hits_;
+    else
       pruned_ = true;
-    }
   }
   if (pruned_) branchable = false;
 

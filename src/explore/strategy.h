@@ -62,19 +62,20 @@ class PlanHook final : public sim::ScheduleHook {
     util::Rng* random = nullptr;
   };
 
-  explicit PlanHook(const Config& cfg) : cfg_(cfg) {}
+  explicit PlanHook(const Config& cfg) { rearm(cfg); }
+
+  /// Starts the next run under `cfg`: the log, counters and budgets go
+  /// back to empty, and the log keeps its buffer.
+  void rearm(const Config& cfg);
 
   int choose(const sim::ChoicePoint& cp) override;
 
-  /// Moves out the per-position log (capped at max_choice_points); call
-  /// once, after the run.
-  std::vector<ChoiceRec> take_log() { return std::move(log_); }
+  /// The per-position log (capped at max_choice_points), valid until the
+  /// next rearm().
+  const std::vector<ChoiceRec>& log() const { return log_; }
   /// Every consulted point, including those past the horizon.
   long total_choice_points() const { return total_; }
-  int partitions_injected() const { return partitions_; }
-  int stalls_injected() const { return stalls_; }
   bool pruned() const { return pruned_; }
-  long memo_hits() const { return memo_hits_; }
   long states_recorded() const { return states_recorded_; }
 
  private:
@@ -85,7 +86,6 @@ class PlanHook final : public sim::ScheduleHook {
   int partitions_ = 0;
   int stalls_ = 0;
   bool pruned_ = false;
-  long memo_hits_ = 0;
   long states_recorded_ = 0;
 };
 

@@ -28,7 +28,9 @@ struct Engine::Process {
     kCrashed,       ///< supervised mode: dead, awaiting a detector verdict
   };
 
-  std::unique_ptr<Vm> vm;
+  explicit Process(Vm vm_in) : vm(std::move(vm_in)) {}
+
+  Vm vm;
   Status status = Status::kReady;
   std::optional<ActionRecv> pending_recv;
   int pending_compute_uid = -1;  ///< -1 when the wake ends a checkpoint
@@ -50,6 +52,16 @@ struct Engine::CollRound {
   std::vector<int> stmt_uid;     ///< per-proc issuing statement
   int joined_count = 0;
   bool released = false;
+
+  /// Back to a round no member has joined. The first join re-assigns the
+  /// per-member vectors (keeping their capacity) and kind, root and bytes;
+  /// the root's join sets root_ready and root_vc.
+  void reset() {
+    kind = Kind::kNone;
+    root_joined = false;
+    joined_count = 0;
+    released = false;
+  }
 
   /// When the last member joined — the release base of an all-joined
   /// round (the collective's own latency comes on top).
@@ -96,18 +108,10 @@ Engine::Engine(const mp::Program& program, SimOptions opts,
 
 Engine::Engine(const Model* model, const mp::Program* program,
                SimOptions opts, ProtocolDriver* driver)
-    : model_(model), opts_(std::move(opts)), driver_(driver) {
+    : model_(model), opts_(std::move(opts)) {
   tune_allocator_for_run_batches();
   ACFC_CHECK_MSG(opts_.nprocs >= 2, "simulation needs at least 2 processes");
-  net_rng_ = util::Rng(opts_.seed ^ 0xdead5eedULL);
-
-  trace_.nprocs = opts_.nprocs;
   const auto n = static_cast<size_t>(opts_.nprocs);
-  channel_last_deliver_.assign(n * n, 0.0);
-  control_last_deliver_.assign(n * n, 0.0);
-  inbox_.assign(n * n, {});
-  ckpt_counts_.assign(n, 0);
-  take_counts_.assign(n, 0);
   if (opts_.delay.lossy()) {
     ACFC_CHECK_MSG(opts_.delay.drop >= 0.0 && opts_.delay.drop < 1.0 &&
                        opts_.delay.dup >= 0.0 && opts_.delay.dup <= 1.0 &&
@@ -144,31 +148,19 @@ Engine::Engine(const Model* model, const mp::Program* program,
     ACFC_CHECK_MSG(w.duration >= 0.0, "stall duration must be non-negative");
   }
   // The engine owns the window lists from here on (explorer injections
-  // append to them); swapping leaves the plan's own lists empty.
+  // append to them, rearm() cuts them back to the plan's); swapping leaves
+  // the plan's own lists empty.
   partitions_.swap(opts_.fault_plan.partitions);
   stalls_.swap(opts_.fault_plan.stalls);
+  plan_partitions_ = partitions_.size();
+  plan_stalls_ = stalls_.size();
   for (const auto& w : opts_.fault_plan.slow_links) {
     ACFC_CHECK_MSG(w.factor > 0.0, "slow-link factor must be positive");
     ACFC_CHECK_MSG(w.src >= -1 && w.src < opts_.nprocs &&
                        w.dst >= -1 && w.dst < opts_.nprocs,
                    "slow-link endpoint outside the world");
   }
-  if (driver_ != nullptr && driver_->wants_supervised_failures())
-    opts_.supervised = true;
-  crashed_.assign(n, 0);
-  quarantined_.assign(n, 0);
-  crash_time_.assign(n, 0.0);
-
-  // Append-friendly storage: start the trace stores and the event heap at
-  // a capacity proportional to the world size so the steady state appends
-  // without reallocating. Growth beyond the hint stays geometric.
-  trace_.reserve(/*events=*/256 * n, /*messages=*/96 * n,
-                 /*checkpoints=*/32 * n);
-  // The image arena starts with room for 16 records of a small state: 24
-  // bytes per process (send and receive counters, clock word) plus 256 for
-  // the header, a short stack and a few counters. A short run's takes then
-  // append without regrowing it.
-  if (opts_.keep_snapshots) images_.reserve(16 * (256 + 24 * n));
+  supervised_option_ = opts_.supervised;
   if (opts_.schedule_hook != nullptr) {
     ACFC_CHECK_MSG(!opts_.delay.lossy(),
                    "schedule hooks require the reliable fast path");
@@ -183,22 +175,88 @@ Engine::Engine(const Model* model, const mp::Program* program,
     model_ = owned_model_.get();
   }
 
-  invariants_.assign(n * static_cast<size_t>(model_->slot_count()), {});
-  for (int p = 0; p < opts_.nprocs; ++p) {
-    auto proc = std::make_unique<Process>();
-    proc->vm = make_vm(p);
-    procs_.push_back(std::move(proc));
-  }
+  const auto slots = static_cast<size_t>(model_->slot_count());
+  invariants_.assign(n * slots, {});
+  for (int p = 0; p < opts_.nprocs; ++p)
+    procs_.push_back(std::make_unique<Process>(
+        Vm(*model_, p, opts_.nprocs, opts_.seed,
+           invariants_.data() + static_cast<size_t>(p) * slots,
+           opts_.irregular ? &opts_.irregular : nullptr)));
+  rearm(driver, SimResult{});
 }
 
 Engine::~Engine() = default;
 
-std::unique_ptr<Vm> Engine::make_vm(int p) {
-  return std::make_unique<Vm>(
-      *model_, p, opts_.nprocs, opts_.seed,
-      invariants_.data() +
-          static_cast<size_t>(p) * static_cast<size_t>(model_->slot_count()),
-      opts_.irregular ? &opts_.irregular : nullptr);
+void Engine::rearm(ProtocolDriver* driver, SimResult spent) {
+  const auto n = static_cast<size_t>(opts_.nprocs);
+  driver_ = driver;
+  opts_.supervised = supervised_option_ ||
+                     (driver_ != nullptr && driver_->wants_supervised_failures());
+  now_ = 0.0;
+  event_seq_ = 0;
+  epoch_ = 0;
+  stats_ = SimStats{};
+  queue_.clear();
+  net_rng_ = util::Rng(opts_.seed ^ 0xdead5eedULL);
+
+  // Each trace and recovery store keeps the larger of its own buffer and
+  // the spent result's (a fresh engine's reserve beats an empty result);
+  // run() builds its next result in the rest of the spent result, and sets
+  // the trace's end time, completion flag and final digests.
+  const auto keep_larger = [](auto& mine, auto& theirs) {
+    if (theirs.capacity() > mine.capacity()) mine.swap(theirs);
+    mine.clear();
+  };
+  keep_larger(trace_.events, spent.trace.events);
+  keep_larger(trace_.messages, spent.trace.messages);
+  keep_larger(trace_.checkpoints, spent.trace.checkpoints);
+  keep_larger(trace_.final_digest, spent.trace.final_digest);
+  keep_larger(recoveries_, spent.recoveries);
+  recycled_ = std::move(spent);
+  trace_.nprocs = opts_.nprocs;
+  // Append-friendly storage: start the trace stores at a capacity
+  // proportional to the world size so the steady state appends without
+  // reallocating. Growth beyond the hint stays geometric.
+  trace_.reserve(/*events=*/256 * n, /*messages=*/96 * n,
+                 /*checkpoints=*/32 * n);
+
+  snapshots_.clear();
+  images_.clear();
+  // The image arena starts with room for 16 records of a small state: 24
+  // bytes per process (send and receive counters, clock word) plus 256 for
+  // the header, a short stack and a few counters. A short run's takes then
+  // append without regrowing it.
+  if (opts_.keep_snapshots) images_.reserve(16 * (256 + 24 * n));
+  ckpt_counts_.assign(n, 0);
+  take_counts_.assign(n, 0);
+  ckpt_take_ordinal_.clear();
+  ckpt_corrupt_.clear();
+  ckpt_stale_.clear();
+
+  // pending_compute_uid and paused_since are written whenever a process
+  // enters kComputing or kPaused, so they need no reset.
+  for (const auto& proc : procs_) {
+    proc->vm.reset();
+    proc->status = Process::Status::kReady;
+    proc->pending_recv.reset();
+    proc->pause_requested = false;
+  }
+  channel_last_deliver_.assign(n * n, 0.0);
+  control_last_deliver_.assign(n * n, 0.0);
+  inbox_.resize(n * n);
+  for (auto& box : inbox_) box.clear();
+  for (const auto& round : rounds_) round->reset();
+  reset_transport();
+
+  pending_faults_.clear();
+  crashed_.assign(n, 0);
+  quarantined_.assign(n, 0);
+  crash_time_.assign(n, 0.0);
+  partitions_.erase(
+      partitions_.begin() + static_cast<std::ptrdiff_t>(plan_partitions_),
+      partitions_.end());
+  stalls_.erase(stalls_.begin() + static_cast<std::ptrdiff_t>(plan_stalls_),
+                stalls_.end());
 }
 
 void Engine::push_event(double time, EvKind kind, int proc, long a, long b) {
@@ -217,7 +275,7 @@ trace::EventRec& Engine::note(trace::EventKind kind, int proc, double time) {
   rec.kind = kind;
   rec.proc = proc;
   rec.time = time;
-  rec.vc = procs_[static_cast<size_t>(proc)]->vm->clock();
+  rec.vc = procs_[static_cast<size_t>(proc)]->vm.clock();
   return rec;
 }
 
@@ -352,12 +410,13 @@ SimResult Engine::run() {
   trace_.final_digest.assign(static_cast<size_t>(opts_.nprocs), 0);
   for (int p = 0; p < opts_.nprocs; ++p) {
     trace_.final_digest[static_cast<size_t>(p)] =
-        procs_[static_cast<size_t>(p)]->vm->state().digest;
+        procs_[static_cast<size_t>(p)]->vm.state().digest;
     if (procs_[static_cast<size_t>(p)]->status != Process::Status::kDone)
       trace_.completed = false;
   }
   flush_obs();  // reads trace_/recoveries_, so before the moves below
-  SimResult result;
+  SimResult result = std::move(recycled_);  // buffers rearm() took back
+  result.corrupt_checkpoints.clear();
   for (size_t i = 0; i < ckpt_corrupt_.size(); ++i)
     if (ckpt_corrupt_[i])
       result.corrupt_checkpoints.push_back(static_cast<int>(i));
@@ -368,7 +427,7 @@ SimResult Engine::run() {
   result.final_sends.assign(n * n, 0);
   result.final_recvs.assign(n * n, 0);
   for (size_t p = 0; p < n; ++p) {
-    const VmSnapshot& state = procs_[p]->vm->state();
+    const VmSnapshot& state = procs_[p]->vm.state();
     for (size_t q = 0; q < n; ++q) {
       result.final_sends[p * n + q] = state.sends_per_channel[q];
       result.final_recvs[p * n + q] = state.recvs_per_channel[q];
@@ -411,7 +470,7 @@ void Engine::dispatch(const Ev& ev) {
       Process& proc = *procs_[static_cast<size_t>(ev.proc)];
       if (proc.status == Process::Status::kComputing) {
         if (proc.pending_compute_uid >= 0) {
-          proc.vm->tick();
+          proc.vm.tick();
           note(trace::EventKind::kCompute, ev.proc, now_).stmt_uid =
               proc.pending_compute_uid;
           proc.pending_compute_uid = -1;
@@ -571,7 +630,7 @@ void Engine::advance(int p) {
       if (driver_ != nullptr) driver_->on_paused(*this, p);
       return;
     }
-    const Action action = proc.vm->next();
+    const Action action = proc.vm.next();
 
     if (std::holds_alternative<ActionDone>(action)) {
       proc.status = Process::Status::kDone;
@@ -593,8 +652,8 @@ void Engine::advance(int p) {
     }
 
     if (const auto* send = std::get_if<ActionSend>(&action)) {
-      proc.vm->tick();
-      const long seq = proc.vm->note_send(send->dest);
+      proc.vm.tick();
+      const long seq = proc.vm.note_send(send->dest);
       trace::MsgRec msg;
       msg.src = p;
       msg.dst = send->dest;
@@ -603,7 +662,7 @@ void Engine::advance(int p) {
       msg.seq = seq;
       msg.send_time = now_;
       msg.send_stmt_uid = send->stmt_uid;
-      msg.send_vc = proc.vm->clock();
+      msg.send_vc = proc.vm.clock();
       if (driver_ != nullptr) msg.piggyback = driver_->piggyback(*this, p);
       const long id = post(std::move(msg), now_);
 
@@ -674,17 +733,17 @@ void Engine::complete_recv(int p, long msg_index) {
   auto& box = inbox_[chan_of(msg.src, p)];
   box.erase(std::find(box.begin(), box.end(), msg_index));
 
-  proc.vm->tick();
-  proc.vm->merge_clock(msg.send_vc);
-  proc.vm->note_recv(msg.src);
-  proc.vm->fold_digest(
+  proc.vm.tick();
+  proc.vm.merge_clock(msg.send_vc);
+  proc.vm.note_recv(msg.src);
+  proc.vm.fold_digest(
       (static_cast<std::uint64_t>(msg.src) << 40) ^
       (static_cast<std::uint64_t>(static_cast<std::uint32_t>(msg.tag))
        << 16) ^
       static_cast<std::uint64_t>(msg.seq));
   msg.consumed = true;
   msg.recv_time = now_;
-  msg.recv_vc = proc.vm->clock();
+  msg.recv_vc = proc.vm.clock();
   msg.recv_stmt_uid = proc.pending_recv ? proc.pending_recv->stmt_uid : -1;
 
   trace::EventRec& rec = note(trace::EventKind::kRecv, p, now_);
@@ -734,11 +793,11 @@ void Engine::deliver(long msg_index) {
 
 double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   Process& proc = *procs_[static_cast<size_t>(p)];
-  proc.vm->tick();
+  proc.vm.tick();
 
   const int static_index = model_->static_index(ckpt_id);
 
-  const long instance = proc.vm->note_checkpoint_instance(static_index);
+  const long instance = proc.vm.note_checkpoint_instance(static_index);
 
   double overhead = forced ? 0.0 : opts_.checkpoint_overhead;
   double latency = opts_.checkpoint_latency;
@@ -749,7 +808,7 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   }
   // Real payload capture: hand the full VM state to the storage layer.
   if (opts_.checkpoint_capture_fn)
-    opts_.checkpoint_capture_fn(p, proc.vm->state());
+    opts_.checkpoint_capture_fn(p, proc.vm.state());
 
   trace::CkptRec rec;
   rec.proc = p;
@@ -759,12 +818,12 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   rec.t_begin = now_;
   rec.t_end = now_ + overhead;
   rec.t_commit = now_ + std::max(latency, overhead);
-  rec.vc = proc.vm->clock();
+  rec.vc = proc.vm.clock();
   rec.forced = forced;
   if (opts_.keep_snapshots) {
     rec.snapshot = static_cast<int>(snapshots_.size());
     snapshots_.push_back(EngineSnapshot{
-        append_snapshot_image(proc.vm->state(), images_), proc.pending_recv});
+        append_snapshot_image(proc.vm.state(), images_), proc.pending_recv});
   }
   trace_.checkpoints.push_back(rec);
 
@@ -803,9 +862,9 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
 
 void Engine::start_collective(int p, const Action& action) {
   Process& proc = *procs_[static_cast<size_t>(p)];
-  const long round_index = proc.vm->state().collectives_done;
+  const long round_index = proc.vm.state().collectives_done;
   const auto round_tag = static_cast<std::uint64_t>(round_index);
-  proc.vm->note_collective();
+  proc.vm.note_collective();
   while (rounds_.size() <= static_cast<size_t>(round_index))
     rounds_.push_back(std::make_unique<CollRound>());
   CollRound& round = *rounds_[static_cast<size_t>(round_index)];
@@ -817,7 +876,7 @@ void Engine::start_collective(int p, const Action& action) {
     round.stmt_uid.assign(static_cast<size_t>(opts_.nprocs), -1);
   }
 
-  proc.vm->tick();
+  proc.vm.tick();
   // The first member to join fixes the round's kind, root and size; every
   // later member must agree (sequence matching, as in MPI).
   CollRound::Kind kind = CollRound::Kind::kBarrier;
@@ -856,7 +915,7 @@ void Engine::start_collective(int p, const Action& action) {
 
   round.joined[static_cast<size_t>(p)] = 1;
   round.join_time[static_cast<size_t>(p)] = now_;
-  round.join_vc[static_cast<size_t>(p)] = proc.vm->clock();
+  round.join_vc[static_cast<size_t>(p)] = proc.vm.clock();
   round.stmt_uid[static_cast<size_t>(p)] = stmt_uid;
   ++round.joined_count;
   const bool all_joined = round.joined_count == opts_.nprocs;
@@ -864,7 +923,7 @@ void Engine::start_collective(int p, const Action& action) {
   if (kind == CollRound::Kind::kReduce) {
     // Contributors proceed immediately; the root blocks for everyone.
     if (p != root) {
-      proc.vm->fold_digest(0x5edce001ULL + round_tag);
+      proc.vm.fold_digest(0x5edce001ULL + round_tag);
       note(trace::EventKind::kCollective, p, now_).stmt_uid = stmt_uid;
       // Contribution sent asynchronously; this process stays kReady and
       // advance() continues — unless it completes a round the root waits
@@ -882,8 +941,8 @@ void Engine::start_collective(int p, const Action& action) {
     for (int q = 0; q < opts_.nprocs; ++q)
       if (round.joined[static_cast<size_t>(q)])
         merged.merge(round.join_vc[static_cast<size_t>(q)]);
-    root_proc.vm->merge_clock(merged);
-    root_proc.vm->fold_digest(0x5edce000ULL + round_tag);
+    root_proc.vm.merge_clock(merged);
+    root_proc.vm.fold_digest(0x5edce000ULL + round_tag);
     note(trace::EventKind::kCollective, root, release).stmt_uid =
         round.stmt_uid[static_cast<size_t>(root)];
     wake_at(root, release);
@@ -904,9 +963,9 @@ void Engine::start_collective(int p, const Action& action) {
       // until a detector verdict rolls everyone back.
       if (crashed_[static_cast<size_t>(q)]) continue;
       Process& member = *procs_[static_cast<size_t>(q)];
-      member.vm->tick();
-      member.vm->merge_clock(merged);
-      member.vm->fold_digest(0xbaff1e00ULL + round_tag);
+      member.vm.tick();
+      member.vm.merge_clock(merged);
+      member.vm.fold_digest(0xbaff1e00ULL + round_tag);
       note(trace::EventKind::kCollective, q, release).stmt_uid =
           round.stmt_uid[static_cast<size_t>(q)];
       wake_at(q, release);
@@ -918,16 +977,16 @@ void Engine::start_collective(int p, const Action& action) {
   // Bcast: the root proceeds immediately; receivers wait for the root.
   const auto receive_bcast = [&](int q, double release) {
     Process& member = *procs_[static_cast<size_t>(q)];
-    member.vm->merge_clock(round.root_vc);
-    member.vm->fold_digest(0xbca57001ULL + round_tag);
+    member.vm.merge_clock(round.root_vc);
+    member.vm.fold_digest(0xbca57001ULL + round_tag);
     note(trace::EventKind::kCollective, q, release).stmt_uid =
         round.stmt_uid[static_cast<size_t>(q)];
   };
   if (p == root) {
     round.root_joined = true;
     round.root_ready = now_ + message_delay(round.bytes);
-    round.root_vc = proc.vm->clock();
-    proc.vm->fold_digest(0xbca57000ULL + round_tag);
+    round.root_vc = proc.vm.clock();
+    proc.vm.fold_digest(0xbca57000ULL + round_tag);
     note(trace::EventKind::kCollective, p, now_).stmt_uid = stmt_uid;
     // Release receivers that were already waiting.
     for (int q = 0; q < opts_.nprocs; ++q) {
@@ -1039,7 +1098,7 @@ void Engine::perform_rollback(int failed_proc) {
 
   ++epoch_;
   for (auto& box : inbox_) box.clear();
-  if (opts_.delay.lossy()) reset_transport_for_rollback();
+  if (opts_.delay.lossy()) reset_transport();
 
   // Every process restarts after the uniform restart delay R.
   const double resume_at = now_ + opts_.recovery_overhead;
@@ -1059,7 +1118,7 @@ void Engine::perform_rollback(int failed_proc) {
     if (quarantined_[static_cast<size_t>(p)]) continue;
     const int member = line.cut.member[static_cast<size_t>(p)];
     if (member < 0) {
-      proc.vm = make_vm(p);
+      proc.vm.reset();
       proc.pending_recv.reset();
     } else {
       const auto& ckpt = trace_.checkpoints[static_cast<size_t>(member)];
@@ -1068,13 +1127,13 @@ void Engine::perform_rollback(int failed_proc) {
       const EngineSnapshot& snap =
           snapshots_[static_cast<size_t>(ckpt.snapshot)];
       read_snapshot_image(images_.data() + snap.offset,
-                          proc.vm->mutable_state());
+                          proc.vm.mutable_state());
       proc.pending_recv = snap.pending_recv;
     }
     // Rewind the completed-checkpoint tally to the restored state so that
     // checkpoint_count() (CIC piggybacks) reflects the new incarnation.
     long restored_ckpts = 0;
-    for (const auto& entry : proc.vm->state().ckpt_instances.entries)
+    for (const auto& entry : proc.vm.state().ckpt_instances.entries)
       restored_ckpts += entry.value;
     ckpt_counts_[static_cast<size_t>(p)] = restored_ckpts;
     proc.pending_compute_uid = -1;
@@ -1100,10 +1159,10 @@ void Engine::perform_rollback(int failed_proc) {
     for (int dst = 0; dst < opts_.nprocs; ++dst) {
       if (src == dst) continue;
       const long sent = procs_[static_cast<size_t>(src)]
-                            ->vm->state()
+                            ->vm.state()
                             .sends_per_channel[static_cast<size_t>(dst)];
       const long consumed = procs_[static_cast<size_t>(dst)]
-                                ->vm->state()
+                                ->vm.state()
                                 .recvs_per_channel[static_cast<size_t>(src)];
       for (long seq = consumed + 1; seq <= sent; ++seq) {
         // Latest log entry for (src, dst, seq) — re-sends after earlier
@@ -1194,7 +1253,7 @@ std::uint64_t Engine::progress_stamp() const {
   std::uint64_t sum = 0;
   for (int p = 0; p < opts_.nprocs; ++p)
     sum += static_cast<std::uint64_t>(
-        procs_[static_cast<size_t>(p)]->vm->clock()[p]);
+        procs_[static_cast<size_t>(p)]->vm.clock()[p]);
   return sum;
 }
 
@@ -1213,7 +1272,7 @@ void Engine::reset_collectives_for_rollback() {
     bool any_rejoin = false;
     for (int p = 0; p < opts_.nprocs; ++p) {
       const bool rejoins =
-          procs_[static_cast<size_t>(p)]->vm->state().collectives_done <=
+          procs_[static_cast<size_t>(p)]->vm.state().collectives_done <=
           round_index;
       if (!rejoins) continue;
       any_rejoin = true;
@@ -1229,7 +1288,7 @@ void Engine::reset_collectives_for_rollback() {
     if (!any_rejoin) continue;
     if (round.joined_count == 0) {
       // Everyone re-executes this round: start it from scratch.
-      round = CollRound{};
+      round.reset();
       continue;
     }
     if (round.kind == CollRound::Kind::kBarrier ||
@@ -1389,10 +1448,11 @@ void Engine::handle_rto(std::size_t chan, long seq) {
              static_cast<long>(chan), seq);
 }
 
-void Engine::reset_transport_for_rollback() {
-  // Every in-flight attempt, ack, and armed RTO died with the epoch bump;
-  // replays re-enter through xport_send with fresh sequence numbers. The
-  // rings keep their slot capacity — post-rollback traffic reuses it.
+void Engine::reset_transport() {
+  // After a rollback every in-flight attempt, ack, and armed RTO died with
+  // the epoch bump; replays re-enter through xport_send with fresh
+  // sequence numbers. The rings keep their slot capacity — later traffic
+  // reuses it. Empty (nothing to reset) on the reliable fast path.
   for (XportChan& ch : xport_) {
     ch.next_seq = 0;
     ch.next_expected = 0;
@@ -1427,7 +1487,7 @@ void Engine::send_control(int src, int dst, int bytes, int kind,
   msg.control = true;
   msg.piggyback = payload;
   msg.send_time = now_;
-  msg.send_vc = procs_[static_cast<size_t>(src)]->vm->clock();
+  msg.send_vc = procs_[static_cast<size_t>(src)]->vm.clock();
   const long id = post(std::move(msg), now_);
 
   ++stats_.control_messages;
@@ -1542,7 +1602,7 @@ std::uint64_t Engine::schedule_state_hash() const {
 
   for (size_t p = 0; p < n; ++p) {
     const Process& proc = *procs_[p];
-    const VmSnapshot& st = proc.vm->state();
+    const VmSnapshot& st = proc.vm.state();
     mix.mix(st.digest);
     mix.mix(static_cast<std::uint64_t>(proc.status));
     mix.mix(st.collectives_done);

@@ -258,6 +258,21 @@ class Engine {
   /// Runs to completion (all processes finish) or until max_events.
   SimResult run();
 
+  /// Re-arms the engine for another run of the same Model and options:
+  /// every piece of run state (the Data — clock, queue, trace, images,
+  /// inboxes, tallies, collective rounds, pending faults, the net RNG, the
+  /// VMs, and the window lists cut back to the plan's own) returns to its
+  /// just-constructed state, keeping its buffers' capacity. `driver` is the
+  /// next run's driver (nullptr for app-driven); SimOptions::supervised is
+  /// recomputed from it. `spent` is a result this engine returned, handed
+  /// back so its vectors serve as the next run's capacity. A run after
+  /// rearm() is byte-identical to a run of a fresh engine; the constructor
+  /// ends in this same call. State captured inside SimOptions callbacks (a
+  /// store behind checkpoint_capture_fn, say) is the caller's to reset.
+  /// Like the rest of the engine, not for concurrent use: an owner that
+  /// re-arms one engine per schedule (explore::Replayer) serves one thread.
+  void rearm(ProtocolDriver* driver, SimResult spent);
+
   // -- Driver API ----------------------------------------------------------
   double now() const { return now_; }
   int nprocs() const { return opts_.nprocs; }
@@ -323,8 +338,6 @@ class Engine {
   Engine(const Model* model, const mp::Program* program, SimOptions opts,
          ProtocolDriver* driver);
 
-  /// A fresh VM for process `p` over the model and its invariant row.
-  std::unique_ptr<Vm> make_vm(int p);
   void bootstrap();
   void dispatch(const Ev& ev);
   /// Drives `proc` forward from the current time until it blocks.
@@ -435,18 +448,28 @@ class Engine {
   void handle_rto(std::size_t chan, long seq);
   void send_xport_ack(std::size_t chan);
   /// Clears every channel (unacked windows, reorder buffers, sequence
-  /// counters) after a rollback; in-flight transport events die via the
-  /// epoch bump.
-  void reset_transport_for_rollback();
+  /// counters) after a rollback or on rearm(); in-flight transport events
+  /// die via the epoch bump or the cleared queue.
+  void reset_transport();
 
+  // -- Fixed for the engine's life (the Model side) -------------------------
   const Model* model_;  ///< set by the end of construction
   std::unique_ptr<const Model> owned_model_;  ///< null when shared
   SimOptions opts_;
-  ProtocolDriver* driver_;
+  /// opts.supervised as given; rearm() ORs in the driver's wish.
+  bool supervised_option_ = false;
+  /// How many of partitions_ / stalls_ are the fault plan's own windows;
+  /// rearm() drops the injected ones behind them.
+  std::size_t plan_partitions_ = 0;
+  std::size_t plan_stalls_ = 0;
   /// Values of the model's rank-pure roots, nprocs rows of
   /// model_->slot_count() slots, filled on first use. One allocation per
-  /// engine; survives VM re-creation on rollback.
+  /// engine; a pure function of the Model, so kept across VM resets on
+  /// rollback and across rearm().
   std::vector<InvariantSlot> invariants_;
+
+  // -- Run state (the Data): reset in place by rearm() ----------------------
+  ProtocolDriver* driver_ = nullptr;
 
   /// A restorable checkpoint: the offset of its VM image in images_ plus
   /// any outstanding blocking receive (a protocol may force a checkpoint
@@ -475,7 +498,8 @@ class Engine {
   std::vector<double> crash_time_;
   /// Gray-failure windows: the fault plan's, moved here after validation,
   /// followed by explorer-injected ones (kPartitionPoint/kStallPoint
-  /// choices) in injection order. Never cleared — windows expire by time.
+  /// choices) in injection order. Windows expire by time within a run;
+  /// rearm() drops the injected ones.
   std::vector<PartitionSpec> partitions_;
   std::vector<StallSpec> stalls_;
   std::vector<std::unique_ptr<Process>> procs_;
@@ -525,6 +549,9 @@ class Engine {
   /// The event core: pops events in their unique (time, seq) order.
   EventQueue queue_;
   util::Rng net_rng_{0x5eedULL};
+  /// The spent result rearm() took back, less the trace and recovery
+  /// buffers trace_ / recoveries_ kept: run() builds its result in it.
+  SimResult recycled_;
 };
 
 /// Convenience: simulate `program` on `nprocs` processes with default

@@ -65,6 +65,12 @@ class EventQueue {
   std::size_t size() const { return heap_.size(); }
   /// Most events ever resident at once.
   long size_high_water() const { return high_water_; }
+  /// Empties the queue and its high-water mark; the heap keeps its
+  /// capacity.
+  void clear() {
+    heap_.clear();
+    high_water_ = 0;
+  }
 
   /// Takes `ev` by value: growing the vector must not invalidate it.
   void push(Ev ev) {

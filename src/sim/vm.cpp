@@ -127,16 +127,28 @@ Vm::Vm(const Model& model, int rank, int nprocs, std::uint64_t seed,
     : model_(&model),
       rank_(rank),
       nprocs_(nprocs),
+      seed_(seed),
       invariants_(invariants),
       resolver_(resolver) {
   ACFC_CHECK_MSG(rank >= 0 && rank < nprocs, "rank out of range");
-  state_.rng = util::Rng(seed ^ (static_cast<std::uint64_t>(rank) * 0x9e3779b97f4a7c15ULL));
-  state_.vc = trace::VClock(nprocs);
-  state_.sends_per_channel.assign(static_cast<size_t>(nprocs), 0);
-  state_.recvs_per_channel.assign(static_cast<size_t>(nprocs), 0);
-  const mp::Program& program = model.program();
+  reset();
+}
+
+void Vm::reset() {
+  state_.stack.clear();
+  const mp::Program& program = model_->program();
   if (!program.body.empty())
     state_.stack.push_back(Frame{&program.body, 0, nullptr, 0, 0});
+  state_.rng = util::Rng(
+      seed_ ^ (static_cast<std::uint64_t>(rank_) * 0x9e3779b97f4a7c15ULL));
+  std::uint64_t* clock = state_.vc.overwrite(nprocs_);
+  std::fill(clock, clock + nprocs_, 0);
+  state_.digest = VmSnapshot::kInitialDigest;
+  state_.irregular_counts.entries.clear();
+  state_.sends_per_channel.assign(static_cast<size_t>(nprocs_), 0);
+  state_.recvs_per_channel.assign(static_cast<size_t>(nprocs_), 0);
+  state_.collectives_done = 0;
+  state_.ckpt_instances.entries.clear();
 }
 
 void Vm::fold_digest(std::uint64_t value) {

@@ -69,7 +69,8 @@ struct VmSnapshot {
   trace::VClock vc;
   /// FNV-1a digest of the logical execution (control decisions, message
   /// identities) — replay validation compares digests, never times.
-  std::uint64_t digest = 1469598103934665603ULL;
+  static constexpr std::uint64_t kInitialDigest = 1469598103934665603ULL;
+  std::uint64_t digest = kInitialDigest;
   /// Per irregular-site invocation counters (deterministic resolution).
   CounterMap irregular_counts;
   /// Messages sent so far per destination (channel sequence numbers).
@@ -132,7 +133,8 @@ using Action = std::variant<ActionCompute, ActionSend, ActionRecv,
 
 /// One entry of an engine's invariant table: the value of a rank-pure root
 /// (Root::slot) for one rank, filled on first use. Derived data, valid
-/// across rollback and VM re-creation, so never part of a VmSnapshot.
+/// across rollback, Vm::reset and Engine::rearm, so never part of a
+/// VmSnapshot.
 struct InvariantSlot {
   std::int64_t value = 0;
   bool known = false;
@@ -170,6 +172,11 @@ class Vm {
   /// the VM (replay determinism).
   Vm(const Model& model, int rank, int nprocs, std::uint64_t seed,
      InvariantSlot* invariants, const mp::IrregularResolver* resolver);
+
+  /// Back to the state at the program's entry, as the constructor leaves
+  /// it, keeping every vector's capacity: the engine re-arms its VMs with
+  /// it and restarts a process that rolls back to no checkpoint.
+  void reset();
 
   int rank() const { return rank_; }
   int nprocs() const { return nprocs_; }
@@ -210,6 +217,7 @@ class Vm {
   const Model* model_;
   int rank_;
   int nprocs_;
+  std::uint64_t seed_;
   InvariantSlot* invariants_;
   const mp::IrregularResolver* resolver_;
   VmSnapshot state_;

@@ -273,7 +273,7 @@ TEST(WindowPin, ExploreCombinesPlanWindowsWithInjectedOnes) {
                      static_cast<std::uint64_t>(p.deferred_sends),
                      static_cast<std::uint64_t>(p.stall_deferred),
                      p.messages});
-    const std::vector<explore::ChoiceRec> log = hook.take_log();
+    const std::vector<explore::ChoiceRec> log = hook.log();
     for (std::size_t i = log.size(); i-- > plan.size();) {
       if (log[i].arity <= 1) continue;
       std::vector<int> prefix;

@@ -5,9 +5,7 @@
 // sim::Model give byte-identical results to engines built from the
 // program.
 #include <algorithm>
-#include <bit>
 #include <set>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -15,6 +13,7 @@
 
 #include "mp/generate.h"
 #include "mp/parser.h"
+#include "run_bytes.h"
 #include "sim/model.h"
 #include "sim/montecarlo.h"
 #include "workloads/workloads.h"
@@ -278,63 +277,6 @@ TEST(FaultPlanBatch, BitIdenticalUnderPool) {
 // Model sharing: an engine built from a shared sim::Model must give the
 // byte-identical SimResult of one built from the program (which builds a
 // private Model).
-
-/// Every recorded field of a run, doubles as exact bit patterns.
-std::string run_bytes(const SimResult& r) {
-  std::ostringstream out;
-  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  const auto clock = [](const trace::VClock& vc) {
-    std::string text;
-    for (int i = 0; i < vc.size(); ++i)
-      text += std::to_string(vc[i]) + ",";
-    return text;
-  };
-  const trace::Trace& t = r.trace;
-  out << "trace " << t.nprocs << ' ' << t.completed << ' ' << bits(t.end_time)
-      << '\n';
-  for (const std::uint64_t d : t.final_digest) out << "digest " << d << '\n';
-  for (const trace::EventRec& e : t.events)
-    out << "ev " << static_cast<int>(e.kind) << ' ' << e.proc << ' '
-        << bits(e.time) << ' ' << clock(e.vc) << ' ' << e.stmt_uid << ' '
-        << e.msg_id << ' ' << e.peer << ' ' << e.tag << ' ' << e.ckpt_id
-        << ' ' << e.ckpt_instance << ' ' << e.forced << '\n';
-  for (const trace::MsgRec& m : t.messages)
-    out << "msg " << m.id << ' ' << m.src << ' ' << m.dst << ' ' << m.tag
-        << ' ' << m.bytes << ' ' << m.seq << ' ' << bits(m.send_time) << ' '
-        << bits(m.deliver_time) << ' ' << bits(m.recv_time) << ' '
-        << m.send_stmt_uid << ' ' << m.recv_stmt_uid << ' '
-        << clock(m.send_vc) << ' ' << clock(m.recv_vc) << ' ' << m.consumed
-        << ' ' << m.control << ' ' << m.piggyback << ' ' << m.replayed << ' '
-        << m.xport_seq << '\n';
-  for (const trace::CkptRec& c : t.checkpoints)
-    out << "ckpt " << c.proc << ' ' << c.ckpt_id << ' ' << c.static_index
-        << ' ' << c.instance << ' ' << bits(c.t_begin) << ' ' << bits(c.t_end)
-        << ' ' << bits(c.t_commit) << ' ' << clock(c.vc) << ' ' << c.forced
-        << ' ' << c.snapshot << '\n';
-  const SimStats& s = r.stats;
-  out << "stats " << s.app_messages << ' ' << s.app_bytes << ' '
-      << s.control_messages << ' ' << s.control_bytes << ' '
-      << s.statement_checkpoints << ' ' << s.forced_checkpoints << ' '
-      << s.events_processed << ' ' << s.restarts << ' ' << bits(s.paused_time)
-      << ' ' << s.channel_logged_messages << '\n';
-  for (const RecoveryRec& rec : r.recoveries) {
-    out << "rec " << rec.failed_proc << ' ' << bits(rec.fail_time) << ' '
-        << bits(rec.resume_time) << ' ' << bits(rec.lost_work) << ' '
-        << rec.replayed_messages << ' ' << rec.fallback_depth << " cut";
-    for (const int m : rec.cut.member) out << ' ' << m;
-    out << " rollbacks";
-    for (const int b : rec.rollbacks) out << ' ' << b;
-    out << '\n';
-  }
-  out << "sends";
-  for (const long v : r.final_sends) out << ' ' << v;
-  out << "\nrecvs";
-  for (const long v : r.final_recvs) out << ' ' << v;
-  out << "\ncorrupt";
-  for (const int c : r.corrupt_checkpoints) out << ' ' << c;
-  out << '\n';
-  return out.str();
-}
 
 /// A failure-free config and one with a crash after the first checkpoint.
 std::vector<SimOptions> model_configs(int nprocs) {

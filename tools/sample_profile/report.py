@@ -15,7 +15,13 @@ Options:
     --top N       rows per table (default 30)
     --layers      instead of the function tables, print the inclusive share
                   of each engine layer (LAYERS below); frames inlined into
-                  a sampled frame count as frames of the stack here
+                  a sampled frame count as frames of the stack here. The
+                  "heap allocator" layer matches malloc, __libc_free,
+                  operator new and operator delete only: libc is stripped,
+                  so its internal frames symbolize as whichever exported
+                  neighbour precedes them (__default_morecore, say) and
+                  are counted through the malloc or free frame that calls
+                  them, not by name
     --keep        with --run, keep the sample files
 
 A function's inclusive share counts the samples with it anywhere on the
@@ -54,7 +60,7 @@ LAYERS = (
                         "acfc::sim::Engine::send_xport_ack",
                         "acfc::sim::Engine::handle_ack",
                         "acfc::sim::Engine::handle_rto",
-                        "acfc::sim::Engine::reset_transport_for_rollback",
+                        "acfc::sim::Engine::reset_transport",
                         "acfc::sim::SeqRing")),
     ("trace recording", ("acfc::sim::Engine::note", "acfc::trace::Trace::",
                          "acfc::trace::EventRec", "acfc::trace::MsgRec",
@@ -73,6 +79,12 @@ LAYERS = (
                             "acfc::sim::VmSnapshot::VmSnapshot",
                             "acfc::sim::VmSnapshot::operator=",
                             "acfc::store::")),
+    # glibc's entry points and the C++ operators over them. Stripped libc
+    # internals (_int_malloc shows up as a neighbouring export such as
+    # __default_morecore) are not matched by name: they always run under
+    # a malloc or free frame, which counts the sample here.
+    ("heap allocator", ("malloc", "__libc_free", "operator new",
+                        "operator delete")),
 )
 
 

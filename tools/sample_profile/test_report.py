@@ -45,8 +45,10 @@ STACKS = [
     # the calendar queue of older builds is the same layer
     ["acfc::sim::CalendarQueue::resize", "acfc::sim::CalendarQueue::push",
      "acfc::sim::Engine::post", ENGINE_RUN, RUN, "main"],
-    # engine work in no layer
+    # the heap allocator under engine work in no other layer
     ["malloc", "acfc::sim::Engine::dispatch", ENGINE_RUN, RUN, "main"],
+    # engine work in no layer
+    ["acfc::sim::Engine::dispatch", ENGINE_RUN, RUN, "main"],
     # outside the timed op
     ["acfc::mp::parse_program", "SetUp::run", "main"],
 ]
@@ -60,15 +62,16 @@ class LayerShares(unittest.TestCase):
 
     def test_inclusive_shares_within_an_op(self):
         stacks = report.keep_within(STACKS, RUN)
-        self.assertEqual(len(stacks), 8)
+        self.assertEqual(len(stacks), 9)
         shares = report.layer_shares(stacks)
-        self.assertAlmostEqual(shares["event queue"], 2 / 8)
-        self.assertAlmostEqual(shares["VM step"], 1 / 8)
-        self.assertAlmostEqual(shares["vector clocks"], 1 / 8)
-        self.assertAlmostEqual(shares["transport shim"], 1 / 8)
-        self.assertAlmostEqual(shares["trace recording"], 1 / 8)
-        self.assertAlmostEqual(shares["checkpoint capture"], 1 / 8)
-        self.assertAlmostEqual(shares["other"], 2 / 8)
+        self.assertAlmostEqual(shares["event queue"], 2 / 9)
+        self.assertAlmostEqual(shares["VM step"], 1 / 9)
+        self.assertAlmostEqual(shares["vector clocks"], 1 / 9)
+        self.assertAlmostEqual(shares["transport shim"], 1 / 9)
+        self.assertAlmostEqual(shares["trace recording"], 1 / 9)
+        self.assertAlmostEqual(shares["checkpoint capture"], 1 / 9)
+        self.assertAlmostEqual(shares["heap allocator"], 1 / 9)
+        self.assertAlmostEqual(shares["other"], 2 / 9)
 
     def test_explorer_hook_inside_a_take_is_not_capture(self):
         hook = [s for s in STACKS if "acfc::sim::Engine::offer_failure_point" in s]
@@ -92,13 +95,32 @@ class LayerShares(unittest.TestCase):
         self.assertEqual(
             report.layer_shares([teardown])["checkpoint capture"], 0.0)
 
+    def test_heap_allocator_counts_libc_internals_through_callers(self):
+        # Stripped libc: _int_malloc / _int_free symbolize as an exported
+        # neighbour; the malloc or free frame above them places the sample.
+        grow = ["__default_morecore", "malloc", "operator new",
+                "std::vector<acfc::trace::EventRec>::reserve",
+                "acfc::sim::Engine::rearm", RUN]
+        release = ["__default_morecore", "__libc_free", "operator delete",
+                   "acfc::sim::Engine::~Engine", RUN]
+        sized = ["operator delete", "acfc::sim::SimResult::~SimResult", RUN]
+        neighbour_alone = ["__default_morecore", "acfc::sim::Engine::run", RUN]
+        shares = report.layer_shares([grow, release, sized, neighbour_alone])
+        self.assertAlmostEqual(shares["heap allocator"], 3 / 4)
+        self.assertAlmostEqual(shares["other"], 1 / 4)
+        # Allocation inside another layer counts toward both.
+        vm = ["malloc", "acfc::sim::Vm::next", ENGINE_RUN]
+        both = report.layer_shares([vm])
+        self.assertEqual(both["heap allocator"], 1.0)
+        self.assertEqual(both["VM step"], 1.0)
+
     def test_nested_layers_overlap_and_other_excludes_them(self):
         shares = report.layer_shares(STACKS)
         # The VM-step sample also counts as vector clocks, so the layers
         # sum past the samples they cover.
         layered = sum(v for k, v in shares.items() if k != "other")
-        self.assertAlmostEqual(layered, 7 / 9)
-        self.assertAlmostEqual(shares["other"], 3 / 9)
+        self.assertAlmostEqual(layered, 8 / 10)
+        self.assertAlmostEqual(shares["other"], 3 / 10)
         self.assertGreater(layered + shares["other"], 1.0)
 
     def test_no_samples_gives_zero_shares(self):
@@ -109,9 +131,10 @@ class LayerShares(unittest.TestCase):
         out = io.StringIO()
         report.layer_report(STACKS, within=ENGINE_RUN, out=out)
         text = out.getvalue()
-        self.assertIn("samples: 8 within 'acfc::sim::Engine::run'", text)
-        self.assertIn("   25.0  event queue", text)
-        self.assertIn("   25.0  other", text)
+        self.assertIn("samples: 9 within 'acfc::sim::Engine::run'", text)
+        self.assertIn("   22.2  event queue", text)
+        self.assertIn("   11.1  heap allocator", text)
+        self.assertIn("   22.2  other", text)
 
 
 class Addr2lineParsing(unittest.TestCase):
