@@ -32,6 +32,7 @@
 #include "cfg/cfg.h"
 #include "explore/artifact.h"
 #include "explore/explore.h"
+#include "explore/settings.h"
 #include "explore/shrink.h"
 #include "explore/strategy.h"
 #include "match/match.h"

@@ -14,8 +14,10 @@
 //   plan 0,1,0,2             <- comma-separated choice plan (may be empty)
 //   end                      <- terminator; trailing bytes rejected
 //
-// parse_artifact() NEVER throws: every number goes through
-// std::from_chars with range checks, names are validated against the
+// Every key is a row of the settings table (explore/settings.h), which
+// gives its field, its type and its range; to_text writes the rows in
+// table order. parse_artifact() NEVER throws: every number goes through
+// std::from_chars with the row's range, names are validated against the
 // workload/driver registries, unknown or duplicate keys reject, and the
 // result is std::nullopt on any defect. Doubles are printed with %.17g so
 // text round-trips bit-exactly.
@@ -32,9 +34,8 @@ namespace acfc::explore {
 
 struct Artifact {
   Scenario scenario;
-  /// Only the replay-relevant fields are serialized: max_choice_points,
-  /// max_failures, max_partitions, max_stalls, check_digest,
-  /// check_cic_index, and perturb.*.
+  /// Only the replay-relevant fields are serialized: those with an ACFX
+  /// key in the settings table.
   ExploreOptions opts;
   std::vector<int> plan;
   /// Violated property the replay is expected to reproduce ("none" when

@@ -49,15 +49,13 @@ class Runner {
 
   /// Runs `plan` (past it: defaults, or uniform draws from `random`);
   /// result() and hook() describe that run until the next one.
-  void run(const std::vector<int>& plan, bool suppress_failures, Memo* memo,
-           util::Rng* random) {
+  void run(const std::vector<int>& plan, Memo* memo, util::Rng* random) {
     PlanHook::Config cfg;
     cfg.plan = &plan;
     cfg.max_choice_points = ctx_.opts.max_choice_points;
-    cfg.max_failures = suppress_failures ? 0 : ctx_.opts.max_failures;
-    cfg.max_partitions = suppress_failures ? 0 : ctx_.opts.max_partitions;
-    cfg.max_stalls = suppress_failures ? 0 : ctx_.opts.max_stalls;
-    cfg.suppress_failures = suppress_failures;
+    cfg.max_failures = ctx_.opts.max_failures;
+    cfg.max_partitions = ctx_.opts.max_partitions;
+    cfg.max_stalls = ctx_.opts.max_stalls;
     cfg.memo = memo;
     cfg.random = random;
     hook_.rearm(cfg);
@@ -138,12 +136,10 @@ struct ShardOut {
   std::vector<Violation> violations;
 };
 
-void note_violation(const Ctx& ctx, ShardOut& out,
-                    std::optional<Violation> v) {
+void note_violation(ShardOut& out, std::optional<Violation> v) {
   if (!v) return;
   ++out.violations_found;
-  if (static_cast<int>(out.violations.size()) <
-      ctx.opts.max_recorded_violations)
+  if (out.violations.size() < kMaxRecordedViolations)
     out.violations.push_back(std::move(*v));
 }
 
@@ -185,20 +181,18 @@ ShardOut dfs(const Ctx& ctx, std::vector<std::vector<int>> stack,
     }
     const std::vector<int> plan = std::move(stack.back());
     stack.pop_back();
-    run.run(plan, /*suppress_failures=*/false,
-            ctx.opts.memoize ? &memo : nullptr, /*random=*/nullptr);
+    run.run(plan, ctx.opts.memoize ? &memo : nullptr, /*random=*/nullptr);
     ++out.schedules;
     out.choice_points += run.hook().total_choice_points();
     out.states_recorded += run.hook().states_recorded();
     if (run.hook().pruned()) ++out.states_pruned;
-    note_violation(ctx, out, evaluate(ctx, run));
+    note_violation(out, evaluate(ctx, run));
     push_children(ctx, plan, run.hook().log(), stack, out.max_plan_length);
   }
   return out;
 }
 
-void merge(ExploreResult& res, const Ctx& ctx, const ShardOut& shard,
-           bool& exhausted) {
+void merge(ExploreResult& res, const ShardOut& shard, bool& exhausted) {
   res.schedules_run += shard.schedules;
   res.choice_points += shard.choice_points;
   res.states_recorded += shard.states_recorded;
@@ -207,8 +201,7 @@ void merge(ExploreResult& res, const Ctx& ctx, const ShardOut& shard,
                                  shard.max_plan_length);
   res.violations_found += shard.violations_found;
   for (const Violation& v : shard.violations)
-    if (static_cast<int>(res.violations.size()) <
-        ctx.opts.max_recorded_violations)
+    if (res.violations.size() < kMaxRecordedViolations)
       res.violations.push_back(v);
   exhausted = exhausted || shard.budget_exhausted;
 }
@@ -221,9 +214,11 @@ detail::Ctx::Ctx(const Scenario& scenario_in, const ExploreOptions& opts_in)
       program(scenario_in.program()),
       model(program),
       factory(scenario_in.driver_factory()) {
+  // An empty plan with no memo and no random draws answers every choice
+  // point 0: no perturbation, no injection.
   const std::vector<int> empty;
   Runner run(*this);
-  run.run(empty, /*suppress_failures=*/true, nullptr, nullptr);
+  run.run(empty, nullptr, nullptr);
   baseline = run.release_result();
 }
 
@@ -255,23 +250,23 @@ ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts) {
           util::Rng rng(sim::run_seed(opts.strategy_seed, i));
           const std::vector<int> empty;
           Runner run(ctx);
-          run.run(empty, false, nullptr, &rng);
+          run.run(empty, nullptr, &rng);
           ShardOut out;
           out.schedules = 1;
           out.choice_points = run.hook().total_choice_points();
           out.max_plan_length = static_cast<long>(
               trim_plan(taken_of(run.hook().log())).size());
-          note_violation(ctx, out, evaluate(ctx, run));
+          note_violation(out, evaluate(ctx, run));
           return out;
         });
-    for (const ShardOut& walk : walks) merge(res, ctx, walk, exhausted);
+    for (const ShardOut& walk : walks) merge(res, walk, exhausted);
     res.complete = false;  // sampling never certifies the tree
     return res;
   }
 
   if (opts.threads <= 1) {
     const ShardOut all = dfs(ctx, {std::vector<int>{}}, opts.max_schedules);
-    merge(res, ctx, all, exhausted);
+    merge(res, all, exhausted);
     res.complete = !exhausted;
     return res;
   }
@@ -282,15 +277,15 @@ ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts) {
   // bit-deterministic for a given thread count.
   const std::vector<int> root_plan;
   Runner root(ctx);
-  root.run(root_plan, false, nullptr, nullptr);
+  root.run(root_plan, nullptr, nullptr);
   ShardOut root_out;
   root_out.schedules = 1;
   root_out.choice_points = root.hook().total_choice_points();
-  note_violation(ctx, root_out, evaluate(ctx, root));
+  note_violation(root_out, evaluate(ctx, root));
   std::vector<std::vector<int>> children;
   push_children(ctx, root_plan, root.hook().log(), children,
                 root_out.max_plan_length);
-  merge(res, ctx, root_out, exhausted);
+  merge(res, root_out, exhausted);
 
   const int nshards =
       std::max(1, std::min<int>(opts.threads,
@@ -312,7 +307,7 @@ ExploreResult explore(const Scenario& scenario, const ExploreOptions& opts) {
             remaining / nshards + (s < remaining % nshards ? 1 : 0);
         return dfs(ctx, shards[static_cast<size_t>(s)], budget);
       });
-  for (const ShardOut& shard : outs) merge(res, ctx, shard, exhausted);
+  for (const ShardOut& shard : outs) merge(res, shard, exhausted);
   res.complete = !exhausted;
   return res;
 }
@@ -324,7 +319,7 @@ Replayer::Replayer(const Scenario& scenario, const ExploreOptions& opts)
 Replayer::~Replayer() = default;
 
 ReplayReport Replayer::replay(const std::vector<int>& plan) {
-  runner_->run(plan, /*suppress_failures=*/false, nullptr, nullptr);
+  runner_->run(plan, nullptr, nullptr);
   const sim::SimResult& result = runner_->result();
   ReplayReport rep;
   rep.completed = result.trace.completed;

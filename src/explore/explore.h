@@ -83,8 +83,6 @@ struct ExploreOptions {
   bool check_digest = true;
   /// Check proto::check_cic_index_invariant (CIC-family drivers only).
   bool check_cic_index = false;
-  /// Cap on violations RECORDED (all are counted).
-  int max_recorded_violations = 16;
   sim::PerturbOptions perturb;
 };
 
@@ -97,6 +95,9 @@ struct Violation {
   std::uint64_t digest = 0;  ///< fold_digest of the violating run
 };
 
+/// Cap on violations RECORDED in an ExploreResult (all are counted).
+inline constexpr std::size_t kMaxRecordedViolations = 16;
+
 struct ExploreResult {
   long schedules_run = 0;
   long choice_points = 0;     ///< total consulted across schedules
@@ -107,7 +108,7 @@ struct ExploreResult {
   /// false in random-walk mode).
   bool complete = false;
   long violations_found = 0;
-  std::vector<Violation> violations;  ///< first max_recorded_violations
+  std::vector<Violation> violations;  ///< first kMaxRecordedViolations
 };
 
 /// Replay outcome of a single plan (no search).

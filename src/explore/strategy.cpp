@@ -24,22 +24,19 @@ int PlanHook::choose(const sim::ChoicePoint& cp) {
   const auto horizon = static_cast<std::size_t>(cfg_.max_choice_points);
   const int arity = cp.arity < 1 ? 1 : cp.arity;
 
-  // Injection budgets: once spent (or in reference mode), failure /
-  // partition / stall points are forced to "don't inject" and are not
-  // branchable — but they still consume their position, keeping plans
-  // aligned across runs.
+  // Injection budgets: once spent, failure / partition / stall points are
+  // forced to "don't inject" and are not branchable — but they still
+  // consume their position, keeping plans aligned across runs.
   bool injection_off = false;
   switch (cp.kind) {
     case sim::ChoiceKind::kFailurePoint:
-      injection_off =
-          cfg_.suppress_failures || failures_ >= cfg_.max_failures;
+      injection_off = failures_ >= cfg_.max_failures;
       break;
     case sim::ChoiceKind::kPartitionPoint:
-      injection_off =
-          cfg_.suppress_failures || partitions_ >= cfg_.max_partitions;
+      injection_off = partitions_ >= cfg_.max_partitions;
       break;
     case sim::ChoiceKind::kStallPoint:
-      injection_off = cfg_.suppress_failures || stalls_ >= cfg_.max_stalls;
+      injection_off = stalls_ >= cfg_.max_stalls;
       break;
     default:
       break;

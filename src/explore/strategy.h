@@ -48,11 +48,6 @@ class PlanHook final : public sim::ScheduleHook {
     /// failures (each injection kind has its own budget).
     int max_partitions = 1;
     int max_stalls = 1;
-    /// Reference mode: answer 0 at every injection point (failure,
-    /// partition, stall) regardless of the plan. Positions still advance,
-    /// so a faulty plan and its suppressed twin stay aligned until they
-    /// diverge.
-    bool suppress_failures = false;
     /// When set, NEW positions (>= plan size, < horizon) consult the
     /// memo: a state-hash hit marks the run pruned — it still completes
     /// (and is oracle-checked), but records no further branch points.

@@ -160,7 +160,6 @@ Engine::Engine(const Model* model, const mp::Program* program,
                        w.dst >= -1 && w.dst < opts_.nprocs,
                    "slow-link endpoint outside the world");
   }
-  supervised_option_ = opts_.supervised;
   if (opts_.schedule_hook != nullptr) {
     ACFC_CHECK_MSG(!opts_.delay.lossy(),
                    "schedule hooks require the reliable fast path");
@@ -179,9 +178,8 @@ Engine::Engine(const Model* model, const mp::Program* program,
   invariants_.assign(n * slots, {});
   for (int p = 0; p < opts_.nprocs; ++p)
     procs_.push_back(std::make_unique<Process>(
-        Vm(*model_, p, opts_.nprocs, opts_.seed,
-           invariants_.data() + static_cast<size_t>(p) * slots,
-           opts_.irregular ? &opts_.irregular : nullptr)));
+        Vm(*model_, p, opts_.nprocs,
+           invariants_.data() + static_cast<size_t>(p) * slots)));
   rearm(driver, SimResult{});
 }
 
@@ -190,8 +188,7 @@ Engine::~Engine() = default;
 void Engine::rearm(ProtocolDriver* driver, SimResult spent) {
   const auto n = static_cast<size_t>(opts_.nprocs);
   driver_ = driver;
-  opts_.supervised = supervised_option_ ||
-                     (driver_ != nullptr && driver_->wants_supervised_failures());
+  supervised_ = driver_ != nullptr && driver_->wants_supervised_failures();
   now_ = 0.0;
   event_seq_ = 0;
   epoch_ = 0;
@@ -1041,7 +1038,7 @@ bool Engine::checkpoint_usable(int ckpt_index) const {
 
 void Engine::handle_failure(int proc) {
   if (all_done()) return;
-  if (opts_.supervised) {
+  if (supervised_) {
     // Supervised mode: the crash only marks the process dead. Recovery
     // waits for an in-model verdict (supervised_restart / quarantine) —
     // detection is a protocol event, not engine omniscience.

@@ -30,6 +30,7 @@
 #include "store/fault.h"
 #include "trace/analysis.h"
 #include "trace/trace.h"
+#include "util/rng.h"
 
 namespace acfc::obs {
 class Registry;
@@ -137,17 +138,8 @@ struct SimOptions {
   /// How much nondeterminism the hook is offered (ignored when the hook
   /// is null).
   PerturbOptions perturb;
-  /// Supervised failure mode: crashes mark the process dead (events
-  /// targeting it are dropped) instead of triggering immediate rollback;
-  /// recovery waits for an in-model verdict (Engine::supervised_restart /
-  /// Engine::quarantine, normally issued by sim::Supervisor). Forced on
-  /// automatically when the driver's wants_supervised_failures() is true.
-  bool supervised = false;
   /// Runaway guard.
   long max_events = 5'000'000;
-  /// Resolver for irregular expressions; when empty, the VMs call the
-  /// deterministic hash sim::default_irregular() (values in [0, nprocs)).
-  mp::IrregularResolver irregular;
   /// Observability sink (docs/observability.md). nullptr ⇒ fully inert:
   /// the engine keeps its plain SimStats counters and never touches the
   /// registry, so the common uninstrumented run pays nothing.
@@ -263,8 +255,8 @@ class Engine {
   /// inboxes, tallies, collective rounds, pending faults, the net RNG, the
   /// VMs, and the window lists cut back to the plan's own) returns to its
   /// just-constructed state, keeping its buffers' capacity. `driver` is the
-  /// next run's driver (nullptr for app-driven); SimOptions::supervised is
-  /// recomputed from it. `spent` is a result this engine returned, handed
+  /// next run's driver (nullptr for app-driven); supervised failure mode
+  /// is on iff it wants_supervised_failures(). `spent` is a result this engine returned, handed
   /// back so its vectors serve as the next run's capacity. A run after
   /// rearm() is byte-identical to a run of a fresh engine; the constructor
   /// ends in this same call. State captured inside SimOptions callbacks (a
@@ -294,7 +286,11 @@ class Engine {
   /// Lets a C-L driver account a logged channel-state message.
   void note_channel_logged() { ++stats_.channel_logged_messages; }
 
-  // -- Supervised failure mode (SimOptions::supervised) --------------------
+  // -- Supervised failure mode ---------------------------------------------
+  // On when the driver wants_supervised_failures(): a crash marks the
+  // process dead (events targeting it drop) instead of rolling back at
+  // once, and recovery waits for an in-model verdict, normally issued by
+  // sim::Supervisor.
   /// True while `proc` is crashed (supervised mode) and not yet restored.
   bool is_crashed(int proc) const;
   /// True once `proc` was retired by quarantine(); never restored.
@@ -456,8 +452,6 @@ class Engine {
   const Model* model_;  ///< set by the end of construction
   std::unique_ptr<const Model> owned_model_;  ///< null when shared
   SimOptions opts_;
-  /// opts.supervised as given; rearm() ORs in the driver's wish.
-  bool supervised_option_ = false;
   /// How many of partitions_ / stalls_ are the fault plan's own windows;
   /// rearm() drops the injected ones behind them.
   std::size_t plan_partitions_ = 0;
@@ -492,7 +486,9 @@ class Engine {
     bool fired = false;
   };
   std::vector<PendingFault> pending_faults_;
-  // Supervised-mode liveness (all-false unless opts_.supervised):
+  /// Supervised failure mode, set by rearm() from the driver.
+  bool supervised_ = false;
+  // Supervised-mode liveness (all-false unless supervised_):
   std::vector<char> crashed_;
   std::vector<char> quarantined_;
   std::vector<double> crash_time_;

@@ -11,7 +11,7 @@ namespace acfc::sim {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'C', 'F', 'S'};
-constexpr std::uint32_t kFormat = 1;
+constexpr std::uint32_t kFormat = 2;
 
 void put_u32(std::string& out, std::uint32_t v) {
   char b[4];
@@ -41,7 +41,6 @@ void put_counters(std::string& out, const CounterMap& counters) {
 /// of the counts.
 struct ImageHeader {
   std::uint64_t digest;
-  std::uint64_t rng[4];
   long collectives_done;
   std::uint32_t frames;
   std::uint32_t sends;
@@ -73,7 +72,6 @@ std::size_t append_snapshot_image(const VmSnapshot& snapshot,
                                   std::string& arena) {
   ImageHeader header{};
   header.digest = snapshot.digest;
-  snapshot.rng.save_state(header.rng);
   header.collectives_done = snapshot.collectives_done;
   header.frames = static_cast<std::uint32_t>(snapshot.stack.size());
   header.sends = static_cast<std::uint32_t>(snapshot.sends_per_channel.size());
@@ -105,7 +103,6 @@ void read_snapshot_image(const char* image, VmSnapshot& snapshot) {
   ImageHeader header{};
   std::memcpy(&header, image, sizeof header);
   snapshot.digest = header.digest;
-  snapshot.rng.load_state(header.rng);
   snapshot.collectives_done = header.collectives_done;
   const char* in = image + sizeof header;
   in = get_array(in, snapshot.stack, header.frames);
@@ -134,9 +131,6 @@ void serialize_snapshot_into(const VmSnapshot& snapshot, std::string& out) {
   out.append(kMagic, 4);
   put_u32(out, kFormat);
   put_u64(out, snapshot.digest);
-  std::uint64_t rng_state[4];
-  snapshot.rng.save_state(rng_state);
-  for (const std::uint64_t word : rng_state) put_u64(out, word);
   put_u32(out, static_cast<std::uint32_t>(snapshot.vc.size()));
   for (int i = 0; i < snapshot.vc.size(); ++i) put_u64(out, snapshot.vc[i]);
   put_i64(out, snapshot.collectives_done);

@@ -122,14 +122,8 @@ std::optional<std::int64_t> evaluate(const Model& model, int node,
   return run(model.code(), node, env);
 }
 
-Vm::Vm(const Model& model, int rank, int nprocs, std::uint64_t seed,
-       InvariantSlot* invariants, const mp::IrregularResolver* resolver)
-    : model_(&model),
-      rank_(rank),
-      nprocs_(nprocs),
-      seed_(seed),
-      invariants_(invariants),
-      resolver_(resolver) {
+Vm::Vm(const Model& model, int rank, int nprocs, InvariantSlot* invariants)
+    : model_(&model), rank_(rank), nprocs_(nprocs), invariants_(invariants) {
   ACFC_CHECK_MSG(rank >= 0 && rank < nprocs, "rank out of range");
   reset();
 }
@@ -139,8 +133,6 @@ void Vm::reset() {
   const mp::Program& program = model_->program();
   if (!program.body.empty())
     state_.stack.push_back(Frame{&program.body, 0, nullptr, 0, 0});
-  state_.rng = util::Rng(
-      seed_ ^ (static_cast<std::uint64_t>(rank_) * 0x9e3779b97f4a7c15ULL));
   std::uint64_t* clock = state_.vc.overwrite(nprocs_);
   std::fill(clock, clock + nprocs_, 0);
   state_.digest = VmSnapshot::kInitialDigest;
@@ -175,7 +167,7 @@ std::optional<std::int64_t> Vm::value_of(const Root& root) {
   const auto compute = [&] {
     return evaluate(*model_, root.node,
                     EvalEnv{rank_, nprocs_, state_.stack.data(),
-                            &state_.irregular_counts, resolver_});
+                            &state_.irregular_counts});
   };
   if (root.slot < 0) return compute();
   // Rank-pure: evaluate once per engine, then serve from the table.

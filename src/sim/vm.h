@@ -5,7 +5,7 @@
 // The VM advances through control flow (if/for bookkeeping costs no
 // simulated time) and yields Actions — compute, send, recv, checkpoint,
 // collective — for the discrete-event engine to schedule. Its entire
-// mutable state (control stack, RNG, vector clock, channel counters,
+// mutable state (control stack, vector clock, channel counters,
 // irregular-resolution counters, execution digest) lives in a VmSnapshot
 // value, which the engine copies into a checkpoint image on every take and
 // writes back on rollback; because the resolver is a pure function of
@@ -21,7 +21,6 @@
 #include "mp/stmt.h"
 #include "sim/model.h"
 #include "trace/vclock.h"
-#include "util/rng.h"
 
 namespace acfc::sim {
 
@@ -65,7 +64,6 @@ struct Frame {
 /// Complete copyable process state.
 struct VmSnapshot {
   std::vector<Frame> stack;
-  util::Rng rng;
   trace::VClock vc;
   /// FNV-1a digest of the logical execution (control decisions, message
   /// identities) — replay validation compares digests, never times.
@@ -148,7 +146,9 @@ struct EvalEnv {
   int nprocs = 1;
   const Frame* stack = nullptr;
   CounterMap* irregular_counts = nullptr;
-  /// nullptr: default_irregular(); otherwise a pure user resolver.
+  /// nullptr: default_irregular(), as the VM always asks. Otherwise a
+  /// pure resolver; the compiled-vs-AST differential (tests/test_model)
+  /// uses one whose values include zero and negatives.
   const mp::IrregularResolver* resolver = nullptr;
 };
 
@@ -167,11 +167,9 @@ std::optional<std::int64_t> evaluate(const Model& model, int node,
 class Vm {
  public:
   /// `model` must outlive the VM. `invariants` is this rank's row of the
-  /// engine's invariant table (model.slot_count() entries). `resolver` is
-  /// nullptr for default_irregular(), else a pure function that outlives
-  /// the VM (replay determinism).
-  Vm(const Model& model, int rank, int nprocs, std::uint64_t seed,
-     InvariantSlot* invariants, const mp::IrregularResolver* resolver);
+  /// engine's invariant table (model.slot_count() entries). Irregular
+  /// values come from default_irregular().
+  Vm(const Model& model, int rank, int nprocs, InvariantSlot* invariants);
 
   /// Back to the state at the program's entry, as the constructor leaves
   /// it, keeping every vector's capacity: the engine re-arms its VMs with
@@ -217,9 +215,7 @@ class Vm {
   const Model* model_;
   int rank_;
   int nprocs_;
-  std::uint64_t seed_;
   InvariantSlot* invariants_;
-  const mp::IrregularResolver* resolver_;
   VmSnapshot state_;
 };
 

@@ -81,18 +81,6 @@ class Rng {
   /// Derives an unrelated child stream (for per-process RNGs).
   Rng split() { return Rng(next_u64() ^ 0xa0761d6478bd642fULL); }
 
-  /// The four raw state words, for deterministic snapshot serialization
-  /// (store-side checkpoint capture). Reading the state does not advance
-  /// the stream.
-  void save_state(std::uint64_t out[4]) const {
-    for (int i = 0; i < 4; ++i) out[i] = state_[i];
-  }
-
-  /// Inverse of save_state: resumes the stream at the saved position.
-  void load_state(const std::uint64_t in[4]) {
-    for (int i = 0; i < 4; ++i) state_[i] = in[i];
-  }
-
   friend bool operator==(const Rng& a, const Rng& b) {
     for (int i = 0; i < 4; ++i)
       if (a.state_[i] != b.state_[i]) return false;

@@ -531,7 +531,7 @@ std::uint64_t store_pin(Capture capture, std::ostringstream& dump) {
 }
 
 /// Payload records (store_capture_fn and the persister) pin to this.
-constexpr std::uint64_t kPayloadStorePin = 0x61095447cee7bd37ULL;
+constexpr std::uint64_t kPayloadStorePin = 0x7b6d6db10fb0545aULL;
 
 auto async_capture(int capacity) {
   return [capacity](const mp::Program& program, const sim::SimOptions& opts,

@@ -181,6 +181,24 @@ TEST(Cli, RunAndExploreNeedTwoProcesses) {
   EXPECT_EQ(run_cli("run " + prog + " -n 2").exit_code, 0);
 }
 
+TEST(Cli, EngineCommandsReadTheNprocsRowOfExplore) {
+  // `run -n 100000000` used to reach the engine and die allocating its
+  // processes (std::bad_alloc, or the kernel's kill). run and faceoff
+  // read the nprocs row, 2..256, that explore and ACFX read; model
+  // evaluates a closed form and keeps any n >= 1.
+  const std::string prog = program_path("pipeline.mp");
+  for (const std::string& args : std::vector<std::string>{
+           "run " + prog + " -n 100000000", "run " + prog + " -n 257",
+           "faceoff " + prog + " -n 100000000", "explore -w ring -n 257"}) {
+    SCOPED_TRACE(args);
+    const auto r = run_cli(args);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    EXPECT_NE(r.output.find("invalid -n"), std::string::npos) << r.output;
+  }
+  EXPECT_EQ(run_cli("run " + prog + " -n 256").exit_code, 0);
+  EXPECT_EQ(run_cli("model -n 100000000").exit_code, 0);
+}
+
 TEST(Cli, InsertAddsCheckpoints) {
   // pipeline.mp already has checkpoints; use a temp checkpoint-free file.
   const std::string src = ::testing::TempDir() + "acfc_cli_plain.mp";

@@ -1,20 +1,25 @@
 // Schedule-space explorer tests: bounded-exhaustive model checking of the
 // protocol drivers, determinism of the search, the parallel budget,
 // search and shrink results pinned from an earlier build, counterexample
-// shrinking, ACFX artifact round-trips, and the seeded-bug negative
+// shrinking, ACFX artifact round-trips, the settings table both the ACFX
+// reader and the CLI read, and the seeded-bug negative
 // control — the broken CIC variant must be caught, shrunk to a short
 // plan, and replayed bit-identically through the real `acfc explore
 // --repro` CLI.
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "explore/artifact.h"
 #include "explore/explore.h"
+#include "explore/settings.h"
 #include "explore/shrink.h"
 
 namespace {
@@ -776,6 +781,151 @@ TEST(ExploreCli, MalformedArtifactExitsTwo) {
   const auto r = run_cli("explore --repro " + path);
   EXPECT_EQ(r.exit_code, 2) << r.output;
   EXPECT_NE(r.output.find("malformed"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// The settings table (explore/settings.h): the ACFX reader and the CLI's
+// flag parser accept exactly the same values
+
+/// `text` plus one, in decimal.
+std::string plus_one(std::string text) {
+  for (std::size_t i = text.size(); i-- > 0;) {
+    if (text[i] != '9') {
+      ++text[i];
+      return text;
+    }
+    text[i] = '0';
+  }
+  return "1" + text;
+}
+
+std::string g17(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+/// A numeric row's two bounds as text, and the values just outside them.
+struct Edges {
+  std::vector<std::string> inside;
+  std::vector<std::string> outside;
+};
+
+Edges edges_of(const explore::Setting& row) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  explore::Artifact probe;
+  return std::visit(
+      [&](auto* field) -> Edges {
+        using T = std::remove_pointer_t<decltype(field)>;
+        if constexpr (std::is_same_v<T, double>) {
+          return {{g17(row.lo), g17(row.hi)},
+                  {g17(std::nextafter(row.lo, -kInf)),
+                   g17(std::nextafter(row.hi, kInf))}};
+        } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+          if (row.hex)  // 16 hex digits at most
+            return {{"0", "ffffffffffffffff"}, {"-1", "10000000000000000"}};
+          const std::string max = std::to_string(~std::uint64_t{0});
+          return {{g17(row.lo), max}, {"-1", plus_one(max)}};
+        } else if constexpr (std::is_same_v<T, std::vector<int>> ||
+                             std::is_integral_v<T>) {
+          using Int = std::conditional_t<std::is_integral_v<T>, T, int>;
+          const auto lo = static_cast<long long>(row.lo);
+          const std::string hi =
+              std::isinf(row.hi)
+                  ? std::to_string(std::numeric_limits<Int>::max())
+                  : std::to_string(static_cast<long long>(row.hi));
+          return {{std::to_string(lo), hi},
+                  {std::to_string(lo - 1), plus_one(hi)}};
+        } else {
+          return {};
+        }
+      },
+      row.field(probe));
+}
+
+bool acfx_accepts(const explore::Setting& row, const std::string& text) {
+  return explore::parse_artifact("ACFX1\n" + std::string(row.key) + " " +
+                                 text + "\nend\n")
+      .has_value();
+}
+
+/// Parses the flag and stops short of a search: without -w, `acfc explore`
+/// prints its usage once every flag is read. Accepted iff not "invalid".
+bool cli_accepts(const explore::Setting& row, const std::string& text) {
+  const std::string flag(row.flag);
+  const auto r = run_cli("explore " + flag + " " + text);
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("usage:"), std::string::npos) << r.output;
+  return r.output.find("invalid " + flag) == std::string::npos;
+}
+
+TEST(ExploreSettings, EveryRowAcceptsItsRangeOnBothSidesAndNothingPast) {
+  int numeric = 0, named = 0, bare = 0;
+  for (const explore::Setting& row : explore::settings()) {
+    SCOPED_TRACE(std::string(row.key) + " " + std::string(row.flag));
+    // Each key and each spelling of a flag names this row and no other.
+    EXPECT_TRUE(row.key.empty() || explore::find_key(row.key) == &row);
+    EXPECT_TRUE(row.flag.empty() || explore::find_flag(row.flag) == &row);
+    EXPECT_TRUE(row.alias.empty() || explore::find_flag(row.alias) == &row);
+    const bool key = !row.key.empty();
+    const bool flag = !row.flag.empty() && explore::takes_value(row);
+    const auto expect = [&](const std::string& text, bool accepted) {
+      if (key) {
+        EXPECT_EQ(acfx_accepts(row, text), accepted) << text;
+      }
+      if (flag) {
+        EXPECT_EQ(cli_accepts(row, text), accepted) << text;
+      }
+    };
+    if (row.names != nullptr) {
+      ++named;
+      for (const std::string& name : row.names()) expect(name, true);
+      expect("nope", false);
+    } else if (!explore::takes_value(row)) {
+      ++bare;
+      expect("0", true);
+      expect("1", true);
+      expect("2", false);
+      if (!row.flag.empty()) {
+        const auto r = run_cli("explore " + std::string(row.flag));
+        EXPECT_EQ(r.output.find("unknown flag"), std::string::npos);
+      }
+    } else if (const Edges e = edges_of(row); !e.inside.empty()) {
+      ++numeric;
+      for (const std::string& text : e.inside) expect(text, true);
+      for (const std::string& text : e.outside) expect(text, false);
+    } else {  // the property: any token
+      expect("cic-index", true);
+      expect("Cic", false);
+    }
+  }
+  EXPECT_EQ(numeric, 30);  // the digest and plan rows among them
+  EXPECT_EQ(named, 2);     // workload, driver
+  EXPECT_EQ(bare, 7);
+}
+
+TEST(ExploreCli, OutOfRangeFlagsAreRefusedBeforeAnArtifactIsWritten) {
+  // Each of these used to search, find the violation and write an
+  // artifact that `--repro` then refused as malformed: the CLI took the
+  // value, the ACFX reader did not.
+  const std::string path = testing::TempDir() + "/out_of_range.acfx";
+  const std::string search =
+      "explore -w ring --iterations 3 -n 3 --driver cic-broken "
+      "--interval 22 --check-cic-index --depth 8 --budget 4000 "
+      "--delay-steps 3 --delay-quantum 2.0 -o " +
+      path + " ";
+  for (const std::string& flags :
+       {std::string("--cic-stagger 2000"),
+        std::string("--cic-stagger 0.5 --max-failures 2000"),
+        std::string("--cic-stagger 0.5 --stall-window 2e6")}) {
+    SCOPED_TRACE(flags);
+    std::remove(path.c_str());
+    const auto r = run_cli(search + flags);
+    EXPECT_EQ(r.exit_code, 2) << r.output;
+    const std::string bad = flags.substr(flags.rfind("--"));
+    EXPECT_NE(r.output.find("invalid " + bad), std::string::npos) << r.output;
+    EXPECT_FALSE(std::ifstream(path).good()) << "an artifact was written";
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "explore/artifact.h"
+#include "explore/settings.h"
 #include "match/match.h"
 #include "mp/generate.h"
 #include "mp/parser.h"
@@ -344,15 +345,37 @@ std::string sample_artifact_text() {
   explore::ExploreOptions opts;
   opts.perturb.delay_steps = 3;
   opts.perturb.delay_quantum = 2.0;
-  // Gray-failure dimensions at non-default values, so every one of their
-  // keys is present in the sample and mutations land on their parse paths.
   opts.perturb.partition_points = true;
   opts.perturb.partition_window = 0.75;
   opts.perturb.stall_points = true;
   opts.perturb.stall_window = 1.5;
   opts.max_partitions = 2;
   opts.max_stalls = 3;
-  return explore::to_text(explore::make_artifact(sc, opts, v));
+  explore::Artifact a = explore::make_artifact(sc, opts, v);
+  // Every other key gets a non-default value from the settings table (its
+  // upper bound, else its lower; the other boolean; the last name), so
+  // mutations land on every key's parse path.
+  const explore::Artifact defaults;
+  for (const explore::Setting& row : explore::settings()) {
+    if (row.key.empty()) continue;
+    const std::string old = explore::format_setting(row, defaults);
+    if (explore::format_setting(row, a) != old) continue;
+    std::string value;
+    if (row.names != nullptr) {
+      value = row.names().back();
+    } else if (!explore::takes_value(row)) {
+      value = old == "1" ? "0" : "1";
+    } else {
+      const std::string range = explore::range_text(row);
+      const std::size_t dots = range.find("..");
+      value = range.substr(dots + 2);
+      if (value.empty()) value = range.substr(0, dots);
+    }
+    if (!explore::parse_setting(row, value, a) ||
+        explore::format_setting(row, a) == old)
+      ADD_FAILURE() << row.key << " keeps its default in the sample";
+  }
+  return explore::to_text(a);
 }
 
 TEST(AcfxFuzz, MutatedArtifactsParseOrRejectCleanly) {

@@ -437,8 +437,6 @@ TEST(SnapshotImage, RoundTripsEveryField) {
   a.stack = {sim::Frame{&p.body, 0, nullptr, 0, 0},
              sim::Frame{&loop->body, 0, loop, 2, 3},
              sim::Frame{&arm->then_body, 1, nullptr, 0, 0}};
-  a.rng = util::Rng(7);
-  a.rng.next_u64();
   a.vc = trace::VClock(12);
   for (int i = 0; i < 12; ++i)
     for (int k = 0; k <= i; ++k) a.vc.tick(i);
@@ -458,7 +456,6 @@ TEST(SnapshotImage, RoundTripsEveryField) {
   // A second, smaller state: inline clock, one frame, no counters.
   sim::VmSnapshot b;
   b.stack = {sim::Frame{&p.body, 1, nullptr, 0, 0}};
-  b.rng = util::Rng(8);
   b.vc = trace::VClock(3);
   b.vc.tick(2);
   b.sends_per_channel = {0, 1, 2};

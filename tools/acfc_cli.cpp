@@ -16,17 +16,14 @@
 //
 // Exit code 0 on success; 1 on safety violations (analyze), failures, or
 // explorer violations / repro mismatches; 2 on usage errors.
-#include <charconv>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <type_traits>
+#include <string_view>
 #include <vector>
 
 #include "acfc/acfc.h"
@@ -34,6 +31,31 @@
 namespace {
 
 using namespace acfc;
+
+/// `acfc explore`'s flags, wrapped into usage lines: one per row of the
+/// settings table that has a flag (explore/settings.h).
+std::string explore_usage() {
+  constexpr std::size_t kIndent = 16;
+  constexpr std::size_t kWidth = 76;
+  std::string out = "  acfc explore  -w <workload> [--no-shrink] [-o f.acfx]";
+  std::size_t column = out.size();
+  for (const explore::Setting& row : explore::settings()) {
+    if (row.flag.empty()) continue;
+    std::string item = "[" + std::string(row.flag);
+    if (row.names != nullptr)
+      item += " <name>";
+    else if (explore::takes_value(row))
+      item += " " + explore::range_text(row);
+    item += "]";
+    if (column + 1 + item.size() > kWidth) {
+      out += "\n" + std::string(kIndent - 1, ' ');
+      column = kIndent - 1;
+    }
+    out += " " + item;
+    column += 1 + item.size();
+  }
+  return out + "\n";
+}
 
 int usage() {
   std::cerr <<
@@ -46,181 +68,103 @@ int usage() {
       "  acfc dot      <prog> [-o out.dot]\n"
       "  acfc faceoff  <prog> [-n N] [--interval T]\n"
       "  acfc model    [-n N] [--wm seconds]\n"
-      "  acfc explore  -w <workload> [--driver name] [-n N] [--seed S]\n"
-      "                [--depth K] [--budget N] [--failure-points]\n"
-      "                [--max-failures K] [--tie-cap K] [--delay-steps K]\n"
-      "                [--delay-quantum s] [--iterations K] [--threads K]\n"
-      "                [--walks N] [--cic-stagger F] [--check-cic-index]\n"
-      "                [--partition-points] [--partition-window s]\n"
-      "                [--stall-points] [--stall-window s]\n"
-      "                [--max-partitions K] [--max-stalls K]\n"
-      "                [--no-digest] [--no-memo] [--no-shrink] [-o f.acfx]\n"
+      << explore_usage() <<
       "  acfc explore  --repro f.acfx\n"
       "  acfc workloads\n";
   return 2;
 }
 
 struct Args {
+  std::string command;
   std::vector<std::string> positional;
   std::optional<std::string> output;
   std::optional<std::string> workload;
   std::optional<std::string> trace_out;
-  int nprocs = 4;
-  std::uint64_t seed = 1;
-  double interval = 300.0;
+  std::optional<std::string> repro;
   double wm = 2e-3;
   bool strict = false;
   bool diagram = false;
+  bool shrink = true;
   std::vector<sim::FaultSpec> faults;  ///< --fail P@T, timed crashes
-  // explore
-  std::optional<std::string> repro;
-  std::string driver = "app-driven";
-  int depth = 10;
-  long budget = 5000;
-  int max_failures = 1;
-  int tie_cap = 3;
-  int delay_steps = 1;
-  double delay_quantum = 0.0;
-  int iterations = -1;
-  int threads = 1;
-  long walks = 0;
-  double cic_stagger = 0.0;
-  bool failure_points = false;
-  bool partition_points = false;
-  double partition_window = 0.5;
-  bool stall_points = false;
-  double stall_window = 0.5;
-  int max_partitions = 1;
-  int max_stalls = 1;
-  bool check_cic_index = false;
-  bool no_digest = false;
-  bool no_memo = false;
-  bool no_shrink = false;
+  /// -n, --seed, -T and every explore setting, parsed in place through
+  /// the settings table (explore/settings.h).
+  explore::Artifact settings;
 };
 
-/// A whole-string number in [lo, hi]: no leading blanks or '+', no
-/// trailing garbage, no wrap-around, finite (std::stoi and friends accept
-/// "4x" as 4, and std::stoull accepts "-1" as 2^64-1).
-template <typename T>
-std::optional<T> parse_number(const std::string& text, T lo,
-                              T hi = std::numeric_limits<T>::max()) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  if constexpr (std::is_floating_point_v<T>) {
-    if (!std::isfinite(value)) return std::nullopt;
-  }
-  if (value < lo || value > hi) return std::nullopt;
-  return value;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// `acfc model` evaluates a closed form, so it and every other command
+/// that runs no engine takes any -n >= 1; the rest read the `nprocs` row.
+const explore::Setting kEngineFreeNprocs{
+    "", "-n", "", 1, kInf,
+    [](explore::Artifact& a) -> explore::Field { return &a.scenario.nprocs; }};
+
+bool runs_engine(const std::string& command) {
+  return command == "run" || command == "faceoff" || command == "explore";
+}
+
+/// The Args field a flag with a file or name argument fills; nullptr for
+/// any other flag.
+std::optional<std::string> Args::*text_flag(const std::string& flag) {
+  if (flag == "-o") return &Args::output;
+  if (flag == "--trace-out") return &Args::trace_out;
+  if (flag == "-w" || flag == "--workload") return &Args::workload;
+  if (flag == "--repro") return &Args::repro;
+  return nullptr;
 }
 
 /// `--fail P@T`: an integer process and a finite time >= 0, nothing
 /// trailing. The range of P is checked once -n is known.
-std::optional<sim::FaultSpec> parse_fail(const std::string& value) {
+std::optional<sim::FaultSpec> parse_fail(std::string_view value) {
   const auto at = value.find('@');
   if (at == std::string::npos) return std::nullopt;
   const auto proc =
-      parse_number(value.substr(0, at), std::numeric_limits<int>::min());
-  const auto time = parse_number(value.substr(at + 1), 0.0);
+      explore::parse_number<int>(value.substr(0, at), -kInf, kInf);
+  const auto time =
+      explore::parse_number<double>(value.substr(at + 1), 0, kInf);
   if (!proc || !time) return std::nullopt;
   return sim::FaultPlan::at_time(*proc, *time);
 }
 
 std::optional<Args> parse_args(int argc, char** argv) {
   Args args;
+  args.command = argv[1];
+  explore::Scenario& scenario = args.settings.scenario;
+  scenario.nprocs = 4;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> std::optional<std::string> {
       if (i + 1 >= argc) return std::nullopt;
       return std::string(argv[++i]);
     };
-    // Parses the flag's value into `out`; false (after saying why) if it
-    // is missing or not a number in [lo, hi] (hi is optional).
-    auto number = [&](auto& out, auto lo, auto... hi) {
-      const auto v = next();
-      if (!v) return false;
-      using T = std::decay_t<decltype(out)>;
-      const auto value = parse_number<T>(*v, T(lo), T(hi)...);
-      if (!value) {
-        std::cerr << "invalid " << arg << " " << *v << '\n';
-        return false;
-      }
-      out = *value;
-      return true;
+    auto invalid = [&](const std::string& v, const std::string& want) {
+      std::cerr << "invalid " << arg << " " << v << " (want " << want
+                << ")\n";
+      return std::nullopt;
     };
-    if (arg == "-o") {
-      auto v = next();
+    const explore::Setting* row = arg == "-n" && !runs_engine(args.command)
+                                      ? &kEngineFreeNprocs
+                                      : explore::find_flag(arg);
+    if (row != nullptr && !explore::takes_value(*row)) {
+      explore::parse_setting(*row, explore::bare_flag_text(*row),
+                             args.settings);
+    } else if (row != nullptr) {
+      const auto v = next();
       if (!v) return std::nullopt;
-      args.output = *v;
-    } else if (arg == "--trace-out") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.trace_out = *v;
-    } else if (arg == "-w" || arg == "--workload") {
-      auto v = next();
-      if (!v) return std::nullopt;
-      args.workload = *v;
-    } else if (arg == "-n") {
-      if (!number(args.nprocs, 1)) return std::nullopt;
-    } else if (arg == "--seed") {
-      if (!number(args.seed, 0)) return std::nullopt;
-    } else if (arg == "-T" || arg == "--interval") {
-      if (!number(args.interval, std::numeric_limits<double>::min()))
-        return std::nullopt;
+      if (!explore::parse_setting(*row, *v, args.settings))
+        return invalid(*v, explore::range_text(*row));
     } else if (arg == "--wm") {
-      if (!number(args.wm, 0.0)) return std::nullopt;
-    } else if (arg == "--repro") {
-      auto v = next();
+      const auto v = next();
       if (!v) return std::nullopt;
-      args.repro = *v;
-    } else if (arg == "--driver") {
-      auto v = next();
+      const auto wm = explore::parse_number<double>(*v, 0, kInf);
+      if (!wm) return invalid(*v, "0..");
+      args.wm = *wm;
+    } else if (const auto text = text_flag(arg)) {
+      const auto v = next();
       if (!v) return std::nullopt;
-      args.driver = *v;
-    } else if (arg == "--depth") {
-      if (!number(args.depth, 1)) return std::nullopt;
-    } else if (arg == "--budget") {
-      if (!number(args.budget, 1)) return std::nullopt;
-    } else if (arg == "--max-failures") {
-      if (!number(args.max_failures, 0)) return std::nullopt;
-    } else if (arg == "--tie-cap") {
-      if (!number(args.tie_cap, 1, sim::PerturbOptions::kMaxTieBreak))
-        return std::nullopt;
-    } else if (arg == "--delay-steps") {
-      if (!number(args.delay_steps, 1)) return std::nullopt;
-    } else if (arg == "--delay-quantum") {
-      if (!number(args.delay_quantum, 0.0)) return std::nullopt;
-    } else if (arg == "--iterations") {
-      if (!number(args.iterations, 0)) return std::nullopt;
-    } else if (arg == "--threads") {
-      if (!number(args.threads, 1)) return std::nullopt;
-    } else if (arg == "--walks") {
-      if (!number(args.walks, 0)) return std::nullopt;
-    } else if (arg == "--cic-stagger") {
-      if (!number(args.cic_stagger, 0.0)) return std::nullopt;
-    } else if (arg == "--failure-points") {
-      args.failure_points = true;
-    } else if (arg == "--partition-points") {
-      args.partition_points = true;
-    } else if (arg == "--partition-window") {
-      if (!number(args.partition_window, 0.0)) return std::nullopt;
-    } else if (arg == "--stall-points") {
-      args.stall_points = true;
-    } else if (arg == "--stall-window") {
-      if (!number(args.stall_window, 0.0)) return std::nullopt;
-    } else if (arg == "--max-partitions") {
-      if (!number(args.max_partitions, 0)) return std::nullopt;
-    } else if (arg == "--max-stalls") {
-      if (!number(args.max_stalls, 0)) return std::nullopt;
-    } else if (arg == "--check-cic-index") {
-      args.check_cic_index = true;
-    } else if (arg == "--no-digest") {
-      args.no_digest = true;
-    } else if (arg == "--no-memo") {
-      args.no_memo = true;
+      args.*text = *v;
     } else if (arg == "--no-shrink") {
-      args.no_shrink = true;
+      args.shrink = false;
     } else if (arg == "--strict") {
       args.strict = true;
     } else if (arg == "--diagram") {
@@ -229,11 +173,7 @@ std::optional<Args> parse_args(int argc, char** argv) {
       auto v = next();
       if (!v) return std::nullopt;
       const auto fault = parse_fail(*v);
-      if (!fault) {
-        std::cerr << "invalid --fail " << *v
-                  << " (want P@T: integer P, finite time T >= 0)\n";
-        return std::nullopt;
-      }
+      if (!fault) return invalid(*v, "P@T: integer P, finite time T >= 0");
       args.faults.push_back(*fault);
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "unknown flag: " << arg << '\n';
@@ -243,9 +183,9 @@ std::optional<Args> parse_args(int argc, char** argv) {
     }
   }
   for (const sim::FaultSpec& fault : args.faults) {
-    if (fault.proc < 0 || fault.proc >= args.nprocs) {
+    if (fault.proc < 0 || fault.proc >= scenario.nprocs) {
       std::cerr << "invalid --fail " << fault.proc << "@" << fault.time
-                << " (process must be in [0, " << args.nprocs << "))\n";
+                << " (process must be in [0, " << scenario.nprocs << "))\n";
       return std::nullopt;
     }
   }
@@ -323,7 +263,9 @@ int cmd_place(const Args& args) {
 int cmd_insert(const Args& args) {
   mp::Program program = load_program(args);
   place::InsertOptions iopts;
-  if (args.interval != 300.0) iopts.target_interval = args.interval;
+  const double interval = args.settings.scenario.proto.interval;
+  if (interval != proto::ProtocolOptions{}.interval)
+    iopts.target_interval = interval;
   const int inserted = place::insert_checkpoints(program, iopts);
   place::equalize_checkpoints(program);
   std::cout << "inserted " << inserted << " checkpoints (interval "
@@ -335,8 +277,8 @@ int cmd_insert(const Args& args) {
 int cmd_run(const Args& args) {
   const mp::Program program = load_program(args);
   sim::SimOptions opts;
-  opts.nprocs = args.nprocs;
-  opts.seed = args.seed;
+  opts.nprocs = args.settings.scenario.nprocs;
+  opts.seed = args.settings.scenario.seed;
   opts.fault_plan.faults = args.faults;
   obs::Registry registry;
   if (args.trace_out) opts.obs = &registry;
@@ -371,9 +313,7 @@ int cmd_dot(const Args& args) {
 int cmd_faceoff(const Args& args) {
   const mp::Program plain = load_program(args);
   sim::SimOptions sopts;
-  sopts.nprocs = args.nprocs;
-  proto::ProtocolOptions popts;
-  popts.interval = args.interval;
+  sopts.nprocs = args.settings.scenario.nprocs;
   util::Table table({"protocol", "ckpts", "forced", "ctl msgs",
                      "paused (s)", "makespan (s)"});
   for (const auto protocol :
@@ -381,7 +321,8 @@ int cmd_faceoff(const Args& args) {
         proto::Protocol::kChandyLamport, proto::Protocol::kKooToueg,
         proto::Protocol::kCic,
         proto::Protocol::kUncoordinated}) {
-    const auto run = proto::run_protocol(plain, protocol, sopts, popts);
+    const auto run = proto::run_protocol(plain, protocol, sopts,
+                                         args.settings.scenario.proto);
     table.add_row({proto::protocol_name(protocol),
                    std::to_string(run.sim.stats.statement_checkpoints +
                                   run.sim.stats.forced_checkpoints),
@@ -395,19 +336,20 @@ int cmd_faceoff(const Args& args) {
 }
 
 int cmd_model(const Args& args) {
+  const int n = args.settings.scenario.nprocs;
   perf::NetworkParams net;
   net.w_m = args.wm;
   util::Table table({"protocol", "lambda(n)", "M (s)", "overhead ratio"});
   for (const auto protocol :
        {proto::Protocol::kAppDriven, proto::Protocol::kSyncAndStop,
         proto::Protocol::kChandyLamport}) {
-    const auto params = perf::params_for(protocol, args.nprocs, net);
+    const auto params = perf::params_for(protocol, n, net);
     table.add_row({proto::protocol_name(protocol),
                    util::format_double(params.lambda, 4),
                    util::format_double(params.M, 4),
                    util::format_double(perf::overhead_ratio(params), 6)});
   }
-  std::cout << "n=" << args.nprocs << "  w_m=" << args.wm << "\n";
+  std::cout << "n=" << n << "  w_m=" << args.wm << "\n";
   table.print(std::cout);
   return 0;
 }
@@ -452,39 +394,13 @@ int cmd_repro(const Args& args) {
   return ok ? 0 : 1;
 }
 
-int cmd_explore(const Args& args) {
+int cmd_explore(Args& args) {
   if (args.repro) return cmd_repro(args);
   if (!args.workload || !args.positional.empty()) return usage();
-
-  explore::Scenario scenario;
+  explore::Scenario& scenario = args.settings.scenario;
+  explore::ExploreOptions& opts = args.settings.opts;
   scenario.workload = *args.workload;
-  scenario.driver = args.driver;
-  scenario.nprocs = args.nprocs;
-  scenario.seed = args.seed;
-  scenario.proto.interval = args.interval;
-  scenario.proto.cic_stagger = args.cic_stagger;
-  if (args.iterations >= 0) scenario.params.iterations = args.iterations;
-
-  explore::ExploreOptions opts;
-  opts.max_choice_points = args.depth;
-  opts.max_schedules = args.budget;
-  opts.max_failures = args.max_failures;
-  opts.max_partitions = args.max_partitions;
-  opts.max_stalls = args.max_stalls;
-  opts.memoize = !args.no_memo;
-  opts.threads = args.threads;
-  opts.random_walks = args.walks;
-  opts.strategy_seed = args.seed;
-  opts.check_digest = !args.no_digest;
-  opts.check_cic_index = args.check_cic_index;
-  opts.perturb.tie_cap = args.tie_cap;
-  opts.perturb.delay_steps = args.delay_steps;
-  opts.perturb.delay_quantum = args.delay_quantum;
-  opts.perturb.failure_points = args.failure_points;
-  opts.perturb.partition_points = args.partition_points;
-  opts.perturb.partition_window = args.partition_window;
-  opts.perturb.stall_points = args.stall_points;
-  opts.perturb.stall_window = args.stall_window;
+  opts.strategy_seed = scenario.seed;
 
   const auto result = explore::explore(scenario, opts);
   std::cout << "schedules:  " << result.schedules_run
@@ -496,7 +412,7 @@ int cmd_explore(const Args& args) {
   if (result.violations.empty()) return 0;
 
   explore::Violation minimal = result.violations.front();
-  if (!args.no_shrink) {
+  if (args.shrink) {
     const auto shrunk = explore::shrink(scenario, opts, minimal);
     std::cout << "shrink:     " << shrunk.initial_choices << " -> "
               << shrunk.final_choices << " non-default choices ("
@@ -522,14 +438,8 @@ int cmd_explore(const Args& args) {
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
-  const std::optional<Args> args = parse_args(argc, argv);
+  std::optional<Args> args = parse_args(argc, argv);
   if (!args) return usage();
-  // Every engine run needs a peer to message.
-  if ((command == "run" || command == "faceoff" || command == "explore") &&
-      args->nprocs < 2) {
-    std::cerr << "invalid -n " << args->nprocs << " (need at least 2)\n";
-    return usage();
-  }
 
   try {
     if (command == "analyze" && has_program(*args))
