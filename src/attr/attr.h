@@ -73,6 +73,9 @@ struct SatOptions {
   /// guards gate communication on n (e.g. butterfly rounds needing
   /// rank + 2^k < nprocs), extend this list to cover the deployment
   /// scale, or matching may miss edges that only materialize there.
+  /// Set it once, in match::MatchOptions::sat (place::RepairOptions::match
+  /// for a repair): the extended CFG keeps the bounds it was matched
+  /// under, and attribute refinement decides under the same ones.
   std::vector<int> world_sizes = {2, 3, 4, 5, 6, 7, 8, 12, 16};
   /// Cap on enumerated values per loop variable: when a loop range is
   /// larger, the head and tail of the range are sampled.

@@ -92,7 +92,7 @@ const Setting kSettings[] = {
     // CLI only: how to search, not what a replay needs.
     {"", "--budget", "", 1, kTypeMax,
      [](Artifact& a) -> Field { return &a.opts.max_schedules; }},
-    {"", "--threads", "", 1, kTypeMax,
+    {"", "--threads", "", 1, 256,
      [](Artifact& a) -> Field { return &a.opts.threads; }},
     {"", "--walks", "", 0, kTypeMax,
      [](Artifact& a) -> Field { return &a.opts.random_walks; }},

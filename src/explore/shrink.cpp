@@ -23,8 +23,7 @@ std::vector<std::size_t> nondefault_positions(const std::vector<int>& plan) {
 }  // namespace
 
 ShrinkResult shrink(const Scenario& scenario, const ExploreOptions& opts,
-                    const Violation& violation,
-                    const ShrinkOptions& shrink_opts) {
+                    const Violation& violation) {
   ShrinkResult out;
   out.minimal = violation;
   out.minimal.plan = trim_plan(out.minimal.plan);
@@ -37,7 +36,7 @@ ShrinkResult shrink(const Scenario& scenario, const ExploreOptions& opts,
   const auto attempt = [&](std::vector<int> trial) -> bool {
     trial = trim_plan(std::move(trial));
     if (trial == out.minimal.plan) return false;
-    if (out.runs >= shrink_opts.max_runs) return false;
+    if (out.runs >= kMaxShrinkRuns) return false;
     ++out.runs;
     const ReplayReport rep = replayer.replay(trial);
     if (!rep.violation || rep.violation->property != violation.property)
@@ -47,7 +46,7 @@ ShrinkResult shrink(const Scenario& scenario, const ExploreOptions& opts,
   };
 
   bool improved = true;
-  while (improved && out.runs < shrink_opts.max_runs) {
+  while (improved && out.runs < kMaxShrinkRuns) {
     improved = false;
 
     // Phase 1 (ddmin): zero chunks of the non-default positions, biggest

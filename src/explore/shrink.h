@@ -14,11 +14,6 @@
 
 namespace acfc::explore {
 
-struct ShrinkOptions {
-  /// Replay budget; shrinking stops early when it runs out.
-  long max_runs = 400;
-};
-
 struct ShrinkResult {
   Violation minimal;        ///< the shrunk counterexample
   long runs = 0;            ///< replays spent
@@ -26,10 +21,13 @@ struct ShrinkResult {
   long final_choices = 0;   ///< non-default choices after
 };
 
+/// Replay budget: shrinking stops early when it runs out.
+inline constexpr long kMaxShrinkRuns = 400;
+
 /// Shrinks `violation` (as found under `scenario`/`opts`) to a minimal
-/// reproducing plan. Deterministic: same inputs → same minimal plan.
+/// reproducing plan within kMaxShrinkRuns replays. Deterministic: same
+/// inputs → same minimal plan.
 ShrinkResult shrink(const Scenario& scenario, const ExploreOptions& opts,
-                    const Violation& violation,
-                    const ShrinkOptions& shrink_opts = {});
+                    const Violation& violation);
 
 }  // namespace acfc::explore

@@ -9,8 +9,11 @@
 namespace acfc::match {
 
 ExtendedCfg::ExtendedCfg(const mp::Program* program, cfg::Cfg graph,
-                         std::vector<MessageEdge> edges)
-    : program_(program), graph_(std::move(graph)), edges_(std::move(edges)) {
+                         std::vector<MessageEdge> edges, attr::SatOptions sat)
+    : program_(program),
+      graph_(std::move(graph)),
+      sat_(std::move(sat)),
+      edges_(std::move(edges)) {
   ACFC_CHECK(program_ != nullptr);
   // CSR adjacency, built once: stable sort keeps match order within a node.
   const auto n = static_cast<size_t>(graph_.node_count());
@@ -97,22 +100,20 @@ bool hop_matches(const ExtendedCfg& ext, cfg::NodeId from,
 /// restricts every control-flow segment to back-edge-free reachability
 /// (the hard-violation class).
 bool feasible_path(const ExtendedCfg& ext, cfg::NodeId from, cfg::NodeId to,
-                   bool acyclic_only, int hops_left,
-                   const ExtendedCfg::RefineOptions& opts) {
+                   bool acyclic_only, int hops_left) {
   if (hops_left <= 0) return true;  // hop budget exhausted: conservative
   const cfg::Cfg& graph = ext.graph();
+  const attr::SatOptions& sat = ext.sat();
   auto reaches = [&](cfg::NodeId a, cfg::NodeId b) {
     return acyclic_only ? graph.reaches_acyclic(a, b) : graph.reaches(a, b);
   };
   for (const MessageEdge& edge : ext.message_edges()) {
     if (!reaches(from, edge.send)) continue;
-    if (!co_satisfiable(ext, from, edge.send, opts.sat)) continue;
-    if (!hop_matches(ext, from, edge, opts.sat)) continue;
-    if (reaches(edge.recv, to) &&
-        co_satisfiable(ext, edge.recv, to, opts.sat))
+    if (!co_satisfiable(ext, from, edge.send, sat)) continue;
+    if (!hop_matches(ext, from, edge, sat)) continue;
+    if (reaches(edge.recv, to) && co_satisfiable(ext, edge.recv, to, sat))
       return true;
-    if (feasible_path(ext, edge.recv, to, acyclic_only, hops_left - 1,
-                      opts))
+    if (feasible_path(ext, edge.recv, to, acyclic_only, hops_left - 1))
       return true;
   }
   return false;
@@ -126,12 +127,10 @@ PathClass ExtendedCfg::refine_classification(cfg::NodeId from, cfg::NodeId to,
   if (!coarse.has_message_path) return coarse;
   PathClass refined;
   refined.has_message_path =
-      feasible_path(*this, from, to, /*acyclic_only=*/false, opts.max_hops,
-                    opts);
+      feasible_path(*this, from, to, /*acyclic_only=*/false, opts.max_hops);
   refined.message_path_without_back_edge =
       coarse.message_path_without_back_edge && refined.has_message_path &&
-      feasible_path(*this, from, to, /*acyclic_only=*/true, opts.max_hops,
-                    opts);
+      feasible_path(*this, from, to, /*acyclic_only=*/true, opts.max_hops);
   return refined;
 }
 
@@ -290,7 +289,7 @@ ExtendedCfg build_extended_cfg(const mp::Program& program,
     }
   }
 
-  return ExtendedCfg(&program, std::move(graph), std::move(edges));
+  return ExtendedCfg(&program, std::move(graph), std::move(edges), opts.sat);
 }
 
 }  // namespace acfc::match

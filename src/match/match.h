@@ -66,12 +66,16 @@ class ExtendedCfg {
   /// The constructor indexes `edges` into CSR-style adjacency: edges are
   /// stably sorted by send node (so edges_from is a contiguous slice of
   /// message_edges()), and a recv-sorted shadow copy backs edges_to. Built
-  /// once; every later per-node query is O(degree).
+  /// once; every later per-node query is O(degree). `sat` is the
+  /// enumeration bound the edges were matched under.
   ExtendedCfg(const mp::Program* program, cfg::Cfg graph,
-              std::vector<MessageEdge> edges);
+              std::vector<MessageEdge> edges, attr::SatOptions sat);
 
   const cfg::Cfg& graph() const { return graph_; }
   const mp::Program& program() const { return *program_; }
+  /// The bounds build_extended_cfg matched under; refinement decides its
+  /// contradiction tests under the same bounds.
+  const attr::SatOptions& sat() const { return sat_; }
   /// All message edges, sorted by send node (stable w.r.t. match order).
   const std::vector<MessageEdge>& message_edges() const { return edges_; }
 
@@ -90,10 +94,10 @@ class ExtendedCfg {
   /// odd-rank send, say, is discarded. Sound: each check is a necessary
   /// condition, so refinement only removes paths no execution can realize;
   /// hop decompositions beyond `max_hops` resolve conservatively as
-  /// feasible.
+  /// feasible. Every test enumerates sat(), the bounds Ĝ was matched
+  /// under.
   struct RefineOptions {
     int max_hops = 3;
-    attr::SatOptions sat;
   };
   PathClass refine_classification(cfg::NodeId from, cfg::NodeId to,
                                   const PathClass& coarse,
@@ -105,6 +109,7 @@ class ExtendedCfg {
  private:
   const mp::Program* program_;
   cfg::Cfg graph_;
+  attr::SatOptions sat_;
   std::vector<MessageEdge> edges_;     ///< sorted by send node
   std::vector<MessageEdge> in_edges_;  ///< shadow copy sorted by recv node
   /// CSR offsets: edges_[out_offset_[v] .. out_offset_[v+1]) leave v,

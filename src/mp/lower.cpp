@@ -1,15 +1,11 @@
 #include "mp/lower.h"
 
-#include "util/error.h"
-
 namespace acfc::mp {
 
 namespace {
 
 class Lowerer {
  public:
-  explicit Lowerer(const LowerOptions& opts) : opts_(opts) {}
-
   Block lower_block(const Block& in) {
     Block out;
     for (const auto& s : in.stmts) lower_stmt(*s, out);
@@ -61,7 +57,7 @@ class Lowerer {
   }
 
   void lower_bcast(const BcastStmt& bcast, Block& out) {
-    const int tag = opts_.collective_tag_base + bcast.tag;
+    const int tag = kCollectiveTagBase + bcast.tag;
     const std::string var = fresh_var("_bc");
 
     auto iff = std::make_unique<IfStmt>(Pred::eq(Expr::rank(), bcast.root));
@@ -81,7 +77,7 @@ class Lowerer {
   }
 
   void lower_barrier(const BarrierStmt& barrier, Block& out) {
-    const int tag = opts_.collective_tag_base + barrier.tag;
+    const int tag = kCollectiveTagBase + barrier.tag;
     auto iff = std::make_unique<IfStmt>(
         Pred::eq(Expr::rank(), Expr::constant(0)));
 
@@ -109,7 +105,7 @@ class Lowerer {
   }
 
   void lower_reduce(const ReduceStmt& reduce, Block& out) {
-    const int tag = opts_.collective_tag_base + reduce.tag;
+    const int tag = kCollectiveTagBase + reduce.tag;
     const std::string var = fresh_var("_rd");
 
     auto iff = std::make_unique<IfStmt>(Pred::eq(Expr::rank(), reduce.root));
@@ -132,14 +128,13 @@ class Lowerer {
     return std::string(prefix) + std::to_string(counter_++);
   }
 
-  const LowerOptions& opts_;
   int counter_ = 0;
 };
 
 }  // namespace
 
-Program lower_collectives(const Program& program, const LowerOptions& opts) {
-  Lowerer lowerer(opts);
+Program lower_collectives(const Program& program) {
+  Lowerer lowerer;
   Program out(program.name);
   out.body = lowerer.lower_block(program.body);
   out.renumber();

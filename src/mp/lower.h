@@ -8,24 +8,22 @@
 //   bcast root r:  root sends to every other rank; others recv from r.
 //   barrier:       gather-to-0 then release-from-0.
 //
-// Lowered statements use a reserved tag space (base + original tag) so they
-// never collide with application messages. The simulator can execute both
-// the native collectives and the lowered form; tests assert that the two
-// produce identical happened-before structure.
+// Lowered statements use a reserved tag space (kCollectiveTagBase +
+// original tag) so they never collide with application messages. The
+// simulator can execute both the native collectives and the lowered form;
+// tests assert that the two produce identical happened-before structure.
 #pragma once
 
 #include "mp/stmt.h"
 
 namespace acfc::mp {
 
-struct LowerOptions {
-  /// Tag offset applied to lowered control messages.
-  int collective_tag_base = 1'000'000;
-};
+/// Tag offset applied to lowered control messages.
+inline constexpr int kCollectiveTagBase = 1'000'000;
 
 /// Returns a copy of `program` with every barrier/bcast replaced by
 /// point-to-point statements. The result is renumbered.
-Program lower_collectives(const Program& program, const LowerOptions& opts = {});
+Program lower_collectives(const Program& program);
 
 /// True if the program contains any collective statement.
 bool has_collectives(const Program& program);

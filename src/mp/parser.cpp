@@ -2,7 +2,10 @@
 
 #include <cctype>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/error.h"
@@ -55,6 +58,7 @@ class Lexer {
         std::string num;
         while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
           num += get();
+        t.kind = TokKind::kInt;
         // A '.' starts a float only if NOT followed by another '.' (the
         // range operator '..').
         if (!eof() && peek() == '.' && pos_ + 1 < src_.size() &&
@@ -63,11 +67,16 @@ class Lexer {
           while (!eof() && std::isdigit(static_cast<unsigned char>(peek())))
             num += get();
           t.kind = TokKind::kFloat;
-          t.float_value = std::stod(num);
-        } else {
-          t.kind = TokKind::kInt;
-          t.int_value = std::stoll(num);
-          t.float_value = static_cast<double>(t.int_value);
+        }
+        try {
+          if (t.kind == TokKind::kFloat) {
+            t.float_value = std::stod(num);
+          } else {
+            t.int_value = std::stoll(num);
+            t.float_value = static_cast<double>(t.int_value);
+          }
+        } catch (const std::out_of_range&) {
+          fail_at(t.line, t.col, "numeric literal " + num + " out of range");
         }
         t.text = num;
       } else if (c == '"') {
@@ -129,8 +138,12 @@ class Lexer {
   }
 
   [[noreturn]] void fail(const std::string& msg) const {
+    fail_at(line_, col_, msg);
+  }
+
+  [[noreturn]] static void fail_at(int line, int col, const std::string& msg) {
     std::ostringstream os;
-    os << "parse error at " << line_ << ':' << col_ << ": " << msg;
+    os << "parse error at " << line << ':' << col << ": " << msg;
     throw util::ProgramError(os.str());
   }
 
@@ -182,6 +195,15 @@ class Parser {
     if (!at(kind)) fail("unexpected token '" + cur().text + "'");
     return advance();
   }
+  /// A `tag`, `bytes` or irregular-id literal: 0..2147483647, the range
+  /// of the int it is stored in.
+  int expect_int(const char* what) {
+    if (at(TokKind::kInt) &&
+        cur().int_value > std::numeric_limits<int>::max())
+      fail(std::string(what) + " " + cur().text + " out of range (want 0.." +
+           std::to_string(std::numeric_limits<int>::max()) + ")");
+    return static_cast<int>(expect(TokKind::kInt).int_value);
+  }
   void expect_punct(const std::string& text) {
     if (!accept_punct(text)) fail("expected '" + text + "'");
   }
@@ -229,9 +251,9 @@ class Parser {
       Expr dest = parse_expr();
       int tag = 0, bytes = 0;
       if (accept_ident("tag"))
-        tag = static_cast<int>(expect(TokKind::kInt).int_value);
+        tag = expect_int("tag");
       if (accept_ident("bytes"))
-        bytes = static_cast<int>(expect(TokKind::kInt).int_value);
+        bytes = expect_int("bytes");
       return std::make_unique<SendStmt>(std::move(dest), tag, bytes);
     }
     if (accept_ident("recv")) {
@@ -243,7 +265,7 @@ class Parser {
         stmt = std::make_unique<RecvStmt>(parse_expr());
       }
       if (accept_ident("tag"))
-        stmt->tag = static_cast<int>(expect(TokKind::kInt).int_value);
+        stmt->tag = expect_int("tag");
       return stmt;
     }
     if (accept_ident("checkpoint")) {
@@ -254,7 +276,7 @@ class Parser {
     if (accept_ident("barrier")) {
       int tag = 0;
       if (accept_ident("tag"))
-        tag = static_cast<int>(expect(TokKind::kInt).int_value);
+        tag = expect_int("tag");
       return std::make_unique<BarrierStmt>(tag);
     }
     if (accept_ident("bcast")) {
@@ -262,9 +284,9 @@ class Parser {
       Expr root = parse_expr();
       int tag = 0, bytes = 0;
       if (accept_ident("tag"))
-        tag = static_cast<int>(expect(TokKind::kInt).int_value);
+        tag = expect_int("tag");
       if (accept_ident("bytes"))
-        bytes = static_cast<int>(expect(TokKind::kInt).int_value);
+        bytes = expect_int("bytes");
       return std::make_unique<BcastStmt>(std::move(root), tag, bytes);
     }
     if (accept_ident("reduce")) {
@@ -272,17 +294,17 @@ class Parser {
       Expr root = parse_expr();
       int tag = 0, bytes = 0;
       if (accept_ident("tag"))
-        tag = static_cast<int>(expect(TokKind::kInt).int_value);
+        tag = expect_int("tag");
       if (accept_ident("bytes"))
-        bytes = static_cast<int>(expect(TokKind::kInt).int_value);
+        bytes = expect_int("bytes");
       return std::make_unique<ReduceStmt>(std::move(root), tag, bytes);
     }
     if (accept_ident("allreduce")) {
       int tag = 0, bytes = 0;
       if (accept_ident("tag"))
-        tag = static_cast<int>(expect(TokKind::kInt).int_value);
+        tag = expect_int("tag");
       if (accept_ident("bytes"))
-        bytes = static_cast<int>(expect(TokKind::kInt).int_value);
+        bytes = expect_int("bytes");
       return std::make_unique<AllreduceStmt>(tag, bytes);
     }
     fail("expected a statement");
@@ -354,7 +376,7 @@ class Parser {
       const std::size_t save = pos_;
       advance();
       expect_punct("(");
-      const int id = static_cast<int>(expect(TokKind::kInt).int_value);
+      const int id = expect_int("irregular id");
       expect_punct(")");
       if (!at_cmp_op() && !at_arith_op()) return Pred::irregular(id);
       pos_ = save;
@@ -442,7 +464,7 @@ class Parser {
     if (accept_ident("nprocs")) return Expr::nprocs();
     if (accept_ident("irregular")) {
       expect_punct("(");
-      const int id = static_cast<int>(expect(TokKind::kInt).int_value);
+      const int id = expect_int("irregular id");
       expect_punct(")");
       return Expr::irregular(id);
     }

@@ -2,16 +2,12 @@
 
 #include <sstream>
 
-#include "util/error.h"
-
 namespace acfc::mp {
 
 namespace {
 
 class Printer {
  public:
-  explicit Printer(const PrintOptions& opts) : opts_(opts) {}
-
   void block(const Block& b, int depth) {
     for (const auto& s : b.stmts) stmt(*s, depth);
   }
@@ -46,7 +42,6 @@ class Printer {
         os_ << "checkpoint";
         if (!c.note.empty()) os_ << " \"" << c.note << '"';
         os_ << ';';
-        if (opts_.show_checkpoint_ids) os_ << "  # ckpt_id=" << c.ckpt_id;
         break;
       }
       case StmtKind::kBarrier: {
@@ -82,9 +77,7 @@ class Printer {
       }
       case StmtKind::kIf: {
         const auto& c = static_cast<const IfStmt&>(s);
-        os_ << "if (" << c.cond.str() << ") {";
-        maybe_uid(s);
-        os_ << '\n';
+        os_ << "if (" << c.cond.str() << ") {\n";
         block(c.then_body, depth + 1);
         indent(depth);
         if (c.else_body.empty()) {
@@ -101,16 +94,13 @@ class Printer {
       case StmtKind::kLoop: {
         const auto& c = static_cast<const LoopStmt&>(s);
         os_ << "for " << c.var << " in " << c.lo.str() << " .. "
-            << c.hi.str() << " {";
-        maybe_uid(s);
-        os_ << '\n';
+            << c.hi.str() << " {\n";
         block(c.body, depth + 1);
         indent(depth);
         os_ << "}\n";
         return;
       }
     }
-    maybe_uid(s);
     os_ << '\n';
   }
 
@@ -118,30 +108,22 @@ class Printer {
 
  private:
   void indent(int depth) {
-    for (int i = 0; i < depth * opts_.indent_width; ++i) os_ << ' ';
+    for (int i = 0; i < depth * 2; ++i) os_ << ' ';
   }
 
-  void maybe_uid(const Stmt& s) {
-    if (opts_.show_uids) os_ << "  # uid=" << s.uid();
-  }
-
-  const PrintOptions& opts_;
   std::ostringstream os_;
 };
 
 }  // namespace
 
-std::string print(const Program& program, const PrintOptions& opts) {
-  Printer p(opts);
-  std::ostringstream head;
-  head << "program " << program.name << " {\n";
-  Printer body(opts);
+std::string print(const Program& program) {
+  Printer body;
   body.block(program.body, 1);
-  return head.str() + body.take() + "}\n";
+  return "program " + program.name + " {\n" + body.take() + "}\n";
 }
 
-std::string print(const Stmt& stmt, const PrintOptions& opts) {
-  Printer p(opts);
+std::string print(const Stmt& stmt) {
+  Printer p;
   p.stmt(stmt, 0);
   return p.take();
 }

@@ -8,15 +8,8 @@
 
 namespace acfc::mp {
 
-struct PrintOptions {
-  int indent_width = 2;
-  /// Annotate checkpoint statements with their ckpt_id as a comment.
-  bool show_checkpoint_ids = false;
-  /// Annotate every statement with its uid as a comment.
-  bool show_uids = false;
-};
-
-std::string print(const Program& program, const PrintOptions& opts = {});
-std::string print(const Stmt& stmt, const PrintOptions& opts = {});
+/// Two spaces of indent per nesting level.
+std::string print(const Program& program);
+std::string print(const Stmt& stmt);
 
 }  // namespace acfc::mp

@@ -39,14 +39,14 @@ double block_cost(const mp::Block& block, const InsertOptions& opts) {
   return total;
 }
 
-std::int64_t loop_trips(const mp::LoopStmt& loop, const InsertOptions& opts) {
+std::int64_t loop_trips(const mp::LoopStmt& loop) {
   mp::EvalCtx ctx;  // nprocs=1: constants only
   const auto lo = loop.lo.eval(ctx);
   const auto hi = loop.hi.eval(ctx);
   if (lo && hi && loop.lo.kind() == mp::ExprKind::kConst &&
       loop.hi.kind() == mp::ExprKind::kConst)
     return std::max<std::int64_t>(0, *hi - *lo);
-  return opts.assumed_trip_count;
+  return kAssumedTripCount;
 }
 
 double stmt_cost(const mp::Stmt& stmt, const InsertOptions& opts) {
@@ -70,7 +70,7 @@ double stmt_cost(const mp::Stmt& stmt, const InsertOptions& opts) {
     }
     case mp::StmtKind::kLoop: {
       const auto& loop = static_cast<const mp::LoopStmt&>(stmt);
-      return static_cast<double>(loop_trips(loop, opts)) *
+      return static_cast<double>(loop_trips(loop)) *
              block_cost(loop.body, opts);
     }
   }
@@ -96,7 +96,7 @@ class Inserter {
       mp::Stmt& stmt = *block.stmts[i];
       if (auto* loop = mp::stmt_cast<mp::LoopStmt>(&stmt)) {
         const double per_iter = block_cost(loop->body, opts_);
-        const auto trips = loop_trips(*loop, opts_);
+        const auto trips = loop_trips(*loop);
         const double total = static_cast<double>(trips) * per_iter;
         if (per_iter >= interval_ / 2.0) {
           // Heavy loop body: place checkpoints inside it (one per crossing
@@ -104,10 +104,8 @@ class Inserter {
           walk(loop->body);
           continue;
         }
-        if (opts_.enable_loop_blocking && total >= interval_ &&
-            try_block_loop(block, i, *loop, per_iter)) {
+        if (total >= interval_ && try_block_loop(block, i, *loop, per_iter))
           continue;  // i now indexes the blocked outer loop; move on
-        }
         acc_ += total;
       } else {
         acc_ += stmt_cost(stmt, opts_);

@@ -61,16 +61,11 @@ struct InsertOptions {
   /// Estimated one-way message delay added per send/recv statement (s),
   /// the paper's Phase-I network-delay estimation step.
   double est_message_delay = 1e-3;
-  /// Assumed trip count for loops whose bounds are not compile-time
-  /// constants.
-  int assumed_trip_count = 10;
-  /// Loop blocking: a constant-bound loop whose body is cheap but whose
-  /// total cost spans several intervals is split into checkpointed blocks
-  /// of ⌊interval / body-cost⌋ iterations (the loop variable is rewritten
-  /// as an affine expression of the block/offset variables). Without it,
-  /// such loops either checkpoint every iteration or not at all.
-  bool enable_loop_blocking = true;
 };
+
+/// Trip count the Phase-I cost model assumes for a loop whose bounds are
+/// not compile-time constants.
+inline constexpr int kAssumedTripCount = 10;
 
 /// The interval actually used by insert_checkpoints for these options.
 double optimal_interval(const InsertOptions& opts);
@@ -79,8 +74,13 @@ double optimal_interval(const InsertOptions& opts);
 /// any yet) so that the expected execution time between checkpoints is
 /// roughly the optimal interval. Insertions happen only at unconditional
 /// statement boundaries (top level and loop bodies), so the result is
-/// balanced by construction. Returns the number of checkpoints inserted.
-/// The program is renumbered and checkpoint ids are assigned.
+/// balanced by construction. Loop blocking: a constant-bound loop whose
+/// body is cheap but whose total cost spans several intervals is split
+/// into checkpointed blocks of ⌊interval / body-cost⌋ iterations (the loop
+/// variable is rewritten as an affine expression of the block/offset
+/// variables), rather than checkpointing every iteration or not at all.
+/// Returns the number of checkpoints inserted. The program is renumbered
+/// and checkpoint ids are assigned.
 int insert_checkpoints(mp::Program& program, const InsertOptions& opts = {});
 
 /// Pads the checkpoint-poorer arm of every if statement (recursively) so
@@ -131,7 +131,8 @@ struct CheckOptions {
   /// match::ExtendedCfg::refine_classification): discards violations whose
   /// every witnessing path requires one process to satisfy contradictory
   /// branch attributes. Off by default — the paper's Algorithm 3.2 uses
-  /// plain graph paths.
+  /// plain graph paths. It enumerates the bounds Ĝ was matched under
+  /// (RepairOptions::match for a repair).
   bool attribute_refinement = false;
   match::ExtendedCfg::RefineOptions refine;
 };

@@ -230,15 +230,13 @@ WriteCost StableStore::write_payload(int proc, std::string_view payload,
 std::optional<std::string> StableStore::restore_payload(int proc,
                                                         long ordinal) const {
   sync_point();
-  const auto& records = per_proc_.at(static_cast<size_t>(proc));
-  const auto it = std::lower_bound(
-      records.begin(), records.end(), ordinal,
-      [](const Record& r, long o) { return r.ordinal < o; });
-  if (it == records.end() || it->ordinal != ordinal) return std::nullopt;
+  const auto found = find_record(proc, ordinal);
+  if (!found) return std::nullopt;
+  const auto& records = per_proc_[static_cast<size_t>(proc)];
 
   // Collect the chain: target back to its base full image.
   std::vector<const Record*> chain;
-  for (auto walk = it;; --walk) {
+  for (auto walk = *found;; --walk) {
     if (!verify_record(proc, walk->ordinal)) return std::nullopt;
     chain.push_back(&*walk);
     if (walk->full_image) break;
@@ -312,23 +310,24 @@ std::uint64_t StableStore::digest() const {
   return h;
 }
 
-const StableStore::Record* StableStore::find_record(int proc,
-                                                    long ordinal) const {
+std::optional<StableStore::RecordIt> StableStore::find_record(
+    int proc, long ordinal) const {
   const auto& records = per_proc_.at(static_cast<size_t>(proc));
   const auto it = std::lower_bound(
       records.begin(), records.end(), ordinal,
       [](const Record& r, long o) { return r.ordinal < o; });
-  if (it == records.end() || it->ordinal != ordinal) return nullptr;
-  return &*it;
+  if (it == records.end() || it->ordinal != ordinal) return std::nullopt;
+  return it;
 }
 
 bool StableStore::verify_record(int proc, long ordinal) const {
   sync_point();
-  const Record* record = find_record(proc, ordinal);
-  if (record == nullptr) return false;  // collected or never written
-  if (record->torn) return false;
-  if (record->stored_checksum != record->checksum) return false;
-  if (!record->in_manifest) return false;
+  const auto found = find_record(proc, ordinal);
+  if (!found) return false;  // collected or never written
+  const Record& record = **found;
+  if (record.torn) return false;
+  if (record.stored_checksum != record.checksum) return false;
+  if (!record.in_manifest) return false;
   // Published visibility: a record above the live manifest's coverage does
   // not exist as far as restore is concerned.
   return ordinal <= published_upto_.at(static_cast<size_t>(proc));
@@ -336,27 +335,17 @@ bool StableStore::verify_record(int proc, long ordinal) const {
 
 bool StableStore::chain_verifies(int proc, long ordinal) const {
   sync_point();
-  const auto& records = per_proc_.at(static_cast<size_t>(proc));
-  const auto it = std::lower_bound(
-      records.begin(), records.end(), ordinal,
-      [](const Record& r, long o) { return r.ordinal < o; });
-  if (it == records.end() || it->ordinal != ordinal) return false;
+  const auto found = find_record(proc, ordinal);
+  if (!found) return false;
+  const auto& records = per_proc_[static_cast<size_t>(proc)];
   // Walk back to the base full image; every link must verify. The reverse
   // walk is bounded by the records vector — a chain whose base was
   // collected (or that never had one) is unrestorable, not a crash.
-  for (auto walk = it;; --walk) {
+  for (auto walk = *found;; --walk) {
     if (!verify_record(proc, walk->ordinal)) return false;
     if (walk->full_image) return true;
     if (walk == records.begin()) return false;  // base image collected
   }
-}
-
-long StableStore::latest_valid_index(int proc) const {
-  sync_point();
-  const auto& records = per_proc_.at(static_cast<size_t>(proc));
-  for (auto it = records.rbegin(); it != records.rend(); ++it)
-    if (chain_verifies(proc, it->ordinal)) return it->ordinal;
-  return 0;
 }
 
 StableStore::RestoreScan StableStore::scan_restore(int proc) const {
@@ -415,14 +404,12 @@ double StableStore::restore_seconds(int proc) const {
 
 double StableStore::restore_seconds(int proc, long ordinal) const {
   sync_point();
-  const auto& records = per_proc_.at(static_cast<size_t>(proc));
-  const auto it = std::lower_bound(
-      records.begin(), records.end(), ordinal,
-      [](const Record& r, long o) { return r.ordinal < o; });
-  ACFC_CHECK_MSG(it != records.end() && it->ordinal == ordinal,
+  const auto found = find_record(proc, ordinal);
+  ACFC_CHECK_MSG(found.has_value(),
                  "restore of a collected or never-written record");
+  const auto& records = per_proc_[static_cast<size_t>(proc)];
   double seconds = 0.0;
-  for (auto walk = it;; --walk) {
+  for (auto walk = *found;; --walk) {
     seconds += model_.read_latency +
                static_cast<double>(walk->bytes) / model_.read_bandwidth;
     if (walk->full_image) return seconds;

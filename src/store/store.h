@@ -13,7 +13,7 @@
 // process owns a small versioned manifest republished with a
 // write-then-publish protocol after every checkpoint. A StorageFaultPlan
 // (store/fault.h) injects torn writes, bit flips, lost manifest entries,
-// and stale manifests; verify_record / latest_valid_index let restore skip
+// and stale manifests; verify_record / scan_restore let restore skip
 // rotten images and report what it skipped, so recovery can fall back to
 // the deepest fully-verifiable restore point instead of failing outright.
 //
@@ -120,8 +120,7 @@ class StableStore {
 
   /// Seconds to restore the process's newest checkpoint (base image plus
   /// deltas for incremental chains). 0 when nothing is stored. Does NOT
-  /// verify integrity — pair with latest_valid_index / scan_restore for
-  /// degraded restores.
+  /// verify integrity — pair with scan_restore for degraded restores.
   double restore_seconds(int proc) const;
   /// Seconds to restore the specific record `ordinal` (its full chain).
   double restore_seconds(int proc, long ordinal) const;
@@ -140,12 +139,11 @@ class StableStore {
   /// image — a delta whose base rotted is itself unrestorable.
   bool chain_verifies(int proc, long ordinal) const;
 
-  /// Newest ordinal whose chain fully verifies; 0 when none does.
-  long latest_valid_index(int proc) const;
-
   /// What a degraded restore of `proc` would do right now.
   struct RestoreScan {
-    long ordinal = 0;         ///< chosen restore point (0 = none valid)
+    /// Chosen restore point: the newest ordinal whose chain fully
+    /// verifies (0 = none does).
+    long ordinal = 0;
     int corrupt_skipped = 0;  ///< newer records skipped as unverifiable
     int chain_length = 0;     ///< records replayed for the chosen point
     double seconds = 0.0;     ///< restore cost of the chosen chain
@@ -211,7 +209,10 @@ class StableStore {
   std::vector<Record> records_of(int proc) const;
 
  private:
-  const Record* find_record(int proc, long ordinal) const;
+  using RecordIt = std::vector<Record>::const_iterator;
+  /// The live record `ordinal` of `proc` in per_proc_; nullopt when it was
+  /// collected or never written.
+  std::optional<RecordIt> find_record(int proc, long ordinal) const;
   /// Checks `proc` and returns the ordinal of its next write.
   long next_ordinal(int proc);
   /// Applies the plan's faults on write (record.proc, record.ordinal) in

@@ -94,20 +94,6 @@ std::vector<Cut> all_straight_cuts(const Trace& trace) {
   return out;
 }
 
-Cut latest_cut_at(const Trace& trace, double t) {
-  Cut cut;
-  cut.member.assign(static_cast<size_t>(trace.nprocs), -1);
-  for (size_t i = 0; i < trace.checkpoints.size(); ++i) {
-    const auto& c = trace.checkpoints[i];
-    if (c.t_end > t) continue;
-    const int cur = cut.member[static_cast<size_t>(c.proc)];
-    if (cur < 0 ||
-        trace.checkpoints[static_cast<size_t>(cur)].t_end <= c.t_end)
-      cut.member[static_cast<size_t>(c.proc)] = static_cast<int>(i);
-  }
-  return cut;
-}
-
 std::optional<Cut> latest_straight_cut_at(const Trace& trace,
                                           int static_index, double t) {
   Cut cut;

@@ -55,9 +55,6 @@ std::optional<Cut> straight_cut(const Trace& trace, int static_index,
 /// All fully-populated straight cuts (every static index × instance).
 std::vector<Cut> all_straight_cuts(const Trace& trace);
 
-/// Per-process latest checkpoint completed at or before `t` (-1 if none).
-Cut latest_cut_at(const Trace& trace, double t);
-
 /// Per-process latest completion of a static-index-`static_index`
 /// checkpoint at or before `t`; nullopt unless every process has one.
 /// Under the strict placement policy this cut is always a recovery line,

@@ -76,8 +76,6 @@ void expect_stores_equal(const StableStore& sync_store,
       EXPECT_EQ(a[i].encoded, b[i].encoded);
     }
     EXPECT_EQ(sync_store.write_count(p), async_store.write_count(p));
-    EXPECT_EQ(sync_store.latest_valid_index(p),
-              async_store.latest_valid_index(p));
     const auto sa = sync_store.scan_restore(p);
     const auto sb = async_store.scan_restore(p);
     EXPECT_EQ(sa.ordinal, sb.ordinal);

@@ -150,10 +150,11 @@ TEST(Cli, NegativeCountsAndNonFiniteDoublesAreRejected) {
 
 TEST(Cli, ExploreRejectsOutOfRangeFlags) {
   // Each of these used to get past the parser and die on an internal
-  // check (exit 1) inside explore() or the engine.
+  // check (exit 1) inside explore() or the engine, or (--threads 257) ask
+  // the search for that many worker threads.
   for (const std::string flag :
        {"--budget 0", "--depth 0", "--tie-cap 0", "--tie-cap 99",
-        "--delay-steps 0"}) {
+        "--delay-steps 0", "--threads 257"}) {
     SCOPED_TRACE(flag);
     const auto r = run_cli("explore -w ring -n 3 " + flag);
     EXPECT_EQ(r.exit_code, 2) << r.output;

@@ -286,7 +286,7 @@ TEST(StoreWired, StableStoreDrivesDegradedSelection) {
   // The store agrees: ordinal 3 of process 1 does not verify, and the
   // degraded restore scan lands below it.
   EXPECT_FALSE(store.verify_record(1, 3));
-  EXPECT_GT(store.latest_valid_index(1), 0);
+  EXPECT_GT(store.scan_restore(1).ordinal, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -271,13 +271,6 @@ TEST(Edge, SimultaneousFailures) {
 // Output/rendering corner cases
 // ---------------------------------------------------------------------------
 
-TEST(Edge, PrinterUidAnnotations) {
-  const mp::Program p = mp::parse("program t { compute 1.0; }");
-  mp::PrintOptions opts;
-  opts.show_uids = true;
-  EXPECT_NE(mp::print(p, opts).find("# uid=0"), std::string::npos);
-}
-
 TEST(Edge, DotOnLargeGeneratedProgram) {
   mp::GenerateOptions gopts;
   gopts.seed = 99;

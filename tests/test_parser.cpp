@@ -157,6 +157,34 @@ TEST(Parser, ErrorsCarryLocation) {
   }
 }
 
+TEST(Parser, OutOfRangeTagOrBytesFails) {
+  // Each literal (the last word) is past what an int holds, and the last
+  // past any integer type; none may wrap into range. The error names the
+  // literal's own line and column.
+  for (const std::string stmt :
+       {"send to 0 tag 4294967297", "send to 0 tag 1 bytes 4294967296",
+        "recv from 0 tag 2147483648", "barrier tag 2147483648",
+        "allreduce tag 2147483648", "bcast root 0 tag 2147483648",
+        "reduce root 0 bytes 2147483648",
+        "send to 0 tag 99999999999999999999"}) {
+    SCOPED_TRACE(stmt);
+    const std::string source = "program t {\n  " + stmt + ";\n}";
+    const std::string at =
+        "at 2:" + std::to_string(stmt.rfind(' ') + 2 + 2);
+    try {
+      parse(source);
+      ADD_FAILURE() << "parsed";
+    } catch (const ProgramError& e) {
+      EXPECT_NE(std::string(e.what()).find(at), std::string::npos)
+          << e.what();
+    }
+  }
+  // The largest int still parses and prints back as written.
+  const std::string text =
+      "program t {\n  send to 0 tag 2147483647 bytes 2147483647;\n}\n";
+  EXPECT_EQ(print(parse(text)), text);
+}
+
 TEST(Parser, MissingSemicolonFails) {
   EXPECT_THROW(parse("program t { compute 1.0 }"), ProgramError);
 }
@@ -210,13 +238,6 @@ TEST(Printer, RoundTripAllStatementKinds) {
   const Program q = parse(print(p));
   EXPECT_EQ(q.stmt_count(), p.stmt_count());
   EXPECT_EQ(print(q), print(p));
-}
-
-TEST(Printer, ShowCheckpointIds) {
-  const Program p = parse("program t { checkpoint; }");
-  PrintOptions opts;
-  opts.show_checkpoint_ids = true;
-  EXPECT_NE(print(p, opts).find("ckpt_id=0"), std::string::npos);
 }
 
 }  // namespace

@@ -275,4 +275,45 @@ TEST(Refine, HopBudgetIsConservative) {
   EXPECT_EQ(refined.has_message_path, coarse.has_message_path);
 }
 
+TEST(Refine, UsesTheBoundsTheGraphWasMatchedUnder) {
+  // The only exchange runs at nprocs >= 20, past the default world sizes.
+  // Matched at a deployment scale that covers it, Ĝ has the edge and the
+  // rank-0 checkpoint before the send meets the rank-1 checkpoint after
+  // the receive: a real hard violation. Refinement must decide under the
+  // same bounds, or it calls the exchange infeasible and keeps nothing.
+  mp::Program p = mp::parse(R"(
+    program gated {
+      compute 1.0;
+      if (nprocs >= 20) {
+        if (rank == 0) {
+          checkpoint;
+          send to 1 tag 1;
+        } else {
+          if (rank == 1) { recv from 0 tag 1; }
+          checkpoint;
+        }
+      } else {
+        checkpoint;
+      }
+    })");
+  match::MatchOptions wide;
+  wide.sat.world_sizes = {2, 3, 4, 5, 8, 16, 20, 24};
+  place::CheckOptions refined;
+  refined.attribute_refinement = true;
+  {
+    const match::ExtendedCfg ext = build_extended_cfg(p, wide);
+    ASSERT_EQ(ext.message_edges().size(), 1u);
+    EXPECT_EQ(place::check_condition1(ext).hard_count(), 1);
+    EXPECT_EQ(place::check_condition1(ext, refined).hard_count(), 1);
+  }
+  place::RepairOptions ropts;
+  ropts.match = wide;
+  ropts.check = refined;
+  const place::RepairReport report = place::repair_placement(p, ropts);
+  EXPECT_TRUE(report.success);
+  EXPECT_EQ(report.initial_hard, 1);
+  EXPECT_EQ(report.moves, 1);
+  EXPECT_EQ(report.final_check.hard_count(), 0);
+}
+
 }  // namespace

@@ -145,10 +145,9 @@ TEST(StoreIntegrity, CleanRecordsVerify) {
     EXPECT_TRUE(s.verify_record(0, ordinal)) << ordinal;
     EXPECT_TRUE(s.chain_verifies(0, ordinal)) << ordinal;
   }
-  EXPECT_EQ(s.latest_valid_index(0), 5);
   EXPECT_FALSE(s.verify_record(0, 6));   // never written
   EXPECT_FALSE(s.verify_record(1, 1));   // other process untouched
-  EXPECT_EQ(s.latest_valid_index(1), 0);
+  EXPECT_EQ(s.scan_restore(1).ordinal, 0);
   const auto scan = s.scan_restore(0);
   EXPECT_EQ(scan.ordinal, 5);
   EXPECT_EQ(scan.corrupt_skipped, 0);
@@ -163,7 +162,7 @@ TEST(StoreIntegrity, TornWriteNeverVerifies) {
   EXPECT_TRUE(s.verify_record(0, 1));
   EXPECT_FALSE(s.verify_record(0, 2));
   EXPECT_TRUE(s.verify_record(0, 3));
-  EXPECT_EQ(s.latest_valid_index(0), 3);  // full mode: records independent
+  EXPECT_EQ(s.scan_restore(0).ordinal, 3);  // full mode: records independent
 }
 
 TEST(StoreIntegrity, BitFlipOnBaseRotsTheWholeChain) {
@@ -176,7 +175,6 @@ TEST(StoreIntegrity, BitFlipOnBaseRotsTheWholeChain) {
     EXPECT_FALSE(s.chain_verifies(0, ordinal)) << ordinal;
   EXPECT_TRUE(s.chain_verifies(0, 5));  // fresh full image: clean chain
   EXPECT_TRUE(s.chain_verifies(0, 6));
-  EXPECT_EQ(s.latest_valid_index(0), 6);
   const auto scan = s.scan_restore(0);
   EXPECT_EQ(scan.ordinal, 6);
   EXPECT_EQ(scan.corrupt_skipped, 0);  // nothing newer than the valid chain
@@ -188,7 +186,6 @@ TEST(StoreIntegrity, ScanSkipsCorruptNewestAndReports) {
                  StorageFaultPlan::torn_write(0, 3)};
   StableStore s(fast_model(), CheckpointMode::kFull, 1, plan);
   for (int i = 0; i < 4; ++i) s.write_checkpoint(0, 1'000'000, i);
-  EXPECT_EQ(s.latest_valid_index(0), 2);
   const auto scan = s.scan_restore(0);
   EXPECT_EQ(scan.ordinal, 2);
   EXPECT_EQ(scan.corrupt_skipped, 2);
@@ -216,12 +213,12 @@ TEST(StoreIntegrity, StaleManifestHealsOnNextPublish) {
   s.write_checkpoint(0, 1'000'000, 1.0);
   // Publish failed: the live manifest still only covers ordinal 1.
   EXPECT_FALSE(s.verify_record(0, 2));
-  EXPECT_EQ(s.latest_valid_index(0), 1);
+  EXPECT_EQ(s.scan_restore(0).ordinal, 1);
   EXPECT_EQ(s.manifest_of(0).version, version_before);
   // The next write's publish covers it: the fault heals.
   s.write_checkpoint(0, 1'000'000, 2.0);
   EXPECT_TRUE(s.verify_record(0, 2));
-  EXPECT_EQ(s.latest_valid_index(0), 3);
+  EXPECT_EQ(s.scan_restore(0).ordinal, 3);
   EXPECT_GT(s.manifest_of(0).version, version_before);
 }
 
@@ -234,9 +231,8 @@ TEST(StoreIntegrity, GcNeverUnchainsTheDegradedFallbackTarget) {
                  StorageFaultPlan::bit_flip(0, 4)};
   StableStore s(fast_model(), CheckpointMode::kFull, 1, plan);
   for (int i = 0; i < 4; ++i) s.write_checkpoint(0, 1'000'000, i);
-  ASSERT_EQ(s.latest_valid_index(0), 2);
+  ASSERT_EQ(s.scan_restore(0).ordinal, 2);
   s.collect_garbage(1);
-  EXPECT_EQ(s.latest_valid_index(0), 2);
   const auto scan = s.scan_restore(0);
   EXPECT_EQ(scan.ordinal, 2);
   EXPECT_GT(scan.seconds, 0.0);  // restore still possible — chain intact
@@ -253,9 +249,8 @@ TEST(StoreIntegrity, GcKeepsIncrementalChainOfTheFallbackTarget) {
                  StorageFaultPlan::bit_flip(0, 7)};
   StableStore s(fast_model(), CheckpointMode::kIncremental, 1, plan);
   for (int i = 0; i < 7; ++i) s.write_checkpoint(0, 1'000'000, i);
-  ASSERT_EQ(s.latest_valid_index(0), 4);
+  ASSERT_EQ(s.scan_restore(0).ordinal, 4);
   s.collect_garbage(1);
-  EXPECT_EQ(s.latest_valid_index(0), 4);
   const auto records = s.records_of(0);
   ASSERT_FALSE(records.empty());
   EXPECT_EQ(records.front().ordinal, 1);  // the chain base survived

@@ -121,17 +121,6 @@ TEST(LoopBlocking, TailHandlesRemainder) {
   EXPECT_EQ(tail.hi.const_value(), 1);
 }
 
-TEST(LoopBlocking, DisabledLeavesLoopAtomic) {
-  mp::Program p = mp::parse("program b { loop 12 { compute 15.0; } }");
-  place::InsertOptions opts;
-  opts.target_interval = 45.0;
-  opts.enable_loop_blocking = false;
-  place::insert_checkpoints(p, opts);
-  EXPECT_EQ(p.body.stmts[0]->kind(), mp::StmtKind::kLoop);
-  const auto& loop = static_cast<const mp::LoopStmt&>(*p.body.stmts[0]);
-  EXPECT_EQ(loop.hi.const_value(), 12);  // untouched
-}
-
 TEST(LoopBlocking, RewritesLoopVariableUses) {
   // The body sends to a neighbour selected by the loop variable's parity;
   // after blocking, the rewritten affine expression must preserve the
@@ -197,9 +186,9 @@ TEST(LoopBlocking, SkipsNonConstantBounds) {
       "program b { for i in 0 .. nprocs { compute 15.0; } }");
   place::InsertOptions opts;
   opts.target_interval = 45.0;
-  opts.assumed_trip_count = 12;
   place::insert_checkpoints(p, opts);
-  // Bounds are not constant: loop stays atomic, checkpoint lands after.
+  // Bounds are not constant (assumed kAssumedTripCount trips, 150 s, past
+  // the interval): loop stays atomic, checkpoint lands after.
   EXPECT_EQ(p.body.stmts[0]->kind(), mp::StmtKind::kLoop);
   const auto& loop = static_cast<const mp::LoopStmt&>(*p.body.stmts[0]);
   EXPECT_TRUE(loop.hi.equals(mp::Expr::nprocs()));

@@ -120,15 +120,6 @@ TEST(TraceCut, InTransitDetection) {
   EXPECT_EQ(a.in_transit_msgs.size(), 1u);
 }
 
-TEST(TraceCut, LatestCutAtTime) {
-  const Trace t = run(kAligned, 2);
-  // kAligned checkpoints instantly at t=0, so query strictly before that.
-  const Cut early = trace::latest_cut_at(t, -1.0);
-  for (const int m : early.member) EXPECT_EQ(m, -1);
-  const Cut late = trace::latest_cut_at(t, t.end_time + 1.0);
-  for (const int m : late.member) EXPECT_GE(m, 0);
-}
-
 TEST(TraceRecovery, AlignedRollsBackToLatest) {
   const Trace t = run(kAligned, 4);
   // Fail right at the end: every process restores its latest checkpoint
