@@ -14,12 +14,18 @@
 // tests assert that the two produce identical happened-before structure.
 #pragma once
 
+#include <limits>
+
 #include "mp/stmt.h"
 
 namespace acfc::mp {
 
 /// Tag offset applied to lowered control messages.
 inline constexpr int kCollectiveTagBase = 1'000'000;
+/// Largest collective tag whose lowered tag still fits an int; the parser
+/// rejects a larger one.
+inline constexpr int kMaxCollectiveTag =
+    std::numeric_limits<int>::max() - kCollectiveTagBase;
 
 /// Returns a copy of `program` with every barrier/bcast replaced by
 /// point-to-point statements. The result is renumbered.

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "mp/lower.h"
 #include "util/error.h"
 
 namespace acfc::mp {
@@ -195,14 +196,19 @@ class Parser {
     if (!at(kind)) fail("unexpected token '" + cur().text + "'");
     return advance();
   }
-  /// A `tag`, `bytes` or irregular-id literal: 0..2147483647, the range
-  /// of the int it is stored in.
-  int expect_int(const char* what) {
-    if (at(TokKind::kInt) &&
-        cur().int_value > std::numeric_limits<int>::max())
+  /// A `tag`, `bytes` or irregular-id literal: 0..max, by default
+  /// 0..2147483647, the range of the int it is stored in.
+  int expect_int(const char* what,
+                 int max = std::numeric_limits<int>::max()) {
+    if (at(TokKind::kInt) && cur().int_value > max)
       fail(std::string(what) + " " + cur().text + " out of range (want 0.." +
-           std::to_string(std::numeric_limits<int>::max()) + ")");
+           std::to_string(max) + ")");
     return static_cast<int>(expect(TokKind::kInt).int_value);
+  }
+  /// A collective's optional `tag`: lowering adds kCollectiveTagBase, so
+  /// the sum must still fit an int.
+  int collective_tag() {
+    return accept_ident("tag") ? expect_int("tag", kMaxCollectiveTag) : 0;
   }
   void expect_punct(const std::string& text) {
     if (!accept_punct(text)) fail("expected '" + text + "'");
@@ -273,18 +279,13 @@ class Parser {
       if (at(TokKind::kString)) note = advance().text;
       return std::make_unique<CheckpointStmt>(std::move(note));
     }
-    if (accept_ident("barrier")) {
-      int tag = 0;
-      if (accept_ident("tag"))
-        tag = expect_int("tag");
-      return std::make_unique<BarrierStmt>(tag);
-    }
+    if (accept_ident("barrier"))
+      return std::make_unique<BarrierStmt>(collective_tag());
     if (accept_ident("bcast")) {
       expect_ident("root");
       Expr root = parse_expr();
-      int tag = 0, bytes = 0;
-      if (accept_ident("tag"))
-        tag = expect_int("tag");
+      const int tag = collective_tag();
+      int bytes = 0;
       if (accept_ident("bytes"))
         bytes = expect_int("bytes");
       return std::make_unique<BcastStmt>(std::move(root), tag, bytes);
@@ -292,17 +293,15 @@ class Parser {
     if (accept_ident("reduce")) {
       expect_ident("root");
       Expr root = parse_expr();
-      int tag = 0, bytes = 0;
-      if (accept_ident("tag"))
-        tag = expect_int("tag");
+      const int tag = collective_tag();
+      int bytes = 0;
       if (accept_ident("bytes"))
         bytes = expect_int("bytes");
       return std::make_unique<ReduceStmt>(std::move(root), tag, bytes);
     }
     if (accept_ident("allreduce")) {
-      int tag = 0, bytes = 0;
-      if (accept_ident("tag"))
-        tag = expect_int("tag");
+      const int tag = collective_tag();
+      int bytes = 0;
       if (accept_ident("bytes"))
         bytes = expect_int("bytes");
       return std::make_unique<AllreduceStmt>(tag, bytes);

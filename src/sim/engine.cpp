@@ -272,7 +272,6 @@ trace::EventRec& Engine::note(trace::EventKind kind, int proc, double time) {
   rec.kind = kind;
   rec.proc = proc;
   rec.time = time;
-  rec.vc = procs_[static_cast<size_t>(proc)]->vm.clock();
   return rec;
 }
 
@@ -740,7 +739,7 @@ void Engine::complete_recv(int p, long msg_index) {
       static_cast<std::uint64_t>(msg.seq));
   msg.consumed = true;
   msg.recv_time = now_;
-  msg.recv_vc = proc.vm.clock();
+  msg.recv_tick = proc.vm.clock()[p];
   msg.recv_stmt_uid = proc.pending_recv ? proc.pending_recv->stmt_uid : -1;
 
   trace::EventRec& rec = note(trace::EventKind::kRecv, p, now_);

@@ -55,7 +55,7 @@ CutAnalysis analyze_cut(const Trace& trace, const Cut& cut) {
         m.send_vc[m.src] <= vcs[static_cast<size_t>(m.src)][m.src];
     const bool received_pre_cut =
         m.consumed &&
-        m.recv_vc[m.dst] <= vcs[static_cast<size_t>(m.dst)][m.dst];
+        m.recv_tick <= vcs[static_cast<size_t>(m.dst)][m.dst];
     if (!sent_pre_cut && received_pre_cut) out.orphan_msgs.push_back(m.id);
     if (sent_pre_cut && !received_pre_cut) out.in_transit_msgs.push_back(m.id);
   }
@@ -212,7 +212,7 @@ RGraph build_rgraph(const Trace& trace) {
   for (const auto& m : trace.messages) {
     if (m.control || !m.consumed) continue;
     g.edges.push_back({m.src, interval_at(m.src, m.send_vc[m.src]), m.dst,
-                       interval_at(m.dst, m.recv_vc[m.dst])});
+                       interval_at(m.dst, m.recv_tick)});
   }
   return g;
 }

@@ -1,5 +1,10 @@
 // Execution traces: the event, message, and checkpoint records produced by
 // the simulator, consumed by the recovery-line analyses in analysis.h.
+//
+// Vector clocks are kept only where the analyses read them: a checkpoint
+// record holds its process's full clock, a message its sender's full clock
+// and the receiver's own component at the receive. Event records carry no
+// clock.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +34,6 @@ struct EventRec {
   EventKind kind = EventKind::kCompute;
   int proc = -1;
   double time = 0.0;
-  VClock vc;
   /// Originating statement uid; -1 for protocol/system events.
   int stmt_uid = -1;
   /// Message id for send/recv events; -1 otherwise.
@@ -57,8 +61,10 @@ struct MsgRec {
   int send_stmt_uid = -1;
   int recv_stmt_uid = -1;
   VClock send_vc;
-  /// Clock of the receive event; meaningful only when consumed.
-  VClock recv_vc;
+  /// The receiver's own clock component at the receive event (it orders
+  /// the receive against the receiver's checkpoints); meaningful only when
+  /// consumed.
+  std::uint64_t recv_tick = 0;
   bool consumed = false;
   bool control = false;  ///< protocol control message (not an app message)
   /// Protocol piggyback value on app messages; payload on control ones.

@@ -1,29 +1,29 @@
 // Vector clocks — the happened-before oracle of the execution substrate.
 //
-// Every simulated event carries the vector clock of its process at the
-// time it occurred; e happened-before f iff VC(e) < VC(f) componentwise
-// (Mattern/Fidge characterization of Lamport's relation).
+// Every process carries the vector clock of its current event; e
+// happened-before f iff VC(e) < VC(f) componentwise (Mattern/Fidge
+// characterization of Lamport's relation).
 //
-// The simulator stamps one clock per event record and two per message, so
-// clock copies are the allocation hot path of the engine. Two layers keep
-// that path cheap:
+// The trace keeps a full clock only where something reads one: at every
+// checkpoint (CkptRec::vc, for cut consistency) and at every send
+// (MsgRec::send_vc, merged by the receive). A receive keeps only the
+// receiver's own component (MsgRec::recv_tick) and an event record keeps
+// none. Two layers keep the remaining copies cheap:
 //
 //  * Components live inline (no heap) up to kInlineCapacity processes;
-//    copying an inline clock is a plain memcpy.
+//    every inline word is zeroed at construction, so copying a clock is
+//    one fixed-size copy of the whole inline array.
 //  * Spilled clocks (> kInlineCapacity) share an immutable payload
 //    copy-on-write: copying is a refcount bump, and only mutation
-//    (tick/set/merge) clones a shared payload. Stamping the live clock
-//    into a trace record therefore allocates nothing; the engine pays one
-//    payload clone per *mutation* instead of one per *copy*, and records
-//    stamped from the same instant (an event record and its message
-//    record, say) share a single block.
+//    (tick/merge) clones a shared payload. The engine pays one
+//    payload clone per mutation after a stamp (a send or a checkpoint)
+//    instead of one per copy.
 //
 // The payload refcount is std::shared_ptr's (atomic), so clocks may be
 // copied across threads; as always, concurrent mutation of one VClock
 // object requires external synchronization.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -40,42 +40,11 @@ class VClock {
     if (size_ > kInlineCapacity)
       heap_ = std::make_shared<std::uint64_t[]>(
           static_cast<std::size_t>(size_));  // value-initialized: all zero
-    else
-      std::fill(small_, small_ + size_, 0);
   }
 
-  // Copy/move only the active storage: inline clocks are a fixed-size
-  // memcpy with no heap traffic, spilled clocks share the payload (a
-  // refcount bump). small_ stays uninitialized for spilled clocks — it is
-  // only ever read through data(), gated on size_ ≤ kInlineCapacity.
-  VClock(const VClock& other) : size_(other.size_) {
-    if (size_ > kInlineCapacity)
-      heap_ = other.heap_;
-    else
-      std::copy(other.small_, other.small_ + size_, small_);
-  }
-  VClock& operator=(const VClock& other) {
-    size_ = other.size_;
-    if (size_ > kInlineCapacity)
-      heap_ = other.heap_;
-    else
-      std::copy(other.small_, other.small_ + size_, small_);
-    return *this;
-  }
-  VClock(VClock&& other) noexcept : size_(other.size_) {
-    if (size_ > kInlineCapacity)
-      heap_ = std::move(other.heap_);
-    else
-      std::copy(other.small_, other.small_ + size_, small_);
-  }
-  VClock& operator=(VClock&& other) noexcept {
-    size_ = other.size_;
-    if (size_ > kInlineCapacity)
-      heap_ = std::move(other.heap_);
-    else
-      std::copy(other.small_, other.small_ + size_, small_);
-    return *this;
-  }
+  // The implicit copy and move copy all kInlineCapacity inline words (a
+  // fixed-size copy, no length branch) and the payload pointer (null for
+  // inline clocks, shared for spilled ones).
 
   int size() const { return size_; }
   std::uint64_t operator[](int i) const { return data()[check_index(i)]; }
@@ -130,9 +99,9 @@ class VClock {
   [[noreturn]] static void index_fail();
 
   int size_ = 0;
-  // Deliberately no initializer: the ctors zero exactly the components in
-  // use, so spilled clocks never pay a 128-byte memset per construction.
-  std::uint64_t small_[kInlineCapacity];
+  // Always fully initialized (spilled clocks keep theirs zero), so the
+  // fixed-size copy never reads an indeterminate word.
+  std::uint64_t small_[kInlineCapacity] = {};
   std::shared_ptr<std::uint64_t[]> heap_;
 };
 

@@ -29,15 +29,15 @@ inline std::string run_bytes(const SimResult& r) {
   for (const std::uint64_t d : t.final_digest) out << "digest " << d << '\n';
   for (const trace::EventRec& e : t.events)
     out << "ev " << static_cast<int>(e.kind) << ' ' << e.proc << ' '
-        << bits(e.time) << ' ' << clock_text(e.vc) << ' ' << e.stmt_uid
-        << ' ' << e.msg_id << ' ' << e.peer << ' ' << e.tag << ' '
-        << e.ckpt_id << ' ' << e.ckpt_instance << ' ' << e.forced << '\n';
+        << bits(e.time) << ' ' << e.stmt_uid << ' ' << e.msg_id << ' '
+        << e.peer << ' ' << e.tag << ' ' << e.ckpt_id << ' '
+        << e.ckpt_instance << ' ' << e.forced << '\n';
   for (const trace::MsgRec& m : t.messages)
     out << "msg " << m.id << ' ' << m.src << ' ' << m.dst << ' ' << m.tag
         << ' ' << m.bytes << ' ' << m.seq << ' ' << bits(m.send_time) << ' '
         << bits(m.deliver_time) << ' ' << bits(m.recv_time) << ' '
         << m.send_stmt_uid << ' ' << m.recv_stmt_uid << ' '
-        << clock_text(m.send_vc) << ' ' << clock_text(m.recv_vc) << ' '
+        << clock_text(m.send_vc) << ' ' << m.recv_tick << ' '
         << m.consumed << ' ' << m.control << ' ' << m.piggyback << ' '
         << m.replayed << ' ' << m.xport_seq << '\n';
   for (const trace::CkptRec& c : t.checkpoints)

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "match/match.h"
 #include "mp/generate.h"
@@ -81,32 +82,40 @@ TEST(Collectives, NativeReduceBlocksRootOnly) {
   EXPECT_GT(rank0_done, 50.0);
 }
 
+/// Each process's checkpoints, in completion order.
+std::vector<std::vector<trace::CkptRec>> checkpoints_by_proc(
+    const trace::Trace& t) {
+  std::vector<std::vector<trace::CkptRec>> out;
+  for (int p = 0; p < t.nprocs; ++p) out.push_back(t.checkpoints_of(p));
+  return out;
+}
+
 TEST(Collectives, NativeReduceOrdersContributionsBeforeRoot) {
-  const auto r = sim::simulate(
-      mp::parse("program red { compute 1.0; reduce root 0; }"), 3);
+  const auto r = sim::simulate(mp::parse(R"(
+    program red { compute 1.0; checkpoint; reduce root 0; checkpoint; })"),
+                               3);
   ASSERT_TRUE(r.trace.completed);
-  // The root's collective event must causally follow every contributor's.
-  const trace::EventRec* root_event = nullptr;
-  std::vector<const trace::EventRec*> contributors;
-  for (const auto& e : r.trace.events) {
-    if (e.kind != trace::EventKind::kCollective) continue;
-    if (e.proc == 0) {
-      root_event = &e;
-    } else {
-      contributors.push_back(&e);
-    }
+  const auto c = checkpoints_by_proc(r.trace);
+  for (const auto& mine : c) ASSERT_EQ(mine.size(), 2u);
+  // The root's post-reduce checkpoint causally follows every
+  // contributor's pre-reduce one; no contributor hears from the root.
+  for (int q = 1; q < 3; ++q) {
+    SCOPED_TRACE("contributor " + std::to_string(q));
+    const auto& pre = c[static_cast<size_t>(q)][0];
+    const auto& post = c[static_cast<size_t>(q)][1];
+    EXPECT_TRUE(pre.vc.happened_before(c[0][1].vc));
+    EXPECT_TRUE(c[0][0].vc.concurrent_with(post.vc));
+    EXPECT_TRUE(post.vc.concurrent_with(c[0][1].vc));
   }
-  ASSERT_NE(root_event, nullptr);
-  ASSERT_EQ(contributors.size(), 2u);
-  for (const auto* c : contributors)
-    EXPECT_TRUE(c->vc.happened_before(root_event->vc));
 }
 
 TEST(Collectives, NativeAllreduceSynchronizesEveryone) {
   const auto r = sim::simulate(mp::parse(R"(
     program ar {
       if (rank == 0) { compute 20.0; } else { compute 1.0; }
+      checkpoint;
       allreduce bytes 8;
+      checkpoint;
       compute 1.0;
     })"),
                                3);
@@ -117,14 +126,20 @@ TEST(Collectives, NativeAllreduceSynchronizesEveryone) {
       EXPECT_GT(e.time, 20.0);
     }
   }
-  // All collective events are pairwise clock-equal or ordered only by the
-  // merge: each saw every other's contribution.
-  std::vector<trace::VClock> vcs;
-  for (const auto& e : r.trace.events)
-    if (e.kind == trace::EventKind::kCollective) vcs.push_back(e.vc);
-  ASSERT_EQ(vcs.size(), 3u);
-  for (const auto& a : vcs)
-    for (const auto& b : vcs) EXPECT_FALSE(a.happened_before(b));
+  // Each saw every other's contribution: every pre-allreduce checkpoint
+  // happened before every other process's post-allreduce one, and the
+  // post-allreduce checkpoints are pairwise unordered.
+  const auto c = checkpoints_by_proc(r.trace);
+  for (const auto& mine : c) ASSERT_EQ(mine.size(), 2u);
+  for (int p = 0; p < 3; ++p)
+    for (int q = 0; q < 3; ++q) {
+      if (p == q) continue;
+      SCOPED_TRACE(std::to_string(p) + " vs " + std::to_string(q));
+      const auto& mine = c[static_cast<size_t>(p)];
+      const auto& theirs = c[static_cast<size_t>(q)];
+      EXPECT_TRUE(mine[0].vc.happened_before(theirs[1].vc));
+      EXPECT_TRUE(mine[1].vc.concurrent_with(theirs[1].vc));
+    }
 }
 
 TEST(Collectives, NativeAndLoweredBothComplete) {

@@ -2,6 +2,10 @@
 // (parse → print → parse) structural stability and error reporting.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "mp/lower.h"
 #include "mp/parser.h"
 #include "mp/printer.h"
 #include "util/error.h"
@@ -183,6 +187,41 @@ TEST(Parser, OutOfRangeTagOrBytesFails) {
   const std::string text =
       "program t {\n  send to 0 tag 2147483647 bytes 2147483647;\n}\n";
   EXPECT_EQ(print(parse(text)), text);
+}
+
+TEST(Parser, CollectiveTagPastTheLoweringBoundFails) {
+  // Lowering adds kCollectiveTagBase to a collective's tag, so its largest
+  // tag is the one that lowers to the largest int; one more is an error
+  // at the literal.
+  ASSERT_EQ(kMaxCollectiveTag + kCollectiveTagBase,
+            std::numeric_limits<int>::max());
+  const std::string max = std::to_string(kMaxCollectiveTag);
+  const std::string over = std::to_string(kMaxCollectiveTag + 1);
+  for (const std::string head :
+       {"barrier", "bcast root 0", "reduce root 0", "allreduce"}) {
+    SCOPED_TRACE(head);
+    const std::string text =
+        "program t {\n  " + head + " tag " + max + ";\n}\n";
+    const Program p = parse(text);
+    EXPECT_EQ(print(p), text);
+    // Every lowered message carries the largest int as its tag.
+    const std::string lowered = print(lower_collectives(p));
+    EXPECT_NE(lowered.find(
+                  "tag " + std::to_string(std::numeric_limits<int>::max())),
+              std::string::npos)
+        << lowered;
+    const std::string stmt = head + " tag " + over;
+    try {
+      parse("program t {\n  " + stmt + ";\n}");
+      ADD_FAILURE() << "parsed";
+    } catch (const ProgramError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("at 2:" + std::to_string(stmt.rfind(' ') + 4)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("want 0.." + max), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(Parser, MissingSemicolonFails) {

@@ -118,20 +118,35 @@ TEST(Sim, AnySourceReceives) {
 }
 
 TEST(Sim, VectorClocksOrderSendBeforeRecv) {
+  // A checkpoint on each side of one message. The receive merges the send
+  // clock, so the send (and everything before it on rank 0) happened
+  // before rank 1's later checkpoint; nothing flows back to rank 0.
   const auto r = run(R"(
     program order {
+      checkpoint;
       if (rank == 0) { send to 1 tag 1; } else { recv from 0 tag 1; }
+      checkpoint;
     })",
                      2);
-  const trace::EventRec* send = nullptr;
-  const trace::EventRec* recv = nullptr;
-  for (const auto& e : r.trace.events) {
-    if (e.kind == trace::EventKind::kSend) send = &e;
-    if (e.kind == trace::EventKind::kRecv) recv = &e;
-  }
-  ASSERT_NE(send, nullptr);
-  ASSERT_NE(recv, nullptr);
-  EXPECT_TRUE(send->vc.happened_before(recv->vc));
+  ASSERT_TRUE(r.trace.completed);
+  const std::vector<trace::MsgRec> app = r.trace.app_messages();
+  ASSERT_EQ(app.size(), 1u);
+  const trace::MsgRec& m = app[0];
+  const std::vector<trace::CkptRec> c0 = r.trace.checkpoints_of(0);
+  const std::vector<trace::CkptRec> c1 = r.trace.checkpoints_of(1);
+  ASSERT_EQ(c0.size(), 2u);
+  ASSERT_EQ(c1.size(), 2u);
+  EXPECT_TRUE(c0[0].vc.happened_before(m.send_vc));
+  EXPECT_TRUE(m.send_vc.happened_before(c0[1].vc));
+  EXPECT_TRUE(m.send_vc.happened_before(c1[1].vc));
+  EXPECT_TRUE(c0[0].vc.happened_before(c1[1].vc));
+  EXPECT_TRUE(m.send_vc.concurrent_with(c1[0].vc));
+  EXPECT_TRUE(c1[0].vc.concurrent_with(c0[1].vc));
+  EXPECT_TRUE(c0[1].vc.concurrent_with(c1[1].vc));
+  // The receive falls between rank 1's two checkpoints in its own
+  // component.
+  EXPECT_LT(c1[0].vc[1], m.recv_tick);
+  EXPECT_LT(m.recv_tick, c1[1].vc[1]);
 }
 
 TEST(Sim, DeterministicDigestAcrossRuns) {
