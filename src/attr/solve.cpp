@@ -1,12 +1,11 @@
 // The decision procedures of attr.h — satisfiable and find_match — over
 // compiled attributes.
 //
-// A query is compiled once into a flat table of nodes (children before
-// their parent, so each guard, loop bound and parameter is a contiguous
-// range ending at its root) and enumerated with loop variables held in a
-// value array indexed by binding position. Name resolution happens at
-// compile time: a loop variable refers to the innermost binding of its
-// name in scope. When the budget runs out mid-enumeration only the outer
+// A query is compiled once into an mp/code.h table (each guard, loop
+// bound and parameter is a contiguous range ending at its root) and
+// enumerated with loop variables held in a value array indexed by binding
+// position, the slot each binding is compiled to. Irregular leaves are
+// unknown. When the budget runs out mid-enumeration only the outer
 // `bound` bindings hold values; a reference to an unbound position falls
 // back along `shadow` to the next outer binding of the same name, exactly
 // as a name lookup in a partially built environment would. Guards and a
@@ -28,40 +27,13 @@
 #include <vector>
 
 #include "attr/attr.h"
+#include "mp/code.h"
 
 namespace acfc::attr {
 
 namespace {
 
-enum class Op : std::uint8_t {
-  kConst,    ///< value
-  kRank,
-  kNProcs,
-  kLoopVar,  ///< a = binding position
-  kUnknown,  ///< irregular value or unbound name: never known statically
-  kAdd,      ///< a, b = operand nodes (for every binary op below)
-  kSub,
-  kMul,
-  kDiv,
-  kMod,
-  kTrue,
-  kEq,
-  kNe,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-  kNot,  ///< a = operand node
-  kAnd,
-  kOr,
-};
-
-struct Node {
-  Op op = Op::kConst;
-  int a = 0;
-  int b = 0;
-  std::int64_t value = 0;
-};
+using mp::Op;
 
 /// A value that may be unknown; predicates are 0 or 1.
 struct Val {
@@ -97,128 +69,6 @@ struct Side {
   int loops() const { return static_cast<int>(lo.size()); }
 };
 
-Op binary_op(mp::ExprKind kind) {
-  switch (kind) {
-    case mp::ExprKind::kAdd: return Op::kAdd;
-    case mp::ExprKind::kSub: return Op::kSub;
-    case mp::ExprKind::kMul: return Op::kMul;
-    case mp::ExprKind::kDiv: return Op::kDiv;
-    default: return Op::kMod;
-  }
-}
-
-Op cmp_op(mp::CmpOp op) {
-  switch (op) {
-    case mp::CmpOp::kEq: return Op::kEq;
-    case mp::CmpOp::kNe: return Op::kNe;
-    case mp::CmpOp::kLt: return Op::kLt;
-    case mp::CmpOp::kLe: return Op::kLe;
-    case mp::CmpOp::kGt: return Op::kGt;
-    default: return Op::kGe;
-  }
-}
-
-/// Appends one attribute's code to `code`, filling `side`.
-class Compiler {
- public:
-  Compiler(Vec<Node>& code, const PathAttribute& attr, Side& side)
-      : code_(code), attr_(attr) {
-    const int loops = static_cast<int>(attr.loops.size());
-    for (int d = 0; d < loops; ++d) {
-      // Bounds of binding d see the bindings outside it.
-      scope_ = d;
-      side.lo.push_back(expr_root(attr.loops[static_cast<size_t>(d)].lo));
-      side.hi.push_back(expr_root(attr.loops[static_cast<size_t>(d)].hi));
-      side.shadow.push_back(resolve(attr.loops[static_cast<size_t>(d)].var));
-    }
-    scope_ = loops;
-    for (const auto& [pred, polarity] : attr.guards) {
-      const int begin = static_cast<int>(code_.size());
-      (pred.has_loop_var() ? side.guards : side.fixed_guards)
-          .emplace_back(Range{begin, this->pred(pred)}, polarity);
-    }
-    side.values.assign(static_cast<size_t>(loops), 0);
-  }
-
-  Range expr_root(const mp::Expr& e) {
-    const int begin = static_cast<int>(code_.size());
-    return Range{begin, expr(e)};
-  }
-
- private:
-  /// Innermost binding of `name` among the first scope_ ones, or -1.
-  int resolve(const std::string& name) const {
-    for (int j = scope_ - 1; j >= 0; --j)
-      if (attr_.loops[static_cast<size_t>(j)].var == name) return j;
-    return -1;
-  }
-
-  int emit(const Node& n) {
-    code_.push_back(n);
-    return static_cast<int>(code_.size()) - 1;
-  }
-
-  int expr(const mp::Expr& e) {
-    Node n;
-    switch (e.kind()) {
-      case mp::ExprKind::kConst:
-        n.value = e.const_value();
-        break;
-      case mp::ExprKind::kRank:
-        n.op = Op::kRank;
-        break;
-      case mp::ExprKind::kNProcs:
-        n.op = Op::kNProcs;
-        break;
-      case mp::ExprKind::kLoopVar:
-        n.a = resolve(e.var_name());
-        n.op = n.a >= 0 ? Op::kLoopVar : Op::kUnknown;
-        break;
-      case mp::ExprKind::kIrregular:
-        n.op = Op::kUnknown;
-        break;
-      default:
-        n.op = binary_op(e.kind());
-        n.a = expr(e.lhs());
-        n.b = expr(e.rhs());
-        break;
-    }
-    return emit(n);
-  }
-
-  int pred(const mp::Pred& p) {
-    Node n;
-    switch (p.kind()) {
-      case mp::PredKind::kTrue:
-        n.op = Op::kTrue;
-        break;
-      case mp::PredKind::kCmp:
-        n.op = cmp_op(p.cmp_op());
-        n.a = expr(p.cmp_lhs());
-        n.b = expr(p.cmp_rhs());
-        break;
-      case mp::PredKind::kNot:
-        n.op = Op::kNot;
-        n.a = pred(p.child());
-        break;
-      case mp::PredKind::kAnd:
-      case mp::PredKind::kOr:
-        n.op = p.kind() == mp::PredKind::kAnd ? Op::kAnd : Op::kOr;
-        n.a = pred(p.lhs());
-        n.b = pred(p.rhs());
-        break;
-      case mp::PredKind::kIrregular:
-        n.op = Op::kUnknown;
-        break;
-    }
-    return emit(n);
-  }
-
-  Vec<Node>& code_;
-  const PathAttribute& attr_;
-  int scope_ = 0;
-};
-
 /// Membership flags of one rank's achievable parameter values.
 enum : std::uint8_t { kReachable = 1, kWildcard = 2 };
 
@@ -239,9 +89,25 @@ class Solver {
   /// Compiles `attr` (and `param`, when given) into sides_[which].
   void compile(int which, const PathAttribute& attr, const mp::Expr* param) {
     Side& side = sides_[which];
-    Compiler compiler(code_, attr, side);
+    mp::CodeCompiler compiler(code_);
+    const auto range = [&](auto compile) {
+      const int begin = static_cast<int>(code_.size());
+      return Range{begin, compile()};
+    };
+    for (int d = 0; d < static_cast<int>(attr.loops.size()); ++d) {
+      // Bounds of binding d see the bindings outside it.
+      const LoopBinding& loop = attr.loops[static_cast<size_t>(d)];
+      side.lo.push_back(range([&] { return compiler.expr(loop.lo); }));
+      side.hi.push_back(range([&] { return compiler.expr(loop.hi); }));
+      side.shadow.push_back(compiler.resolve(loop.var));
+      compiler.bind(loop.var, d);
+    }
+    for (const auto& [pred, polarity] : attr.guards)
+      (pred.has_loop_var() ? side.guards : side.fixed_guards)
+          .emplace_back(range([&] { return compiler.pred(pred); }), polarity);
+    side.values.assign(attr.loops.size(), 0);
     if (param != nullptr) {
-      side.param = compiler.expr_root(*param);
+      side.param = range([&] { return compiler.expr(*param); });
       side.fixed_param = !param->has_loop_var();
     }
     vals_.resize(code_.size());
@@ -317,10 +183,10 @@ class Solver {
   /// Evaluates nodes [r.begin, r.root] of side `side` under a valuation
   /// whose first `bound` bindings hold values.
   Val eval(const Side& side, Range r, int rank, int nprocs, int bound) {
-    const Node* code = code_.data();
+    const mp::CodeNode* code = code_.data();
     Val* vals = vals_.data();
     for (int i = r.begin; i <= r.root; ++i) {
-      const Node& n = code[i];
+      const mp::CodeNode& n = code[i];
       Val& out = vals[i];
       switch (n.op) {
         case Op::kConst:
@@ -340,6 +206,8 @@ class Solver {
           continue;
         }
         case Op::kUnknown:
+        case Op::kIrregular:
+        case Op::kIrregularPred:
           out = Val{};
           continue;
         case Op::kTrue:
@@ -495,7 +363,7 @@ class Solver {
   std::pmr::monotonic_buffer_resource arena_{inline_, sizeof inline_};
   const SatOptions* opts_;
   long budget_;
-  Vec<Node> code_;
+  Vec<mp::CodeNode> code_;
   Vec<Val> vals_;
   Side sides_[2];
   Vec<std::uint64_t> bits_;

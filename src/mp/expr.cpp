@@ -1,7 +1,5 @@
 #include "mp/expr.h"
 
-#include <algorithm>
-
 #include "util/error.h"
 
 namespace acfc::mp {
@@ -148,27 +146,6 @@ bool Expr::has_loop_var() const { return node_->flags & kFlagLoopVar; }
 
 bool Expr::loop_invariant() const {
   return (node_->flags & (kFlagLoopVar | kFlagIrregular)) == 0;
-}
-
-std::vector<std::string> Expr::loop_vars() const {
-  std::vector<std::string> out;
-  switch (node_->kind) {
-    case ExprKind::kLoopVar:
-      out.push_back(node_->name);
-      break;
-    case ExprKind::kConst:
-    case ExprKind::kRank:
-    case ExprKind::kNProcs:
-    case ExprKind::kIrregular:
-      break;
-    default: {
-      out = Expr(node_->lhs).loop_vars();
-      for (auto& v : Expr(node_->rhs).loop_vars())
-        if (std::find(out.begin(), out.end(), v) == out.end())
-          out.push_back(std::move(v));
-    }
-  }
-  return out;
 }
 
 std::optional<std::int64_t> Expr::eval(const EvalCtx& ctx) const {

@@ -103,8 +103,6 @@ class Expr {
   /// variables, no irregular values: the result never changes within a
   /// process, so evaluators may memoize it.
   bool loop_invariant() const;
-  /// Collects the names of referenced loop variables (deduplicated).
-  std::vector<std::string> loop_vars() const;
 
   /// Evaluates; nullopt on irregular-without-resolver, unbound loop
   /// variable, or division/modulo by zero.

@@ -4,7 +4,8 @@
 // deterministic per-process automata).
 //
 // Capabilities beyond plain execution:
-//  * vector-clock instrumentation of every event → trace::Trace;
+//  * an event trace (trace::Trace) whose checkpoints and sends carry
+//    vector clocks;
 //  * checkpoint statements snapshot the full process state into a
 //    checkpoint store;
 //  * failure injection with whole-application rollback to the maximal

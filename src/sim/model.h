@@ -6,10 +6,9 @@
 //    structure (no reachability matrices);
 //  * the code table: every expression and predicate the VM evaluates (send
 //    destinations, receive sources, collective roots, loop bounds, branch
-//    conditions) flattened into one contiguous array of nodes that refer
-//    to their children by position. A loop variable is compiled to the
-//    static stack depth of its binding loop's body frame, so evaluation is
-//    array indexing with no name lookups;
+//    conditions) compiled into one mp/code.h table. A loop variable is
+//    bound to the static stack depth of its loop's body frame, so
+//    evaluation is array indexing with no name lookups;
 //  * the slot layout: each rank-pure root (no loop variables, no irregular
 //    values) gets a dense slot id; an engine keeps one value per (rank,
 //    slot) and fills it on first use.
@@ -21,46 +20,13 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+#include <memory_resource>
 #include <vector>
 
+#include "mp/code.h"
 #include "mp/stmt.h"
 
 namespace acfc::sim {
-
-/// Operation of one code node. Integer ops produce a value; boolean ops
-/// produce 0 or 1.
-enum class Op : std::uint8_t {
-  kConst,      ///< value
-  kRank,
-  kNProcs,
-  kLoopVar,    ///< a = stack depth of the binding loop's body frame
-  kUnknown,    ///< unbound loop variable: evaluation fails
-  kIrregular,  ///< a = irregular id
-  kAdd,        ///< a, b = operand nodes (for every binary op below)
-  kSub,
-  kMul,
-  kDiv,
-  kMod,
-  kTrue,
-  kEq,
-  kNe,
-  kLt,
-  kLe,
-  kGt,
-  kGe,
-  kNot,            ///< a = operand node
-  kAnd,
-  kOr,
-  kIrregularPred,  ///< a = irregular id; true iff the value is non-zero
-};
-
-struct CodeNode {
-  Op op = Op::kConst;
-  int a = 0;
-  int b = 0;
-  std::int64_t value = 0;
-};
 
 /// One compiled expression or predicate of a statement.
 struct Root {
@@ -94,7 +60,7 @@ class Model {
     return static_index_[static_cast<std::size_t>(ckpt_id)];
   }
 
-  const CodeNode* code() const { return code_.data(); }
+  const mp::CodeNode* code() const { return code_.data(); }
   std::size_t code_size() const { return code_.size(); }
   /// Roots of the statement with this uid (in range by construction).
   const StmtCode& stmt_code(int uid) const {
@@ -107,7 +73,7 @@ class Model {
   const mp::Program* program_;
   /// Indexed by ckpt_id directly: the parser assigns dense checkpoint ids.
   std::vector<int> static_index_;
-  std::vector<CodeNode> code_;
+  std::pmr::vector<mp::CodeNode> code_;
   std::vector<StmtCode> stmts_;
   int slot_count_ = 0;
 };

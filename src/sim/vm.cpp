@@ -23,11 +23,12 @@ std::int64_t default_irregular(const mp::IrregularRequest& req) {
 
 namespace {
 
+using mp::Op;
 using Value = std::optional<std::int64_t>;
 
 /// The recursive walk behind evaluate(); `code` is the model's table.
-Value run(const CodeNode* code, int node, const EvalEnv& env) {
-  const CodeNode& n = code[node];
+Value run(const mp::CodeNode* code, int node, const EvalEnv& env) {
+  const mp::CodeNode& n = code[node];
   switch (n.op) {
     case Op::kConst:
       return n.value;

@@ -104,57 +104,4 @@ std::uint64_t checksum64(const void* data, std::size_t len,
   return finalize(h, p, remaining);
 }
 
-Checksum64::Checksum64(std::uint64_t seed) : seed_(seed) {
-  acc_[0] = seed + kPrime1 + kPrime2;
-  acc_[1] = seed + kPrime2;
-  acc_[2] = seed;
-  acc_[3] = seed - kPrime1;
-}
-
-void Checksum64::update(const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  total_ += len;
-  if (buffered_ > 0) {
-    const std::size_t fill = std::min(len, sizeof(buffer_) - buffered_);
-    std::memcpy(buffer_ + buffered_, p, fill);
-    buffered_ += fill;
-    p += fill;
-    len -= fill;
-    if (buffered_ < sizeof(buffer_)) return;
-    acc_[0] = round64(acc_[0], read64(buffer_));
-    acc_[1] = round64(acc_[1], read64(buffer_ + 8));
-    acc_[2] = round64(acc_[2], read64(buffer_ + 16));
-    acc_[3] = round64(acc_[3], read64(buffer_ + 24));
-    buffered_ = 0;
-  }
-  while (len >= 32) {
-    acc_[0] = round64(acc_[0], read64(p));
-    acc_[1] = round64(acc_[1], read64(p + 8));
-    acc_[2] = round64(acc_[2], read64(p + 16));
-    acc_[3] = round64(acc_[3], read64(p + 24));
-    p += 32;
-    len -= 32;
-  }
-  if (len > 0) {
-    std::memcpy(buffer_, p, len);
-    buffered_ = len;
-  }
-}
-
-std::uint64_t Checksum64::finish() const {
-  std::uint64_t h;
-  if (total_ >= 32) {
-    h = rotl(acc_[0], 1) + rotl(acc_[1], 7) + rotl(acc_[2], 12) +
-        rotl(acc_[3], 18);
-    h = merge_round(h, acc_[0]);
-    h = merge_round(h, acc_[1]);
-    h = merge_round(h, acc_[2]);
-    h = merge_round(h, acc_[3]);
-  } else {
-    h = seed_ + kPrime5;
-  }
-  h += total_;
-  return finalize(h, buffer_, buffered_);
-}
-
 }  // namespace acfc::util

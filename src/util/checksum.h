@@ -24,23 +24,4 @@ inline std::uint64_t checksum64(std::string_view bytes,
   return checksum64(bytes.data(), bytes.size(), seed);
 }
 
-/// Streaming XXH64: feed chunks in any split, finish() equals the one-shot
-/// checksum of the concatenation. Used to checksum manifests as they are
-/// encoded without materializing a second buffer.
-class Checksum64 {
- public:
-  explicit Checksum64(std::uint64_t seed = 0);
-
-  void update(const void* data, std::size_t len);
-  void update(std::string_view bytes) { update(bytes.data(), bytes.size()); }
-  std::uint64_t finish() const;
-
- private:
-  std::uint64_t acc_[4];
-  unsigned char buffer_[32];
-  std::size_t buffered_ = 0;
-  std::uint64_t total_ = 0;
-  std::uint64_t seed_ = 0;
-};
-
 }  // namespace acfc::util

@@ -78,9 +78,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool bernoulli(double p) { return uniform01() < p; }
 
-  /// Derives an unrelated child stream (for per-process RNGs).
-  Rng split() { return Rng(next_u64() ^ 0xa0761d6478bd642fULL); }
-
   friend bool operator==(const Rng& a, const Rng& b) {
     for (int i = 0; i < 4; ++i)
       if (a.state_[i] != b.state_[i]) return false;

@@ -1,8 +1,6 @@
 #include "util/stats.h"
 
 #include <algorithm>
-#include <cmath>
-#include <string>
 
 #include "util/error.h"
 
@@ -17,22 +15,13 @@ void Summary::add(double x) {
   }
   ++n_;
   sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
+  mean_ += (x - mean_) / static_cast<double>(n_);
 }
 
 double Summary::mean() const {
   ACFC_CHECK_MSG(n_ > 0, "mean of empty summary");
   return mean_;
 }
-
-double Summary::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double Summary::stddev() const { return std::sqrt(variance()); }
 
 double Summary::min() const {
   ACFC_CHECK_MSG(n_ > 0, "min of empty summary");
@@ -42,58 +31,6 @@ double Summary::min() const {
 double Summary::max() const {
   ACFC_CHECK_MSG(n_ > 0, "max of empty summary");
   return max_;
-}
-
-double percentile(std::vector<double> data, double p) {
-  ACFC_CHECK_MSG(!data.empty(), "percentile of empty sample");
-  ACFC_CHECK_MSG(p >= 0.0 && p <= 100.0, "percentile p out of [0,100]");
-  std::sort(data.begin(), data.end());
-  if (data.size() == 1) return data.front();
-  const double pos = p / 100.0 * static_cast<double>(data.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const auto hi = std::min(lo + 1, data.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return data[lo] + frac * (data[hi] - data[lo]);
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  ACFC_CHECK_MSG(hi > lo, "histogram range must be non-empty");
-  ACFC_CHECK_MSG(bins > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::ptrdiff_t>((x - lo_) / width);
-  idx = std::clamp<std::ptrdiff_t>(
-      idx, 0, static_cast<std::ptrdiff_t>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return bucket_lo(bucket + 1);
-}
-
-std::vector<std::string> Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::vector<std::string> lines;
-  lines.reserve(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = counts_[i] * width / peak;
-    std::string line = "[" + std::to_string(bucket_lo(i)) + ", " +
-                       std::to_string(bucket_hi(i)) + ") ";
-    line.append(bar, '#');
-    line += " " + std::to_string(counts_[i]);
-    lines.push_back(std::move(line));
-  }
-  return lines;
 }
 
 }  // namespace acfc::util

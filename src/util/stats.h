@@ -1,22 +1,17 @@
-// Small statistics helpers used by the benchmark harnesses and the
-// simulator's measurement layer.
+// Summary statistics used by the benchmark harnesses.
 #pragma once
 
 #include <cstddef>
-#include <string>
-#include <vector>
 
 namespace acfc::util {
 
-/// Incremental summary statistics (Welford's online algorithm for variance).
+/// Incremental summary statistics: count, sum, mean and range.
 class Summary {
  public:
   void add(double x);
 
   std::size_t count() const { return n_; }
   double mean() const;
-  double variance() const;  ///< Sample variance (n-1 denominator).
-  double stddev() const;
   double min() const;
   double max() const;
   double sum() const { return sum_; }
@@ -24,37 +19,9 @@ class Summary {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Percentile of a sample via linear interpolation; p in [0, 100].
-/// Copies and sorts the data — intended for end-of-run reporting.
-double percentile(std::vector<double> data, double p);
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets; values outside
-/// the range are clamped into the first/last bucket.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t count(std::size_t bucket) const { return counts_.at(bucket); }
-  std::size_t total() const { return total_; }
-  double bucket_lo(std::size_t bucket) const;
-  double bucket_hi(std::size_t bucket) const;
-
-  /// ASCII rendering, one line per bucket, bar scaled to `width` columns.
-  std::vector<std::string> render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 }  // namespace acfc::util

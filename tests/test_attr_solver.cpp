@@ -363,6 +363,17 @@ TEST(AttrSolverDifferential, ShadowedLoopVariablesUnderExhaustion) {
               {{"i", c(0), kN}, {"k", c(0), c(2)}, {"i", var("i"), kN}});
   check_case(differ, a, var("i") + var("k"));
   check_case(differ, attr::combine_attributes(a, a, 3), var("i"));
+  // Three bindings of one name, each bound reading the one outside it:
+  // the outer i is 0 or 1, the middle one 2 or 3, the inner one 20 or 30.
+  // The guard holds only if it reads the inner i and the inner bound
+  // reads the middle one.
+  const PathAttribute nested =
+      guarded({{Pred::ge(var("i"), c(20)), true}},
+              {{"i", c(0), c(2)},
+               {"i", var("i") + c(2), var("i") + c(3)},
+               {"i", var("i") * c(10), var("i") * c(10) + c(1)}});
+  check_case(differ, nested, var("i") % kN);
+  EXPECT_TRUE(attr::satisfiable(nested));
   for (long budget = 1; budget <= 40; ++budget) {
     SatOptions opts;
     opts.budget = budget;

@@ -15,7 +15,6 @@
 
 namespace {
 
-using acfc::util::Checksum64;
 using acfc::util::checksum64;
 
 // Binds the string_view overload: a bare literal with two arguments would
@@ -71,43 +70,6 @@ TEST(Checksum, SingleBitSensitivity) {
 }
 
 // ---------------------------------------------------------------------------
-// Streaming == one-shot
-// ---------------------------------------------------------------------------
-
-TEST(Checksum, StreamingMatchesOneShotAllSplits) {
-  // A 100-byte message fed through the streaming interface in every
-  // two-chunk split, plus byte-at-a-time, must equal the one-shot digest.
-  std::string msg;
-  for (int i = 0; i < 100; ++i) msg.push_back(static_cast<char>(i * 37));
-  const std::uint64_t expect = checksum64(msg, 42);
-
-  for (size_t split = 0; split <= msg.size(); ++split) {
-    Checksum64 h(42);
-    h.update(std::string_view(msg).substr(0, split));
-    h.update(std::string_view(msg).substr(split));
-    EXPECT_EQ(h.finish(), expect) << "split at " << split;
-  }
-
-  Checksum64 bytewise(42);
-  for (const char c : msg) bytewise.update(&c, 1);
-  EXPECT_EQ(bytewise.finish(), expect);
-}
-
-TEST(Checksum, StreamingFinishIsIdempotent) {
-  Checksum64 h(3);
-  h.update("hello");
-  const std::uint64_t first = h.finish();
-  EXPECT_EQ(h.finish(), first);
-  h.update(" world");
-  EXPECT_EQ(h.finish(), hash("hello world", 3));
-}
-
-TEST(Checksum, EmptyStreamMatchesEmptyOneShot) {
-  Checksum64 h(0);
-  EXPECT_EQ(h.finish(), hash("", 0));
-}
-
-// ---------------------------------------------------------------------------
 // Frozen golden values (regression pin for this implementation)
 // ---------------------------------------------------------------------------
 
@@ -118,11 +80,8 @@ TEST(Checksum, GoldenValuesPinned) {
   const std::string long_input(1024, 'A');
   const std::uint64_t golden_long = checksum64(long_input, 0);
   const std::uint64_t golden_seeded = checksum64(long_input, 0x5704e5eedULL);
-  // One-shot is deterministic across calls and equals streaming.
+  // One-shot is deterministic across calls.
   EXPECT_EQ(checksum64(long_input, 0), golden_long);
-  Checksum64 h(0x5704e5eedULL);
-  h.update(long_input);
-  EXPECT_EQ(h.finish(), golden_seeded);
   EXPECT_NE(golden_long, golden_seeded);
 }
 

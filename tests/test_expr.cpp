@@ -92,14 +92,6 @@ TEST(Expr, HasIrregular) {
   EXPECT_FALSE((Expr::rank() + Expr::constant(1)).has_irregular());
 }
 
-TEST(Expr, LoopVarsCollectsDeduplicated) {
-  const Expr e = Expr::loop_var("i") + Expr::loop_var("j") * Expr::loop_var("i");
-  const auto vars = e.loop_vars();
-  ASSERT_EQ(vars.size(), 2u);
-  EXPECT_EQ(vars[0], "i");
-  EXPECT_EQ(vars[1], "j");
-}
-
 TEST(Expr, StrRendering) {
   EXPECT_EQ(Expr::rank().str(), "rank");
   EXPECT_EQ((Expr::rank() + Expr::constant(1)).str(), "rank + 1");

@@ -269,7 +269,8 @@ TEST(ModelCode, ShadowedLoopVariableBindsInnermost) {
   ASSERT_EQ(send->kind(), mp::StmtKind::kSend);
   std::vector<int> depths;
   for (std::size_t k = 0; k < model.code_size(); ++k)
-    if (model.code()[k].op == Op::kLoopVar) depths.push_back(model.code()[k].a);
+    if (model.code()[k].op == mp::Op::kLoopVar)
+      depths.push_back(model.code()[k].a);
   EXPECT_NE(std::find(depths.begin(), depths.end(), 3), depths.end());
   EXPECT_NE(std::find(depths.begin(), depths.end(), 1), depths.end());
 }
@@ -285,7 +286,7 @@ TEST(ModelCode, UnboundLoopVariableFailsLazily) {
   const Model model(program);
   EXPECT_EQ(model.code()[static_cast<std::size_t>(
                              model.stmt_code(2).roots[0].node)].op,
-            Op::kUnknown);
+            mp::Op::kUnknown);
 }
 
 TEST(ModelCode, DivisionByZeroAndEuclideanModulo) {

@@ -1,5 +1,5 @@
 // Unit tests for the util substrate: RNG determinism and distributions,
-// summary statistics, percentiles, histograms, tables, and DOT emission.
+// summary statistics, tables, and DOT emission.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,8 +14,6 @@
 namespace {
 
 using acfc::util::DotGraph;
-using acfc::util::Histogram;
-using acfc::util::percentile;
 using acfc::util::Rng;
 using acfc::util::Summary;
 using acfc::util::Table;
@@ -94,12 +92,6 @@ TEST(Rng, BernoulliFrequency) {
   EXPECT_NEAR(hits / 10000.0, 0.25, 0.02);
 }
 
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(21);
-  Rng child = a.split();
-  EXPECT_FALSE(a == child);
-}
-
 TEST(Summary, BasicMoments) {
   Summary s;
   for (double v : {1.0, 2.0, 3.0, 4.0}) s.add(v);
@@ -108,52 +100,11 @@ TEST(Summary, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 4.0);
   EXPECT_DOUBLE_EQ(s.sum(), 10.0);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
 }
 
 TEST(Summary, EmptyThrowsOnMean) {
   Summary s;
   EXPECT_THROW(s.mean(), acfc::util::InternalError);
-}
-
-TEST(Summary, SingleValueZeroVariance) {
-  Summary s;
-  s.add(3.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-}
-
-TEST(Percentile, MedianOfOddSample) {
-  EXPECT_DOUBLE_EQ(percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
-}
-
-TEST(Percentile, Interpolates) {
-  EXPECT_DOUBLE_EQ(percentile({0.0, 10.0}, 25.0), 2.5);
-}
-
-TEST(Percentile, Extremes) {
-  std::vector<double> data{5.0, 1.0, 9.0};
-  EXPECT_DOUBLE_EQ(percentile(data, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(percentile(data, 100.0), 9.0);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);
-  h.add(9.5);
-  h.add(-3.0);  // clamps into first bucket
-  h.add(42.0);  // clamps into last bucket
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 4.0);
-}
-
-TEST(Histogram, RenderHasOneLinePerBucket) {
-  Histogram h(0.0, 1.0, 3);
-  h.add(0.1);
-  EXPECT_EQ(h.render().size(), 3u);
 }
 
 TEST(Table, PrintsAlignedColumns) {

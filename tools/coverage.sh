@@ -16,9 +16,15 @@
 # <build>/e2e. A src/ line the tier-1 table covers and this one does not
 # is reached only by tests.
 #
+# --test-only runs both on one instrumented build, the tier-1 suite first
+# and the user paths second, keeps their gcov trees apart, prints both
+# tables and then, grouped by file, every src/ line range that tier-1
+# reaches and the user paths do not.
+#
 #   tools/coverage.sh                # tier-1 suite (the CI gate)
 #   tools/coverage.sh --min 70       # additionally FAIL if TOTAL < 70%
 #   tools/coverage.sh --user-paths   # user paths instead of the suite
+#   tools/coverage.sh --test-only    # both, and the lines only tests reach
 #   COVERAGE_LABELS="" tools/coverage.sh   # full suite incl. slow tier
 #   BUILD_DIR=/tmp/cov tools/coverage.sh   # custom build directory
 set -euo pipefail
@@ -29,7 +35,7 @@ LABELS="${COVERAGE_LABELS-tier1}"
 JOBS="$(nproc 2>/dev/null || echo 2)"
 
 MIN_PCT=""
-USER_PATHS=0
+MODE=tests
 while [ $# -gt 0 ]; do
   case "$1" in
     --min)
@@ -38,12 +44,16 @@ while [ $# -gt 0 ]; do
       shift 2
       ;;
     --user-paths)
-      USER_PATHS=1
+      MODE=user
+      shift
+      ;;
+    --test-only)
+      MODE=test-only
       shift
       ;;
     *)
-      echo "unknown argument: $1" \
-           "(usage: tools/coverage.sh [--min PCT] [--user-paths])" >&2
+      echo "unknown argument: $1 (usage: tools/coverage.sh [--min PCT]" \
+           "[--user-paths | --test-only])" >&2
       exit 2
       ;;
   esac
@@ -55,16 +65,45 @@ cmake -B "$BUILD" -S "$ROOT" -DACFC_COVERAGE=ON \
 echo "== build"
 cmake --build "$BUILD" -j"$JOBS" >/dev/null
 E2E="$BUILD/e2e"
-if [ "$USER_PATHS" = 1 ]; then
+if [ "$MODE" != tests ]; then
   echo "== configure + build bench/e2e ($E2E)"
   cmake -S "$ROOT/bench/e2e" -B "$E2E" -DCMAKE_BUILD_TYPE=Debug \
         -DCMAKE_CXX_FLAGS="--coverage -O0 -g" \
         -DCMAKE_EXE_LINKER_FLAGS=--coverage >/dev/null
   cmake --build "$E2E" -j"$JOBS" >/dev/null
 fi
-(cd "$BUILD" && rm -f $(find . -name '*.gcda') 2>/dev/null || true)
+REPORT="$BUILD/gcov-report"
+rm -rf "$REPORT"
 
-if [ "$USER_PATHS" = 1 ]; then
+reset_counters() {
+  (cd "$BUILD" && rm -f $(find . -name '*.gcda') 2>/dev/null || true)
+}
+
+# gather DEST: runs gcov into DEST, one directory per build. gcov names its
+# output after the source file, so the e2e build's copy of a src/ file
+# would overwrite the main one.
+gather() {
+  echo "== gcov ($1)"
+  mkdir -p "$1/main"
+  (cd "$1/main" &&
+    find "$BUILD/src" "$BUILD/tools" -name '*.gcda' -print0 |
+      xargs -0 -n 32 gcov -p >/dev/null 2>&1) || true
+  if [ -d "$E2E" ] && [ -n "$(find "$E2E" -name '*.gcda' -print -quit)" ]
+  then
+    mkdir -p "$1/e2e"
+    (cd "$1/e2e" &&
+      find "$E2E" -name '*.gcda' -print0 |
+        xargs -0 -n 32 gcov -p >/dev/null 2>&1) || true
+  fi
+}
+
+run_tests() {
+  echo "== test (${LABELS:-all labels})"
+  (cd "$BUILD" && ctest ${LABELS:+-L "$LABELS"} -j"$JOBS" \
+      --output-on-failure >/dev/null)
+}
+
+run_user_paths() {
   # Exit codes are not checked: an unsafe program makes `analyze` and
   # `run` exit 1 by design, and only the lines reached matter here.
   OUT="$BUILD/user-paths"
@@ -106,77 +145,121 @@ if [ "$USER_PATHS" = 1 ]; then
     "$E2E/acfc_bench" --workload "$workload" --seconds 1 --root "$ROOT" \
         >/dev/null 2>&1 || true
   done
-elif [ -n "$LABELS" ]; then
-  echo "== test ($LABELS)"
-  (cd "$BUILD" && ctest -L "$LABELS" -j"$JOBS" --output-on-failure \
-      >/dev/null)
-else
-  echo "== test (all labels)"
-  (cd "$BUILD" && ctest -j"$JOBS" --output-on-failure >/dev/null)
-fi
+}
 
-echo "== gcov"
-SCRATCH="$BUILD/gcov-report"
-rm -rf "$SCRATCH"
-# One directory per build: gcov names its output after the source file,
-# so the e2e build's copy of a src/ file would overwrite the main one.
-mkdir -p "$SCRATCH/main"
-(cd "$SCRATCH/main" &&
-  find "$BUILD/src" "$BUILD/tools" -name '*.gcda' -print0 |
-    xargs -0 -n 32 gcov -p >/dev/null 2>&1) || true
-if [ "$USER_PATHS" = 1 ]; then
-  mkdir -p "$SCRATCH/e2e"
-  (cd "$SCRATCH/e2e" &&
-    find "$E2E" -name '*.gcda' -print0 |
-      xargs -0 -n 32 gcov -p >/dev/null 2>&1) || true
-fi
-cd "$SCRATCH"
+reset_counters
+case "$MODE" in
+  tests)
+    run_tests
+    gather "$REPORT/tests"
+    TREES=("$REPORT/tests")
+    ;;
+  user)
+    run_user_paths
+    gather "$REPORT/user"
+    TREES=("$REPORT/user")
+    ;;
+  test-only)
+    LABELS=tier1
+    run_tests
+    gather "$REPORT/tier1"
+    reset_counters
+    run_user_paths
+    gather "$REPORT/user"
+    TREES=("$REPORT/tier1" "$REPORT/user")
+    ;;
+esac
 
-python3 - "$ROOT" "$MIN_PCT" <<'PY'
+python3 - "$ROOT" "$MIN_PCT" "${TREES[@]}" <<'PY'
 import collections, glob, os, sys
 
 root = os.path.realpath(sys.argv[1]) + os.sep + "src" + os.sep
-min_pct = float(sys.argv[2]) if len(sys.argv) > 2 and sys.argv[2] else None
-# (source, line) -> covered?  Merged across all objects including a line.
-lines = {}
-for path in glob.glob("*/*.gcov"):
-    source = None
-    with open(path, errors="replace") as fh:
-        for raw in fh:
-            parts = raw.split(":", 2)
-            if len(parts) < 3:
-                continue
-            count, lineno = parts[0].strip(), parts[1].strip()
-            if lineno == "0":
-                if parts[2].startswith("Source:"):
-                    source = os.path.realpath(parts[2][len("Source:"):].strip())
-                    if not source.startswith(root):
-                        source = None
-                continue
-            if source is None or count == "-":
-                continue
-            key = (source, int(lineno))
-            covered = not count.startswith(("#####", "====="))
-            lines[key] = lines.get(key, False) or covered
+min_pct = float(sys.argv[2]) if sys.argv[2] else None
+trees = sys.argv[3:]
 
-per_module = collections.defaultdict(lambda: [0, 0])  # [covered, total]
-for (source, _), covered in lines.items():
-    module = source[len(root):].split(os.sep)[0]
-    per_module[module][1] += 1
-    per_module[module][0] += covered
 
-print()
-print(f"{'module':<12} {'lines':>7} {'covered':>8} {'percent':>8}")
-tot_cov = tot_all = 0
-for module in sorted(per_module):
-    cov, all_ = per_module[module]
-    tot_cov += cov
-    tot_all += all_
-    print(f"{module:<12} {all_:>7} {cov:>8} {100.0 * cov / all_:>7.1f}%")
-print("-" * 38)
-pct = 100.0 * tot_cov / tot_all if tot_all else 0.0
-print(f"{'TOTAL':<12} {tot_all:>7} {tot_cov:>8} {pct:>7.1f}%")
-if min_pct is not None and pct < min_pct:
-    print(f"coverage gate FAILED: {pct:.1f}% < --min {min_pct:.1f}%")
+def load(tree):
+    """(source, line) -> covered, merged over every object and build."""
+    lines = {}
+    for path in glob.glob(os.path.join(tree, "*", "*.gcov")):
+        source = None
+        with open(path, errors="replace") as fh:
+            for raw in fh:
+                parts = raw.split(":", 2)
+                if len(parts) < 3:
+                    continue
+                count, lineno = parts[0].strip(), parts[1].strip()
+                if lineno == "0":
+                    if parts[2].startswith("Source:"):
+                        source = os.path.realpath(
+                            parts[2][len("Source:"):].strip())
+                        if not source.startswith(root):
+                            source = None
+                    continue
+                if source is None or count == "-":
+                    continue
+                key = (source, int(lineno))
+                covered = not count.startswith(("#####", "====="))
+                lines[key] = lines.get(key, False) or covered
+    return lines
+
+
+def table(title, lines):
+    per_module = collections.defaultdict(lambda: [0, 0])  # [covered, total]
+    for (source, _), covered in lines.items():
+        module = source[len(root):].split(os.sep)[0]
+        per_module[module][1] += 1
+        per_module[module][0] += covered
+    print()
+    if title:
+        print(title)
+    print(f"{'module':<12} {'lines':>7} {'covered':>8} {'percent':>8}")
+    tot_cov = tot_all = 0
+    for module in sorted(per_module):
+        cov, all_ = per_module[module]
+        tot_cov += cov
+        tot_all += all_
+        print(f"{module:<12} {all_:>7} {cov:>8} {100.0 * cov / all_:>7.1f}%")
+    print("-" * 38)
+    pct = 100.0 * tot_cov / tot_all if tot_all else 0.0
+    print(f"{'TOTAL':<12} {tot_all:>7} {tot_cov:>8} {pct:>7.1f}%")
+    return pct
+
+
+def tests_only(suite, user):
+    """Per file, the runs of executable lines the suite covers and the
+    user paths do not; a run spans the non-executable lines inside it."""
+    by_file = collections.defaultdict(list)
+    for (source, line), covered in suite.items():
+        by_file[source].append((line, covered and not user.get((source, line))))
+    print()
+    print("src/ lines reached by tier-1 and not by the user paths:")
+    total = 0
+    for source in sorted(by_file):
+        runs, run, count = [], None, 0
+        for line, only in sorted(by_file[source]):
+            if only:
+                count += 1
+                run = [line, line] if run is None else [run[0], line]
+            elif run is not None:
+                runs.append(run)
+                run = None
+        if run is not None:
+            runs.append(run)
+        if not runs:
+            continue
+        total += count
+        spans = ", ".join(f"{a}" if a == b else f"{a}-{b}" for a, b in runs)
+        print(f"  {source[len(root):]} ({count}): {spans}")
+    print(f"  total: {total} lines")
+
+
+tables = [load(tree) for tree in trees]
+titles = ["tier-1 suite", "user paths"] if len(tables) == 2 else [None]
+pcts = [table(title, lines) for title, lines in zip(titles, tables)]
+if len(tables) == 2:
+    tests_only(*tables)
+if min_pct is not None and pcts[0] < min_pct:
+    print(f"coverage gate FAILED: {pcts[0]:.1f}% < --min {min_pct:.1f}%")
     sys.exit(1)
 PY
