@@ -30,7 +30,7 @@ namespace {
 using namespace acfc;
 
 // A representative mid-run snapshot: capture the last take of a short
-// checkpointed ring run. Members (vector clock, channel counters, stack)
+// checkpointed ring run. Members (channel and instance counters, stack)
 // are sized like the ones the async pipeline moves in production runs.
 sim::VmSnapshot sample_snapshot(int nprocs) {
   benchws::RingParams params;

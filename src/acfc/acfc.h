@@ -11,7 +11,7 @@
 //   match  — Phase II: send/recv matching, the extended CFG Ĝ.
 //   place  — Phase I (insertion/equalization) and Phase III (Condition 1
 //            checking, Algorithm-3.2 repair).
-//   sim    — discrete-event execution: FIFO messaging, vector clocks,
+//   sim    — discrete-event execution: FIFO messaging, local ticks,
 //            checkpoint snapshots, failure injection, restart.
 //   trace  — recovery-line analyses: cut consistency, straight cuts,
 //            maximal recovery lines, R-graphs, zigzag cycles.
@@ -62,7 +62,6 @@
 #include "trace/analysis.h"
 #include "trace/render.h"
 #include "trace/trace.h"
-#include "trace/vclock.h"
 #include "util/dot.h"
 #include "util/error.h"
 #include "util/rng.h"

@@ -309,34 +309,6 @@ bool Cfg::is_back_edge(NodeId from, NodeId to) const {
   return false;
 }
 
-std::vector<NodeId> Cfg::natural_loop(const Edge& back_edge) const {
-  ACFC_CHECK_MSG(is_back_edge(back_edge.from, back_edge.to),
-                 "not a back edge");
-  // Standard algorithm: header plus everything that reaches the latch
-  // without passing through the header (walk predecessors from the latch).
-  std::vector<char> in_loop(static_cast<size_t>(node_count()), 0);
-  in_loop[static_cast<size_t>(back_edge.to)] = 1;
-  std::vector<NodeId> work;
-  if (!in_loop[static_cast<size_t>(back_edge.from)]) {
-    in_loop[static_cast<size_t>(back_edge.from)] = 1;
-    work.push_back(back_edge.from);
-  }
-  while (!work.empty()) {
-    const NodeId id = work.back();
-    work.pop_back();
-    for (const NodeId p : preds(id)) {
-      if (!in_loop[static_cast<size_t>(p)]) {
-        in_loop[static_cast<size_t>(p)] = 1;
-        work.push_back(p);
-      }
-    }
-  }
-  std::vector<NodeId> out;
-  for (NodeId id = 0; id < node_count(); ++id)
-    if (in_loop[static_cast<size_t>(id)]) out.push_back(id);
-  return out;
-}
-
 namespace {
 
 /// Computes the reflexive-transitive closure as row bitsets. `order` is

@@ -120,8 +120,6 @@ class Cfg {
   /// O(out-degree): one back-edge bit per CSR successor slot.
   bool is_back_edge(NodeId from, NodeId to) const;
   const std::vector<Edge>& back_edges() const { return back_edges_; }
-  /// Nodes of the natural loop of back edge (latch→header), including both.
-  std::vector<NodeId> natural_loop(const Edge& back_edge) const;
   /// Reachability in the full graph (reflexive).
   bool reaches(NodeId from, NodeId to) const;
   /// Reachability using no back edges (reflexive) — the acyclic skeleton.

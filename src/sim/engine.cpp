@@ -39,28 +39,33 @@ struct Engine::Process {
 };
 
 struct Engine::CollRound {
-  enum class Kind { kNone, kBarrier, kBcast, kReduce, kAllreduce };
+  using Kind = trace::CollRec::Kind;
   Kind kind = Kind::kNone;
   int bytes = 0;
   int root = -1;
   bool root_joined = false;
   double root_ready = 0.0;       ///< time the bcast becomes deliverable
-  trace::VClock root_vc;
   std::vector<char> joined;      ///< barrier participants present
   std::vector<double> join_time;
-  std::vector<trace::VClock> join_vc;
+  /// Per member: its tick and incarnation at its join.
+  std::vector<trace::Tick> join_tick;
+  std::vector<int> join_incarnation;
   std::vector<int> stmt_uid;     ///< per-proc issuing statement
   int joined_count = 0;
   bool released = false;
+  /// Index of the trace::CollRec of the current release; -1 until the
+  /// round (re-)releases.
+  long record = -1;
 
   /// Back to a round no member has joined. The first join re-assigns the
   /// per-member vectors (keeping their capacity) and kind, root and bytes;
-  /// the root's join sets root_ready and root_vc.
+  /// the root's join sets root_ready.
   void reset() {
     kind = Kind::kNone;
     root_joined = false;
     joined_count = 0;
     released = false;
+    record = -1;
   }
 
   /// When the last member joined — the release base of an all-joined
@@ -207,6 +212,9 @@ void Engine::rearm(ProtocolDriver* driver, SimResult spent) {
   keep_larger(trace_.events, spent.trace.events);
   keep_larger(trace_.messages, spent.trace.messages);
   keep_larger(trace_.checkpoints, spent.trace.checkpoints);
+  keep_larger(trace_.collectives, spent.trace.collectives);
+  keep_larger(trace_.coll_members, spent.trace.coll_members);
+  keep_larger(trace_.restores, spent.trace.restores);
   keep_larger(trace_.final_digest, spent.trace.final_digest);
   keep_larger(recoveries_, spent.recoveries);
   recycled_ = std::move(spent);
@@ -226,6 +234,7 @@ void Engine::rearm(ProtocolDriver* driver, SimResult spent) {
   if (opts_.keep_snapshots) images_.reserve(16 * (256 + 24 * n));
   ckpt_counts_.assign(n, 0);
   take_counts_.assign(n, 0);
+  incarnation_.assign(n, 0);
   ckpt_take_ordinal_.clear();
   ckpt_corrupt_.clear();
   ckpt_stale_.clear();
@@ -658,7 +667,8 @@ void Engine::advance(int p) {
       msg.seq = seq;
       msg.send_time = now_;
       msg.send_stmt_uid = send->stmt_uid;
-      msg.send_vc = proc.vm.clock();
+      msg.send_tick = proc.vm.local_tick();
+      msg.send_incarnation = incarnation_[static_cast<size_t>(p)];
       if (driver_ != nullptr) msg.piggyback = driver_->piggyback(*this, p);
       const long id = post(std::move(msg), now_);
 
@@ -730,7 +740,6 @@ void Engine::complete_recv(int p, long msg_index) {
   box.erase(std::find(box.begin(), box.end(), msg_index));
 
   proc.vm.tick();
-  proc.vm.merge_clock(msg.send_vc);
   proc.vm.note_recv(msg.src);
   proc.vm.fold_digest(
       (static_cast<std::uint64_t>(msg.src) << 40) ^
@@ -739,7 +748,8 @@ void Engine::complete_recv(int p, long msg_index) {
       static_cast<std::uint64_t>(msg.seq));
   msg.consumed = true;
   msg.recv_time = now_;
-  msg.recv_tick = proc.vm.clock()[p];
+  msg.recv_tick = proc.vm.local_tick();
+  msg.recv_incarnation = incarnation_[static_cast<size_t>(p)];
   msg.recv_stmt_uid = proc.pending_recv ? proc.pending_recv->stmt_uid : -1;
 
   trace::EventRec& rec = note(trace::EventKind::kRecv, p, now_);
@@ -814,7 +824,8 @@ double Engine::take_checkpoint(int p, int ckpt_id, bool forced) {
   rec.t_begin = now_;
   rec.t_end = now_ + overhead;
   rec.t_commit = now_ + std::max(latency, overhead);
-  rec.vc = proc.vm.clock();
+  rec.tick = proc.vm.local_tick();
+  rec.incarnation = incarnation_[static_cast<size_t>(p)];
   rec.forced = forced;
   if (opts_.keep_snapshots) {
     rec.snapshot = static_cast<int>(snapshots_.size());
@@ -867,8 +878,8 @@ void Engine::start_collective(int p, const Action& action) {
   if (round.kind == CollRound::Kind::kNone) {
     round.joined.assign(static_cast<size_t>(opts_.nprocs), 0);
     round.join_time.assign(static_cast<size_t>(opts_.nprocs), 0.0);
-    round.join_vc.assign(static_cast<size_t>(opts_.nprocs),
-                         trace::VClock(opts_.nprocs));
+    round.join_tick.assign(static_cast<size_t>(opts_.nprocs), 0);
+    round.join_incarnation.assign(static_cast<size_t>(opts_.nprocs), 0);
     round.stmt_uid.assign(static_cast<size_t>(opts_.nprocs), -1);
   }
 
@@ -911,7 +922,9 @@ void Engine::start_collective(int p, const Action& action) {
 
   round.joined[static_cast<size_t>(p)] = 1;
   round.join_time[static_cast<size_t>(p)] = now_;
-  round.join_vc[static_cast<size_t>(p)] = proc.vm.clock();
+  round.join_tick[static_cast<size_t>(p)] = proc.vm.local_tick();
+  round.join_incarnation[static_cast<size_t>(p)] =
+      incarnation_[static_cast<size_t>(p)];
   round.stmt_uid[static_cast<size_t>(p)] = stmt_uid;
   ++round.joined_count;
   const bool all_joined = round.joined_count == opts_.nprocs;
@@ -933,11 +946,7 @@ void Engine::start_collective(int p, const Action& action) {
     }
     const double release = round.last_join() + message_delay(round.bytes);
     Process& root_proc = *procs_[static_cast<size_t>(root)];
-    trace::VClock merged(opts_.nprocs);
-    for (int q = 0; q < opts_.nprocs; ++q)
-      if (round.joined[static_cast<size_t>(q)])
-        merged.merge(round.join_vc[static_cast<size_t>(q)]);
-    root_proc.vm.merge_clock(merged);
+    note_release(round, root);
     root_proc.vm.fold_digest(0x5edce000ULL + round_tag);
     note(trace::EventKind::kCollective, root, release).stmt_uid =
         round.stmt_uid[static_cast<size_t>(root)];
@@ -951,8 +960,6 @@ void Engine::start_collective(int p, const Action& action) {
     proc.status = Process::Status::kBlockedColl;
     if (!all_joined) return;
     const double release = round.last_join() + message_delay(round.bytes);
-    trace::VClock merged(opts_.nprocs);
-    for (const auto& vc : round.join_vc) merged.merge(vc);
     for (int q = 0; q < opts_.nprocs; ++q) {
       // A member that crashed after joining stays dead: its recorded
       // join still releases the others, but its own state is frozen
@@ -960,7 +967,7 @@ void Engine::start_collective(int p, const Action& action) {
       if (crashed_[static_cast<size_t>(q)]) continue;
       Process& member = *procs_[static_cast<size_t>(q)];
       member.vm.tick();
-      member.vm.merge_clock(merged);
+      note_release(round, q);
       member.vm.fold_digest(0xbaff1e00ULL + round_tag);
       note(trace::EventKind::kCollective, q, release).stmt_uid =
           round.stmt_uid[static_cast<size_t>(q)];
@@ -973,7 +980,7 @@ void Engine::start_collective(int p, const Action& action) {
   // Bcast: the root proceeds immediately; receivers wait for the root.
   const auto receive_bcast = [&](int q, double release) {
     Process& member = *procs_[static_cast<size_t>(q)];
-    member.vm.merge_clock(round.root_vc);
+    note_release(round, q);
     member.vm.fold_digest(0xbca57001ULL + round_tag);
     note(trace::EventKind::kCollective, q, release).stmt_uid =
         round.stmt_uid[static_cast<size_t>(q)];
@@ -981,7 +988,6 @@ void Engine::start_collective(int p, const Action& action) {
   if (p == root) {
     round.root_joined = true;
     round.root_ready = now_ + message_delay(round.bytes);
-    round.root_vc = proc.vm.clock();
     proc.vm.fold_digest(0xbca57000ULL + round_tag);
     note(trace::EventKind::kCollective, p, now_).stmt_uid = stmt_uid;
     // Release receivers that were already waiting.
@@ -1008,6 +1014,34 @@ void Engine::start_collective(int p, const Action& action) {
   }
 
   proc.status = Process::Status::kBlockedColl;
+}
+
+void Engine::note_release(CollRound& round, int q) {
+  const auto n = static_cast<size_t>(opts_.nprocs);
+  if (round.record < 0) {
+    const trace::CollRec rec{round.kind, round.root,
+                             trace_.coll_members.size()};
+    round.record = static_cast<long>(trace_.collectives.size());
+    trace_.collectives.push_back(rec);
+    trace_.coll_members.resize(rec.members + n);
+    // A bcast carries the root's join; the other kinds carry every join.
+    for (size_t s = 0; s < n; ++s) {
+      const bool source = round.kind == CollRound::Kind::kBcast
+                              ? static_cast<int>(s) == round.root
+                              : round.joined[s] != 0;
+      if (!source) continue;
+      trace::CollMember& member = trace_.coll_members[rec.members + s];
+      member.join = round.join_tick[s];
+      member.join_incarnation = round.join_incarnation[s];
+    }
+  }
+  const std::size_t at =
+      trace_.collectives[static_cast<size_t>(round.record)].members +
+      static_cast<size_t>(q);
+  trace_.coll_members[at].release =
+      procs_[static_cast<size_t>(q)]->vm.local_tick() + 1;
+  trace_.coll_members[at].release_incarnation =
+      incarnation_[static_cast<size_t>(q)];
 }
 
 // ===========================================================================
@@ -1138,6 +1172,10 @@ void Engine::perform_rollback(int failed_proc) {
     crash_time_[static_cast<size_t>(p)] = 0.0;
     proc.status = proc.pending_recv ? Process::Status::kBlockedRecv
                                     : Process::Status::kReady;
+    ++incarnation_[static_cast<size_t>(p)];
+    trace_.restores.push_back(
+        {p, incarnation_[static_cast<size_t>(p)], member,
+         proc.vm.local_tick()});
     note(trace::EventKind::kRestart, p, resume_at);
     if (proc.status == Process::Status::kReady)
       push_event(resume_at, EvKind::kWake, p);
@@ -1244,12 +1282,10 @@ void Engine::note_detector_suspicion(bool false_positive) {
 }
 
 std::uint64_t Engine::progress_stamp() const {
-  // Own vector-clock components tick on application events only —
-  // heartbeat ping-pong alone does not count as progress.
+  // Local ticks advance on application events only — heartbeat ping-pong
+  // alone does not count as progress.
   std::uint64_t sum = 0;
-  for (int p = 0; p < opts_.nprocs; ++p)
-    sum += static_cast<std::uint64_t>(
-        procs_[static_cast<size_t>(p)]->vm.clock()[p]);
+  for (const auto& proc : procs_) sum += proc->vm.local_tick();
   return sum;
 }
 
@@ -1282,6 +1318,7 @@ void Engine::reset_collectives_for_rollback() {
       }
     }
     if (!any_rejoin) continue;
+    round.record = -1;  // a re-release is a new trace record
     if (round.joined_count == 0) {
       // Everyone re-executes this round: start it from scratch.
       round.reset();
@@ -1483,7 +1520,6 @@ void Engine::send_control(int src, int dst, int bytes, int kind,
   msg.control = true;
   msg.piggyback = payload;
   msg.send_time = now_;
-  msg.send_vc = procs_[static_cast<size_t>(src)]->vm.clock();
   const long id = post(std::move(msg), now_);
 
   ++stats_.control_messages;
@@ -1602,7 +1638,7 @@ std::uint64_t Engine::schedule_state_hash() const {
     mix.mix(st.digest);
     mix.mix(static_cast<std::uint64_t>(proc.status));
     mix.mix(st.collectives_done);
-    for (int q = 0; q < st.vc.size(); ++q) mix.mix(st.vc[q]);
+    mix.mix(st.tick);
     for (const long s : st.sends_per_channel)
       mix.mix(static_cast<std::uint64_t>(s));
     for (const long r : st.recvs_per_channel)

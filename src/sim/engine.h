@@ -4,8 +4,8 @@
 // deterministic per-process automata).
 //
 // Capabilities beyond plain execution:
-//  * an event trace (trace::Trace) whose checkpoints and sends carry
-//    vector clocks;
+//  * an event trace (trace::Trace) whose sends, receives, checkpoints and
+//    collective rounds carry local ticks;
 //  * checkpoint statements snapshot the full process state into a
 //    checkpoint store;
 //  * failure injection with whole-application rollback to the maximal
@@ -314,13 +314,13 @@ class Engine {
   /// Detector bookkeeping: a suspect verdict was reached (the engine only
   /// counts; suspicion itself lives in the detector).
   void note_detector_suspicion(bool false_positive);
-  /// Monotone progress measure: Σ_p own vector-clock component. The
+  /// Monotone progress measure: Σ_p local tick. The
   /// supervisor uses successive stamps to detect a wedged (quarantine-
   /// starved) run and go dormant so the event queue can drain.
   std::uint64_t progress_stamp() const;
 
   /// Digest of the engine's entire schedule-relevant state: per-process VM
-  /// digests / clocks / statuses, undelivered inbox contents, checkpoint
+  /// digests / ticks / statuses, undelivered inbox contents, checkpoint
   /// history, and the live event queue with event times quantized RELATIVE
   /// to now. Two engines with equal hashes are (modulo the 64-bit digest)
   /// in the same logical state and will unfold identical schedule
@@ -344,7 +344,11 @@ class Engine {
   void deliver(long msg_index);
   /// Returns the blocking overhead charged to the process.
   double take_checkpoint(int proc, int ckpt_id, bool forced);
+  struct CollRound;
   void start_collective(int proc, const Action& action);
+  /// Records that `round` released its state into member `q` at q's
+  /// current tick, opening the round's trace::CollRec on its first release.
+  void note_release(CollRound& round, int q);
   void handle_failure(int proc);
   /// Supervised mode: mark `proc` crashed without rolling anything back —
   /// recovery waits for a detector verdict (supervised_restart/quarantine).
@@ -398,9 +402,9 @@ class Engine {
   /// records the kCompute event), a checkpoint overhead, or a collective
   /// release (-1: nothing to record).
   void wake_at(int proc, double time, int compute_uid = -1);
-  /// Appends a trace event of `kind` about `proc` at `time`, stamped with
-  /// proc's current vector clock; the caller fills the kind-specific
-  /// fields. Valid until the next event is appended.
+  /// Appends a trace event of `kind` about `proc` at `time`; the caller
+  /// fills the kind-specific fields. Valid until the next event is
+  /// appended.
   trace::EventRec& note(trace::EventKind kind, int proc, double time);
   // -- Schedule-perturbation hook plumbing (sim/schedule_hook.h) -----------
   /// Pops the next event; with a hook attached, gathers same-time
@@ -512,6 +516,8 @@ class Engine {
   /// post-rollback re-takes, never rewinds) — the key joining trace
   /// checkpoints to stable-storage records and StorageFault::ckpt_ordinal.
   std::vector<long> take_counts_;
+  /// Per-process incarnation: the number of restores so far.
+  std::vector<int> incarnation_;
   // Parallel to trace_.checkpoints (appended in take_checkpoint):
   std::vector<long> ckpt_take_ordinal_;  ///< take ordinal of each trace ckpt
   std::vector<char> ckpt_corrupt_;       ///< permanently unusable image
@@ -524,7 +530,6 @@ class Engine {
   std::vector<std::vector<long>> inbox_;       // delivered, unconsumed (msg idx)
 
   // Collective rounds (sequence-matched like MPI).
-  struct CollRound;
   std::vector<std::unique_ptr<CollRound>> rounds_;
 
   // Reliable-transport channel state, flattened (src·n + dst); allocated

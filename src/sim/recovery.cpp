@@ -162,8 +162,9 @@ std::optional<Verdict> check_run(const SimResult& run) {
       std::ostringstream out;
       out << "rollback " << i << " (proc " << rec.failed_proc
           << " failed at t=" << rec.fail_time
-          << ") restored an inconsistent cut (" << cut.orphan_pairs.size()
-          << " orphan pairs)";
+          << ") restored an inconsistent cut (" << cut.orphan_msgs.size()
+          << " orphan messages, " << cut.orphan_rounds.size()
+          << " orphan collective rounds)";
       return Verdict{"cut-consistency", out.str()};
     }
   }

@@ -11,7 +11,7 @@ namespace acfc::sim {
 namespace {
 
 constexpr char kMagic[4] = {'A', 'C', 'F', 'S'};
-constexpr std::uint32_t kFormat = 2;
+constexpr std::uint32_t kFormat = 3;
 
 void put_u32(std::string& out, std::uint32_t v) {
   char b[4];
@@ -41,13 +41,13 @@ void put_counters(std::string& out, const CounterMap& counters) {
 /// of the counts.
 struct ImageHeader {
   std::uint64_t digest;
+  trace::Tick tick;
   long collectives_done;
   std::uint32_t frames;
   std::uint32_t sends;
   std::uint32_t recvs;
   std::uint32_t irregular;
   std::uint32_t ckpts;
-  std::uint32_t clock;
 };
 
 template <typename T>
@@ -72,6 +72,7 @@ std::size_t append_snapshot_image(const VmSnapshot& snapshot,
                                   std::string& arena) {
   ImageHeader header{};
   header.digest = snapshot.digest;
+  header.tick = snapshot.tick;
   header.collectives_done = snapshot.collectives_done;
   header.frames = static_cast<std::uint32_t>(snapshot.stack.size());
   header.sends = static_cast<std::uint32_t>(snapshot.sends_per_channel.size());
@@ -80,22 +81,19 @@ std::size_t append_snapshot_image(const VmSnapshot& snapshot,
       static_cast<std::uint32_t>(snapshot.irregular_counts.entries.size());
   header.ckpts =
       static_cast<std::uint32_t>(snapshot.ckpt_instances.entries.size());
-  header.clock = static_cast<std::uint32_t>(snapshot.vc.size());
 
   const std::size_t offset = arena.size();
   arena.resize(offset + sizeof(ImageHeader) +
                header.frames * sizeof(Frame) +
                (header.sends + header.recvs) * sizeof(long) +
-               (header.irregular + header.ckpts) * sizeof(CounterMap::Entry) +
-               header.clock * sizeof(std::uint64_t));
+               (header.irregular + header.ckpts) * sizeof(CounterMap::Entry));
   char* out = put_array(arena.data() + offset, &header, 1);
   out = put_array(out, snapshot.stack.data(), header.frames);
   out = put_array(out, snapshot.sends_per_channel.data(), header.sends);
   out = put_array(out, snapshot.recvs_per_channel.data(), header.recvs);
   out = put_array(out, snapshot.irregular_counts.entries.data(),
                   header.irregular);
-  out = put_array(out, snapshot.ckpt_instances.entries.data(), header.ckpts);
-  put_array(out, snapshot.vc.words(), header.clock);
+  put_array(out, snapshot.ckpt_instances.entries.data(), header.ckpts);
   return offset;
 }
 
@@ -103,15 +101,14 @@ void read_snapshot_image(const char* image, VmSnapshot& snapshot) {
   ImageHeader header{};
   std::memcpy(&header, image, sizeof header);
   snapshot.digest = header.digest;
+  snapshot.tick = header.tick;
   snapshot.collectives_done = header.collectives_done;
   const char* in = image + sizeof header;
   in = get_array(in, snapshot.stack, header.frames);
   in = get_array(in, snapshot.sends_per_channel, header.sends);
   in = get_array(in, snapshot.recvs_per_channel, header.recvs);
   in = get_array(in, snapshot.irregular_counts.entries, header.irregular);
-  in = get_array(in, snapshot.ckpt_instances.entries, header.ckpts);
-  std::memcpy(snapshot.vc.overwrite(static_cast<int>(header.clock)), in,
-              header.clock * sizeof(std::uint64_t));
+  get_array(in, snapshot.ckpt_instances.entries, header.ckpts);
 }
 
 std::string serialize_snapshot(const VmSnapshot& snapshot) {
@@ -122,17 +119,15 @@ std::string serialize_snapshot(const VmSnapshot& snapshot) {
 
 void serialize_snapshot_into(const VmSnapshot& snapshot, std::string& out) {
   out.clear();
-  // Dominant fields are the three per-process arrays (clock + channel
-  // counters); size for them up front. A reused scratch buffer already has
-  // the capacity, making this a no-op.
-  out.reserve(64 + static_cast<std::size_t>(snapshot.vc.size()) * 8 +
-              snapshot.sends_per_channel.size() * 16 +
+  // Dominant fields are the two per-process channel-counter arrays; size
+  // for them up front. A reused scratch buffer already has the capacity,
+  // making this a no-op.
+  out.reserve(64 + snapshot.sends_per_channel.size() * 16 +
               snapshot.stack.size() * 28);
   out.append(kMagic, 4);
   put_u32(out, kFormat);
   put_u64(out, snapshot.digest);
-  put_u32(out, static_cast<std::uint32_t>(snapshot.vc.size()));
-  for (int i = 0; i < snapshot.vc.size(); ++i) put_u64(out, snapshot.vc[i]);
+  put_u64(out, snapshot.tick);
   put_i64(out, snapshot.collectives_done);
   put_u32(out, static_cast<std::uint32_t>(snapshot.sends_per_channel.size()));
   for (const long sends : snapshot.sends_per_channel) put_i64(out, sends);

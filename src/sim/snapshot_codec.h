@@ -47,8 +47,8 @@
 
 namespace acfc::sim {
 
-/// Canonical encoding ("ACFS" magic, format 2; fixed-width fields — see
-/// docs/analysis.md). Layout: digest, vector clock,
+/// Canonical encoding ("ACFS" magic, format 3; fixed-width fields — see
+/// docs/analysis.md). Layout: digest, local tick,
 /// collectives_done, per-channel send/recv counters, irregular and
 /// checkpoint-instance counters, control stack (loop uid / index /
 /// loop_value / loop_hi per frame).
@@ -61,9 +61,9 @@ void serialize_snapshot_into(const VmSnapshot& snapshot, std::string& out);
 
 /// Appends `snapshot` to `arena` as one image record and returns the
 /// record's offset. The record is sized once and filled by memcpy: a
-/// header (digest, collectives_done, array lengths), then the
-/// frames, send and receive counters, irregular and checkpoint-instance
-/// counters, and clock words.
+/// header (digest, tick, collectives_done, array lengths), then the
+/// frames, send and receive counters, and irregular and
+/// checkpoint-instance counters.
 std::size_t append_snapshot_image(const VmSnapshot& snapshot,
                                   std::string& arena);
 

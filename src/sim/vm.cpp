@@ -134,8 +134,7 @@ void Vm::reset() {
   const mp::Program& program = model_->program();
   if (!program.body.empty())
     state_.stack.push_back(Frame{&program.body, 0, nullptr, 0, 0});
-  std::uint64_t* clock = state_.vc.overwrite(nprocs_);
-  std::fill(clock, clock + nprocs_, 0);
+  state_.tick = 0;
   state_.digest = VmSnapshot::kInitialDigest;
   state_.irregular_counts.entries.clear();
   state_.sends_per_channel.assign(static_cast<size_t>(nprocs_), 0);

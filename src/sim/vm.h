@@ -5,7 +5,7 @@
 // The VM advances through control flow (if/for bookkeeping costs no
 // simulated time) and yields Actions — compute, send, recv, checkpoint,
 // collective — for the discrete-event engine to schedule. Its entire
-// mutable state (control stack, vector clock, channel counters,
+// mutable state (control stack, local tick, channel counters,
 // irregular-resolution counters, execution digest) lives in a VmSnapshot
 // value, which the engine copies into a checkpoint image on every take and
 // writes back on rollback; because the resolver is a pure function of
@@ -20,7 +20,7 @@
 
 #include "mp/stmt.h"
 #include "sim/model.h"
-#include "trace/vclock.h"
+#include "trace/trace.h"
 
 namespace acfc::sim {
 
@@ -64,7 +64,8 @@ struct Frame {
 /// Complete copyable process state.
 struct VmSnapshot {
   std::vector<Frame> stack;
-  trace::VClock vc;
+  /// The process's local tick (trace/trace.h).
+  trace::Tick tick = 0;
   /// FNV-1a digest of the logical execution (control decisions, message
   /// identities) — replay validation compares digests, never times.
   static constexpr std::uint64_t kInitialDigest = 1469598103934665603ULL;
@@ -192,9 +193,8 @@ class Vm {
   VmSnapshot& mutable_state() { return state_; }
 
   // -- Engine callbacks -------------------------------------------------
-  void tick() { state_.vc.tick(rank_); }
-  void merge_clock(const trace::VClock& other) { state_.vc.merge(other); }
-  const trace::VClock& clock() const { return state_.vc; }
+  void tick() { ++state_.tick; }
+  trace::Tick local_tick() const { return state_.tick; }
   void fold_digest(std::uint64_t value);
   long note_send(int dest);  ///< increments and returns the channel seq
   void note_recv(int src);

@@ -43,7 +43,7 @@ enum class RecordKind : std::uint8_t { kFull = 0, kDelta = 1 };
 /// Block granularity of the diff: the encoder compares base and payload in
 /// runs of this many bytes, so a single changed byte costs one block of
 /// literal plus op overhead. 8 matches the payload encodings' fixed-width
-/// field size (ACFS counters and clock components are u64), so a changed
+/// field size (ACFS counters and the tick are u64), so a changed
 /// counter dirties exactly one block.
 inline constexpr std::size_t kDeltaBlockBytes = 8;
 

@@ -1,15 +1,19 @@
 // Recovery-line analyses over execution traces.
 //
-// Consistency of a cut of checkpoints {C_p} uses the no-orphan
-// characterization: the cut is consistent iff for every ordered pair
-// (p, q), VC(C_q)[p] ≤ VC(C_p)[p] — process q's checkpoint has not seen
-// more of p than p had executed at its own checkpoint. This is equivalent
-// to the paper's Definition 2.1 (no two members ordered by happened-before)
-// and additionally identifies the orphan messages when it fails.
+// Consistency of a cut of checkpoints {C_p} is the paper's Section 2
+// definition, read off the trace's records: the cut is consistent iff no
+// edge crosses it backwards. An edge is an app message or a native
+// collective round's join → release (trace::CollRec). It crosses
+// backwards when it leaves its source after the source's member (its tick
+// is past the member's) and arrives in the history of the sink's member.
+// A record of process q is in the history of q's member when it is no
+// later in tick and no restore between the two set q below the record's
+// tick — re-execution after a rollback reuses the ticks of the rolled-back
+// epoch, whose records stay in the trace.
 //
 // Also provided:
 //  * straight cuts (Definition 2.3 instanced per iteration),
-//  * the maximal recovery line at a failure time via greedy demotion
+//  * the maximal recovery line at a failure time via orphan propagation
 //    (the classic rollback-propagation computation; on app-driven
 //    placements it stops at the latest checkpoints, on uncoordinated ones
 //    it may cascade — the domino effect, which we quantify),
@@ -32,12 +36,14 @@ struct Cut {
 };
 
 struct CutAnalysis {
+  /// No orphan message and no orphan collective round.
   bool consistent = false;
-  /// (p, q) pairs where q saw more of p than p had checkpointed.
-  std::vector<std::pair<int, int>> orphan_pairs;
   /// App messages received before the receiver's cut but sent after the
   /// sender's cut (the witnesses of inconsistency).
   std::vector<long> orphan_msgs;
+  /// Indices into trace.collectives of rounds joined after a member's cut
+  /// by one process and released before the cut into another.
+  std::vector<long> orphan_rounds;
   /// App messages sent before the sender's cut and not received before the
   /// receiver's cut — lost on rollback unless sender-logged.
   std::vector<long> in_transit_msgs;
@@ -83,9 +89,11 @@ struct RecoveryLine {
 using CkptUsableFn = std::function<bool(int ckpt_index)>;
 
 /// Computes the maximal consistent cut dominated by the latest checkpoints
-/// at `at_time`, by greedy demotion of orphan-receiving members (standard
-/// rollback propagation). Always terminates — the all-initial cut is
-/// consistent. When `usable` is supplied, unusable checkpoints are excluded
+/// at `at_time` by orphan propagation (standard rollback propagation):
+/// when a member drops, every edge leaving its process past the new member
+/// becomes active once, and each active edge demotes its sink's member
+/// until the edge's arrival leaves that member's history. Always
+/// terminates — the all-initial cut is consistent. When `usable` is supplied, unusable checkpoints are excluded
 /// from the candidate set entirely (degraded-mode selection: the deepest
 /// consistent cut whose every member verifies) and skipped_unusable counts
 /// what was stepped over.

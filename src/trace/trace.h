@@ -1,19 +1,27 @@
-// Execution traces: the event, message, and checkpoint records produced by
-// the simulator, consumed by the recovery-line analyses in analysis.h.
+// Execution traces: the event, message, checkpoint, collective and
+// restore records produced by the simulator, consumed by the recovery-line
+// analyses in analysis.h.
 //
-// Vector clocks are kept only where the analyses read them: a checkpoint
-// record holds its process's full clock, a message its sender's full clock
-// and the receiver's own component at the receive. Event records carry no
-// clock.
+// Each process keeps one local tick, not a vector clock: the count of its
+// clocked events (send, receive, checkpoint, collective join, all-merge
+// release) along its live history. A restore sets the tick back to the
+// restored checkpoint's and starts a new incarnation of the process. A
+// record keeps the tick and incarnation of its process at the record;
+// causality between processes is read off the message and collective
+// records (analysis.h). Event records carry no tick.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
-#include "trace/vclock.h"
-
 namespace acfc::trace {
+
+/// A process's local tick (see the file comment).
+using Tick = std::uint64_t;
+/// No tick: a collective member that is no source or no sink of a round.
+inline constexpr Tick kNoTick = std::numeric_limits<Tick>::max();
 
 enum class EventKind {
   kCompute,
@@ -60,11 +68,14 @@ struct MsgRec {
   double recv_time = -1.0;  ///< -1 while unconsumed
   int send_stmt_uid = -1;
   int recv_stmt_uid = -1;
-  VClock send_vc;
-  /// The receiver's own clock component at the receive event (it orders
-  /// the receive against the receiver's checkpoints); meaningful only when
-  /// consumed.
-  std::uint64_t recv_tick = 0;
+  /// The sender's tick and incarnation at the send (zero on control
+  /// messages; a replayed message keeps its original send's).
+  Tick send_tick = 0;
+  int send_incarnation = 0;
+  /// The receiver's tick and incarnation at the receive; meaningful only
+  /// when consumed.
+  int recv_incarnation = 0;
+  Tick recv_tick = 0;
   bool consumed = false;
   bool control = false;  ///< protocol control message (not an app message)
   /// Protocol piggyback value on app messages; payload on control ones.
@@ -86,10 +97,46 @@ struct CkptRec {
   /// Checkpoint durable on stable storage (after the latency l ≥ o);
   /// recovery may only use checkpoints committed by the failure time.
   double t_commit = 0.0;
-  VClock vc;             ///< clock at completion
+  Tick tick = 0;         ///< the process's tick at the take
+  int incarnation = 0;   ///< the process's incarnation at the take
   bool forced = false;
   /// Index into the simulator's snapshot store; -1 if state not retained.
   int snapshot = -1;
+};
+
+/// One member's part in a released native collective round.
+struct CollMember {
+  /// The member's tick and incarnation at its join; kNoTick when its join
+  /// is no source of this release.
+  Tick join = kNoTick;
+  int join_incarnation = 0;
+  int release_incarnation = 0;
+  /// The first tick of the member that sees the round: one past its tick
+  /// at the merge point. kNoTick when the round releases no state into it.
+  Tick release = kNoTick;
+};
+
+/// One release of a native collective round, as causal edges from every
+/// source's join to every sink's release: barrier and allreduce from every
+/// member to every live member, reduce from the contributors to the root,
+/// bcast from the root to each receiver. A round re-released after a
+/// rollback gets a new record.
+struct CollRec {
+  /// kNone marks only the simulator's rounds that no member has joined.
+  enum class Kind { kNone, kBarrier, kBcast, kReduce, kAllreduce };
+  Kind kind = Kind::kNone;
+  int root = -1;
+  /// Offset of the round's nprocs members in Trace::coll_members.
+  std::size_t members = 0;
+};
+
+/// A process restored by a rollback: it starts incarnation `incarnation`
+/// from `checkpoint` (-1: the initial state) at that checkpoint's tick.
+struct RestoreRec {
+  int proc = -1;
+  int incarnation = 0;
+  int checkpoint = -1;
+  Tick tick = 0;
 };
 
 struct Trace {
@@ -97,6 +144,9 @@ struct Trace {
   std::vector<EventRec> events;
   std::vector<MsgRec> messages;
   std::vector<CkptRec> checkpoints;
+  std::vector<CollRec> collectives;
+  std::vector<CollMember> coll_members;
+  std::vector<RestoreRec> restores;
   double end_time = 0.0;
   bool completed = false;  ///< all processes reached kFinish
   /// Deterministic per-process execution digest for replay validation.
@@ -106,6 +156,11 @@ struct Trace {
   /// amortize to plain stores (the simulator calls this once at start-up).
   void reserve(std::size_t events_cap, std::size_t messages_cap,
                std::size_t checkpoints_cap);
+
+  /// The nprocs members of a collective record.
+  const CollMember* members_of(const CollRec& round) const {
+    return coll_members.data() + round.members;
+  }
 
   /// Checkpoints of one process in completion order.
   std::vector<CkptRec> checkpoints_of(int proc) const;

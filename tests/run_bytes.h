@@ -1,5 +1,6 @@
 // One byte dump of a whole simulation result, for tests that hold two
-// runs to byte identity: every trace event, message and checkpoint field,
+// runs to byte identity: every trace event, message, checkpoint,
+// collective and restore field,
 // every SimStats counter, every RecoveryRec and the final channel
 // counters, doubles as exact bit patterns.
 #pragma once
@@ -12,12 +13,6 @@
 #include "sim/engine.h"
 
 namespace acfc::sim {
-
-inline std::string clock_text(const trace::VClock& vc) {
-  std::string text;
-  for (int i = 0; i < vc.size(); ++i) text += std::to_string(vc[i]) + ",";
-  return text;
-}
 
 /// Every field of `r`, doubles by bit pattern.
 inline std::string run_bytes(const SimResult& r) {
@@ -37,14 +32,27 @@ inline std::string run_bytes(const SimResult& r) {
         << ' ' << m.bytes << ' ' << m.seq << ' ' << bits(m.send_time) << ' '
         << bits(m.deliver_time) << ' ' << bits(m.recv_time) << ' '
         << m.send_stmt_uid << ' ' << m.recv_stmt_uid << ' '
-        << clock_text(m.send_vc) << ' ' << m.recv_tick << ' '
+        << m.send_tick << ' ' << m.send_incarnation << ' ' << m.recv_tick
+        << ' ' << m.recv_incarnation << ' '
         << m.consumed << ' ' << m.control << ' ' << m.piggyback << ' '
         << m.replayed << ' ' << m.xport_seq << '\n';
   for (const trace::CkptRec& c : t.checkpoints)
     out << "ckpt " << c.proc << ' ' << c.ckpt_id << ' ' << c.static_index
         << ' ' << c.instance << ' ' << bits(c.t_begin) << ' ' << bits(c.t_end)
-        << ' ' << bits(c.t_commit) << ' ' << clock_text(c.vc) << ' '
-        << c.forced << ' ' << c.snapshot << '\n';
+        << ' ' << bits(c.t_commit) << ' ' << c.tick << ' ' << c.incarnation
+        << ' ' << c.forced << ' ' << c.snapshot << '\n';
+  for (const trace::CollRec& round : t.collectives) {
+    out << "coll " << static_cast<int>(round.kind) << ' ' << round.root;
+    const trace::CollMember* members = t.members_of(round);
+    for (int q = 0; q < t.nprocs; ++q)
+      out << ' ' << members[q].join << ' ' << members[q].join_incarnation
+          << ' ' << members[q].release << ' '
+          << members[q].release_incarnation;
+    out << '\n';
+  }
+  for (const trace::RestoreRec& rs : t.restores)
+    out << "restore " << rs.proc << ' ' << rs.incarnation << ' '
+        << rs.checkpoint << ' ' << rs.tick << '\n';
   const SimStats& s = r.stats;
   out << "stats " << s.app_messages << ' ' << s.app_bytes << ' '
       << s.control_messages << ' ' << s.control_bytes << ' '

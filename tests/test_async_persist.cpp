@@ -529,7 +529,7 @@ std::uint64_t store_pin(Capture capture, std::ostringstream& dump) {
 }
 
 /// Payload records (store_capture_fn and the persister) pin to this.
-constexpr std::uint64_t kPayloadStorePin = 0x7b6d6db10fb0545aULL;
+constexpr std::uint64_t kPayloadStorePin = 0x6f6bf7374d73f20fULL;
 
 auto async_capture(int capacity) {
   return [capacity](const mp::Program& program, const sim::SimOptions& opts,

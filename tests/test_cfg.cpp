@@ -125,14 +125,6 @@ TEST(CfgAnalysis, LoopHeaderDominatesBody) {
     EXPECT_TRUE(g.dominates(header.id, n.id));
 }
 
-TEST(CfgAnalysis, NaturalLoopMembers) {
-  const Cfg g = cfg_of("program t { compute 9.0; loop 3 { compute 1.0; } }");
-  ASSERT_EQ(g.back_edges().size(), 1u);
-  const auto loop = g.natural_loop(g.back_edges()[0]);
-  // header + compute + latch = 3 nodes; the outer compute is excluded.
-  EXPECT_EQ(loop.size(), 3u);
-}
-
 TEST(CfgAnalysis, ReachabilityFullVsAcyclic) {
   const Cfg g = cfg_of("program t { loop 3 { compute 1.0; } }");
   const auto header = g.nodes_of_kind(NodeKind::kLoopHeader)[0];

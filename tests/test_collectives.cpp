@@ -17,6 +17,7 @@
 #include "sim/engine.h"
 #include "trace/analysis.h"
 #include "util/error.h"
+#include "vclock_reference.h"
 
 namespace {
 
@@ -82,11 +83,17 @@ TEST(Collectives, NativeReduceBlocksRootOnly) {
   EXPECT_GT(rank0_done, 50.0);
 }
 
-/// Each process's checkpoints, in completion order.
-std::vector<std::vector<trace::CkptRec>> checkpoints_by_proc(
+/// Each process's checkpoint clocks, rebuilt from the trace
+/// (tests/vclock_reference.h), in completion order.
+std::vector<std::vector<trace::reference::VClock>> checkpoints_by_proc(
     const trace::Trace& t) {
-  std::vector<std::vector<trace::CkptRec>> out;
-  for (int p = 0; p < t.nprocs; ++p) out.push_back(t.checkpoints_of(p));
+  const trace::reference::Clocks clocks = trace::reference::replay_clocks(t);
+  EXPECT_TRUE(clocks.errors.empty());
+  std::vector<std::vector<trace::reference::VClock>> out(
+      static_cast<size_t>(t.nprocs));
+  for (size_t i = 0; i < t.checkpoints.size(); ++i)
+    out[static_cast<size_t>(t.checkpoints[i].proc)].push_back(
+        clocks.checkpoint[i]);
   return out;
 }
 
@@ -103,9 +110,9 @@ TEST(Collectives, NativeReduceOrdersContributionsBeforeRoot) {
     SCOPED_TRACE("contributor " + std::to_string(q));
     const auto& pre = c[static_cast<size_t>(q)][0];
     const auto& post = c[static_cast<size_t>(q)][1];
-    EXPECT_TRUE(pre.vc.happened_before(c[0][1].vc));
-    EXPECT_TRUE(c[0][0].vc.concurrent_with(post.vc));
-    EXPECT_TRUE(post.vc.concurrent_with(c[0][1].vc));
+    EXPECT_TRUE(pre.happened_before(c[0][1]));
+    EXPECT_TRUE(c[0][0].concurrent_with(post));
+    EXPECT_TRUE(post.concurrent_with(c[0][1]));
   }
 }
 
@@ -137,8 +144,8 @@ TEST(Collectives, NativeAllreduceSynchronizesEveryone) {
       SCOPED_TRACE(std::to_string(p) + " vs " + std::to_string(q));
       const auto& mine = c[static_cast<size_t>(p)];
       const auto& theirs = c[static_cast<size_t>(q)];
-      EXPECT_TRUE(mine[0].vc.happened_before(theirs[1].vc));
-      EXPECT_TRUE(mine[1].vc.concurrent_with(theirs[1].vc));
+      EXPECT_TRUE(mine[0].happened_before(theirs[1]));
+      EXPECT_TRUE(mine[1].concurrent_with(theirs[1]));
     }
 }
 

@@ -289,7 +289,7 @@ TEST(WindowPin, ExploreCombinesPlanWindowsWithInjectedOnes) {
   EXPECT_EQ(states_pruned, 15);
   EXPECT_EQ(states_recorded, 199);
   EXPECT_EQ(choice_points, 5940);
-  EXPECT_EQ(fold(hashes), 0xc27a9cd4ea894f3eULL);
+  EXPECT_EQ(fold(hashes), 0x37eca7d505e018d0ULL);
   EXPECT_EQ(fold(outcomes), 0x281f5034dbf704beULL);
   if (::testing::Test::HasFailure())
     std::printf("    %ld %ld %ld %ld 0x%016llxULL 0x%016llxULL\n",

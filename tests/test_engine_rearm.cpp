@@ -23,9 +23,8 @@
 //
 // RearmAllocation counts global operator new calls inside Engine::run()
 // (this binary replaces operator new) and expects none on a re-armed
-// engine re-running a failure-free app-driven ring schedule, and at most
-// one per application send plus one per checkpoint once the ring is wide
-// enough to spill its clocks out of their inline words.
+// engine re-running a failure-free app-driven ring schedule, at n = 3 and
+// at n = 12 alike.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -483,20 +482,18 @@ TEST(RearmAllocation, ReRunningAFailureFreeRingAllocatesNothing) {
 #endif
 }
 
-TEST(RearmAllocation, SpilledClocksAllocateOncePerSendOrCheckpoint) {
+TEST(RearmAllocation, TwelveProcessRingAllocatesNothing) {
 #ifdef ACFC_REARM_SANITIZED
   GTEST_SKIP() << "sanitizer allocator: operator new is not replaced";
 #else
-  // At n = 12 every clock spills to a shared payload. A send or checkpoint
-  // record shares the VM's payload, so the VM's next tick clones it; no
-  // other record holds a clock, so nothing else may allocate.
+  // A send or checkpoint record keeps one tick, whatever the world size,
+  // so a re-armed n = 12 ring allocates nothing in run() either.
   mp::WorkloadParams params;
   params.iterations = 4;
   const mp::Program program = mp::workload_by_name("ring", params);
   const sim::Model model(program);
   SimOptions opts;
   opts.nprocs = 12;
-  ASSERT_GT(opts.nprocs, trace::VClock::kInlineCapacity);
   Engine engine(model, opts);
   SimResult spent;
   for (int run = 0; run < 3; ++run) {
@@ -506,14 +503,10 @@ TEST(RearmAllocation, SpilledClocksAllocateOncePerSendOrCheckpoint) {
     spent = engine.run();
     g_counting.store(false);
     ASSERT_TRUE(spent.trace.completed);
-    const long sends = spent.stats.app_messages;
-    const long checkpoints = static_cast<long>(spent.trace.checkpoints.size());
-    ASSERT_GT(sends, 0);
-    ASSERT_GT(checkpoints, 0);
+    ASSERT_GT(spent.stats.app_messages, 0);
+    ASSERT_GT(spent.trace.checkpoints.size(), 0u);
     if (run > 0) {
-      EXPECT_LE(g_allocations.load(), sends + checkpoints)
-          << "run " << run << ": " << sends << " sends, " << checkpoints
-          << " checkpoints, " << spent.trace.events.size() << " events";
+      EXPECT_EQ(g_allocations.load(), 0) << "run " << run;
     }
   }
 #endif

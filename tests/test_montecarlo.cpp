@@ -59,7 +59,6 @@ void expect_same_run(const SimResult& a, const SimResult& b) {
 }
 
 /// seed × nprocs grid with compute jitter, exercising the engine RNG.
-/// n=12 crosses VClock::kInlineCapacity so spilled clocks are covered.
 std::vector<SimOptions> jittered_grid() {
   std::vector<SimOptions> configs;
   long index = 0;

@@ -427,19 +427,24 @@ sim::SimResult clean_run() {
 }
 
 /// One checkpoint per process (ids 0 and 1) and one rollback to both.
-/// With `p1_saw_p0_ahead`, process 1's member has seen two events of
-/// process 0 while process 0's member has executed one: an orphan pair.
+/// With `p1_saw_p0_ahead`, process 1's member received a message process
+/// 0 sent after its own member: an orphan message.
 void add_rollback(sim::SimResult& run, bool p1_saw_p0_ahead) {
   for (int p = 0; p < 2; ++p) {
     trace::CkptRec ckpt;
     ckpt.proc = p;
-    ckpt.vc = trace::VClock(2);
-    ckpt.vc.tick(p);
+    ckpt.tick = p1_saw_p0_ahead && p == 1 ? 2 : 1;
     run.trace.checkpoints.push_back(ckpt);
   }
   if (p1_saw_p0_ahead) {
-    run.trace.checkpoints[1].vc.tick(0);
-    run.trace.checkpoints[1].vc.tick(0);
+    trace::MsgRec m;
+    m.id = 0;
+    m.src = 0;
+    m.dst = 1;
+    m.send_tick = 2;
+    m.recv_tick = 1;
+    m.consumed = true;
+    run.trace.messages.push_back(m);
   }
   sim::RecoveryRec rec;
   rec.failed_proc = 1;
@@ -473,7 +478,7 @@ TEST(RecoveryVerdict, FirstViolatedPropertyInOrder) {
     run.corrupt_checkpoints = {1};
     cases.push_back(
         {"inconsistent cut with a corrupt member", run, "cut-consistency",
-         "1 orphan pairs"});
+         "1 orphan messages"});
   }
   {
     sim::SimResult run = clean_run();

@@ -12,6 +12,7 @@
 #include "sim/engine.h"
 #include "sim/snapshot_codec.h"
 #include "util/error.h"
+#include "vclock_reference.h"
 
 namespace {
 
@@ -118,7 +119,8 @@ TEST(Sim, AnySourceReceives) {
 }
 
 TEST(Sim, VectorClocksOrderSendBeforeRecv) {
-  // A checkpoint on each side of one message. The receive merges the send
+  // A checkpoint on each side of one message. On the clocks rebuilt from
+  // the trace (tests/vclock_reference.h), the receive merges the send
   // clock, so the send (and everything before it on rank 0) happened
   // before rank 1's later checkpoint; nothing flows back to rank 0.
   const auto r = run(R"(
@@ -136,17 +138,28 @@ TEST(Sim, VectorClocksOrderSendBeforeRecv) {
   const std::vector<trace::CkptRec> c1 = r.trace.checkpoints_of(1);
   ASSERT_EQ(c0.size(), 2u);
   ASSERT_EQ(c1.size(), 2u);
-  EXPECT_TRUE(c0[0].vc.happened_before(m.send_vc));
-  EXPECT_TRUE(m.send_vc.happened_before(c0[1].vc));
-  EXPECT_TRUE(m.send_vc.happened_before(c1[1].vc));
-  EXPECT_TRUE(c0[0].vc.happened_before(c1[1].vc));
-  EXPECT_TRUE(m.send_vc.concurrent_with(c1[0].vc));
-  EXPECT_TRUE(c1[0].vc.concurrent_with(c0[1].vc));
-  EXPECT_TRUE(c0[1].vc.concurrent_with(c1[1].vc));
-  // The receive falls between rank 1's two checkpoints in its own
-  // component.
-  EXPECT_LT(c1[0].vc[1], m.recv_tick);
-  EXPECT_LT(m.recv_tick, c1[1].vc[1]);
+  const trace::reference::Clocks clocks =
+      trace::reference::replay_clocks(r.trace);
+  ASSERT_TRUE(clocks.errors.empty()) << clocks.errors.front();
+  const auto vc = [&](const trace::CkptRec& c) {
+    for (size_t i = 0; i < r.trace.checkpoints.size(); ++i)
+      if (r.trace.checkpoints[i].proc == c.proc &&
+          r.trace.checkpoints[i].tick == c.tick)
+        return clocks.checkpoint[i];
+    return trace::reference::VClock();
+  };
+  const trace::reference::VClock sent =
+      clocks.send[static_cast<size_t>(m.id)];
+  EXPECT_TRUE(vc(c0[0]).happened_before(sent));
+  EXPECT_TRUE(sent.happened_before(vc(c0[1])));
+  EXPECT_TRUE(sent.happened_before(vc(c1[1])));
+  EXPECT_TRUE(vc(c0[0]).happened_before(vc(c1[1])));
+  EXPECT_TRUE(sent.concurrent_with(vc(c1[0])));
+  EXPECT_TRUE(vc(c1[0]).concurrent_with(vc(c0[1])));
+  EXPECT_TRUE(vc(c0[1]).concurrent_with(vc(c1[1])));
+  // The receive falls between rank 1's two checkpoints in its ticks.
+  EXPECT_LT(c1[0].tick, m.recv_tick);
+  EXPECT_LT(m.recv_tick, c1[1].tick);
 }
 
 TEST(Sim, DeterministicDigestAcrossRuns) {
@@ -447,14 +460,11 @@ TEST(SnapshotImage, RoundTripsEveryField) {
   const auto* arm = mp::stmt_cast<mp::IfStmt>(loop->body.stmts[0].get());
   ASSERT_NE(arm, nullptr);
 
-  // n = 12 spills the clock out of its inline storage.
   sim::VmSnapshot a;
   a.stack = {sim::Frame{&p.body, 0, nullptr, 0, 0},
              sim::Frame{&loop->body, 0, loop, 2, 3},
              sim::Frame{&arm->then_body, 1, nullptr, 0, 0}};
-  a.vc = trace::VClock(12);
-  for (int i = 0; i < 12; ++i)
-    for (int k = 0; k <= i; ++k) a.vc.tick(i);
+  a.tick = 78;
   a.digest = 0x0123456789abcdefULL;
   a.irregular_counts[3] = 5;
   a.irregular_counts[-9] = 1;
@@ -468,11 +478,10 @@ TEST(SnapshotImage, RoundTripsEveryField) {
   a.ckpt_instances[0] = 2;
   a.ckpt_instances[1] = 1;
 
-  // A second, smaller state: inline clock, one frame, no counters.
+  // A second, smaller state: one frame, no counters.
   sim::VmSnapshot b;
   b.stack = {sim::Frame{&p.body, 1, nullptr, 0, 0}};
-  b.vc = trace::VClock(3);
-  b.vc.tick(2);
+  b.tick = 1;
   b.sends_per_channel = {0, 1, 2};
   b.recvs_per_channel = {2, 1, 0};
 
@@ -482,24 +491,21 @@ TEST(SnapshotImage, RoundTripsEveryField) {
   EXPECT_EQ(at_a, 0u);
   EXPECT_GT(at_b, at_a);
   // Each record is one header plus its arrays, so the two differ by 2
-  // frames, 18 channel counters, 4 counter entries and 9 clock words.
+  // frames, 18 channel counters and 4 counter entries: the tick is one
+  // header word whatever the world size.
   EXPECT_EQ(arena.size() - at_b, at_b - at_a - 2 * sizeof(sim::Frame) -
                                      18 * sizeof(long) -
-                                     4 * sizeof(sim::CounterMap::Entry) -
-                                     9 * sizeof(std::uint64_t));
+                                     4 * sizeof(sim::CounterMap::Entry));
 
   sim::VmSnapshot out;
   sim::read_snapshot_image(arena.data() + at_a, out);
   EXPECT_EQ(out, a);
 
-  // Reading the smaller image over the larger state reuses its vectors and
-  // leaves a clock sharing the old payload untouched.
-  const trace::VClock shared = out.vc;
+  // Reading the smaller image over the larger state reuses its vectors.
   const long* sends = out.sends_per_channel.data();
   sim::read_snapshot_image(arena.data() + at_b, out);
   EXPECT_EQ(out, b);
   EXPECT_EQ(out.sends_per_channel.data(), sends);
-  EXPECT_EQ(shared, a.vc);
 
   sim::read_snapshot_image(arena.data() + at_a, out);
   EXPECT_EQ(out, a);

@@ -14,7 +14,8 @@ Options:
                   matching F
     --top N       rows per table (default 30)
     --layers      instead of the function tables, print the inclusive share
-                  of each engine layer (LAYERS below); frames inlined into
+                  of each engine and analysis layer (LAYERS below); frames
+                  inlined into
                   a sampled frame count as frames of the stack here. The
                   "heap allocator" layer matches malloc, __libc_free,
                   operator new and operator delete only: libc is stripped,
@@ -43,11 +44,13 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
-# The engine's layers: a frame belongs to a layer when its demangled name
-# contains one of the layer's patterns. A sample counts toward every layer
-# with a frame on its stack, so the shares of nested layers (a VM step that
-# merges a vector clock) overlap; a sample in no layer counts as "other".
-# The calendar queue's names stay so older builds report the same layer.
+# The engine's and the analysis's layers: a frame belongs to a layer when
+# its demangled name contains one of the layer's patterns. A sample counts
+# toward every layer with a frame on its stack, so the shares of nested
+# layers (a VM step that allocates, a Condition-1 check inside a repair)
+# overlap; a sample in no layer counts as "other". The vector clocks and
+# the calendar queue are gone from the engine; their names stay so older
+# builds report the same layers.
 LAYERS = (
     ("VM step", ("acfc::sim::Vm::",)),
     ("vector clocks", ("acfc::trace::VClock::",)),
@@ -85,6 +88,16 @@ LAYERS = (
     # a malloc or free frame, which counts the sample here.
     ("heap allocator", ("malloc", "__libc_free", "operator new",
                         "operator delete")),
+    # The analysis half: Phases I–III from program text to printed program.
+    ("parse", ("acfc::mp::parse", "acfc::mp::(anonymous namespace)::Lexer",
+               "acfc::mp::(anonymous namespace)::Parser")),
+    ("CFG", ("acfc::cfg::",)),
+    ("Ĝ/match", ("acfc::match::",)),
+    ("attribute solver", ("acfc::attr::",)),
+    ("Condition 1", ("acfc::place::check_condition1",)),
+    ("repair", ("acfc::place::repair_placement",)),
+    ("print", ("acfc::mp::print",
+               "acfc::mp::(anonymous namespace)::Printer")),
 )
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Unit tests for report.py's engine-layer shares (`--layers`).
+"""Unit tests for report.py's engine and analysis layer shares (`--layers`).
 
 Run directly (`python3 tools/sample_profile/test_report.py`) or from ctest
 as `sample_profile_unit`. Pure stdlib unittest over hand-made symbolized
@@ -24,7 +24,7 @@ STACKS = [
     # event queue: a heap sift inlined into Engine::run
     ["std::vector<acfc::sim::Ev>::operator[]", "acfc::sim::EventQueue::pop",
      ENGINE_RUN, RUN, "main"],
-    # VM step that merges a vector clock: both layers
+    # VM step that merges a vector clock (older builds): both layers
     ["acfc::trace::VClock::merge", "acfc::sim::Vm::merge_clock",
      "acfc::sim::Engine::deliver", ENGINE_RUN, RUN, "main"],
     # trace recording through an inlined note()
@@ -51,6 +51,29 @@ STACKS = [
     ["acfc::sim::Engine::dispatch", ENGINE_RUN, RUN, "main"],
     # outside the timed op
     ["acfc::mp::parse_program", "SetUp::run", "main"],
+]
+
+ANALYZE = "AnalyzeOp::run"
+
+ANALYSIS_STACKS = [
+    # the parser's anonymous-namespace classes under mp::parse
+    ["std::__cxx11::basic_string<char>::_M_create",
+     "acfc::mp::(anonymous namespace)::Lexer::next",
+     "acfc::mp::(anonymous namespace)::Parser::statement",
+     "acfc::mp::parse", ANALYZE, "main"],
+    ["acfc::cfg::Cfg::analyze", "acfc::cfg::build_cfg", ANALYZE, "main"],
+    # the attribute solver inside the Ĝ build: both layers
+    ["acfc::attr::(anonymous namespace)::Solver::eval",
+     "acfc::attr::SatCache::find_match",
+     "acfc::match::build_extended_cfg", ANALYZE, "main"],
+    ["acfc::place::check_condition1", ANALYZE, "main"],
+    # the repair's own Condition-1 check: both layers
+    ["acfc::place::check_condition1",
+     "acfc::place::repair_placement", ANALYZE, "main"],
+    ["acfc::mp::(anonymous namespace)::Printer::stmt", "acfc::mp::print",
+     ANALYZE, "main"],
+    # analysis work in no layer
+    ["acfc::place::insert_checkpoints", ANALYZE, "main"],
 ]
 
 
@@ -117,11 +140,32 @@ class LayerShares(unittest.TestCase):
     def test_nested_layers_overlap_and_other_excludes_them(self):
         shares = report.layer_shares(STACKS)
         # The VM-step sample also counts as vector clocks, so the layers
-        # sum past the samples they cover.
+        # sum past the samples they cover; the set-up parse counts too.
         layered = sum(v for k, v in shares.items() if k != "other")
-        self.assertAlmostEqual(layered, 8 / 10)
-        self.assertAlmostEqual(shares["other"], 3 / 10)
+        self.assertAlmostEqual(layered, 9 / 10)
+        self.assertAlmostEqual(shares["other"], 2 / 10)
         self.assertGreater(layered + shares["other"], 1.0)
+
+    def test_analysis_layers(self):
+        shares = report.layer_shares(ANALYSIS_STACKS)
+        n = len(ANALYSIS_STACKS)
+        self.assertAlmostEqual(shares["parse"], 1 / n)
+        self.assertAlmostEqual(shares["CFG"], 1 / n)
+        self.assertAlmostEqual(shares["Ĝ/match"], 1 / n)
+        self.assertAlmostEqual(shares["attribute solver"], 1 / n)
+        self.assertAlmostEqual(shares["Condition 1"], 2 / n)
+        self.assertAlmostEqual(shares["repair"], 1 / n)
+        self.assertAlmostEqual(shares["print"], 1 / n)
+        self.assertAlmostEqual(shares["heap allocator"], 0.0)
+        self.assertAlmostEqual(shares["other"], 1 / n)
+        for engine_layer in ("VM step", "vector clocks", "event queue"):
+            self.assertEqual(shares[engine_layer], 0.0)
+
+    def test_analysis_layers_leave_engine_stacks_alone(self):
+        engine = report.layer_shares(report.keep_within(STACKS, RUN))
+        for layer in ("parse", "CFG", "Ĝ/match", "attribute solver",
+                      "Condition 1", "repair", "print"):
+            self.assertEqual(engine[layer], 0.0)
 
     def test_no_samples_gives_zero_shares(self):
         shares = report.layer_shares([])
